@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "analysis/reach.h"
-#include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "fsm/mcnc_suite.h"
 #include "synth/synthesize.h"
 
@@ -31,8 +31,7 @@ int main() {
     so.encode = algo;
     const SynthResult res = synthesize(fsm, so);
     const auto reach = compute_reachable(res.netlist);
-    AtpgRunOptions opts;
-    const auto run = run_atpg(res.netlist, opts);
+    const AtpgRunResult run = run_parallel_atpg(res.netlist, {}).run;
     std::printf("%-14s %5zu %8.0f %12.4g %10.2e %7.1f %7.1f %12llu\n",
                 encode_algo_suffix(algo), res.netlist.num_dffs(),
                 reach.num_valid, reach.total_states, reach.density,

@@ -8,7 +8,7 @@
 // as the study's circuits.
 #include <cstdio>
 
-#include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "fault/fault.h"
 #include "netlist/netlist.h"
 #include "sim/value.h"
@@ -53,9 +53,9 @@ int main() {
               nl.name().c_str(), nl.num_gates(), nl.num_dffs(),
               enumerate_faults(nl).size(), collapse_faults(nl).size());
 
-  AtpgRunOptions opts;
-  opts.engine.kind = EngineKind::kHitec;
-  const AtpgRunResult run = run_atpg(nl, opts);
+  ParallelAtpgOptions opts;
+  opts.run.engine.kind = EngineKind::kHitec;
+  const AtpgRunResult run = run_parallel_atpg(nl, opts).run;
 
   std::printf("fault coverage  : %.1f%%\n", run.fault_coverage);
   std::printf("fault efficiency: %.1f%%\n", run.fault_efficiency);

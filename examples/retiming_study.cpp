@@ -8,7 +8,7 @@
 
 #include "analysis/reach.h"
 #include "analysis/structure.h"
-#include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "fsm/mcnc_suite.h"
 #include "retime/retime.h"
 #include "synth/synthesize.h"
@@ -22,8 +22,7 @@ void report(const Netlist& nl) {
   const auto depth = max_sequential_depth(nl);
   const auto cycles = count_cycles(nl);
   const auto reach = compute_reachable(nl);
-  AtpgRunOptions opts;
-  const auto run = run_atpg(nl, opts);
+  const AtpgRunResult run = run_parallel_atpg(nl, {}).run;
 
   std::printf("%-18s #DFF=%-3zu delay=%-6.2f\n", nl.name().c_str(),
               nl.num_dffs(), critical_path_delay(nl));

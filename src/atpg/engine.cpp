@@ -6,10 +6,8 @@
 
 #include "atpg/capture.h"
 #include "atpg/cdcl/cdcl.h"
-#include "base/metrics.h"
 #include "base/profiler.h"
 #include "base/rng.h"
-#include "base/trace.h"
 
 namespace satpg {
 
@@ -479,71 +477,6 @@ void AtpgEngine::flush_attempt_observability(FaultAttempt* attempt) {
   attempt_sources_.clear();
 }
 
-// ---- driver -----------------------------------------------------------------
-
-void record_fault_stats(const FaultSearchStats& stats, FaultStatus status) {
-  if (!metrics_enabled()) return;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.histogram("atpg.evals_per_fault").record(stats.evals);
-  reg.histogram("atpg.backtracks_per_fault").record(stats.backtracks);
-  reg.histogram("atpg.implications_per_fault").record(stats.implications);
-  reg.histogram("atpg.window_growths_per_fault")
-      .record(stats.window_growths);
-  reg.histogram("atpg.justify_depth").record(stats.max_justify_depth);
-  reg.histogram("atpg.justify_failures_per_fault")
-      .record(stats.justify_failures);
-  reg.counter("atpg.justify_calls").add(stats.justify_calls);
-  reg.counter("atpg.justify_failures").add(stats.justify_failures);
-  reg.counter("atpg.learn_hits").add(stats.learn_hits);
-  reg.counter("atpg.learn_misses").add(stats.learn_misses);
-  reg.counter("atpg.learn_inserts").add(stats.learn_inserts);
-  reg.counter("atpg.verify_rejects").add(stats.verify_rejects);
-  reg.histogram("atpg.peak_bytes_per_fault").record(stats.peak_bytes);
-  // CDCL solver counters: only recorded when the attempt did SAT work, so
-  // structural-engine runs keep their metric registry unchanged.
-  if (stats.conflicts != 0 || stats.propagations != 0) {
-    reg.histogram("atpg.cdcl_conflicts_per_fault").record(stats.conflicts);
-    reg.counter("atpg.cdcl_conflicts").add(stats.conflicts);
-    reg.counter("atpg.cdcl_propagations").add(stats.propagations);
-    reg.counter("atpg.cdcl_restarts").add(stats.restarts);
-    reg.counter("atpg.cdcl_learned_clauses").add(stats.learned_clauses);
-    reg.counter("atpg.cdcl_cube_blocks").add(stats.cube_blocks);
-    reg.counter("atpg.cdcl_cube_exports").add(stats.cube_exports);
-  }
-  if (stats.budget_exhausted) reg.counter("atpg.budget_exhausted").add();
-  // Invalid-state attribution (all zeros when no oracle was attached).
-  // Bucket order: DESIGN.md §6 / StateValidity.
-  static const char* const kBucketNames[3] = {"valid", "invalid", "unknown"};
-  const EffortAttribution& a = stats.attribution;
-  for (std::size_t b = 0; b < 3; ++b) {
-    reg.counter(std::string("atpg.justify_calls_") + kBucketNames[b])
-        .add(a.justify_calls[b]);
-    reg.counter(std::string("atpg.justify_failures_") + kBucketNames[b])
-        .add(a.justify_failures[b]);
-    reg.counter(std::string("atpg.justify_evals_") + kBucketNames[b])
-        .add(a.justify_evals[b]);
-    reg.counter(std::string("atpg.justify_backtracks_") + kBucketNames[b])
-        .add(a.justify_backtracks[b]);
-  }
-  // Integer percent so the histogram stays deterministic (DESIGN.md §5
-  // allows only integral samples).
-  const std::uint64_t invalid_evals =
-      a.justify_evals[static_cast<std::size_t>(StateValidity::kInvalid)];
-  reg.histogram("atpg.effort_invalid_pct")
-      .record(stats.evals == 0 ? 0 : invalid_evals * 100 / stats.evals);
-  switch (status) {
-    case FaultStatus::kDetected:
-      reg.counter("atpg.faults_detected").add();
-      break;
-    case FaultStatus::kRedundant:
-      reg.counter("atpg.faults_redundant").add();
-      break;
-    case FaultStatus::kAborted:
-      reg.counter("atpg.faults_aborted").add();
-      break;
-  }
-}
-
 std::vector<TestSequence> make_random_sequences(const Netlist& nl, int count,
                                                 int length,
                                                 std::uint64_t seed) {
@@ -567,169 +500,6 @@ std::vector<TestSequence> make_random_sequences(const Netlist& nl, int count,
     seqs.push_back(std::move(seq));
   }
   return seqs;
-}
-
-void fill_x_with_zero(TestSequence& seq) {
-  for (auto& vec : seq)
-    for (auto& v : vec)
-      if (v == V3::kX) v = V3::kZero;
-}
-
-AtpgRunResult run_atpg(const Netlist& nl, const AtpgRunOptions& opts) {
-  const auto t0 = std::chrono::steady_clock::now();
-  AtpgRunResult res;
-
-  const auto collapsed = collapse_faults(nl);
-  std::vector<Fault> faults;
-  faults.reserve(collapsed.size());
-  for (const auto& cf : collapsed) faults.push_back(cf.representative);
-
-  enum class S { kUndetected, kDetected, kRedundant, kAborted };
-  std::vector<S> status(faults.size(), S::kUndetected);
-  std::vector<bool> potential(faults.size(), false);
-
-  // ---- random phase ----
-  auto random_seqs =
-      make_random_sequences(nl, opts.random_sequences, opts.random_length,
-                            opts.seed);
-  if (!random_seqs.empty()) {
-    TraceSpan span("atpg.random_phase");
-    const auto fr = run_fault_simulation(nl, faults, random_seqs, opts.fsim);
-    std::vector<bool> seq_used(random_seqs.size(), false);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (fr.detected_at[i] >= 0) {
-        status[i] = S::kDetected;
-        seq_used[static_cast<std::size_t>(fr.detected_at[i])] = true;
-      }
-      if (fr.potential_at[i] >= 0) potential[i] = true;
-    }
-    for (std::size_t s = 0; s < random_seqs.size(); ++s)
-      if (seq_used[s]) res.tests.push_back(random_seqs[s]);
-  }
-
-  // ---- deterministic phase ----
-  AtpgEngine engine(nl, opts.engine);
-  StateValidityOracle oracle;
-  if (opts.attribute_effort) {
-    TraceSpan oracle_span("atpg.oracle_build");
-    oracle = StateValidityOracle::build(nl);
-    res.oracle = oracle.info();
-    engine.set_validity_oracle(&oracle);
-  }
-  std::size_t w_all = 0;
-  for (const auto& cf : collapsed)
-    w_all += static_cast<std::size_t>(cf.class_size);
-  auto current_fe = [&]() {
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < faults.size(); ++j)
-      if (status[j] == S::kDetected || status[j] == S::kRedundant)
-        w += static_cast<std::size_t>(collapsed[j].class_size);
-    return 100.0 * static_cast<double>(w) /
-           static_cast<double>(std::max<std::size_t>(1, w_all));
-  };
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (status[i] != S::kUndetected) continue;
-    if (opts.total_eval_budget &&
-        engine.total_evals() > opts.total_eval_budget) {
-      status[i] = S::kAborted;
-      continue;
-    }
-    FaultAttempt attempt = engine.generate(faults[i]);
-    res.implications += attempt.stats.implications;
-    res.window_growths += attempt.stats.window_growths;
-    res.justify_calls += attempt.stats.justify_calls;
-    res.justify_failures += attempt.stats.justify_failures;
-    res.learn_hits += attempt.stats.learn_hits;
-    res.learn_misses += attempt.stats.learn_misses;
-    res.learn_inserts += attempt.stats.learn_inserts;
-    res.conflicts += attempt.stats.conflicts;
-    res.propagations += attempt.stats.propagations;
-    res.restarts += attempt.stats.restarts;
-    res.learned_clauses += attempt.stats.learned_clauses;
-    res.cube_exports += attempt.stats.cube_exports;
-    res.attribution.add(attempt.stats.attribution);
-    record_fault_stats(attempt.stats, attempt.status);
-    switch (attempt.status) {
-      case FaultStatus::kRedundant:
-        status[i] = S::kRedundant;
-        break;
-      case FaultStatus::kAborted:
-        status[i] = S::kAborted;
-        break;
-      case FaultStatus::kDetected: {
-        fill_x_with_zero(attempt.sequence);
-        // Verify and drop everything else this sequence catches.
-        std::vector<Fault> remaining;
-        std::vector<std::size_t> remap;
-        for (std::size_t j = 0; j < faults.size(); ++j)
-          if (j == i || status[j] == S::kUndetected) {
-            remaining.push_back(faults[j]);
-            remap.push_back(j);
-          }
-        const auto fr = run_fault_simulation(nl, remaining,
-                                             {attempt.sequence}, opts.fsim);
-        bool target_confirmed = false;
-        for (std::size_t k = 0; k < remaining.size(); ++k) {
-          if (fr.potential_at[k] >= 0) potential[remap[k]] = true;
-          if (fr.detected_at[k] < 0) continue;
-          if (remap[k] == i) target_confirmed = true;
-          status[remap[k]] = S::kDetected;
-        }
-        // The engine verified the target on the faulty machine already;
-        // this is a belt-and-braces check against simulator disagreement.
-        SATPG_CHECK_MSG(target_confirmed,
-                        "engine-verified test rejected by parallel fsim");
-        res.tests.push_back(std::move(attempt.sequence));
-        break;
-      }
-    }
-    res.fe_trace.push_back({engine.total_evals(), current_fe()});
-  }
-
-  // ---- accounting ----
-  std::size_t w_det = 0, w_red = 0, w_abort = 0, w_total = 0;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const std::size_t w = static_cast<std::size_t>(collapsed[i].class_size);
-    w_total += w;
-    S s = status[i];
-    if (opts.count_potential_detections && potential[i] &&
-        (s == S::kUndetected || s == S::kAborted))
-      s = S::kDetected;
-    switch (s) {
-      case S::kDetected:
-        w_det += w;
-        break;
-      case S::kRedundant:
-        w_red += w;
-        break;
-      default:
-        w_abort += w;
-    }
-  }
-  res.total_faults = w_total;
-  res.detected = w_det;
-  res.redundant = w_red;
-  res.aborted = w_abort;
-  res.fault_coverage = 100.0 * static_cast<double>(w_det) /
-                       static_cast<double>(std::max<std::size_t>(1, w_total));
-  res.fault_efficiency =
-      100.0 * static_cast<double>(w_det + w_red) /
-      static_cast<double>(std::max<std::size_t>(1, w_total));
-  res.evals = engine.total_evals();
-  res.backtracks = engine.total_backtracks();
-  res.verify_failures = engine.verify_rejects();
-  res.effort_invalid_frac = res.attribution.invalid_frac(res.evals);
-
-  // Final replay for the state-traversal census.
-  if (!res.tests.empty()) {
-    TraceSpan span("atpg.replay");
-    auto fr = run_fault_simulation(nl, {}, res.tests, opts.fsim);
-    res.states_traversed = std::move(fr.good_states);
-  }
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return res;
 }
 
 }  // namespace satpg

@@ -1,4 +1,5 @@
-// Structural sequential ATPG engines and the per-circuit driver.
+// Structural sequential ATPG engines, plus the options and summary of the
+// per-circuit driver (run_parallel_atpg, atpg/parallel.h).
 //
 // Three engines reproduce the paper's three tools as algorithm families
 // (DESIGN.md §2 documents the substitution):
@@ -388,7 +389,7 @@ class AtpgEngine {
   std::size_t verify_rejects_ = 0;
 };
 
-// ---- driver -----------------------------------------------------------------
+// ---- driver options and summary (run_parallel_atpg) ------------------------
 
 struct AtpgRunOptions {
   EngineOptions engine;
@@ -425,9 +426,8 @@ struct AtpgRunResult {
   std::uint64_t evals = 0;         ///< deterministic work metric
   std::uint64_t backtracks = 0;
   // Aggregated FaultSearchStats over the deterministic phase, merged in the
-  // same deterministic order as evals/backtracks (parallel driver: unit
-  // order, fault order; speculative work counts). Bit-identical at any
-  // thread count.
+  // same deterministic order as evals/backtracks (unit order, fault order;
+  // speculative work counts). Bit-identical at any thread count.
   std::uint64_t implications = 0;
   std::uint64_t window_growths = 0;
   std::uint64_t justify_calls = 0;
@@ -463,24 +463,11 @@ struct AtpgRunResult {
   std::vector<std::pair<std::uint64_t, double>> fe_trace;
 };
 
-AtpgRunResult run_atpg(const Netlist& nl, const AtpgRunOptions& opts);
-
-/// Record one fault attempt's search stats into the global metrics
-/// registry ("atpg.*" histograms and counters). No-op while metrics are
-/// disabled. Both drivers call this once per attempted fault, in their
-/// deterministic merge order.
-void record_fault_stats(const FaultSearchStats& stats, FaultStatus status);
-
 /// Random test sequences in the shape the study's circuits expect: the
 /// first vector asserts the reset line (when present), later vectors pulse
 /// it rarely. Used by the driver's random phase and by experiments.
 std::vector<TestSequence> make_random_sequences(const Netlist& nl, int count,
                                                 int length,
                                                 std::uint64_t seed);
-
-/// Replace every X in `seq` with 0 — deterministic, and keeps the reset
-/// line quiet. Shared by the serial and parallel drivers so both produce
-/// the same fully-specified sequences.
-void fill_x_with_zero(TestSequence& seq);
 
 }  // namespace satpg

@@ -341,6 +341,80 @@ class AtpgMonitorSource final : public MonitorSource {
   const std::uint64_t stuck_evals_;
 };
 
+/// Record one fault attempt's search stats into the global metrics
+/// registry ("atpg.*" histograms and counters), once per attempted fault in
+/// merge order. No-op while metrics are disabled.
+void record_fault_stats(const FaultSearchStats& stats, FaultStatus status) {
+  if (!metrics_enabled()) return;
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.histogram("atpg.evals_per_fault").record(stats.evals);
+  reg.histogram("atpg.backtracks_per_fault").record(stats.backtracks);
+  reg.histogram("atpg.implications_per_fault").record(stats.implications);
+  reg.histogram("atpg.window_growths_per_fault")
+      .record(stats.window_growths);
+  reg.histogram("atpg.justify_depth").record(stats.max_justify_depth);
+  reg.histogram("atpg.justify_failures_per_fault")
+      .record(stats.justify_failures);
+  reg.counter("atpg.justify_calls").add(stats.justify_calls);
+  reg.counter("atpg.justify_failures").add(stats.justify_failures);
+  reg.counter("atpg.learn_hits").add(stats.learn_hits);
+  reg.counter("atpg.learn_misses").add(stats.learn_misses);
+  reg.counter("atpg.learn_inserts").add(stats.learn_inserts);
+  reg.counter("atpg.verify_rejects").add(stats.verify_rejects);
+  reg.histogram("atpg.peak_bytes_per_fault").record(stats.peak_bytes);
+  // CDCL solver counters: only recorded when the attempt did SAT work, so
+  // structural-engine runs keep their metric registry unchanged.
+  if (stats.conflicts != 0 || stats.propagations != 0) {
+    reg.histogram("atpg.cdcl_conflicts_per_fault").record(stats.conflicts);
+    reg.counter("atpg.cdcl_conflicts").add(stats.conflicts);
+    reg.counter("atpg.cdcl_propagations").add(stats.propagations);
+    reg.counter("atpg.cdcl_restarts").add(stats.restarts);
+    reg.counter("atpg.cdcl_learned_clauses").add(stats.learned_clauses);
+    reg.counter("atpg.cdcl_cube_blocks").add(stats.cube_blocks);
+    reg.counter("atpg.cdcl_cube_exports").add(stats.cube_exports);
+  }
+  if (stats.budget_exhausted) reg.counter("atpg.budget_exhausted").add();
+  // Invalid-state attribution (all zeros when no oracle was attached).
+  // Bucket order: DESIGN.md §6 / StateValidity.
+  static const char* const kBucketNames[3] = {"valid", "invalid", "unknown"};
+  const EffortAttribution& a = stats.attribution;
+  for (std::size_t b = 0; b < 3; ++b) {
+    reg.counter(std::string("atpg.justify_calls_") + kBucketNames[b])
+        .add(a.justify_calls[b]);
+    reg.counter(std::string("atpg.justify_failures_") + kBucketNames[b])
+        .add(a.justify_failures[b]);
+    reg.counter(std::string("atpg.justify_evals_") + kBucketNames[b])
+        .add(a.justify_evals[b]);
+    reg.counter(std::string("atpg.justify_backtracks_") + kBucketNames[b])
+        .add(a.justify_backtracks[b]);
+  }
+  // Integer percent so the histogram stays deterministic (DESIGN.md §5
+  // allows only integral samples).
+  const std::uint64_t invalid_evals =
+      a.justify_evals[static_cast<std::size_t>(StateValidity::kInvalid)];
+  reg.histogram("atpg.effort_invalid_pct")
+      .record(stats.evals == 0 ? 0 : invalid_evals * 100 / stats.evals);
+  switch (status) {
+    case FaultStatus::kDetected:
+      reg.counter("atpg.faults_detected").add();
+      break;
+    case FaultStatus::kRedundant:
+      reg.counter("atpg.faults_redundant").add();
+      break;
+    case FaultStatus::kAborted:
+      reg.counter("atpg.faults_aborted").add();
+      break;
+  }
+}
+
+/// Replace every X in `seq` with 0 — deterministic, and keeps the reset
+/// line quiet.
+void fill_x_with_zero(TestSequence& seq) {
+  for (auto& vec : seq)
+    for (auto& v : vec)
+      if (v == V3::kX) v = V3::kZero;
+}
+
 /// Resolve CaptureOptions::fault (fault_name string or all-digits
 /// collapsed index) against the collapsed list. Returns -1 when unmatched.
 std::ptrdiff_t resolve_capture_target(const Netlist& nl,
@@ -443,7 +517,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
       capturing ? resolve_capture_target(nl, faults, opts.capture.fault)
                 : -1;
 
-  // ---- random phase (identical to the serial driver) ----
+  // ---- random phase ----
   set_phase(RunPhase::kRandom);
   const auto random_seqs =
       make_random_sequences(nl, opts.run.random_sequences,
@@ -816,7 +890,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
     reg.counter("atpg.watchdog_requeued").add(res.deferred_requeued);
   }
 
-  // ---- accounting (same rules as the serial driver) ----
+  // ---- accounting ----
   std::size_t w_det = 0, w_red = 0, w_abort = 0, w_total = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const std::size_t w = static_cast<std::size_t>(collapsed[i].class_size);

@@ -1,4 +1,6 @@
-// Fault-parallel ATPG driver with deterministic scheduling.
+// The ATPG driver: fault-parallel, with deterministic scheduling. It is the
+// only per-circuit driver; every experiment, tool and example calls
+// run_parallel_atpg, and num_threads = 1 runs the same rounds in the caller.
 //
 // The driver partitions the collapsed fault list into fixed-size work
 // units and runs one fresh AtpgEngine per unit on the shared thread pool,
@@ -27,7 +29,7 @@
 // round R+1 — so learning crosses workers without letting OS scheduling
 // reorder who-learned-what-first into the results.
 //
-// Robustness plumbing the serial driver never had:
+// Robustness plumbing:
 //   * total_eval_budget is enforced at fault granularity against the
 //     committed (merged) eval count — deterministic; remaining faults
 //     abort gracefully;
@@ -201,7 +203,7 @@ struct ParallelAtpgOptions {
 };
 
 struct ParallelAtpgResult {
-  /// Summary in the serial driver's shape (tables print from this).
+  /// Run summary (tables print from this).
   AtpgRunResult run;
   /// Per collapsed fault: final strict status (no potential-detection
   /// credit — that credit is applied only inside run's summary numbers).

@@ -102,8 +102,8 @@ void MemStatsRegistry::reset() {
 }
 
 MemStatsRegistry& MemStatsRegistry::global() {
-  static MemStatsRegistry registry;
-  return registry;
+  static MemStatsRegistry* const registry = new MemStatsRegistry;  // immortal
+  return *registry;
 }
 
 std::uint64_t process_peak_rss_kb() {

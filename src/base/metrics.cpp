@@ -199,8 +199,8 @@ std::string MetricsRegistry::to_json() const {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  static MetricsRegistry* const registry = new MetricsRegistry;  // immortal
+  return *registry;
 }
 
 }  // namespace satpg

@@ -236,8 +236,8 @@ const char* prof_backend_name(ProfBackend b) {
 }
 
 Profiler& Profiler::global() {
-  static Profiler p;
-  return p;
+  static Profiler* const p = new Profiler;  // immortal
+  return *p;
 }
 
 void Profiler::start(const Options& opts) {

@@ -92,9 +92,13 @@ unsigned ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+// The shared pool and the telemetry singletons its workers touch are
+// immortal (never destroyed): with function-local statics, exit-time
+// destruction could tear down a recorder before a still-starting worker
+// had finished using it.
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(hardware_threads());
-  return pool;
+  static ThreadPool* const pool = new ThreadPool(hardware_threads());
+  return *pool;
 }
 
 }  // namespace satpg

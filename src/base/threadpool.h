@@ -8,7 +8,7 @@
 // then leak into results.
 //
 // ThreadPool::shared() is a process-wide pool sized to the hardware thread
-// count, created on first use. It exists so hot paths that are entered many
+// count, created on first use and never destroyed. It exists so hot paths that are entered many
 // times per second (the fault simulator is called once per generated test)
 // do not pay thread creation per call. It assumes a single orchestrating
 // thread: wait_all() waits for *all* queued tasks, so two threads driving

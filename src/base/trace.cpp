@@ -142,8 +142,8 @@ bool TraceRecorder::write_json(const std::string& path) const {
 }
 
 TraceRecorder& TraceRecorder::global() {
-  static TraceRecorder recorder;
-  return recorder;
+  static TraceRecorder* const recorder = new TraceRecorder;  // immortal
+  return *recorder;
 }
 
 TraceSpan::TraceSpan(const char* name, const char* cat)

@@ -7,6 +7,7 @@
 #include "base/json.h"
 #include "base/strutil.h"
 #include "base/table.h"
+#include "harness/report.h"
 
 namespace satpg {
 
@@ -34,8 +35,10 @@ bool parse_run_report(const std::string& json_text, RunReport* out,
   }
   RunReport r;
   r.schema = root.str_or("schema", "");
-  if (r.schema.rfind("satpg.atpg_run.", 0) != 0) {
-    if (error) *error = "not an atpg_run report (schema \"" + r.schema + "\")";
+  if (r.schema != kAtpgRunSchema) {
+    if (error)
+      *error = "unsupported report schema \"" + r.schema + "\" (need " +
+               kAtpgRunSchema + ")";
     return false;
   }
   if (const JsonValue* c = root.find("circuit"))

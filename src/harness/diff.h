@@ -1,9 +1,7 @@
 // Deterministic differ over archived atpg_run reports.
 //
-// parse_run_report loads any satpg.atpg_run.v1-v6 report into a flat struct
-// (v1 reports simply have zero attribution fields, pre-v4 reports zero
-// cdcl solver counters, pre-v5 reports no cube provenance, pre-v6 reports
-// no build_info or memory totals); diff_runs computes
+// parse_run_report loads a satpg.atpg_run.v6 report (the only schema it
+// accepts) into a flat struct; diff_runs computes
 // coverage/effort/per-fault deltas, ranked regressions, and the
 // invalid-state-fraction scatter the paper's Figure 3 mechanism predicts;
 // write_run_diff renders everything as aligned text. All of it is a pure
@@ -22,8 +20,7 @@
 
 namespace satpg {
 
-/// One report, flattened for comparison. Unknown/missing numeric fields
-/// parse as 0 (a v1 report has no attribution data).
+/// One report, flattened for comparison. Missing numeric fields parse as 0.
 struct RunReport {
   std::string schema;
   std::string circuit;
@@ -36,14 +33,14 @@ struct RunReport {
   std::uint64_t justify_calls = 0;
   std::uint64_t justify_failures = 0;
   double effort_invalid_frac = 0.0;
-  std::string oracle_mode;  ///< "exact"/"superset"/"disabled"/"" (v1)
+  std::string oracle_mode;  ///< "exact"/"superset"/"disabled"
   double density = -1.0;    ///< -1 when unknown
-  /// v6 build provenance, flattened to one comparable line
-  /// ("gcc 13.2.0 Release san=none simd=avx2/avx2"); "" pre-v6. Two runs
+  /// Build provenance, flattened to one comparable line
+  /// ("gcc 13.2.0 Release san=none simd=avx2/avx2"). Two runs
   /// whose lines differ are perf-incomparable; write_run_diff flags them.
   std::string build_line;
-  /// v6 memory block totals (0 pre-v6): the sum-of-subsystem-peaks bound
-  /// and cumulative allocated logical bytes.
+  /// Memory block totals: the sum-of-subsystem-peaks bound and cumulative
+  /// allocated logical bytes (0 when memstats were disarmed).
   std::uint64_t mem_peak_bytes = 0;
   std::uint64_t mem_allocated_bytes = 0;
 
@@ -60,7 +57,7 @@ struct RunReport {
 };
 
 /// Parse a report (text form). Returns false with a one-line *error (when
-/// non-null) on malformed input or a non-atpg_run schema.
+/// non-null) on malformed input or any schema but kAtpgRunSchema.
 bool parse_run_report(const std::string& json_text, RunReport* out,
                       std::string* error = nullptr);
 

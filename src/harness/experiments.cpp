@@ -39,11 +39,6 @@ AtpgRunOptions scaled_run_options(const ExperimentOptions& opts,
   return run;
 }
 
-namespace {
-
-// Every experiment's ATPG goes through the fault-parallel driver; with
-// the scheduler's thread-count-invariant design this changes throughput,
-// never table content.
 AtpgRunResult run_atpg_threaded(const Netlist& nl,
                                 const ExperimentOptions& opts,
                                 const AtpgRunOptions& run) {
@@ -53,6 +48,8 @@ AtpgRunResult run_atpg_threaded(const Netlist& nl,
   p.deadline_ms = opts.deadline_ms;
   return run_parallel_atpg(nl, p).run;
 }
+
+namespace {
 
 std::string kev(std::uint64_t evals) {
   return strprintf("%.0f", static_cast<double>(evals) / 1000.0);

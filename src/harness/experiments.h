@@ -42,6 +42,13 @@ struct ExperimentOptions {
 AtpgRunOptions scaled_run_options(const ExperimentOptions& opts,
                                   EngineKind kind);
 
+/// One ATPG run of an experiment: run_parallel_atpg with the experiment's
+/// --threads and --deadline-ms. The driver's thread-count-invariant rounds
+/// make the thread count change throughput, never table content.
+AtpgRunResult run_atpg_threaded(const Netlist& nl,
+                                const ExperimentOptions& opts,
+                                const AtpgRunOptions& run);
+
 Table run_table1_fsms(Suite& suite);
 Table run_table2_hitec(Suite& suite, const ExperimentOptions& opts);
 Table run_table3_attest(Suite& suite, const ExperimentOptions& opts);

@@ -53,21 +53,21 @@ Table run_ablation_scan(Suite& suite, const ExperimentOptions& opts) {
     const Netlist nl = suite.circuit(name);
     const auto run_opts = scaled_run_options(opts, EngineKind::kHitec);
 
-    const auto seq = run_atpg(nl, run_opts);
+    const auto seq = run_atpg_threaded(nl, opts, run_opts);
     t.add_row({name, "sequential", "0", strprintf("%.1f", seq.fault_coverage),
                strprintf("%.1f", seq.fault_efficiency),
                strprintf("%.0f", static_cast<double>(seq.evals) / 1000.0)});
 
     const auto partial_ffs = select_cycle_breaking_ffs(nl);
     const ScanResult partial = insert_partial_scan(nl, partial_ffs);
-    const auto pr = run_atpg(partial.netlist, run_opts);
+    const auto pr = run_atpg_threaded(partial.netlist, opts, run_opts);
     t.add_row({name, "partial scan", std::to_string(partial.chain.size()),
                strprintf("%.1f", pr.fault_coverage),
                strprintf("%.1f", pr.fault_efficiency),
                strprintf("%.0f", static_cast<double>(pr.evals) / 1000.0)});
 
     const ScanResult full = insert_full_scan(nl);
-    const auto fr = run_atpg(full.netlist, run_opts);
+    const auto fr = run_atpg_threaded(full.netlist, opts, run_opts);
     t.add_row({name, "full scan", std::to_string(full.chain.size()),
                strprintf("%.1f", fr.fault_coverage),
                strprintf("%.1f", fr.fault_efficiency),
@@ -83,7 +83,7 @@ Table run_compaction_study(Suite& suite, const ExperimentOptions& opts) {
     const Netlist nl = suite.circuit(name);
     auto run_opts = scaled_run_options(opts, EngineKind::kHitec);
     run_opts.random_sequences = 16;  // leave room to compact
-    const auto run = run_atpg(nl, run_opts);
+    const auto run = run_atpg_threaded(nl, opts, run_opts);
     const auto c = compact_tests(nl, run.tests);
     t.add_row({name, std::to_string(c.before), std::to_string(c.after),
                std::to_string(c.detected_before),

@@ -9,6 +9,7 @@
 #include "base/json.h"
 #include "base/strutil.h"
 #include "base/table.h"
+#include "harness/report.h"
 
 namespace satpg {
 
@@ -79,7 +80,7 @@ struct Doc {
   double fault_coverage = 0.0;
   double fault_efficiency = 0.0;
   std::uint64_t evals = 0;
-  // v6 memory block (empty rows = report predates it / event log).
+  // Report memory block (absent from event logs).
   bool has_memory = false;
   std::vector<MemRow> memory;          ///< writer's sorted-name order
   std::uint64_t mem_total_live = 0;
@@ -252,7 +253,6 @@ bool parse_report_doc(const JsonValue& root, Doc* doc, std::string* error) {
             p.array()[1].number());
 
   if (const JsonValue* prov = root.find("cube_provenance")) {
-    // v5: read the rollup the writer computed.
     doc->prov_exports = prov->uint_or("exports", 0);
     doc->prov_hits = prov->uint_or("import_hits", 0);
     if (const JsonValue* ex = prov->find("exporters"); ex && ex->is_array())
@@ -261,11 +261,9 @@ bool parse_report_doc(const JsonValue& root, Doc* doc, std::string* error) {
                                   v.uint_or("cubes", 0),
                                   v.uint_or("beneficiaries", 0),
                                   v.uint_or("hits", 0)});
-  } else {
-    derive_provenance(doc);  // pre-v5 reports: nothing to derive from
   }
 
-  // v6: per-subsystem byte accounting + the watchdog's memory verdict.
+  // Per-subsystem byte accounting + the watchdog's memory verdict.
   if (const JsonValue* mem = root.find("memory"); mem && mem->is_object()) {
     doc->has_memory = true;
     if (const JsonValue* subs = mem->find("subsystems");
@@ -311,10 +309,10 @@ bool parse_doc(const std::string& text, Doc* doc, std::string* error) {
     return false;
   }
   const std::string schema = v.str_or("schema", "");
-  if (schema.rfind("satpg.atpg_run.", 0) != 0) {
+  if (schema != kAtpgRunSchema) {
     if (error)
-      *error = "not an event log or atpg_run report (schema \"" + schema +
-               "\")";
+      *error = "not an event log or " + std::string(kAtpgRunSchema) +
+               " report (schema \"" + schema + "\")";
     return false;
   }
   return parse_report_doc(v, doc, error);
@@ -845,10 +843,9 @@ bool inspect_source(std::ostream& os, const std::string& text,
     if (!doc.has_memory) {
       if (error)
         *error = doc.is_events
-                     ? "event logs carry no memory block; inspect a "
-                       "satpg.atpg_run.v6 report"
-                     : "report has no memory block (schema " + doc.schema +
-                           "; need satpg.atpg_run.v6+)";
+                     ? "event logs carry no memory block; inspect a " +
+                           std::string(kAtpgRunSchema) + " report"
+                     : std::string("report has no memory block");
       return false;
     }
     if (opts.json)
@@ -1026,11 +1023,10 @@ bool inspect_trend(std::ostream& os, const std::vector<TrendEntry>& entries,
       profiles[p.config] = std::move(p);
       continue;
     }
-    if (schema.rfind("satpg.atpg_run.", 0) != 0) {
+    if (schema != kAtpgRunSchema) {
       if (error)
-        *error = "entry " + entry.hash +
-                 ": not an atpg_run report or profile (schema \"" + schema +
-                 "\")";
+        *error = "entry " + entry.hash + ": not a " + kAtpgRunSchema +
+                 " report or profile (schema \"" + schema + "\")";
       return false;
     }
     TrendRow row;

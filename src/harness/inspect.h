@@ -3,7 +3,8 @@
 //
 // inspect_source accepts either artifact the run side writes —
 //   * a satpg.events.v1 NDJSON flight-recorder log (--events-json), or
-//   * a satpg.atpg_run.v1-v6 report (--metrics-json / archive entry)
+//   * a satpg.atpg_run.v6 report (--metrics-json / archive entry; no
+//     other report schema is accepted)
 // — detects which it got from the schema, and renders:
 //   * default: run identity, the top-k hardest-faults table (ranked by
 //     evals, then invalid fraction, then name) and the cube-sharing
@@ -41,7 +42,7 @@ struct InspectOptions {
   /// Rows in the hardest-faults table.
   std::size_t top = 10;
   /// Memory view (--memory): the report's per-subsystem byte accounting
-  /// plus the hungriest faults by peak_bytes. Requires a v6+ report.
+  /// plus the hungriest faults by peak_bytes. Event logs have no such block.
   bool memory = false;
   /// Profile view (--profile): the ranked per-phase cost table from a
   /// satpg.profile.v1 sidecar (--profile-json output).

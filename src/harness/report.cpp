@@ -39,12 +39,19 @@ std::string attr_array(const std::array<std::uint64_t, 3>& a) {
 
 }  // namespace
 
+bool is_stale_atpg_run_report(const std::string& text) {
+  JsonValue root;
+  if (!json_parse(text, &root) || !root.is_object()) return false;
+  const std::string schema = root.str_or("schema", "");
+  return schema.rfind("satpg.atpg_run.", 0) == 0 && schema != kAtpgRunSchema;
+}
+
 void write_atpg_report_json(std::ostream& os, const Netlist& nl,
                             const ParallelAtpgOptions& opts,
                             const ParallelAtpgResult& res) {
   const AtpgRunResult& run = res.run;
   os << "{\n";
-  os << "  \"schema\": \"satpg.atpg_run.v6\",\n";
+  os << "  \"schema\": \"" << kAtpgRunSchema << "\",\n";
 
   os << "  \"circuit\": {\"name\": \"" << json_escape(nl.name())
      << "\", \"inputs\": " << nl.num_inputs()

@@ -32,6 +32,14 @@
 
 namespace satpg {
 
+/// The one report schema this build writes. Every reader (diff, inspect,
+/// tools/bench_gate) accepts exactly this schema and rejects the rest.
+inline constexpr char kAtpgRunSchema[] = "satpg.atpg_run.v6";
+
+/// True when `text` is an atpg_run report of any other schema version.
+/// The CLI exits 2 (usage error) for such inputs, not 1.
+bool is_stale_atpg_run_report(const std::string& text);
+
 /// Stream form; the caller owns the stream.
 void write_atpg_report_json(std::ostream& os, const Netlist& nl,
                             const ParallelAtpgOptions& opts,

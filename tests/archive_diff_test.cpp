@@ -16,12 +16,12 @@
 namespace satpg {
 namespace {
 
-// A miniature but structurally complete atpg_run.v2 report.
+// A miniature atpg_run.v6 report: every block the differ reads.
 std::string make_report(const std::string& circuit, double coverage,
                         std::uint64_t evals, double frac,
                         const std::string& fault_evals) {
   std::ostringstream os;
-  os << "{\n  \"schema\": \"satpg.atpg_run.v2\",\n"
+  os << "{\n  \"schema\": \"satpg.atpg_run.v6\",\n"
      << "  \"circuit\": {\"name\": \"" << circuit << "\", \"dffs\": 3},\n"
      << "  \"engine\": {\"kind\": \"hitec\", \"eval_limit\": 100,"
         " \"backtrack_limit\": 10, \"max_forward_frames\": 40,"
@@ -68,7 +68,7 @@ TEST_F(ArchiveTest, AddIsIdempotentAndContentHashKeyed) {
   const ArchiveEntry e2 = archive.add(report);
   EXPECT_EQ(e1.hash, e2.hash);
   EXPECT_EQ(e1.hash.size(), 16u);
-  EXPECT_EQ(e1.schema, "satpg.atpg_run.v2");
+  EXPECT_EQ(e1.schema, "satpg.atpg_run.v6");
   EXPECT_EQ(e1.circuit, "c1");
   EXPECT_EQ(e1.engine, "hitec");
   ASSERT_EQ(archive.list().size(), 1u) << "duplicate add must not re-index";
@@ -130,7 +130,7 @@ TEST(RunReportTest, ParsesV2Fields) {
   ASSERT_TRUE(
       parse_run_report(make_report("c1", 95.5, 123, 0.42, "5"), &r, &err))
       << err;
-  EXPECT_EQ(r.schema, "satpg.atpg_run.v2");
+  EXPECT_EQ(r.schema, "satpg.atpg_run.v6");
   EXPECT_EQ(r.circuit, "c1");
   EXPECT_EQ(r.engine, "hitec");
   EXPECT_EQ(r.seed, 1u);
@@ -146,6 +146,14 @@ TEST(RunReportTest, ParsesV2Fields) {
 
   EXPECT_FALSE(parse_run_report("{}", &r, &err));
   EXPECT_FALSE(parse_run_report("[1, 2]", &r, &err));
+  // Only the current schema is read: an older report is refused with a
+  // one-line diagnostic naming both schemas, never half-parsed.
+  std::string v5 = make_report("c1", 95.5, 123, 0.42, "5");
+  v5.replace(v5.find("atpg_run.v6"), 11, "atpg_run.v5");
+  EXPECT_FALSE(parse_run_report(v5, &r, &err));
+  EXPECT_NE(err.find("\"satpg.atpg_run.v5\""), std::string::npos) << err;
+  EXPECT_NE(err.find("satpg.atpg_run.v6"), std::string::npos) << err;
+  EXPECT_EQ(err.find('\n'), std::string::npos) << err;
 }
 
 TEST(RunDiffTest, ComputesDeltasRegressionsAndScatter) {

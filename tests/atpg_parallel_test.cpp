@@ -4,6 +4,7 @@
 // abort, and the wall-clock deadline plumbing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -90,20 +91,77 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ParallelDeterminism,
                            return std::string(engine_kind_name(info.param));
                          });
 
-// Serial reference: the parallel driver at any thread count must agree with
-// the sequential run_atpg() on the summary it feeds into the tables.
+// Plain fault-order reference driver, kept here as the oracle for the
+// round structure: one engine walks the collapsed faults in index order,
+// and every detected sequence (X filled with 0) drops the faults it
+// catches. No units, rounds, stats, oracle or telemetry.
+struct ReferenceRun {
+  std::vector<FaultStatus> status;  ///< strict, per collapsed fault
+  std::vector<TestSequence> tests;
+  std::uint64_t evals = 0;
+};
+
+ReferenceRun reference_atpg(const Netlist& nl, const AtpgRunOptions& opts) {
+  std::vector<Fault> faults;
+  for (const auto& cf : collapse_faults(nl))
+    faults.push_back(cf.representative);
+  ReferenceRun ref;
+  ref.status.assign(faults.size(), FaultStatus::kAborted);
+  std::vector<bool> open(faults.size(), true);
+  // Simulate `seqs` against the open faults; keep every sequence that
+  // detects something and close the faults it detects.
+  const auto drop = [&](const std::vector<TestSequence>& seqs) {
+    std::vector<Fault> remaining;
+    std::vector<std::size_t> remap;
+    for (std::size_t j = 0; j < faults.size(); ++j)
+      if (open[j]) {
+        remaining.push_back(faults[j]);
+        remap.push_back(j);
+      }
+    const auto fr = run_fault_simulation(nl, remaining, seqs, opts.fsim);
+    std::vector<bool> used(seqs.size(), false);
+    for (std::size_t k = 0; k < remaining.size(); ++k) {
+      if (fr.detected_at[k] < 0) continue;
+      used[static_cast<std::size_t>(fr.detected_at[k])] = true;
+      ref.status[remap[k]] = FaultStatus::kDetected;
+      open[remap[k]] = false;
+    }
+    for (std::size_t s = 0; s < seqs.size(); ++s)
+      if (used[s]) ref.tests.push_back(seqs[s]);
+  };
+  drop(make_random_sequences(nl, opts.random_sequences, opts.random_length,
+                             opts.seed));
+  AtpgEngine engine(nl, opts.engine);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (!open[i]) continue;
+    FaultAttempt attempt = engine.generate(faults[i]);
+    if (attempt.status == FaultStatus::kDetected) {
+      for (auto& vec : attempt.sequence)
+        for (auto& v : vec)
+          if (v == V3::kX) v = V3::kZero;
+      drop({attempt.sequence});
+    }
+    ref.status[i] = attempt.status;
+    open[i] = false;
+  }
+  ref.evals = engine.total_evals();
+  return ref;
+}
+
+// The round-structured driver must agree with the plain fault-order loop
+// on every fault's strict status, the test set, and the work metric.
 TEST(ParallelAtpgTest, MatchesSerialDriverSummary) {
   const Netlist nl = mcnc_circuit("dk16", 0.4);
-  ParallelAtpgOptions popts = small_options(EngineKind::kHitec, 4);
-  const auto pres = run_parallel_atpg(nl, popts);
-  const auto serial = run_atpg(nl, popts.run);
-  EXPECT_EQ(pres.run.total_faults, serial.total_faults);
-  EXPECT_EQ(pres.run.detected, serial.detected);
-  EXPECT_EQ(pres.run.redundant, serial.redundant);
-  EXPECT_EQ(pres.run.aborted, serial.aborted);
-  EXPECT_EQ(pres.run.tests, serial.tests);
-  EXPECT_EQ(pres.run.evals, serial.evals);
-  EXPECT_EQ(pres.run.states_traversed, serial.states_traversed);
+  const ReferenceRun ref =
+      reference_atpg(nl, small_options(EngineKind::kHitec, 1).run);
+  for (unsigned threads : {1u, 4u}) {
+    const auto pres =
+        run_parallel_atpg(nl, small_options(EngineKind::kHitec, threads));
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(pres.status, ref.status) << what;
+    EXPECT_EQ(pres.run.tests, ref.tests) << what;
+    EXPECT_EQ(pres.run.evals, ref.evals) << what;
+  }
 }
 
 // --- deterministic total-budget abort ----------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "atpg/podem.h"
 #include "atpg/scoap.h"
 #include "atpg/tfm.h"
@@ -224,10 +225,10 @@ TEST(DriverTest, RunAtpgProducesConsistentAccounting) {
     if (s.name == "dk16") spec = s;
   const Fsm fsm = generate_control_fsm(scaled_spec(spec, 0.4));
   const SynthResult res = synthesize(fsm, {});
-  AtpgRunOptions opts;
-  opts.engine.eval_limit = 300'000;
-  opts.engine.backtrack_limit = 500;
-  const auto run = run_atpg(res.netlist, opts);
+  ParallelAtpgOptions opts;
+  opts.run.engine.eval_limit = 300'000;
+  opts.run.engine.backtrack_limit = 500;
+  const auto run = run_parallel_atpg(res.netlist, opts).run;
   EXPECT_EQ(run.detected + run.redundant + run.aborted, run.total_faults);
   EXPECT_GE(run.fault_efficiency, run.fault_coverage);
   EXPECT_GT(run.fault_coverage, 80.0);
@@ -254,13 +255,13 @@ TEST(DriverTest, StrictModeNeverExceedsPotentialCredit) {
     if (s.name == "dk16") spec = s;
   const Fsm fsm = generate_control_fsm(scaled_spec(spec, 0.4));
   const SynthResult res = synthesize(fsm, {});
-  AtpgRunOptions credit;
-  credit.engine.eval_limit = 200'000;
-  credit.engine.backtrack_limit = 300;
-  AtpgRunOptions strict = credit;
-  strict.count_potential_detections = false;
-  const auto r1 = run_atpg(res.netlist, credit);
-  const auto r0 = run_atpg(res.netlist, strict);
+  ParallelAtpgOptions credit;
+  credit.run.engine.eval_limit = 200'000;
+  credit.run.engine.backtrack_limit = 300;
+  ParallelAtpgOptions strict = credit;
+  strict.run.count_potential_detections = false;
+  const auto r1 = run_parallel_atpg(res.netlist, credit).run;
+  const auto r0 = run_parallel_atpg(res.netlist, strict).run;
   EXPECT_LE(r0.fault_coverage, r1.fault_coverage + 1e-9);
 }
 

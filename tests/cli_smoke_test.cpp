@@ -18,6 +18,7 @@
 // circuits_cache netlist (no FSM synthesis at test time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -211,8 +212,8 @@ TEST(CliSmokeTest, CaptureReplayRoundTrip) {
 
 // Flight recorder + inspect smoke (DESIGN.md §10): --events-json writes
 // an NDJSON log that is byte-identical across thread counts, and `satpg
-// inspect` renders it, diffs two runs' reports, and maps an unknown
-// fault to exit 1.
+// inspect` renders it, diffs two runs' reports, maps an unknown fault to
+// exit 1, and refuses an older report schema with exit 2.
 TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
   const std::string dir = ::testing::TempDir();
   const std::string e1 = dir + "cli_events_1.ndjson";
@@ -248,6 +249,18 @@ TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
             std::string::npos);
   // Unknown fault: runtime failure, exit 1 (README "Exit codes").
   EXPECT_EQ(run_satpg("inspect " + e1 + " --fault=bogus"), 1);
+  // An older report schema is the wrong input, not a failed run: diff and
+  // inspect refuse it with exit 2 and a one-line diagnostic.
+  std::string v5 = slurp(m1);
+  v5.replace(v5.find("atpg_run.v6"), 11, "atpg_run.v5");
+  const std::string old = dir + "cli_events_v5.json";
+  std::ofstream(old) << v5;
+  const std::string errf = dir + "cli_inspect.err";
+  EXPECT_EQ(run_satpg("inspect " + old, "", errf), 2);
+  const std::string diag = slurp(errf);
+  EXPECT_NE(diag.find("satpg.atpg_run.v5"), std::string::npos) << diag;
+  EXPECT_EQ(std::count(diag.begin(), diag.end(), '\n'), 1) << diag;
+  EXPECT_EQ(run_satpg("diff " + m1 + " " + old), 2);
 }
 
 // Wide-fsim engine selection on the real CLI. The determinism contract
@@ -314,6 +327,26 @@ TEST(CliSmokeTest, FsimEngineFlagErrors) {
       std::string("fsim \"") + SATPG_SMOKE_CIRCUIT + "\" ";
   EXPECT_EQ(run_satpg(args_prefix + "--width=7"), 2);
   EXPECT_EQ(run_satpg(args_prefix + "--engine=bogus"), 2);
+}
+
+// Process exit must be clean while the shared pool's workers are still
+// starting up: the pool and the telemetry singletons they touch are never
+// destroyed, so exit-time static destruction cannot pull a recorder out
+// from under a worker. Concurrent short runs make that window likely (a
+// destroyed-singleton build crashes a few percent of them).
+TEST(CliSmokeTest, ConcurrentShortRunsExitCleanly) {
+  const std::string out = ::testing::TempDir() + "cli_concurrent_exit.txt";
+  const std::string run = std::string("\"") + SATPG_CLI_PATH + "\" fsim \"" +
+                          SATPG_SMOKE_CIRCUIT + "\" >/dev/null 2>&1 & ";
+  std::string batch;
+  for (int i = 0; i < 5; ++i)
+    batch += run + "p" + std::to_string(i) + "=$!; ";
+  for (int i = 0; i < 5; ++i)
+    batch += "wait $p" + std::to_string(i) + " || fail=$((fail+1)); ";
+  const std::string cmd = "fail=0; i=0; while [ $i -lt 40 ]; do " + batch +
+                          "i=$((i+1)); done; echo $fail > \"" + out + "\"";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  EXPECT_EQ(slurp(out), "0\n") << "of 200 runs, this many exited non-zero";
 }
 
 // Malformed numeric telemetry flags are usage errors: exit 2 with a usage

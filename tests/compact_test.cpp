@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/compact.h"
-#include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "fsm/mcnc_suite.h"
 #include "synth/synthesize.h"
 
@@ -19,11 +19,11 @@ Netlist small_machine() {
 
 TEST(CompactTest, PreservesCoverage) {
   const Netlist nl = small_machine();
-  AtpgRunOptions opts;
-  opts.engine.eval_limit = 200'000;
-  opts.engine.backtrack_limit = 300;
-  opts.random_sequences = 16;  // deliberately redundant test set
-  const auto run = run_atpg(nl, opts);
+  ParallelAtpgOptions opts;
+  opts.run.engine.eval_limit = 200'000;
+  opts.run.engine.backtrack_limit = 300;
+  opts.run.random_sequences = 16;  // deliberately redundant test set
+  const auto run = run_parallel_atpg(nl, opts).run;
   ASSERT_GT(run.tests.size(), 1u);
 
   const auto c = compact_tests(nl, run.tests);
@@ -34,10 +34,10 @@ TEST(CompactTest, PreservesCoverage) {
 
 TEST(CompactTest, DropsUselessSequences) {
   const Netlist nl = small_machine();
-  AtpgRunOptions opts;
-  opts.engine.eval_limit = 200'000;
-  opts.engine.backtrack_limit = 300;
-  const auto run = run_atpg(nl, opts);
+  ParallelAtpgOptions opts;
+  opts.run.engine.eval_limit = 200'000;
+  opts.run.engine.backtrack_limit = 300;
+  const auto run = run_parallel_atpg(nl, opts).run;
   // Duplicate the whole test set; compaction must fall back to (at most)
   // the original size.
   std::vector<TestSequence> doubled = run.tests;

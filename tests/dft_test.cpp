@@ -4,7 +4,7 @@
 // retimed circuit.
 #include <gtest/gtest.h>
 
-#include "atpg/engine.h"
+#include "atpg/parallel.h"
 #include "dft/scan.h"
 #include "fsm/mcnc_suite.h"
 #include "retime/retime.h"
@@ -117,12 +117,12 @@ TEST(ScanTest, FullScanRestoresTestabilityOnRetimedCircuit) {
   const Netlist nl = small_machine();
   const RetimeResult rt =
       retime_to_dff_target(nl, 3 * nl.num_dffs(), nl.name() + ".re");
-  AtpgRunOptions opts;
-  opts.engine.eval_limit = 150'000;
-  opts.engine.backtrack_limit = 200;
-  const auto hard = run_atpg(rt.netlist, opts);
+  ParallelAtpgOptions opts;
+  opts.run.engine.eval_limit = 150'000;
+  opts.run.engine.backtrack_limit = 200;
+  const auto hard = run_parallel_atpg(rt.netlist, opts).run;
   const ScanResult scan = insert_full_scan(rt.netlist);
-  const auto scanned = run_atpg(scan.netlist, opts);
+  const auto scanned = run_parallel_atpg(scan.netlist, opts).run;
   EXPECT_GT(scanned.fault_efficiency, hard.fault_efficiency - 1e-9);
   // Scan makes state directly controllable: expect a solid efficiency.
   EXPECT_GT(scanned.fault_efficiency, 90.0);

@@ -8,6 +8,11 @@
 #include "fsm/minimize.h"
 
 namespace satpg {
+
+// gtest prints a parameter into the listed test name. Print the spec's name
+// rather than its raw bytes, which hold a heap pointer that differs per run.
+void PrintTo(const FsmGenSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 TEST(CubeTest, FromToString) {

@@ -98,7 +98,7 @@ TEST(ExperimentTest, EngineTableSmoke) {
   EXPECT_EQ(run_opts.engine.eval_limit, 100'000u);
   EXPECT_EQ(run_opts.engine.backtrack_limit, 150u);
   const Netlist nl = suite.circuit("dk16.ji.sd");
-  const auto run = run_atpg(nl, run_opts);
+  const auto run = run_atpg_threaded(nl, opts, run_opts);
   EXPECT_GT(run.fault_coverage, 50.0);
 }
 

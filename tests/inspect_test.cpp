@@ -43,7 +43,7 @@ const char kEventsLog[] =
 
 std::string report_text(const char* circuit, int evals_b) {
   std::ostringstream os;
-  os << "{\n  \"schema\": \"satpg.atpg_run.v5\",\n"
+  os << "{\n  \"schema\": \"satpg.atpg_run.v6\",\n"
      << "  \"circuit\": {\"name\": \"" << circuit << "\"},\n"
      << "  \"engine\": {\"kind\": \"cdcl\", \"seed\": 7},\n"
      << "  \"summary\": {\"total_faults\": 5, \"fault_coverage\": 80,\n"
@@ -93,7 +93,7 @@ TEST(InspectTest, EventLogOverviewRanksAndAggregates) {
 
 TEST(InspectTest, ReportOverviewUsesTheRollupBlock) {
   const std::string out = inspect_text(report_text("c17", 400), {});
-  EXPECT_NE(out.find("report satpg.atpg_run.v5"), std::string::npos);
+  EXPECT_NE(out.find("report satpg.atpg_run.v6"), std::string::npos);
   EXPECT_NE(out.find("cube provenance: 1 exports, 3 import hits"),
             std::string::npos);
 }
@@ -141,6 +141,13 @@ TEST(InspectTest, MalformedInputFails) {
   EXPECT_FALSE(inspect_source(
       os, "{\"schema\": \"satpg.other.v1\", \"summary\": {}}", {}, &err));
   EXPECT_NE(err.find("not an event log"), std::string::npos);
+  // An older report schema is refused, not read with fallbacks.
+  std::string v5 = report_text("c17", 400);
+  v5.replace(v5.find("atpg_run.v6"), 11, "atpg_run.v5");
+  err.clear();
+  EXPECT_FALSE(inspect_source(os, v5, {}, &err));
+  EXPECT_NE(err.find("satpg.atpg_run.v5"), std::string::npos) << err;
+  EXPECT_TRUE(os.str().empty()) << "error paths must write nothing";
 }
 
 TEST(InspectTest, JsonFormatIsValidAndStable) {
@@ -243,7 +250,7 @@ TEST(InspectMemoryTest, SourcesWithoutTheBlockAreRejected) {
   opts.memory = true;
   std::ostringstream os;
   std::string err;
-  // Pre-v6 report: parses, but carries no memory block.
+  // A report without its memory block parses, but has nothing to show.
   EXPECT_FALSE(inspect_source(os, report_text("c17", 400), opts, &err));
   EXPECT_NE(err.find("no memory block"), std::string::npos);
   // Event logs never carry one.

@@ -5,6 +5,7 @@
 // deadline-flagged searches, and the trace dropped-event metadata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -291,13 +292,16 @@ TEST(CaptureReplayTest, RequestedCaptureReplaysExactly) {
 // A capture cut short by the wall-clock deadline replays deterministically:
 // the armed ring stops the replay at the same absolute event index. The
 // deadline is nondeterministic, so retry over growing deadlines until one
-// lands mid-search.
+// lands mid-search. The search phase lasts only tens of milliseconds and its
+// start moves with machine load, so the ladder grows by 25% a step: a
+// coarser one can jump from before the search straight past its end.
 TEST(CaptureReplayTest, DeadlineCaptureReplaysExactly) {
   const Netlist orig = mcnc_circuit("s820", 0.3);
   const Netlist twin =
       retime_to_dff_target(orig, orig.num_dffs() * 2, orig.name() + ".re")
           .netlist;
-  for (std::uint64_t deadline_ms : {2ull, 10ull, 50ull, 250ull}) {
+  for (std::uint64_t deadline_ms = 1; deadline_ms <= 250;
+       deadline_ms += std::max<std::uint64_t>(1, deadline_ms / 4)) {
     ParallelAtpgOptions opts = small_options(EngineKind::kHitec, 2);
     opts.run.random_sequences = 0;
     opts.run.engine.eval_limit = 10'000'000;  // only the deadline can stop it

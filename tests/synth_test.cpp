@@ -107,8 +107,10 @@ TEST(EspressoTest, EmptyOnGivesEmptyCover) {
 
 // ---------- state assignment ----------
 
+// FSM names are std::string, not const char*: gtest prints a parameter into
+// the listed test name, and a pointer would make that name differ per run.
 class EncoderProperty
-    : public ::testing::TestWithParam<std::tuple<EncodeAlgo, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<EncodeAlgo, std::string>> {};
 
 TEST_P(EncoderProperty, CodesAreValid) {
   const auto [algo, fsm_name] = GetParam();
@@ -311,7 +313,7 @@ TEST(ExtractTest, SharesRepeatedPairs) {
 // cycle, then lock-step against the symbolic machine on random inputs.
 class SynthEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<const char*, EncodeAlgo, ScriptKind>> {};
+          std::tuple<std::string, EncodeAlgo, ScriptKind>> {};
 
 TEST_P(SynthEquivalence, NetlistMatchesFsm) {
   const auto [name, algo, script] = GetParam();
@@ -388,7 +390,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ScriptKind::kRugged,
                                          ScriptKind::kDelay)),
     [](const auto& info) {
-      std::string s = std::string(std::get<0>(info.param)) +
+      std::string s = std::get<0>(info.param) +
                       encode_algo_suffix(std::get<1>(info.param)) +
                       script_suffix(std::get<2>(info.param));
       for (char& c : s)

@@ -6,18 +6,19 @@
 //   bench_gate --fsim <BENCH_fsim.json> [--min-fsim-speedup=F]
 //
 // <baseline>/<candidate> are report file paths or archive hash prefixes
-// (resolved against --dir, default "runs"); any satpg.atpg_run.v1-v6
-// schema is accepted. Prints the full deterministic diff, then PASS or
-// FAIL with one line per violated threshold. v5 reports additionally get
-// an internal-consistency check: the cube_provenance block's exports
-// total must equal the summary cube_exports counter (a mismatch means
-// the provenance plumbing dropped or double-counted an export).
+// (resolved against --dir, default "runs"); both must carry schema
+// satpg.atpg_run.v6 — any other schema exits 2 with a one-line diagnostic.
+// Prints the full deterministic diff, then PASS or FAIL with one line per
+// violated threshold. Each report also gets an internal-consistency
+// check: the cube_provenance block's exports total must equal the summary
+// cube_exports counter (a mismatch means the provenance plumbing dropped
+// or double-counted an export).
 //
-// --mem adds a memory check over the v6 memory block totals: the
+// --mem adds a memory check over the memory block totals: the
 // candidate's accounted peak bytes must stay within --max-mem-ratio
 // (default 1.25x) of the baseline's. Skipped with a note when either
-// side reports zero peak bytes (pre-v6 report, or a run with memstats
-// disarmed) — absence of accounting is not evidence of regression.
+// side reports zero peak bytes (a run with memstats disarmed) — absence
+// of accounting is not evidence of regression.
 // Wired non-blocking in CI, like --fsim: logical-byte footprints are
 // deterministic, but budget tuning belongs to a human.
 //
@@ -206,9 +207,9 @@ int run_profile_report(const std::string& path) {
   return 0;
 }
 
-// v5 internal consistency: cube_provenance.exports must mirror the
-// summary cube_exports counter. Pre-v5 reports (no provenance block) pass
-// vacuously. Returns false and appends a violation line on mismatch.
+// Internal consistency: cube_provenance.exports must mirror the summary
+// cube_exports counter. Returns false and appends a violation line on
+// mismatch.
 bool check_provenance(const std::string& label, const std::string& text,
                       std::vector<std::string>* violations) {
   JsonValue doc;
@@ -315,7 +316,7 @@ int main(int argc, char** argv) {
     if (baseline.mem_peak_bytes == 0 || candidate.mem_peak_bytes == 0) {
       std::cout << "memory gate: skipped (peak bytes unavailable on "
                 << (baseline.mem_peak_bytes == 0 ? "baseline" : "candidate")
-                << " — pre-v6 report or memstats disarmed)\n";
+                << " — memstats disarmed)\n";
     } else {
       const double limit =
           static_cast<double>(baseline.mem_peak_bytes) * max_mem_ratio;

@@ -31,7 +31,8 @@
 // watchdog, capture, and flight-recorder flags are wired in `satpg atpg`
 // only; --profile-json is wired in atpg and fsim.
 //
-// archive/diff/inspect operate on satpg.atpg_run.* reports (inspect also
+// archive stores satpg.atpg_run.* reports; diff/inspect read only
+// satpg.atpg_run.v6 and exit 2 on any other report schema (inspect also
 // reads satpg.events.v1 logs and, with --profile, satpg.profile.v1
 // sidecars; the archive stores profile sidecars too so `inspect --trend`
 // can join them to their runs); <a>/<b>/<src> may each be a file path or
@@ -619,16 +620,17 @@ int cmd_diff(int argc, char** argv) {
   }
   if (specs.size() != 2) return usage();
   const RunArchive archive(dir);
-  RunReport a, b;
-  std::string err;
-  if (!parse_run_report(load_report_spec(archive, specs[0]), &a, &err)) {
-    std::fprintf(stderr, "error: %s: %s\n", specs[0].c_str(), err.c_str());
-    return 1;
+  RunReport reports[2];
+  for (int k = 0; k < 2; ++k) {
+    const std::string text = load_report_spec(archive, specs[k]);
+    std::string err;
+    if (!parse_run_report(text, &reports[k], &err)) {
+      std::fprintf(stderr, "error: %s: %s\n", specs[k].c_str(), err.c_str());
+      return is_stale_atpg_run_report(text) ? 2 : 1;
+    }
   }
-  if (!parse_run_report(load_report_spec(archive, specs[1]), &b, &err)) {
-    std::fprintf(stderr, "error: %s: %s\n", specs[1].c_str(), err.c_str());
-    return 1;
-  }
+  const RunReport& a = reports[0];
+  const RunReport& b = reports[1];
   const RunDiff d = diff_runs(a, b, dopts);
   write_run_diff(std::cout, a, b, d);
   return 0;
@@ -671,27 +673,33 @@ int cmd_inspect(int argc, char** argv) {
   const RunArchive archive(dir);
   std::string err;
   bool ok = false;
+  bool stale = false;  // an input is an older atpg_run schema: exit 2
   try {
     if (do_diff) {
-      ok = inspect_diff(std::cout, load_report_spec(archive, specs[0]),
-                        load_report_spec(archive, specs[1]), iopts, &err);
+      const std::string a = load_report_spec(archive, specs[0]);
+      const std::string b = load_report_spec(archive, specs[1]);
+      stale = is_stale_atpg_run_report(a) || is_stale_atpg_run_report(b);
+      ok = inspect_diff(std::cout, a, b, iopts, &err);
     } else if (do_trend) {
       // The whole archive in append order; inspect joins profile sidecars
       // to their reports by configuration.
       std::vector<TrendEntry> entries;
-      for (const ArchiveEntry& e : archive.list())
+      for (const ArchiveEntry& e : archive.list()) {
         entries.push_back({e.hash, archive.load(e)});
+        stale = stale || is_stale_atpg_run_report(entries.back().text);
+      }
       ok = inspect_trend(std::cout, entries, iopts, &err);
     } else {
-      ok = inspect_source(std::cout, load_report_spec(archive, specs[0]),
-                          iopts, &err);
+      const std::string text = load_report_spec(archive, specs[0]);
+      stale = is_stale_atpg_run_report(text);
+      ok = inspect_source(std::cout, text, iopts, &err);
     }
   } catch (const std::exception& e) {
     err = e.what();
   }
   if (!ok) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 1;
+    return stale ? 2 : 1;
   }
   return 0;
 }
