@@ -1,8 +1,11 @@
 #include "retime/retime.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
+#include <queue>
 
 #include "sim/simulator.h"
 
@@ -134,8 +137,43 @@ double graph_period(const RetimeGraph& g, const std::vector<int>& r) {
   return period;
 }
 
-std::optional<std::vector<int>> feasible_retiming(const RetimeGraph& g,
-                                                  double target) {
+namespace {
+
+constexpr int kUnbounded = std::numeric_limits<int>::max();
+
+// Largest lag each vertex can carry in any legal retiming: its minimum-
+// weight path to the host (heap Dijkstra over the reversed edges). FEAS
+// only raises lags and keeps r(host) = 0, so once r[v] exceeds this bound
+// the retimed weight of that path (dist - r[v]) is negative for good.
+// Logic with no path to the host is unbounded.
+std::vector<int> lag_bounds(const RetimeGraph& g) {
+  const int nv = g.num_vertices();
+  std::vector<std::vector<std::pair<int, int>>> radj(
+      static_cast<std::size_t>(nv));  // reversed: to -> (from, w)
+  for (const auto& e : g.edges)
+    radj[static_cast<std::size_t>(e.to)].push_back({e.from, e.weight});
+  std::vector<int> dist(static_cast<std::size_t>(nv), kUnbounded);
+  using Item = std::pair<int, int>;  // (dist, vertex)
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+  dist[0] = 0;
+  heap.push({0, 0});
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    for (const auto& [u, w] : radj[static_cast<std::size_t>(v)])
+      if (d + w < dist[static_cast<std::size_t>(u)]) {
+        dist[static_cast<std::size_t>(u)] = d + w;
+        heap.push({d + w, u});
+      }
+  }
+  return dist;
+}
+
+// FEAS with the lag-bound exit: a probe is rejected as soon as some lag
+// exceeds its bound, which the final legality check would do anyway.
+std::optional<std::vector<int>> feas(const RetimeGraph& g, double target,
+                                     const std::vector<int>& bound) {
   const int nv = g.num_vertices();
   std::vector<int> r(static_cast<std::size_t>(nv), 0);
   for (int iter = 0; iter <= nv; ++iter) {
@@ -145,7 +183,9 @@ std::optional<std::vector<int>> feasible_retiming(const RetimeGraph& g,
     bool violated = false;
     for (int v = 1; v < nv; ++v)
       if ((*delta)[static_cast<std::size_t>(v)] > target + 1e-9) {
-        ++r[static_cast<std::size_t>(v)];
+        if (++r[static_cast<std::size_t>(v)] >
+            bound[static_cast<std::size_t>(v)])
+          return std::nullopt;
         violated = true;
       }
     if (!violated) {
@@ -158,7 +198,25 @@ std::optional<std::vector<int>> feasible_retiming(const RetimeGraph& g,
   return std::nullopt;
 }
 
-namespace {
+// Least-lag FEAS solution at the minimum feasible period: binary search
+// between the largest gate delay and the unretimed period.
+std::vector<int> min_period_lags(const RetimeGraph& g) {
+  const std::vector<int> bound = lag_bounds(g);
+  std::vector<int> best(static_cast<std::size_t>(g.num_vertices()), 0);
+  double lo = 0.0;
+  for (double d : g.delay) lo = std::max(lo, d);
+  double hi = graph_period(g, best);
+  for (int it = 0; it < 48 && hi - lo > 1e-6; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (auto r = feas(g, mid, bound)) {
+      best = std::move(*r);
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return best;
+}
 
 // Materialize the retimed netlist. FF chains are shared per source signal.
 Netlist rebuild(const Netlist& nl, const RetimeGraph& g,
@@ -227,23 +285,14 @@ Netlist rebuild(const Netlist& nl, const RetimeGraph& g,
 
 }  // namespace
 
+std::optional<std::vector<int>> feasible_retiming(const RetimeGraph& g,
+                                                  double target) {
+  return feas(g, target, lag_bounds(g));
+}
+
 double min_feasible_period(const Netlist& nl) {
   const RetimeGraph g = build_retime_graph(nl);
-  const std::vector<int> zero(static_cast<std::size_t>(g.num_vertices()), 0);
-  double lo = 0.0;
-  for (double d : g.delay) lo = std::max(lo, d);
-  double hi = graph_period(g, zero);
-  std::vector<int> best = zero;
-  for (int it = 0; it < 48 && hi - lo > 1e-6; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (auto r = feasible_retiming(g, mid)) {
-      best = *r;
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return graph_period(g, best);
+  return graph_period(g, min_period_lags(g));
 }
 
 RetimeResult retime_to_period(const Netlist& nl, double target,
@@ -261,95 +310,6 @@ RetimeResult retime_to_period(const Netlist& nl, double target,
 
 RetimeResult retime_min_period(const Netlist& nl, const std::string& name) {
   return retime_to_period(nl, min_feasible_period(nl) + 1e-7, name);
-}
-
-RetimeResult retime_max_shift(const Netlist& nl, double target,
-                              const std::string& name) {
-  const RetimeGraph g = build_retime_graph(nl);
-  const std::vector<int> zero(static_cast<std::size_t>(g.num_vertices()), 0);
-  RetimeResult res{Netlist(""), {}, graph_period(g, zero), 0.0};
-  auto base = feasible_retiming(g, target);
-  SATPG_CHECK_MSG(base.has_value(), "retime_max_shift: target infeasible");
-  std::vector<int> r = *base;
-
-  auto legal_within_target = [&](const std::vector<int>& cand) {
-    const auto wr = retimed_weights(g, cand);
-    for (int w : wr)
-      if (w < 0) return false;
-    const auto delta = cp_delta(g, wr);
-    if (!delta) return false;
-    for (double d : *delta)
-      if (d > target + 1e-9) return false;
-    return true;
-  };
-
-  // Greedy maximal shift: push every vertex's lag as far as legality and
-  // the target period allow. Any vertex with a path to the host is bounded
-  // by that path's weight; the explicit cap below guards the degenerate
-  // case of logic with no path to any output (an isolated loop could
-  // otherwise shift forever).
-  int total_weight = 0;
-  for (const auto& e : g.edges) total_weight += e.weight;
-  const int lag_cap = total_weight + g.num_vertices() + 1;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int v = 1; v < g.num_vertices(); ++v) {
-      if (r[static_cast<std::size_t>(v)] >=
-          (*base)[static_cast<std::size_t>(v)] + lag_cap)
-        continue;
-      std::vector<int> cand = r;
-      ++cand[static_cast<std::size_t>(v)];
-      if (legal_within_target(cand)) {
-        r = std::move(cand);
-        changed = true;
-      }
-    }
-  }
-  res.lag = r;
-  res.period_after = graph_period(g, r);
-  res.netlist = rebuild(nl, g, r, name);
-  return res;
-}
-
-RetimeResult retime_min_period_max_shift(const Netlist& nl,
-                                         const std::string& name) {
-  return retime_max_shift(nl, min_feasible_period(nl) + 1e-7, name);
-}
-
-std::vector<int> max_backward_lags(const RetimeGraph& g) {
-  // Min-weight distance from each vertex to the host over forward edges
-  // (Dijkstra on the reversed graph from the host; weights >= 0).
-  const int nv = g.num_vertices();
-  constexpr int kInf = 1 << 29;
-  std::vector<std::vector<std::pair<int, int>>> radj(
-      static_cast<std::size_t>(nv));  // reversed: to -> (from, w)
-  for (const auto& e : g.edges)
-    radj[static_cast<std::size_t>(e.to)].push_back({e.from, e.weight});
-  std::vector<int> dist(static_cast<std::size_t>(nv), kInf);
-  dist[0] = 0;
-  // Dijkstra via repeated scans (graphs are small; no heap needed).
-  std::vector<bool> done(static_cast<std::size_t>(nv), false);
-  for (int round = 0; round < nv; ++round) {
-    int best = -1;
-    for (int v = 0; v < nv; ++v)
-      if (!done[static_cast<std::size_t>(v)] &&
-          dist[static_cast<std::size_t>(v)] < kInf &&
-          (best < 0 || dist[static_cast<std::size_t>(v)] <
-                           dist[static_cast<std::size_t>(best)]))
-        best = v;
-    if (best < 0) break;
-    done[static_cast<std::size_t>(best)] = true;
-    for (const auto& [u, w] : radj[static_cast<std::size_t>(best)]) {
-      const int cand = dist[static_cast<std::size_t>(best)] + w;
-      if (cand < dist[static_cast<std::size_t>(u)])
-        dist[static_cast<std::size_t>(u)] = cand;
-    }
-  }
-  // Unreachable-from-host logic (no path to any output) cannot shift.
-  for (auto& d : dist)
-    if (d >= kInf) d = 0;
-  return dist;
 }
 
 std::size_t effective_dff_count(const RetimeGraph& g,
@@ -375,56 +335,77 @@ RetimeResult retime_to_dff_target(const Netlist& nl, std::size_t target_dffs,
   RetimeResult res{Netlist(""), {}, graph_period(g, zero), 0.0};
 
   // Baseline: least-lag FEAS at the minimum feasible period.
-  double lo = 0.0;
-  for (double d : g.delay) lo = std::max(lo, d);
-  double hi = res.period_before;
-  std::vector<int> r = zero;
-  for (int it = 0; it < 48 && hi - lo > 1e-6; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (auto cand = feasible_retiming(g, mid)) {
-      r = *cand;
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
+  std::vector<int> r = min_period_lags(g);
 
-  // Out-edge lists for shift eligibility.
+  // Out-edge lists for shift eligibility, and the edges of each FF chain
+  // (one chain per driving signal, as rebuild materializes them).
   std::vector<std::vector<std::size_t>> out_edges(
       static_cast<std::size_t>(nv));
-  for (std::size_t ei = 0; ei < g.edges.size(); ++ei)
-    out_edges[static_cast<std::size_t>(g.edges[ei].from)].push_back(ei);
+  std::vector<std::vector<std::size_t>> in_edges(
+      static_cast<std::size_t>(nv));
+  std::map<NodeId, std::size_t> chain_of_node;
+  std::vector<std::size_t> chain_of_edge(g.edges.size());
+  std::vector<std::vector<std::size_t>> chain_edges;
+  for (std::size_t ei = 0; ei < g.edges.size(); ++ei) {
+    const auto& e = g.edges[ei];
+    out_edges[static_cast<std::size_t>(e.from)].push_back(ei);
+    in_edges[static_cast<std::size_t>(e.to)].push_back(ei);
+    const auto [it, fresh] =
+        chain_of_node.try_emplace(e.source_node, chain_edges.size());
+    if (fresh) chain_edges.emplace_back();
+    chain_of_edge[ei] = it->second;
+    chain_edges[it->second].push_back(ei);
+  }
+
+  // Current retimed weights and chain lengths, updated per shift: shifting
+  // v only moves the weights of v's out- and in-edges, so only their
+  // chains change length.
+  std::vector<int> cur_w = retimed_weights(g, r);
+  std::vector<int> chain_len(chain_edges.size(), 0);
+  std::size_t count = 0;
+  auto refresh = [&](std::size_t c) {
+    int m = 0;
+    for (std::size_t ei : chain_edges[c]) m = std::max(m, cur_w[ei]);
+    count = count - static_cast<std::size_t>(chain_len[c]) +
+            static_cast<std::size_t>(m);
+    chain_len[c] = m;
+  };
+  for (std::size_t c = 0; c < chain_edges.size(); ++c) refresh(c);
+  // Only called on vertices with out-edges; those all drive v's own chain.
+  auto shift = [&](int v) {
+    const auto& oe = out_edges[static_cast<std::size_t>(v)];
+    const auto& ie = in_edges[static_cast<std::size_t>(v)];
+    ++r[static_cast<std::size_t>(v)];
+    for (std::size_t ei : oe) --cur_w[ei];
+    for (std::size_t ei : ie) ++cur_w[ei];
+    refresh(chain_of_edge[oe.front()]);
+    for (std::size_t ei : ie) refresh(chain_of_edge[ei]);
+  };
 
   // Level sweeps: shift every currently-eligible vertex once per round
   // (deterministic vertex order), stopping as soon as the effective FF
   // count reaches the target.
   const int kMaxRounds = 64;
-  for (int round = 0;
-       round < kMaxRounds && effective_dff_count(g, r) < target_dffs;
-       ++round) {
-    const auto wr = retimed_weights(g, r);
+  for (int round = 0; round < kMaxRounds && count < target_dffs; ++round) {
+    // Shifting v and possibly other vertices this round: use the
+    // round-start weights; requiring w >= 1 keeps the all-at-once round
+    // legal regardless of which heads also shift.
+    const std::vector<int> wr = cur_w;
     bool any = false;
     for (int v = 1; v < nv; ++v) {
       const auto& oe = out_edges[static_cast<std::size_t>(v)];
       if (oe.empty()) continue;
-      bool eligible = true;
-      for (std::size_t ei : oe) {
-        // Shifting v and possibly other vertices this round: use the
-        // round-start weights; requiring w >= 1 keeps the all-at-once
-        // round legal regardless of which heads also shift.
-        if (wr[ei] < 1) {
-          eligible = false;
-          break;
-        }
-      }
+      const bool eligible = std::all_of(
+          oe.begin(), oe.end(), [&](std::size_t ei) { return wr[ei] >= 1; });
       if (eligible) {
-        ++r[static_cast<std::size_t>(v)];
+        shift(v);
         any = true;
       }
-      if (effective_dff_count(g, r) >= target_dffs) break;
+      if (count >= target_dffs) break;
     }
     if (!any) break;
   }
+  SATPG_CHECK(count == effective_dff_count(g, r));
 
   res.lag = r;
   res.period_after = graph_period(g, r);  // CHECKs legality

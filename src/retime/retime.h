@@ -11,7 +11,11 @@
 // (Leiserson-Saxe §8 / Shenoy-Rudell): repeatedly compute combinational
 // arrival times under the current lags and increment the lag of every
 // vertex whose arrival exceeds the target; a legal retiming exists iff this
-// converges within |V| rounds. Minimum period is found by binary search.
+// converges within |V| rounds. Lags only rise and r(host) stays 0, so a
+// probe is rejected as soon as some r(v) exceeds v's minimum-weight path
+// to the host (that path's retimed weight would stay negative); logic with
+// no path to the host has no such bound. Minimum period is found by binary
+// search, with the bounds computed once per graph.
 //
 // Rebuild shares flip-flops on fanout stems through per-driver FF chains
 // (a stem with branch weights w1..wk materializes max(wi) FFs and taps each
@@ -72,26 +76,6 @@ struct RetimeResult {
 /// only where the critical path demands).
 RetimeResult retime_min_period(const Netlist& nl, const std::string& name);
 
-/// Retime to `target` with *maximal* backward register shift: after the
-/// least-lag solution, vertex lags are greedily incremented as long as the
-/// retiming stays legal and the period stays within target. This models the
-/// SIS retime behaviour the paper observed — min-period retiming without
-/// register-count recovery scatters many registers deep into the next-state
-/// logic (Table 2's #DFF column: 5-7 FFs ballooning to 19-28) — and is the
-/// transformation used to build the study's ".re" circuit class.
-RetimeResult retime_max_shift(const Netlist& nl, double target,
-                              const std::string& name);
-
-/// Max-shift retiming at the minimum feasible period.
-RetimeResult retime_min_period_max_shift(const Netlist& nl,
-                                         const std::string& name);
-
-/// Maximal legal backward lags, ignoring the clock period: the pointwise
-/// largest r with w_r >= 0 everywhere and r(host) = 0. Equals each vertex's
-/// minimum-weight path to the host (Dijkstra), the standard difference-
-/// constraint potential.
-std::vector<int> max_backward_lags(const RetimeGraph& g);
-
 /// Flip-flop count of the netlist that rebuild would produce for lags `r`
 /// (accounts for FF-chain sharing at fanout stems), without materializing.
 std::size_t effective_dff_count(const RetimeGraph& g,
@@ -108,6 +92,8 @@ std::size_t effective_dff_count(const RetimeGraph& g,
 /// the clock period stays near the loop bound while the register count
 /// multiplies: precisely the behaviour the paper observed in SIS-retimed
 /// circuits (Table 2's 5-7 FFs ballooning to 19-28; Table 7's ladder).
+/// The FF count is kept incrementally: a shift of v re-measures only the
+/// chains driving v's out- and in-edges.
 RetimeResult retime_to_dff_target(const Netlist& nl, std::size_t target_dffs,
                                   const std::string& name);
 

@@ -371,6 +371,26 @@ TEST(CliSmokeTest, MalformedTelemetryFlagsExitUsage) {
   }
 }
 
+// `satpg retime --dffs=` takes a positive count: a non-number must not
+// fall back to min-period retiming, and a negative one must not wrap to a
+// huge target. Both, and zero, are usage errors.
+TEST(CliSmokeTest, RetimeDffsFlagIsValidated) {
+  const std::string dir = ::testing::TempDir();
+  const std::string out = dir + "cli_retime_twin.bench";
+  const std::string args_prefix =
+      std::string("retime \"") + SATPG_SMOKE_CIRCUIT + "\" " + out + " ";
+  for (const char* bad : {"--dffs=abc", "--dffs=-3", "--dffs=0"}) {
+    const std::string err = dir + "cli_retime_badflag.err";
+    EXPECT_EQ(run_satpg(args_prefix + bad, "", err), 2) << bad;
+    const std::string text = slurp(err);
+    EXPECT_NE(text.find(std::string("error: bad value ") + bad),
+              std::string::npos)
+        << bad;
+    EXPECT_NE(text.find("usage: satpg"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(run_satpg(args_prefix + "--dffs=6"), 0);
+}
+
 // Memory budget smoke (DESIGN.md §11): a deliberately tiny budget trips
 // mid-search, parks the offenders, and requeues them with the limit
 // lifted — so the final coverage and per-fault statuses are identical to

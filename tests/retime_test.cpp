@@ -1,6 +1,10 @@
-// Tests for src/retime: graph extraction, FEAS retiming, rebuild
-// equivalence, and the atomic-move engine (paper Figures 1-2).
+// Tests for src/retime: graph extraction, FEAS retiming (differentially
+// against an unbounded reference loop), rebuild equivalence, and the
+// atomic-move engine (paper Figures 1-2).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "base/rng.h"
 #include "fsm/mcnc_suite.h"
@@ -203,6 +207,233 @@ TEST(RetimeTest, RetimingAddsFlipFlopsOnSuiteCircuits) {
   const RetimeResult r = retime_to_dff_target(
       res.netlist, 3 * res.netlist.num_dffs(), res.name + ".re");
   EXPECT_GT(r.netlist.num_dffs(), res.netlist.num_dffs());
+}
+
+// ---- differential FEAS ----
+//
+// Reference: the FEAS loop without the lag-bound exit, run to convergence
+// or |V|+1 rounds, over an independent arrival-time computation. The
+// bounded loop in the library must return exactly the same optional lags.
+
+// Arrival times with retimed weight <= 0 treated as wires; host edges do
+// not propagate. nullopt when that zero-weight subgraph is cyclic.
+std::optional<std::vector<double>> reference_arrivals(
+    const RetimeGraph& g, const std::vector<int>& wr) {
+  const std::size_t nv = static_cast<std::size_t>(g.num_vertices());
+  std::vector<int> indeg(nv, 0);
+  for (std::size_t ei = 0; ei < g.edges.size(); ++ei) {
+    const auto& e = g.edges[ei];
+    if (wr[ei] <= 0 && e.from != 0 && e.to != 0)
+      ++indeg[static_cast<std::size_t>(e.to)];
+  }
+  std::vector<double> delta(nv, 0.0);
+  std::vector<std::size_t> order;
+  for (std::size_t v = 1; v < nv; ++v)
+    if (indeg[v] == 0) order.push_back(v);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t v = order[i];
+    delta[v] += g.delay[v];
+    for (std::size_t ei = 0; ei < g.edges.size(); ++ei) {
+      const auto& e = g.edges[ei];
+      if (wr[ei] > 0 || static_cast<std::size_t>(e.from) != v || e.to == 0)
+        continue;
+      const auto to = static_cast<std::size_t>(e.to);
+      delta[to] = std::max(delta[to], delta[v]);
+      if (--indeg[to] == 0) order.push_back(to);
+    }
+  }
+  if (order.size() != nv - 1) return std::nullopt;
+  return delta;
+}
+
+std::optional<std::vector<int>> reference_feas(const RetimeGraph& g,
+                                               double target) {
+  const int nv = g.num_vertices();
+  std::vector<int> r(static_cast<std::size_t>(nv), 0);
+  for (int iter = 0; iter <= nv; ++iter) {
+    std::vector<int> wr;
+    for (const auto& e : g.edges)
+      wr.push_back(e.weight + r[static_cast<std::size_t>(e.to)] -
+                   r[static_cast<std::size_t>(e.from)]);
+    const auto delta = reference_arrivals(g, wr);
+    if (!delta) return std::nullopt;
+    bool violated = false;
+    for (int v = 1; v < nv; ++v)
+      if ((*delta)[static_cast<std::size_t>(v)] > target + 1e-9) {
+        ++r[static_cast<std::size_t>(v)];
+        violated = true;
+      }
+    if (!violated) {
+      for (int w : wr)
+        if (w < 0) return std::nullopt;
+      return r;
+    }
+  }
+  return std::nullopt;
+}
+
+// What a sweep of target periods saw from the reference.
+struct FeasSweep {
+  int feasible = 0;
+  int infeasible = 0;
+  bool moved = false;  ///< some feasible answer has a nonzero lag
+};
+
+// Compares library and reference FEAS on every target in a sweep from 0 to
+// past the unretimed period, plus just below the largest gate delay and
+// exactly at the minimum feasible period.
+FeasSweep expect_feas_matches_reference(const Netlist& nl) {
+  const RetimeGraph g = build_retime_graph(nl);
+  const std::vector<int> zero(static_cast<std::size_t>(g.num_vertices()), 0);
+  const double before = graph_period(g, zero);
+  const double max_delay = *std::max_element(g.delay.begin(), g.delay.end());
+  const double min_period = min_feasible_period(nl);
+  std::vector<double> targets = {max_delay - 0.25, min_period};
+  for (double t = 0.0; t <= before + 0.5; t += 0.25) targets.push_back(t);
+
+  FeasSweep sweep;
+  for (double t : targets) {
+    const auto want = reference_feas(g, t);
+    EXPECT_EQ(feasible_retiming(g, t), want) << nl.name() << " @ " << t;
+    if (!want) {
+      ++sweep.infeasible;
+      continue;
+    }
+    ++sweep.feasible;
+    sweep.moved |= *want != zero;
+  }
+  EXPECT_TRUE(reference_feas(g, min_period).has_value()) << nl.name();
+  EXPECT_FALSE(reference_feas(g, max_delay - 0.25).has_value()) << nl.name();
+  return sweep;
+}
+
+// A register on `a` (mockturtle's latch box).
+NodeId latch_box(Netlist& nl, NodeId a) {
+  return nl.add_dff("l" + std::to_string(nl.num_nodes()), a,
+                    FfInit::kUnknown);
+}
+
+NodeId gate(Netlist& nl, GateType t, std::vector<NodeId> fanins,
+            double delay) {
+  const NodeId id =
+      nl.add_gate(t, "g" + std::to_string(nl.num_nodes()), fanins);
+  nl.node_mut(id).delay = delay;
+  return id;
+}
+
+// Registers on the inputs and a two-gate path to the output: only a
+// forward move would shorten the path, which least-lag FEAS (r(host) = 0,
+// lags only rise) cannot make — every shorter target is infeasible.
+TEST(FeasDifferentialTest, ForwardCase) {
+  Netlist nl("fwd");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId c = nl.add_input("c");
+  const NodeId x1 =
+      gate(nl, GateType::kAnd, {latch_box(nl, a), latch_box(nl, b)}, 1.0);
+  const NodeId x2 = gate(nl, GateType::kOr, {x1, latch_box(nl, c)}, 1.0);
+  nl.add_output("o", x2);
+  const FeasSweep s = expect_feas_matches_reference(nl);
+  EXPECT_FALSE(s.moved);
+  EXPECT_GT(s.infeasible, 0);
+}
+
+// Registers on the outputs behind a two-gate path: a backward move across
+// the last gate halves the period.
+TEST(FeasDifferentialTest, BackwardCase) {
+  Netlist nl("bwd");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId x1 = gate(nl, GateType::kAnd, {a, b}, 1.0);
+  const NodeId x2 = gate(nl, GateType::kNot, {x1}, 1.0);
+  const NodeId x3 = gate(nl, GateType::kBuf, {x1}, 1.0);
+  nl.add_output("o1", latch_box(nl, x2));
+  nl.add_output("o2", latch_box(nl, x3));
+  const FeasSweep s = expect_feas_matches_reference(nl);
+  EXPECT_TRUE(s.moved);
+  EXPECT_DOUBLE_EQ(min_feasible_period(nl), 1.0);
+}
+
+// Registers between single-gate stages: already at the minimum period, so
+// every feasible answer is the zero retiming.
+TEST(FeasDifferentialTest, ZeroMoveCase) {
+  Netlist nl("zero");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId l1 = latch_box(nl, a);
+  const NodeId l2 = latch_box(nl, b);
+  nl.add_output("o1", gate(nl, GateType::kAnd, {l1, l2}, 1.0));
+  nl.add_output("o2", gate(nl, GateType::kOr, {l1, l2}, 1.0));
+  const FeasSweep s = expect_feas_matches_reference(nl);
+  EXPECT_FALSE(s.moved);
+  EXPECT_GT(s.feasible, 0);
+}
+
+// A state loop that reaches no output has no path to the host, so its lags
+// are unbounded: below the loop bound both loops run every FEAS round.
+TEST(FeasDifferentialTest, LogicWithNoPathToOutput) {
+  Netlist nl("nopath");
+  const NodeId a = nl.add_input("a");
+  const NodeId q = nl.add_dff("q", a, FfInit::kUnknown);
+  const NodeId x1 = gate(nl, GateType::kAnd, {a, q}, 1.0);
+  const NodeId x2 = gate(nl, GateType::kNot, {x1}, 1.0);
+  nl.set_fanin(q, 0, x2);
+  nl.add_output("o", gate(nl, GateType::kBuf, {a}, 0.5));
+  const FeasSweep s = expect_feas_matches_reference(nl);
+  EXPECT_GT(s.infeasible, 0);
+  EXPECT_GT(s.feasible, 0);
+}
+
+// Random small sequential netlists: gates read inputs, registers and
+// earlier gates; registers read gates or other registers (chains); a few
+// gates drive outputs, so some logic usually reaches none.
+Netlist random_netlist(Rng& rng, int index) {
+  Netlist nl("rand" + std::to_string(index));
+  std::vector<NodeId> pool;
+  const int inputs = rng.next_int(1, 3);
+  for (int i = 0; i < inputs; ++i)
+    pool.push_back(nl.add_input("i" + std::to_string(i)));
+  std::vector<NodeId> ffs;
+  const int num_ffs = rng.next_int(1, 4);
+  for (int i = 0; i < num_ffs; ++i) {
+    ffs.push_back(latch_box(nl, pool[0]));
+    pool.push_back(ffs.back());
+  }
+  std::vector<NodeId> gates;
+  const int num_gates = rng.next_int(3, 10);
+  constexpr GateType kTypes[] = {GateType::kAnd, GateType::kOr,
+                                 GateType::kXor, GateType::kNand};
+  for (int i = 0; i < num_gates; ++i) {
+    const NodeId x = pool[rng.next_below(pool.size())];
+    const NodeId y = pool[rng.next_below(pool.size())];
+    gates.push_back(gate(nl, kTypes[rng.next_below(4)], {x, y},
+                         0.5 * rng.next_int(1, 4)));
+    pool.push_back(gates.back());
+  }
+  for (std::size_t i = 0; i < ffs.size(); ++i)
+    nl.set_fanin(ffs[i], 0,
+                 i > 0 && rng.next_bernoulli(0.25)
+                     ? ffs[i - 1]
+                     : gates[rng.next_below(gates.size())]);
+  const int outputs = rng.next_int(1, 2);
+  for (int i = 0; i < outputs; ++i)
+    nl.add_output("o" + std::to_string(i),
+                  gates[rng.next_below(gates.size())]);
+  return nl;
+}
+
+TEST(FeasDifferentialTest, RandomNetlists) {
+  Rng rng(1991);
+  FeasSweep total;
+  for (int i = 0; i < 200; ++i) {
+    const FeasSweep s = expect_feas_matches_reference(random_netlist(rng, i));
+    total.feasible += s.feasible;
+    total.infeasible += s.infeasible;
+    total.moved |= s.moved;
+  }
+  EXPECT_GT(total.feasible, 0);
+  EXPECT_GT(total.infeasible, 0);
+  EXPECT_TRUE(total.moved);
 }
 
 // ---- atomic moves ----

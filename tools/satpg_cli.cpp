@@ -4,7 +4,7 @@
 //   satpg analyze  <circuit.bench>              depth/cycles/density report
 //   satpg atpg     <circuit.bench> [options]    run an engine, write tests
 //   satpg fsim     <circuit.bench> [options]    grade random sequences
-//   satpg retime   <in.bench> <out.bench> [--dffs=N | --min-period]
+//   satpg retime   <in.bench> <out.bench> [--dffs=N]
 //   satpg scan     <in.bench> <out.bench> [--partial]
 //   satpg faults   <circuit.bench>              fault universe summary
 //   satpg archive  <report.json>|--list         store run reports by hash
@@ -706,12 +706,16 @@ int cmd_inspect(int argc, char** argv) {
 
 int cmd_retime(const Netlist& nl, const std::string& out_path, int argc,
                char** argv) {
-  std::size_t dffs = 0;
+  std::uint64_t dffs = 0;  // 0 = min-period retiming
   for (int i = 0; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--dffs="))
-      dffs = static_cast<std::size_t>(std::atoll(v));
-    else
+    if (const char* v = flag_value(argv[i], "--dffs=")) {
+      if (!parse_positive_u64(v, &dffs)) {
+        std::fprintf(stderr, "error: bad value --dffs=%s\n", v);
+        return usage();
+      }
+    } else {
       return usage();
+    }
   }
   const RetimeResult r =
       dffs > 0 ? retime_to_dff_target(nl, dffs, nl.name() + ".re")
