@@ -52,12 +52,7 @@ Podem::Podem(TimeFrameModel& tfm, const Scoap& scoap,
       allow_state_(allow_state_decisions),
       goal_(goal),
       just_targets_(std::move(just_targets)),
-      base_mark_(tfm.trail_mark()) {
-  const auto& topo = tfm_.netlist().topo_order();
-  topo_pos_.assign(tfm_.netlist().num_nodes(), 0);
-  for (std::size_t i = 0; i < topo.size(); ++i)
-    topo_pos_[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
-}
+      base_mark_(tfm.trail_mark()) {}
 
 void Podem::reset() {
   stack_.clear();
@@ -170,7 +165,7 @@ std::optional<Podem::Objective> Podem::pick_objective() const {
   // latest frame and the structurally deepest gate (closest to outputs).
   std::optional<Objective> best;
   int best_frame = -1, best_pos = -1;
-  const auto& pos = topo_pos_;
+  const auto& pos = tfm_.topo_pos();
   const auto& fanouts = nl.fanouts();
 
   for (const auto& [t, d_node] : tfm_.d_set()) {

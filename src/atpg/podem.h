@@ -213,7 +213,6 @@ class Podem {
   std::vector<std::pair<NodeId, V3>> just_targets_;
   std::vector<Decision> stack_;
   std::size_t base_mark_;
-  std::vector<int> topo_pos_;
 };
 
 }  // namespace satpg

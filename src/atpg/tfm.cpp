@@ -1,30 +1,137 @@
 #include "atpg/tfm.h"
 
 #include <algorithm>
+#include <array>
 
 #include "base/metrics.h"
 
 namespace satpg {
 
+namespace {
+
+// A folded gate's output rail from the set of values on its fan-ins' rail
+// (`seen`, bit 1 << V3 per value present) and their XOR parity (`odd`).
+// A one-input BUF/OUTPUT/NOT folds like a one-input AND/NAND.
+constexpr V3 fold_rail(GateType type, unsigned seen, bool odd) {
+  const bool zero = seen & (1u << static_cast<unsigned>(V3::kZero));
+  const bool one = seen & (1u << static_cast<unsigned>(V3::kOne));
+  const bool x = seen & (1u << static_cast<unsigned>(V3::kX));
+  bool invert = false;
+  V3 r = V3::kX;
+  switch (type) {
+    case GateType::kNot:
+    case GateType::kNand:
+      invert = true;
+      [[fallthrough]];
+    case GateType::kBuf:
+    case GateType::kOutput:
+    case GateType::kAnd:
+      r = zero ? V3::kZero : x ? V3::kX : V3::kOne;
+      break;
+    case GateType::kNor:
+      invert = true;
+      [[fallthrough]];
+    case GateType::kOr:
+      r = one ? V3::kOne : x ? V3::kX : V3::kZero;
+      break;
+    case GateType::kXnor:
+      invert = true;
+      [[fallthrough]];
+    case GateType::kXor:
+      r = x ? V3::kX : odd ? V3::kOne : V3::kZero;
+      break;
+    default:  // sources are never folded
+      break;
+  }
+  if (invert && r != V3::kX) r = r == V3::kZero ? V3::kOne : V3::kZero;
+  return r;
+}
+
+// kRailTable[type][seen | odd << 3] = fold_rail(type, seen, odd).
+constexpr std::size_t kNumGateTypes =
+    static_cast<std::size_t>(GateType::kXnor) + 1;
+using RailTable = std::array<std::array<V3, 16>, kNumGateTypes>;
+constexpr RailTable kRailTable = [] {
+  RailTable table{};
+  for (std::size_t t = 0; t < kNumGateTypes; ++t)
+    for (unsigned k = 0; k < 16; ++k)
+      table[t][k] = fold_rail(static_cast<GateType>(t), k & 7u, k >> 3);
+  return table;
+}();
+
+}  // namespace
+
 TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
                                int num_frames)
     : nl_(nl), fault_(std::move(fault)), num_frames_(num_frames) {
   SATPG_CHECK(num_frames >= 1);
-  const std::size_t total =
-      static_cast<std::size_t>(num_frames) * nl.num_nodes();
+  const std::size_t n = nl.num_nodes();
+  const std::size_t total = static_cast<std::size_t>(num_frames) * n;
   values_.assign(total, V5{});
   decisions_.assign(total, V3::kX);
-  topo_pos_.assign(nl.num_nodes(), -1);
-  by_topo_ = nl.topo_order();
-  for (std::size_t i = 0; i < by_topo_.size(); ++i)
-    topo_pos_[static_cast<std::size_t>(by_topo_[i])] = static_cast<int>(i);
+  if (fault_) {
+    fault_node_ = fault_->node;
+    fault_pin_ = fault_->pin;
+    stuck_ = fault_->stuck1 ? V3::kOne : V3::kZero;
+  }
+
+  // Compile the live netlist into flat arrays and levelize it.
+  const auto& topo = nl.topo_order();
+  num_live_ = topo.size();
+  type_.assign(n, GateType::kBuf);
+  topo_pos_.assign(n, -1);
+  level_.assign(n, 0);
+  fanin_off_.assign(n + 1, 0);
+  fanout_off_.assign(n + 1, 0);
+  std::uint32_t num_levels = 1;
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const auto id = static_cast<std::size_t>(topo[i]);
+    const Node& node = nl.node(topo[i]);
+    type_[id] = node.type;
+    topo_pos_[id] = static_cast<int>(i);
+    fanin_off_[id + 1] = static_cast<std::uint32_t>(node.fanins.size());
+    for (NodeId f : node.fanins) ++fanout_off_[static_cast<std::size_t>(f) + 1];
+    if (node.type == GateType::kInput || node.type == GateType::kDff ||
+        node.type == GateType::kConst0 || node.type == GateType::kConst1)
+      continue;
+    std::uint32_t lvl = 0;
+    for (NodeId f : node.fanins)
+      lvl = std::max(lvl, level_[static_cast<std::size_t>(f)]);
+    level_[id] = lvl + 1;
+    num_levels = std::max(num_levels, lvl + 2);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    fanin_off_[i + 1] += fanin_off_[i];
+    fanout_off_[i + 1] += fanout_off_[i];
+  }
+  fanin_.resize(fanin_off_[n]);
+  fanout_.resize(fanout_off_[n]);
+  std::vector<std::uint32_t> fo_fill(fanout_off_.begin(),
+                                     fanout_off_.end() - 1);
+  level_start_.assign(num_levels + 1, 0);
+  for (NodeId id : topo) {
+    const auto u = static_cast<std::size_t>(id);
+    const bool is_dff = type_[u] == GateType::kDff;
+    std::uint32_t k = fanin_off_[u];
+    for (NodeId f : nl.node(id).fanins) {
+      fanin_[k++] = f;
+      fanout_[fo_fill[static_cast<std::size_t>(f)]++] = is_dff ? ~id : id;
+    }
+    ++level_start_[level_[u] + 1];
+  }
+  for (std::uint32_t l = 0; l < num_levels; ++l)
+    level_start_[l + 1] += level_start_[l];
+
+  bucket_.resize(static_cast<std::size_t>(num_frames) * num_live_);
+  fill_.assign(static_cast<std::size_t>(num_frames) * num_levels, 0);
+  lo_.assign(static_cast<std::size_t>(num_frames), num_levels);
+  hi_.assign(static_cast<std::size_t>(num_frames), 0);
   in_queue_.assign(total, 0);
-  queue_.resize(static_cast<std::size_t>(num_frames));
 
   // Initial full evaluation (everything X, but faulty-rail pins and
   // constants must settle).
   for (int t = 0; t < num_frames_; ++t)
-    for (NodeId id : by_topo_) mark_dirty(t, id);
+    for (NodeId id : topo) mark_dirty(t, id);
   propagate();
   trail_.clear();  // initial state is the baseline; not undoable
 }
@@ -37,14 +144,12 @@ TimeFrameModel::~TimeFrameModel() {
   }
 }
 
-void TimeFrameModel::set_value(std::size_t idx, V5 v) {
-  if (values_[idx] == v) return;
+void TimeFrameModel::set_value(int frame, NodeId node, std::size_t idx,
+                               V5 v) {
   trail_.push_back({idx, values_[idx], false});
   const bool was_d = values_[idx].is_d();
   values_[idx] = v;
   if (was_d != v.is_d()) {
-    const int frame = static_cast<int>(idx / nl_.num_nodes());
-    const NodeId node = static_cast<NodeId>(idx % nl_.num_nodes());
     if (v.is_d())
       d_set_.insert({frame, node});
     else
@@ -56,165 +161,103 @@ void TimeFrameModel::mark_dirty(int frame, NodeId node) {
   const std::size_t idx = flat(frame, node);
   if (in_queue_[idx]) return;
   in_queue_[idx] = 1;
-  auto& q = queue_[static_cast<std::size_t>(frame)];
-  q.push_back(topo_pos_[static_cast<std::size_t>(node)]);
-  std::push_heap(q.begin(), q.end(), std::greater<>());
+  const auto t = static_cast<std::size_t>(frame);
+  const std::uint32_t l = level_[static_cast<std::size_t>(node)];
+  const std::size_t num_levels = level_start_.size() - 1;
+  bucket_[t * num_live_ + level_start_[l] + fill_[t * num_levels + l]++] =
+      node;
+  lo_[t] = std::min(lo_[t], l);
+  hi_[t] = std::max(hi_[t], l);
 }
 
-V3 TimeFrameModel::faulty_eval(int frame, const Node& n, NodeId id) const {
-  // Faulty-rail evaluation of a combinational / OUTPUT node, honouring an
-  // input-pin fault on this node.
-  const bool pin_fault_here =
-      fault_ && fault_->node == id && fault_->pin >= 0;
-  auto in = [&](std::size_t k) -> V3 {
-    if (pin_fault_here && static_cast<int>(k) == fault_->pin)
-      return fault_->stuck1 ? V3::kOne : V3::kZero;
-    return values_[flat(frame, n.fanins[k])].f;
-  };
-  auto fold = [&](V3 (*op)(V3, V3)) {
-    V3 v = in(0);
-    for (std::size_t k = 1; k < n.fanins.size(); ++k) v = op(v, in(k));
-    return v;
-  };
-  switch (n.type) {
-    case GateType::kConst0:
-      return V3::kZero;
-    case GateType::kConst1:
-      return V3::kOne;
-    case GateType::kBuf:
-    case GateType::kOutput:
-      return in(0);
-    case GateType::kNot:
-      return v3_not(in(0));
-    case GateType::kAnd:
-      return fold(v3_and);
-    case GateType::kNand:
-      return v3_not(fold(v3_and));
-    case GateType::kOr:
-      return fold(v3_or);
-    case GateType::kNor:
-      return v3_not(fold(v3_or));
-    case GateType::kXor:
-      return fold(v3_xor);
-    case GateType::kXnor:
-      return v3_not(fold(v3_xor));
-    default:
-      SATPG_CHECK(false);
-  }
-  return V3::kX;
-}
-
-V5 TimeFrameModel::compute(int frame, NodeId node) const {
-  const auto& n = nl_.node(node);
-  const bool stem_fault_here =
-      fault_ && fault_->node == node && fault_->pin < 0;
-  const V3 stuck = fault_ && fault_->stuck1 ? V3::kOne : V3::kZero;
-
+V5 TimeFrameModel::eval(int frame, NodeId node) const {
+  const auto u = static_cast<std::size_t>(node);
+  const GateType type = type_[u];
   V5 v;
-  switch (n.type) {
-    case GateType::kInput: {
-      const V3 d = decisions_[flat(frame, node)];
-      v = {d, d};
+  switch (type) {
+    case GateType::kInput:
+      v.g = v.f = decisions_[flat(frame, node)];
       break;
-    }
-    case GateType::kDff: {
+    case GateType::kDff:
       if (frame == 0) {
-        const V3 d = decisions_[flat(0, node)];
-        v = {d, d};
+        v.g = v.f = decisions_[flat(0, node)];
       } else {
-        const V5 prev = values_[flat(frame - 1, n.fanins[0])];
-        v.g = prev.g;
-        v.f = prev.f;
-        if (fault_ && fault_->node == node && fault_->pin == 0)
-          v.f = stuck;  // D-pin fault
+        v = values_[flat(frame - 1, fanin_[fanin_off_[u]])];
+        if (node == fault_node_ && fault_pin_ == 0) v.f = stuck_;  // D pin
       }
       break;
-    }
-    case GateType::kOutput: {
-      const V5 in = values_[flat(frame, n.fanins[0])];
-      v.g = in.g;
-      v.f = faulty_eval(frame, n, node);
+    case GateType::kConst0:
+      v.g = v.f = V3::kZero;
       break;
-    }
+    case GateType::kConst1:
+      v.g = v.f = V3::kOne;
+      break;
     default: {
-      // Combinational gate: good rail from fanin good rails.
-      std::vector<NodeId> dummy;  // avoid alloc: inline fold on good rail
-      auto in_g = [&](std::size_t k) {
-        return values_[flat(frame, n.fanins[k])].g;
-      };
-      auto fold_g = [&](V3 (*op)(V3, V3)) {
-        V3 x = in_g(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k) x = op(x, in_g(k));
-        return x;
-      };
-      switch (n.type) {
-        case GateType::kConst0:
-          v.g = V3::kZero;
-          break;
-        case GateType::kConst1:
-          v.g = V3::kOne;
-          break;
-        case GateType::kBuf:
-          v.g = in_g(0);
-          break;
-        case GateType::kNot:
-          v.g = v3_not(in_g(0));
-          break;
-        case GateType::kAnd:
-          v.g = fold_g(v3_and);
-          break;
-        case GateType::kNand:
-          v.g = v3_not(fold_g(v3_and));
-          break;
-        case GateType::kOr:
-          v.g = fold_g(v3_or);
-          break;
-        case GateType::kNor:
-          v.g = v3_not(fold_g(v3_or));
-          break;
-        case GateType::kXor:
-          v.g = fold_g(v3_xor);
-          break;
-        case GateType::kXnor:
-          v.g = v3_not(fold_g(v3_xor));
-          break;
-        default:
-          SATPG_CHECK(false);
+      // Fold both rails at once: bit (1 << value) records which of 0/1/X
+      // occur on a rail, and the low value bit accumulates XOR parity. The
+      // faulty rail reads the stuck value on a faulted input pin.
+      const V5* row = values_.data() + flat(frame, 0);
+      const std::uint32_t begin = fanin_off_[u];
+      const std::uint32_t end = fanin_off_[u + 1];
+      const std::uint32_t pin =
+          node == fault_node_ && fault_pin_ >= 0
+              ? begin + static_cast<std::uint32_t>(fault_pin_)
+              : end;
+      unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const V5 in = row[fanin_[k]];
+        const auto g = static_cast<unsigned>(in.g);
+        const auto f = static_cast<unsigned>(k == pin ? stuck_ : in.f);
+        seen_g |= 1u << g;
+        seen_f |= 1u << f;
+        par_g ^= g;
+        par_f ^= f;
       }
-      v.f = faulty_eval(frame, n, node);
+      const auto& rail = kRailTable[static_cast<std::size_t>(type)];
+      v.g = rail[seen_g | (par_g & 1u) << 3];
+      v.f = rail[seen_f | (par_f & 1u) << 3];
       break;
     }
   }
-  if (stem_fault_here) v.f = stuck;
+  if (node == fault_node_ && fault_pin_ < 0) v.f = stuck_;  // stem fault
   return v;
 }
 
 void TimeFrameModel::propagate() {
-  const auto& fanouts = nl_.fanouts();
+  const std::size_t num_levels = level_start_.size() - 1;
+  std::uint64_t evals = 0;
   for (int t = 0; t < num_frames_; ++t) {
-    auto& q = queue_[static_cast<std::size_t>(t)];
-    while (!q.empty()) {
-      std::pop_heap(q.begin(), q.end(), std::greater<>());
-      const int pos = q.back();
-      q.pop_back();
-      const NodeId id = by_topo_[static_cast<std::size_t>(pos)];
-      const std::size_t idx = flat(t, id);
-      in_queue_[idx] = 0;
-      ++evals_;
-      if (external_evals_ != nullptr) ++*external_evals_;
-      const V5 nv = compute(t, id);
-      if (nv == values_[idx]) continue;
-      set_value(idx, nv);
-      for (NodeId s : fanouts[static_cast<std::size_t>(id)]) {
-        const auto& sn = nl_.node(s);
-        if (sn.type == GateType::kDff) {
-          if (t + 1 < num_frames_) mark_dirty(t + 1, s);
-        } else {
-          mark_dirty(t, s);
+    const auto ut = static_cast<std::size_t>(t);
+    NodeId* bucket = bucket_.data() + ut * num_live_;
+    std::uint32_t* fill = fill_.data() + ut * num_levels;
+    // A node dirties only higher levels of this frame, so each level is
+    // complete once the sweep reaches it; hi_[t] may grow during the sweep.
+    for (std::uint32_t l = lo_[ut]; l <= hi_[ut]; ++l) {
+      const std::uint32_t count = fill[l];
+      fill[l] = 0;
+      evals += count;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const NodeId id = bucket[level_start_[l] + i];
+        const std::size_t idx = flat(t, id);
+        in_queue_[idx] = 0;
+        const V5 nv = eval(t, id);
+        if (nv == values_[idx]) continue;
+        set_value(t, id, idx, nv);
+        const auto u = static_cast<std::size_t>(id);
+        for (std::uint32_t k = fanout_off_[u]; k < fanout_off_[u + 1]; ++k) {
+          const NodeId s = fanout_[k];
+          if (s >= 0)
+            mark_dirty(t, s);
+          else if (t + 1 < num_frames_)
+            mark_dirty(t + 1, ~s);
         }
       }
     }
+    lo_[ut] = static_cast<std::uint32_t>(num_levels);
+    hi_[ut] = 0;
   }
+  evals_ += evals;
+  if (external_evals_ != nullptr) *external_evals_ += evals;
 }
 
 std::size_t TimeFrameModel::assign(int frame, NodeId node, V3 v) {
@@ -248,9 +291,9 @@ void TimeFrameModel::undo_to(std::size_t mark) {
 }
 
 bool TimeFrameModel::is_decision_var(int frame, NodeId node) const {
-  const auto& n = nl_.node(node);
-  if (n.type == GateType::kInput) return frame >= 0 && frame < num_frames_;
-  if (n.type == GateType::kDff) return frame == 0;
+  const GateType type = type_[static_cast<std::size_t>(node)];
+  if (type == GateType::kInput) return frame >= 0 && frame < num_frames_;
+  if (type == GateType::kDff) return frame == 0;
   return false;
 }
 
@@ -311,9 +354,6 @@ bool TimeFrameModel::effect_still_possible(bool allow_boundary) const {
     stack.pop_back();
     const auto& n = nl_.node(id);
     if (n.type == GateType::kOutput) return true;  // reachable or already D
-    if (n.type == GateType::kDff && t == num_frames_ - 1) {
-      // Effect sits in a FF that has no next frame; it already crossed.
-    }
     // Does this node drive a FF into the next frame (or the boundary)?
     for (NodeId s : fanouts[static_cast<std::size_t>(id)]) {
       const auto& sn = nl_.node(s);

@@ -9,9 +9,25 @@
 // The model holds a window of frames [0, num_frames). Frame 0's flip-flop
 // values are *pseudo primary inputs* — free variables a HITEC-style engine
 // decides on and later justifies. Assignments are made only on decision
-// variables (a PI at any frame, or a frame-0 FF); implication is forward
-// event propagation in (frame, topological) order with a trail for O(1)
+// variables (a PI at any frame, or a frame-0 FF), with a trail for O(1)
 // backtracking.
+//
+// Implication is forward event propagation over a flat copy of the netlist
+// (CSR fan-in/fan-out arrays and a gate-type array, built once per model).
+// Each node has a combinational level: PIs, FFs and constants are 0, a gate
+// is one more than its deepest fan-in. Every frame keeps its dirty nodes in
+// per-level buckets, and propagate() sweeps the frames in order and each
+// frame's levels upward, folding both rails of a node in one pass over its
+// fan-ins. A changed node dirties only higher levels of its own frame and
+// the FFs it feeds in the next frame, so every node is evaluated after its
+// fan-ins have settled and at most once per propagate.
+//
+// Eval-count contract (the study's deterministic work metric, and the
+// currency of every eval budget): an assign() evaluates exactly the
+// decision itself, every (frame, node) with a same-frame fan-in whose value
+// changed, and every FF at frame t whose D driver changed at frame t-1. A
+// fresh model evaluates every live node once per frame. The sweep order
+// does not enter the count, the values or the D-set.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +89,19 @@ class TimeFrameModel {
 
   /// Logical footprint of the window's dense arrays (element counts x
   /// element sizes, fixed at construction) — the deterministic byte charge
-  /// a search phase records against base/memstats.
+  /// a search phase records against base/memstats: the value and decision
+  /// planes, the topological index, one live-node list and the dirty flags.
+  /// The compiled netlist and the level buckets are not charged, as the
+  /// dirty-queue heaps they replaced were not.
   std::uint64_t footprint_bytes() const {
     return values_.size() * sizeof(V5) + decisions_.size() * sizeof(V3) +
-           topo_pos_.size() * sizeof(int) + by_topo_.size() * sizeof(NodeId) +
+           topo_pos_.size() * sizeof(int) + num_live_ * sizeof(NodeId) +
            in_queue_.size() * sizeof(char);
   }
+
+  /// Position of each node in the netlist's topological order (-1 for dead
+  /// nodes).
+  const std::vector<int>& topo_pos() const { return topo_pos_; }
 
   /// Mirror every evaluation into an external counter as well (e.g. the
   /// fault-cumulative PodemBudget::evals, which outlives any one model).
@@ -109,11 +132,11 @@ class TimeFrameModel {
     return static_cast<std::size_t>(frame) * nl_.num_nodes() +
            static_cast<std::size_t>(node);
   }
-  void set_value(std::size_t idx, V5 v);
+  void set_value(int frame, NodeId node, std::size_t idx, V5 v);
   void mark_dirty(int frame, NodeId node);
   void propagate();
-  V5 compute(int frame, NodeId node) const;
-  V3 faulty_eval(int frame, const Node& n, NodeId id) const;
+  /// Both rails of `node` at `frame` from its fan-ins' current values.
+  V5 eval(int frame, NodeId node) const;
 
   const Netlist& nl_;
   std::optional<Fault> fault_;
@@ -121,9 +144,30 @@ class TimeFrameModel {
   std::vector<V5> values_;
   std::vector<V3> decisions_;  ///< per flat index; X = unassigned
 
-  // topo position per node, and reverse lookup used by the dirty queue.
+  // The fault, unpacked for the evaluation loop.
+  NodeId fault_node_ = kNoNode;
+  int fault_pin_ = -1;  ///< -1: stem fault
+  V3 stuck_ = V3::kZero;
+
+  // Compiled netlist: gate types, CSR fan-ins, and CSR fan-outs where a FF
+  // sink `s` is stored as ~s (it is dirtied in the next frame).
+  std::vector<GateType> type_;
+  std::vector<std::uint32_t> fanin_off_;
+  std::vector<NodeId> fanin_;
+  std::vector<std::uint32_t> fanout_off_;
+  std::vector<NodeId> fanout_;
   std::vector<int> topo_pos_;
-  std::vector<NodeId> by_topo_;
+  std::size_t num_live_ = 0;
+
+  // Dirty queue. Each frame owns num_live_ bucket slots partitioned by
+  // level (level l owns [level_start_[l], level_start_[l+1])), a fill count
+  // per level, and the range [lo_, hi_] of levels that may be non-empty.
+  std::vector<std::uint32_t> level_;  ///< per node
+  std::vector<std::uint32_t> level_start_;
+  std::vector<NodeId> bucket_;
+  std::vector<std::uint32_t> fill_;  ///< frame * num_levels + level
+  std::vector<std::uint32_t> lo_, hi_;
+  std::vector<char> in_queue_;  ///< per flat index
 
   struct TrailEntry {
     std::size_t idx;
@@ -131,10 +175,6 @@ class TimeFrameModel {
     bool decision;
   };
   std::vector<TrailEntry> trail_;
-
-  // Dirty queue: bucket per (frame, topo position).
-  std::vector<char> in_queue_;
-  std::vector<std::vector<int>> queue_;  // per frame, topo positions (heap)
 
   std::set<std::pair<int, NodeId>> d_set_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,7 +41,9 @@ bool parse_positive_double(const char* s, double* out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || !(v > 0.0)) return false;
+  if (errno != 0 || end == s || *end != '\0' || !(v > 0.0) ||
+      !std::isfinite(v))
+    return false;
   *out = v;
   return true;
 }

@@ -33,9 +33,9 @@
 namespace satpg {
 
 /// Strict numeric flag parsing: the whole value must be a decimal number
-/// with `*out > 0` — anything else (empty, trailing junk, zero, negative)
-/// returns false so the caller can exit 2 with usage instead of silently
-/// clamping a typo into a real run.
+/// with `*out > 0` — anything else (empty, trailing junk, zero, negative,
+/// and for the double an infinity or NaN) returns false so the caller can
+/// exit 2 with usage instead of silently clamping a typo into a real run.
 bool parse_positive_u64(const char* s, std::uint64_t* out);
 bool parse_positive_double(const char* s, double* out);
 

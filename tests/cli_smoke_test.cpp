@@ -24,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "base/json.h"
 
@@ -369,6 +370,38 @@ TEST(CliSmokeTest, MalformedTelemetryFlagsExitUsage) {
     EXPECT_EQ(run_satpg(args_prefix + bad, "", err), 2) << bad;
     EXPECT_NE(slurp(err).find("usage: satpg"), std::string::npos) << bad;
   }
+}
+
+// The numeric run-shape flags of `satpg atpg` and `satpg fsim` are strict
+// too: a typo must not zero every fault budget, wrap a negative value into
+// a huge one, fall back to all hardware threads or disarm a deadline.
+TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
+  const std::string dir = ::testing::TempDir();
+  const std::string atpg =
+      std::string("atpg \"") + SATPG_SMOKE_CIRCUIT + "\" ";
+  const std::string fsim =
+      std::string("fsim \"") + SATPG_SMOKE_CIRCUIT + "\" ";
+  const std::vector<std::string> bad = {
+      atpg + "--budget=abc",        atpg + "--budget=-1",
+      atpg + "--budget=0",          atpg + "--budget=inf",
+      atpg + "--threads=abc",       atpg + "--threads=-2",
+      atpg + "--threads=0",         atpg + "--threads=99999999999",
+      atpg + "--deadline-ms=-5",    atpg + "--deadline-ms=1s",
+      fsim + "--sequences=abc",     fsim + "--sequences=-4",
+      fsim + "--length=0",          fsim + "--length=9999999999",
+      fsim + "--threads=two",       fsim + "--threads=-1"};
+  for (const std::string& args : bad) {
+    const std::string err = dir + "cli_badnum.err";
+    EXPECT_EQ(run_satpg(args, "", err), 2) << args;
+    const std::string text = slurp(err);
+    const std::string flag = args.substr(args.rfind(' ') + 1);
+    EXPECT_NE(text.find("error: bad value " + flag), std::string::npos)
+        << args;
+    EXPECT_NE(text.find("usage: satpg"), std::string::npos) << args;
+  }
+  EXPECT_EQ(run_satpg(atpg + "--budget=0.05 --threads=2 --deadline-ms=60000"),
+            0);
+  EXPECT_EQ(run_satpg(fsim + "--sequences=4 --length=8 --threads=1"), 0);
 }
 
 // `satpg retime --dffs=` takes a positive count: a non-number must not

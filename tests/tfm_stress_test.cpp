@@ -2,10 +2,12 @@
 // implication with trail undo is compared against a from-scratch oracle
 // (fresh model, same assignments) across random assignment/undo schedules,
 // fault types, and window sizes. Also checks the incrementally-maintained
-// D-set against a full rescan.
+// D-set against a full rescan, and pins the eval count (the budget
+// currency) to the set of evaluations the model is defined to perform.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "atpg/tfm.h"
 #include "base/rng.h"
@@ -99,6 +101,87 @@ TEST_P(TfmStress, IncrementalMatchesFromScratch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TfmStress, ::testing::Range(0, 10));
+
+// The (frame, node) pairs an assign() must evaluate, from the values before
+// and after it: the decision itself, every node with a same-frame fan-in
+// whose value changed, and every FF whose D driver changed a frame earlier.
+std::size_t expected_evals(const Netlist& nl, int frames,
+                           const std::vector<V5>& before,
+                           const std::vector<V5>& after, int dec_frame,
+                           NodeId dec_node) {
+  const std::size_t n = nl.num_nodes();
+  auto changed = [&](int t, NodeId id) {
+    const std::size_t i = static_cast<std::size_t>(t) * n +
+                          static_cast<std::size_t>(id);
+    return before[i] != after[i];
+  };
+  std::size_t count = 0;
+  for (int t = 0; t < frames; ++t)
+    for (NodeId id : nl.topo_order()) {
+      const Node& node = nl.node(id);
+      bool evaluated = t == dec_frame && id == dec_node;
+      if (node.type == GateType::kDff)
+        evaluated |= t > 0 && changed(t - 1, node.fanins[0]);
+      else
+        for (NodeId f : node.fanins) evaluated |= changed(t, f);
+      count += evaluated ? 1 : 0;
+    }
+  return count;
+}
+
+std::vector<V5> snapshot(const TimeFrameModel& m) {
+  std::vector<V5> values;
+  for (int t = 0; t < m.num_frames(); ++t)
+    for (std::size_t i = 0; i < m.netlist().num_nodes(); ++i)
+      values.push_back(m.value(t, static_cast<NodeId>(i)));
+  return values;
+}
+
+TEST(TfmEvalContract, EvalsMatchTheChangedFaninSet) {
+  const Netlist nl = small_machine(5);
+  const auto universe = enumerate_faults(nl);
+  // Faults of every kind: PI/FF/gate stems, gate and PO pins, FF D pins.
+  std::vector<std::optional<Fault>> faults = {std::nullopt};
+  std::set<std::pair<GateType, bool>> kinds;
+  for (const Fault& f : universe)
+    if (kinds.insert({nl.node(f.node).type, f.pin >= 0}).second)
+      faults.push_back(f);
+  for (std::size_t i = 0; i < universe.size(); i += 11)
+    faults.push_back(universe[i]);
+  ASSERT_GE(kinds.size(), 5u);
+
+  std::uint64_t checked_assigns = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    const int frames = 1 + static_cast<int>(fi % 4);
+    TimeFrameModel m(nl, faults[fi], frames);
+    ASSERT_EQ(m.evals(), static_cast<std::uint64_t>(frames) *
+                             nl.topo_order().size());
+    Rng rng(fi * 7919 + 3);
+    const auto vars = decision_vars(nl, frames);
+    std::vector<std::size_t> marks;
+    for (int step = 0; step < 40; ++step) {
+      if (!marks.empty() && rng.next_bernoulli(0.3)) {
+        const std::size_t k = static_cast<std::size_t>(
+            rng.next_below(marks.size()));
+        m.undo_to(marks[k]);
+        marks.resize(k);
+        continue;
+      }
+      const auto& [t, id] = vars[static_cast<std::size_t>(
+          rng.next_below(vars.size()))];
+      if (m.decision_value(t, id) != V3::kX) continue;
+      const std::vector<V5> before = snapshot(m);
+      const std::uint64_t evals_before = m.evals();
+      marks.push_back(m.assign(t, id, rng.next_bool() ? V3::kOne
+                                                      : V3::kZero));
+      ASSERT_EQ(m.evals() - evals_before,
+                expected_evals(nl, frames, before, snapshot(m), t, id))
+          << "fault #" << fi << " frames " << frames << " step " << step;
+      ++checked_assigns;
+    }
+  }
+  EXPECT_GT(checked_assigns, 500u);
+}
 
 TEST(TfmFaultKinds, EveryFaultKindInjectsOnFaultyRailOnly) {
   const Netlist nl = small_machine(3);

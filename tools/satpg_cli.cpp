@@ -52,6 +52,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,29 @@ int usage() {
   return 2;
 }
 
+// A malformed flag value: one diagnostic line, then usage (exit 2).
+int bad_value(const char* flag, const char* value) {
+  std::fprintf(stderr, "error: bad value %s%s\n", flag, value);
+  return usage();
+}
+
+// A positive decimal count that fits in T; false on anything else.
+template <typename T>
+bool parse_count(const char* s, T* out) {
+  std::uint64_t v = 0;
+  if (!parse_positive_u64(s, &v) || v > std::numeric_limits<T>::max())
+    return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// limit * factor, saturating where the product leaves uint64_t's range.
+std::uint64_t scale_limit(std::uint64_t limit, double factor) {
+  const double v = static_cast<double>(limit) * factor;
+  return v >= 0x1p64 ? std::numeric_limits<std::uint64_t>::max()
+                      : static_cast<std::uint64_t>(v);
+}
+
 Netlist load(const std::string& path) {
   Netlist nl = read_bench_file(path);
   annotate_library(nl);
@@ -216,11 +240,11 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
     } else if (!std::strcmp(argv[i], "--no-shared-learning")) {
       opts.engine.share_learning = false;
     } else if (const char* v2 = flag_value(argv[i], "--budget=")) {
-      const double f = std::atof(v2);
-      opts.engine.eval_limit =
-          static_cast<std::uint64_t>(opts.engine.eval_limit * f);
+      double f = 0.0;
+      if (!parse_positive_double(v2, &f)) return bad_value("--budget=", v2);
+      opts.engine.eval_limit = scale_limit(opts.engine.eval_limit, f);
       opts.engine.backtrack_limit =
-          static_cast<std::uint64_t>(opts.engine.backtrack_limit * f);
+          scale_limit(opts.engine.backtrack_limit, f);
     } else if (const char* v3 = flag_value(argv[i], "--seed=")) {
       opts.seed = static_cast<std::uint64_t>(std::atoll(v3));
     } else if (!std::strcmp(argv[i], "--strict")) {
@@ -230,21 +254,19 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
     } else if (!std::strcmp(argv[i], "--compact")) {
       do_compact = true;
     } else if (const char* v5 = flag_value(argv[i], "--threads=")) {
-      popts.num_threads = static_cast<unsigned>(std::atoi(v5));
+      if (!parse_count(v5, &popts.num_threads))
+        return bad_value("--threads=", v5);
     } else if (const char* v6 = flag_value(argv[i], "--deadline-ms=")) {
-      popts.deadline_ms = static_cast<std::uint64_t>(std::atoll(v6));
+      if (!parse_positive_u64(v6, &popts.deadline_ms))
+        return bad_value("--deadline-ms=", v6);
     } else if (const char* v7 = flag_value(argv[i], "--stuck-evals=")) {
-      if (!parse_positive_u64(v7, &popts.watchdog.stuck_evals)) {
-        std::fprintf(stderr, "error: bad value --stuck-evals=%s\n", v7);
-        return usage();
-      }
+      if (!parse_positive_u64(v7, &popts.watchdog.stuck_evals))
+        return bad_value("--stuck-evals=", v7);
     } else if (const char* vm = flag_value(argv[i], "--mem-budget-mb=")) {
       // Fractional MB are legal: small circuits trip at sub-MB footprints.
       double mb = 0.0;
-      if (!parse_positive_double(vm, &mb)) {
-        std::fprintf(stderr, "error: bad value --mem-budget-mb=%s\n", vm);
-        return usage();
-      }
+      if (!parse_positive_double(vm, &mb))
+        return bad_value("--mem-budget-mb=", vm);
       popts.mem_budget_bytes =
           static_cast<std::uint64_t>(mb * 1024.0 * 1024.0);
     } else if (const char* v8 = flag_value(argv[i], "--stuck-seconds=")) {
@@ -463,13 +485,14 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
       continue;
     }
     if (const char* v = flag_value(argv[i], "--sequences=")) {
-      sequences = std::atoi(v);
+      if (!parse_count(v, &sequences)) return bad_value("--sequences=", v);
     } else if (const char* v2 = flag_value(argv[i], "--length=")) {
-      length = std::atoi(v2);
+      if (!parse_count(v2, &length)) return bad_value("--length=", v2);
     } else if (const char* v3 = flag_value(argv[i], "--seed=")) {
       seed = static_cast<std::uint64_t>(std::atoll(v3));
     } else if (const char* v4 = flag_value(argv[i], "--threads=")) {
-      fopts.num_threads = static_cast<unsigned>(std::atoi(v4));
+      if (!parse_count(v4, &fopts.num_threads))
+        return bad_value("--threads=", v4);
     } else if (const char* v5 = flag_value(argv[i], "--engine=")) {
       if (std::strcmp(v5, "auto") == 0) {
         fopts.engine = FsimEngine::kAuto;
@@ -709,10 +732,7 @@ int cmd_retime(const Netlist& nl, const std::string& out_path, int argc,
   std::uint64_t dffs = 0;  // 0 = min-period retiming
   for (int i = 0; i < argc; ++i) {
     if (const char* v = flag_value(argv[i], "--dffs=")) {
-      if (!parse_positive_u64(v, &dffs)) {
-        std::fprintf(stderr, "error: bad value --dffs=%s\n", v);
-        return usage();
-      }
+      if (!parse_positive_u64(v, &dffs)) return bad_value("--dffs=", v);
     } else {
       return usage();
     }
