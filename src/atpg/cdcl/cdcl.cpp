@@ -192,8 +192,11 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
 
   // One-frame fault-free predecessor query: free previous state and
   // inputs, the D lines of the cube's flip-flops pinned to its values.
-  CdclSolver solver;
-  TimeFrameCnf cnf(e_.nl_, std::nullopt, 1, &solver);
+  // The copy is taken before set_budget(), so the encoding's byte backlog
+  // moves into the tally just as a fresh encode's would.
+  if (!justify_template_) justify_template_.emplace(e_.nl_);
+  CdclSolver solver(justify_template_->solver);
+  TimeFrameCnf cnf(justify_template_->cnf, &solver);
   const MemScope cnf_mem(budget.mem, MemSubsystem::kCnfEncoder,
                          cnf.footprint_bytes());
   solver.set_budget(&budget);
@@ -260,7 +263,10 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
     // model's inputs, drop every flip-flop whose value the targets don't
     // need. Greedy in dffs() order, checked on the good rail of the TFM.
     std::vector<V3> vec(e_.nl_.num_inputs(), V3::kX);
-    TimeFrameModel tfm(e_.nl_, std::nullopt, 1);
+    if (!justify_tfm_)
+      justify_tfm_.emplace(TimeFrameModel::Template{}, e_.nl_, std::nullopt,
+                           1);
+    TimeFrameModel tfm(*justify_tfm_);
     const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                            tfm.footprint_bytes());
     tfm.attach_eval_counter(&budget.evals);
@@ -458,6 +464,7 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
       e_.ring_->push({DecisionEventKind::kObjective, kObjDetect, frames, -1,
                       static_cast<std::uint64_t>(blocking_.size())});
     std::size_t blocked = 0;
+    std::optional<TimeFrameModel> lift_template;  // built on the first model
     for (;;) {
       while (blocked < blocking_.size()) {
         const Block& blk = blocking_[blocked];
@@ -488,7 +495,10 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
       std::vector<std::vector<V3>> window(
           static_cast<std::size_t>(frames),
           std::vector<V3>(e_.nl_.num_inputs(), V3::kX));
-      TimeFrameModel tfm(e_.nl_, fault, frames);
+      if (!lift_template)
+        lift_template.emplace(TimeFrameModel::Template{}, e_.nl_, fault,
+                              frames);
+      TimeFrameModel tfm(*lift_template);
       const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                              tfm.footprint_bytes());
       tfm.attach_eval_counter(&budget.evals);
@@ -548,7 +558,7 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
         for (std::size_t i = 0; i < n; ++i)
           blk.push_back(mk_lit(cnf.state_var(i),
                                solver.model_value(cnf.state_var(i))));
-        solver.add_clause(std::move(blk));
+        solver.add_clause(blk.data(), blk.size());
       } else {
         // The lifted cube cannot be justified (it is nonempty — the empty
         // cube trivially succeeds). Exclude it and enumerate on; when it

@@ -27,8 +27,12 @@
 // observability work unchanged).
 #pragma once
 
+#include <optional>
+
 #include "atpg/engine.h"
+#include "atpg/cdcl/cnf.h"
 #include "atpg/cdcl/solver.h"
+#include "atpg/tfm.h"
 
 namespace satpg {
 
@@ -66,6 +70,19 @@ class CdclAtpg {
   /// the attempt blocks all of them; each successful block records a
   /// provenance hit against the cube's exporter.
   std::vector<Block> blocking_;
+
+  /// The fault-free one-frame encoding every justify() query starts from:
+  /// built on the attempt's first query, then copied per query, which is
+  /// exactly the solver and CNF a fresh encode would build (DESIGN.md §9).
+  struct JustifyEncoding {
+    explicit JustifyEncoding(const Netlist& nl)
+        : cnf(nl, std::nullopt, 1, &solver) {}
+    CdclSolver solver;
+    TimeFrameCnf cnf;
+  };
+  std::optional<JustifyEncoding> justify_template_;
+  /// Template of justify()'s fault-free one-frame lifting model.
+  std::optional<TimeFrameModel> justify_tfm_;
 };
 
 }  // namespace satpg

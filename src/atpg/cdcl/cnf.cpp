@@ -29,6 +29,7 @@ int TimeFrameCnf::add_xor(CnfLit a, CnfLit b) {
 
 void TimeFrameCnf::encode_gate(GateType t, CnfLit y,
                                const std::vector<CnfLit>& ins) {
+  std::vector<CnfLit>& big = wide_;
   switch (t) {
     case GateType::kBuf:
     case GateType::kOutput:
@@ -40,23 +41,23 @@ void TimeFrameCnf::encode_gate(GateType t, CnfLit y,
     case GateType::kAnd:
     case GateType::kNand: {
       const CnfLit out = t == GateType::kNand ? lit_not(y) : y;
-      std::vector<CnfLit> big{out};
+      big.assign(1, out);
       for (const CnfLit x : ins) {
         solver_->add_clause({lit_not(out), x});
         big.push_back(lit_not(x));
       }
-      solver_->add_clause(std::move(big));
+      solver_->add_clause(big.data(), big.size());
       return;
     }
     case GateType::kOr:
     case GateType::kNor: {
       const CnfLit out = t == GateType::kNor ? lit_not(y) : y;
-      std::vector<CnfLit> big{lit_not(out)};
+      big.assign(1, lit_not(out));
       for (const CnfLit x : ins) {
         solver_->add_clause({out, lit_not(x)});
         big.push_back(x);
       }
-      solver_->add_clause(std::move(big));
+      solver_->add_clause(big.data(), big.size());
       return;
     }
     case GateType::kXor:
@@ -115,14 +116,18 @@ void TimeFrameCnf::encode_rail(int frame, NodeId id, bool faulty_rail) {
         encode_equiv(y, rail_fanin(frame - 1, id, 0, faulty_rail));
       return;
     default: {
-      std::vector<CnfLit> ins;
-      ins.reserve(n.fanins.size());
+      ins_.clear();
       for (std::size_t s = 0; s < n.fanins.size(); ++s)
-        ins.push_back(rail_fanin(frame, id, s, faulty_rail));
-      encode_gate(n.type, y, ins);
+        ins_.push_back(rail_fanin(frame, id, s, faulty_rail));
+      encode_gate(n.type, y, ins_);
       return;
     }
   }
+}
+
+TimeFrameCnf::TimeFrameCnf(const TimeFrameCnf& other, CdclSolver* solver)
+    : TimeFrameCnf(other) {
+  solver_ = solver;
 }
 
 TimeFrameCnf::TimeFrameCnf(const Netlist& nl, std::optional<Fault> fault,
@@ -209,7 +214,7 @@ bool TimeFrameCnf::add_detect_objective(bool include_boundary) {
     }
   }
   if (any.empty()) return false;
-  solver_->add_clause(std::move(any));
+  solver_->add_clause(any.data(), any.size());
   return true;
 }
 
@@ -221,14 +226,15 @@ void TimeFrameCnf::add_justify_target(NodeId ff, bool value) {
 
 bool TimeFrameCnf::block_state_cube(const StateKey& cube) {
   SATPG_DCHECK(cube.size() == nl_.num_dffs());
-  std::vector<CnfLit> clause;
+  std::vector<CnfLit>& clause = wide_;
+  clause.clear();
   for (std::size_t i = 0; i < cube.size(); ++i) {
     const V3 v = cube.get(i);
     if (v == V3::kX) continue;
     clause.push_back(mk_lit(state_var(i), v == V3::kOne));
   }
   if (clause.empty()) return false;
-  solver_->add_clause(std::move(clause));
+  solver_->add_clause(clause.data(), clause.size());
   return true;
 }
 

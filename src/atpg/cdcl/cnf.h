@@ -33,6 +33,11 @@ class TimeFrameCnf {
   /// the fault-free machine — single rail, used by state justification.
   TimeFrameCnf(const Netlist& nl, std::optional<Fault> fault, int frames,
                CdclSolver* solver);
+  /// The encoder of `other`, bound to `solver` — which must be a copy of
+  /// `other`'s solver, so the pair is exactly what a fresh encode into an
+  /// empty solver would build.
+  TimeFrameCnf(const TimeFrameCnf& other, CdclSolver* solver);
+  TimeFrameCnf& operator=(const TimeFrameCnf&) = delete;
 
   const Netlist& netlist() const { return nl_; }
   int num_frames() const { return frames_; }
@@ -75,6 +80,7 @@ class TimeFrameCnf {
   }
 
  private:
+  TimeFrameCnf(const TimeFrameCnf&) = default;
   std::size_t flat(int frame, NodeId node) const {
     return static_cast<std::size_t>(frame) * nl_.num_nodes() +
            static_cast<std::size_t>(node);
@@ -95,6 +101,8 @@ class TimeFrameCnf {
   std::vector<int> faulty_;
   std::vector<char> in_cone_;  ///< per NodeId; empty when fault-free
   int true_var_ = -1;          ///< lazily pinned constant
+  std::vector<CnfLit> ins_;    ///< encode_rail() fan-in scratch
+  std::vector<CnfLit> wide_;   ///< wide-clause scratch
 };
 
 }  // namespace satpg

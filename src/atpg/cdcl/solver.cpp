@@ -1,6 +1,7 @@
 #include "atpg/cdcl/solver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "atpg/capture.h"
 #include "atpg/podem.h"
@@ -12,17 +13,13 @@ namespace satpg {
 
 namespace {
 
-// Logical per-variable footprint: one element in each per-var array plus
-// the two watch-list headers. A compile-time constant, so the byte stream
-// charged for variable allocation is identical on every platform build
-// with the same ABI (and thread-count invariant everywhere).
-constexpr std::uint64_t kVarBytes =
-    sizeof(std::int8_t) +            // assign_
-    2 * sizeof(int) +                // level_, reason_
-    sizeof(double) +                 // activity_
-    3 * sizeof(std::uint8_t) +       // phase_, model_, seen_
-    sizeof(VarTag) +                 // tags_
-    2 * sizeof(std::vector<int>);    // watch-list headers
+// Logical per-variable footprint, a fixed constant so the byte stream
+// charged for variable allocation is identical on every build and does not
+// follow the solver's layout. It is the footprint the charge was defined
+// on: an assignment byte, level and reason (2 x 4), activity (8), phase,
+// model and analyze flags (3 x 1), the VarTag (8) and two 24-byte
+// watch-list headers.
+constexpr std::uint64_t kVarBytes = 76;
 
 // Luby sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 std::uint64_t luby(std::uint64_t i) {
@@ -67,9 +64,10 @@ void CdclSolver::release_mem(std::uint64_t bytes) {
 int CdclSolver::new_var(VarTag tag) {
   const int v = num_vars();
   charge_mem(kVarBytes);
-  assign_.push_back(-1);
+  val_.push_back(-1);
+  val_.push_back(-1);
   level_.push_back(0);
-  reason_.push_back(-1);
+  reason_.push_back(kNoReason);
   activity_.push_back(0.0);
   phase_.push_back(0);
   tags_.push_back(tag);
@@ -80,61 +78,72 @@ int CdclSolver::new_var(VarTag tag) {
   return v;
 }
 
-void CdclSolver::attach(int ci) {
-  const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-  SATPG_DCHECK(c.lits.size() >= 2);
-  watches_[static_cast<std::size_t>(c.lits[0])].push_back(ci);
-  watches_[static_cast<std::size_t>(c.lits[1])].push_back(ci);
+void CdclSolver::attach(int cr) {
+  const CnfLit* c = clause_lits(cr);
+  SATPG_DCHECK(clause_size(cr) >= 2);
+  watches_[static_cast<std::size_t>(c[0])].push_back(cr);
+  watches_[static_cast<std::size_t>(c[1])].push_back(cr);
 }
 
-void CdclSolver::add_clause(std::vector<CnfLit> lits) {
+int CdclSolver::push_clause(const CnfLit* lits, std::size_t n, bool learned,
+                            std::uint32_t lbd) {
+  SATPG_DCHECK(n >= 2);
+  SATPG_CHECK(arena_.size() + kHeaderWords + n <= 0x7fffffffu);
+  const int cr = static_cast<int>(arena_.size());
+  arena_.push_back(static_cast<CnfLit>(n));
+  arena_.push_back(static_cast<CnfLit>(lbd << 2 | (learned ? 1u : 0u)));
+  arena_.insert(arena_.end(), lits, lits + n);
+  charge_mem(clause_bytes(n));
+  attach(cr);
+  return cr;
+}
+
+void CdclSolver::add_clause(const CnfLit* lits, std::size_t n) {
   if (!ok_) return;
   SATPG_DCHECK(decision_level() == 0);
   // Level-0 simplification: drop duplicate and falsified literals, skip
   // satisfied and tautological clauses. Sort first so duplicates and l/¬l
-  // pairs are adjacent (also canonicalizes storage order).
-  std::sort(lits.begin(), lits.end());
-  std::vector<CnfLit> out;
-  out.reserve(lits.size());
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    const CnfLit l = lits[i];
+  // pairs are adjacent (also canonicalizes storage order). The kept
+  // literals are compacted to the front of the scratch buffer.
+  scratch_.assign(lits, lits + n);
+  std::sort(scratch_.begin(), scratch_.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CnfLit l = scratch_[i];
     SATPG_DCHECK(lit_var(l) >= 0 && lit_var(l) < num_vars());
-    if (!out.empty() && out.back() == l) continue;
-    if (!out.empty() && out.back() == lit_not(l)) return;  // tautology
+    if (kept != 0 && scratch_[kept - 1] == l) continue;
+    if (kept != 0 && scratch_[kept - 1] == lit_not(l)) return;  // tautology
     const LBool v = value_of(l);
     if (v == 1 && level_[static_cast<std::size_t>(lit_var(l))] == 0)
       return;  // satisfied at level 0
     if (v == 0 && level_[static_cast<std::size_t>(lit_var(l))] == 0)
       continue;  // falsified at level 0
-    out.push_back(l);
+    scratch_[kept++] = l;
   }
-  if (out.empty()) {
+  if (kept == 0) {
     ok_ = false;
     return;
   }
-  if (out.size() == 1) {
-    if (value_of(out[0]) == 0) {
+  if (kept == 1) {
+    if (value_of(scratch_[0]) == 0) {
       ok_ = false;
       return;
     }
-    if (value_of(out[0]) == -1) enqueue(out[0], -1);
+    if (value_of(scratch_[0]) == -1) enqueue(scratch_[0], kNoReason);
     return;
   }
-  Clause c;
-  c.lits = std::move(out);
-  charge_mem(clause_bytes(c));
-  clauses_.push_back(std::move(c));
-  attach(static_cast<int>(clauses_.size()) - 1);
+  push_clause(scratch_.data(), kept, /*learned=*/false, 0);
 }
 
 void CdclSolver::enqueue(CnfLit l, int reason) {
   const int v = lit_var(l);
-  SATPG_DCHECK(assign_[static_cast<std::size_t>(v)] < 0);
-  assign_[static_cast<std::size_t>(v)] = lit_sign(l) ? 0 : 1;
+  SATPG_DCHECK(value_of(l) < 0);
+  val_[static_cast<std::size_t>(l)] = 1;
+  val_[static_cast<std::size_t>(lit_not(l))] = 0;
   level_[static_cast<std::size_t>(v)] = decision_level();
   reason_[static_cast<std::size_t>(v)] = reason;
   trail_.push_back(l);
-  if (reason >= 0) {
+  if (reason != kNoReason) {
     ++stats_.propagations;
     ++props_uncharged_;
   }
@@ -142,45 +151,50 @@ void CdclSolver::enqueue(CnfLit l, int reason) {
 
 int CdclSolver::propagate() {
   ProfileSpan prof_span(ProfPhase::kCdclPropagate);
+  // Neither the arena nor the value array grows during propagation, so
+  // their base pointers are loaded once.
+  CnfLit* const arena = arena_.data();
+  const LBool* const val = val_.data();
   while (qhead_ < trail_.size()) {
     const CnfLit p = trail_[qhead_++];  // p is now true
-    std::vector<int>& ws = watches_[static_cast<std::size_t>(lit_not(p))];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      const int ci = ws[i];
-      Clause& c = clauses_[static_cast<std::size_t>(ci)];
-      if (c.deleted) continue;  // dropped by reduce_db; shed lazily
-      // Put the false watch at lits[1].
-      const CnfLit false_lit = lit_not(p);
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      SATPG_DCHECK(c.lits[1] == false_lit);
-      if (value_of(c.lits[0]) == 1) {
-        ws[keep++] = ci;  // satisfied; keep watching
+    const CnfLit false_lit = lit_not(p);
+    std::vector<int>& ws = watches_[static_cast<std::size_t>(false_lit)];
+    int* const begin = ws.data();
+    int* const end = begin + ws.size();
+    int* keep = begin;
+    for (int* w = begin; w != end; ++w) {
+      const int cr = *w;
+      CnfLit* const c = arena + cr + kHeaderWords;
+      // Put the false watch at c[1].
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
+      SATPG_DCHECK(c[1] == false_lit);
+      if (val[c[0]] == 1) {
+        *keep++ = cr;  // satisfied; keep watching
         continue;
       }
-      bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value_of(c.lits[k]) != 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<std::size_t>(c.lits[1])].push_back(ci);
-          moved = true;
-          break;
-        }
+      // Migrate the watch to the first non-false literal, if any. The new
+      // watch list is never this one (its literal is not false).
+      CnfLit* const stop = c + arena[cr];
+      CnfLit* k = c + 2;
+      while (k != stop && val[*k] == 0) ++k;
+      if (k != stop) {
+        std::swap(c[1], *k);
+        watches_[static_cast<std::size_t>(c[1])].push_back(cr);
+        continue;
       }
-      if (moved) continue;  // watch migrated; drop from this list
-      ws[keep++] = ci;      // unit or conflicting: watch stays
-      if (value_of(c.lits[0]) == 0) {
+      *keep++ = cr;  // unit or conflicting: watch stays
+      if (val[c[0]] == 0) {
         // Conflict: restore the remaining watchers and report.
-        for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-        ws.resize(keep);
+        keep = std::copy(w + 1, end, keep);
+        ws.resize(static_cast<std::size_t>(keep - begin));
         qhead_ = trail_.size();
-        return ci;
+        return cr;
       }
-      enqueue(c.lits[0], ci);
+      enqueue(c[0], cr);
     }
-    ws.resize(keep);
+    ws.resize(static_cast<std::size_t>(keep - begin));
   }
-  return -1;
+  return kNoReason;
 }
 
 void CdclSolver::bump_var(int v) {
@@ -205,10 +219,12 @@ void CdclSolver::analyze(int confl, std::vector<CnfLit>* learnt,
   int counter = 0;
   CnfLit p = -1;
   std::size_t idx = trail_.size();
-  int ci = confl;
+  int cr = confl;
   do {
-    const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-    for (const CnfLit q : c.lits) {
+    const CnfLit* const c = clause_lits(cr);
+    const std::size_t size = clause_size(cr);
+    for (std::size_t k = 0; k < size; ++k) {
+      const CnfLit q = c[k];
       // Skip the implied literal of a reason clause (p is its negation —
       // the false form headed for the learnt clause).
       if (p >= 0 && q == lit_not(p)) continue;
@@ -227,7 +243,7 @@ void CdclSolver::analyze(int confl, std::vector<CnfLit>* learnt,
     p = lit_not(trail_[idx - 1]);
     --idx;
     seen_[static_cast<std::size_t>(lit_var(p))] = 0;
-    ci = reason_[static_cast<std::size_t>(lit_var(p))];
+    cr = reason_[static_cast<std::size_t>(lit_var(p))];
     --counter;
   } while (counter > 0);
   (*learnt)[0] = p;
@@ -252,55 +268,86 @@ void CdclSolver::cancel_until(int lvl) {
   if (decision_level() <= lvl) return;
   const std::size_t bound = trail_lim_[static_cast<std::size_t>(lvl)];
   for (std::size_t i = trail_.size(); i-- > bound;) {
-    const int v = lit_var(trail_[i]);
-    phase_[static_cast<std::size_t>(v)] =
-        assign_[static_cast<std::size_t>(v)] > 0 ? 1 : 0;
-    assign_[static_cast<std::size_t>(v)] = -1;
-    reason_[static_cast<std::size_t>(v)] = -1;
+    const CnfLit l = trail_[i];
+    const int v = lit_var(l);
+    phase_[static_cast<std::size_t>(v)] = lit_sign(l) ? 0 : 1;
+    val_[static_cast<std::size_t>(l)] = -1;
+    val_[static_cast<std::size_t>(lit_not(l))] = -1;
+    reason_[static_cast<std::size_t>(v)] = kNoReason;
   }
   trail_.resize(bound);
   trail_lim_.resize(static_cast<std::size_t>(lvl));
   qhead_ = trail_.size();
 }
 
-bool CdclSolver::locked(int ci) const {
-  const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-  const int v = lit_var(c.lits[0]);
-  return assign_[static_cast<std::size_t>(v)] >= 0 &&
-         reason_[static_cast<std::size_t>(v)] == ci &&
-         value_of(c.lits[0]) == 1;
+bool CdclSolver::locked(int cr) const {
+  const CnfLit l0 = clause_lits(cr)[0];
+  return reason_[static_cast<std::size_t>(lit_var(l0))] == cr &&
+         value_of(l0) == 1;
 }
 
 void CdclSolver::rebuild_watches() {
   for (auto& w : watches_) w.clear();
-  for (std::size_t ci = 0; ci < clauses_.size(); ++ci)
-    if (!clauses_[ci].deleted) attach(static_cast<int>(ci));
+  for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
+       cr = next_clause(cr))
+    attach(cr);
+}
+
+void CdclSolver::compact_arena() {
+  // Slide the surviving clauses down in order, recording each move; reason
+  // clauses are locked, so they all survive, and offset order stays
+  // creation order.
+  std::vector<std::pair<int, int>> moves;  // (old, new), old ascending
+  std::size_t to = 0;
+  for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();) {
+    const int next = next_clause(cr);
+    if (!clause_deleted(cr)) {
+      const auto from = static_cast<std::size_t>(cr);
+      if (to != from)
+        std::copy(arena_.begin() + static_cast<std::ptrdiff_t>(from),
+                  arena_.begin() + next,
+                  arena_.begin() + static_cast<std::ptrdiff_t>(to));
+      moves.push_back({cr, static_cast<int>(to)});
+      to += static_cast<std::size_t>(next) - from;
+    }
+    cr = next;
+  }
+  arena_.resize(to);
+  for (const CnfLit l : trail_) {
+    int& r = reason_[static_cast<std::size_t>(lit_var(l))];
+    if (r == kNoReason) continue;
+    const auto it = std::lower_bound(
+        moves.begin(), moves.end(), std::make_pair(r, 0));
+    SATPG_DCHECK(it != moves.end() && it->first == r);
+    r = it->second;
+  }
+  rebuild_watches();
 }
 
 void CdclSolver::reduce_db() {
   ProfileSpan prof_span(ProfPhase::kCdclReduceDb);
   // Candidates: learned, not binary, not a reason, LBD above the
-  // keep-forever threshold. Order by (LBD, clause index): older clauses of
-  // equal quality die first — a total order independent of anything but
-  // the clause stream.
+  // keep-forever threshold. Order by (LBD, age): older clauses of equal
+  // quality die first — a total order independent of anything but the
+  // clause stream (offset order is creation order).
   std::vector<int> cand;
-  for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
-    const Clause& c = clauses_[ci];
-    if (!c.learned || c.deleted || c.lits.size() <= 2 || c.lbd <= 2)
+  for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
+       cr = next_clause(cr)) {
+    if (!clause_learned(cr) || clause_size(cr) <= 2 || clause_lbd(cr) <= 2)
       continue;
-    if (locked(static_cast<int>(ci))) continue;
-    cand.push_back(static_cast<int>(ci));
+    if (locked(cr)) continue;
+    cand.push_back(cr);
   }
   std::sort(cand.begin(), cand.end(), [&](int a, int b) {
-    const std::uint32_t la = clauses_[static_cast<std::size_t>(a)].lbd;
-    const std::uint32_t lb = clauses_[static_cast<std::size_t>(b)].lbd;
+    const std::uint32_t la = clause_lbd(a);
+    const std::uint32_t lb = clause_lbd(b);
     if (la != lb) return la > lb;  // worst (highest LBD) first
     return a < b;                  // then oldest first
   });
   const std::size_t kill = cand.size() / 2;
   std::uint64_t reclaimed = 0;
   for (std::size_t i = 0; i < kill; ++i)
-    reclaimed += clause_bytes(clauses_[static_cast<std::size_t>(cand[i])]);
+    reclaimed += clause_bytes(clause_size(cand[i]));
   if (events_ != nullptr) {
     // Snapshot the live learned-clause LBD distribution before the kill —
     // the flight recorder's view of clause-quality at reduction time.
@@ -310,26 +357,21 @@ void CdclSolver::reduce_db() {
     e.a = static_cast<std::int32_t>(kill);
     e.b = static_cast<std::int32_t>(live_learned_ - kill);
     e.bytes = reclaimed;
-    for (const Clause& c : clauses_) {
-      if (!c.learned || c.deleted) continue;
-      const std::size_t bucket =
-          c.lbd < kLbdHistBuckets ? c.lbd : kLbdHistBuckets - 1;
-      ++e.lbd[bucket];
+    for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
+         cr = next_clause(cr)) {
+      if (!clause_learned(cr)) continue;
+      const std::uint32_t lbd = clause_lbd(cr);
+      ++e.lbd[lbd < kLbdHistBuckets ? lbd : kLbdHistBuckets - 1];
     }
     events_->push_back(std::move(e));
   }
   for (std::size_t i = 0; i < kill; ++i) {
-    Clause& c = clauses_[static_cast<std::size_t>(cand[i])];
-    c.deleted = true;
-    // Actually free the literal storage: every later pass skips deleted
-    // clauses before touching lits, and freeing here is what makes the
-    // reclaimed-bytes figure in the kDbReduce event real.
-    std::vector<CnfLit>().swap(c.lits);
+    arena_[static_cast<std::size_t>(cand[i]) + 1] |= 2;  // deleted
     --live_learned_;
     ++stats_.deleted;
   }
   release_mem(reclaimed);
-  rebuild_watches();
+  compact_arena();
   // Under memory pressure (budgeted run within a quarter of its limit),
   // hold the reduction threshold at the base instead of letting the DB
   // grow by another step — graceful degradation before the hard trip.
@@ -341,15 +383,20 @@ void CdclSolver::reduce_db() {
 
 int CdclSolver::pick_branch_var() const {
   // VSIDS-lite: maximum activity, ties broken by LOWEST variable index.
-  // A linear scan keeps the order trivially deterministic; variable counts
-  // here are a few thousand at most.
+  // A linear scan keeps the order trivially deterministic, and it beats a
+  // heap here: these solvers propagate about a hundred literals per
+  // decision, and a heap pays for every one of them (DESIGN.md §9).
+  // Activities are never negative, so -1 stands for "no candidate yet".
+  const LBool* const val = val_.data();
+  const double* const act = activity_.data();
   int best = -1;
+  double best_act = -1.0;
   for (int v = 0; v < num_vars(); ++v) {
-    if (assign_[static_cast<std::size_t>(v)] >= 0) continue;
-    if (best < 0 ||
-        activity_[static_cast<std::size_t>(v)] >
-            activity_[static_cast<std::size_t>(best)])
+    if (val[static_cast<std::size_t>(mk_lit(v))] >= 0) continue;
+    if (act[static_cast<std::size_t>(v)] > best_act) {
       best = v;
+      best_act = act[static_cast<std::size_t>(v)];
+    }
   }
   return best;
 }
@@ -393,18 +440,17 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
     return st;
   };
   if (!ok_) return finish(SolveStatus::kUnsat);
-  if (propagate() >= 0) {
+  if (propagate() != kNoReason) {
     ok_ = false;
     return finish(SolveStatus::kUnsat);
   }
 
   std::uint64_t conflicts_since_restart = 0;
   std::uint64_t restart_limit = luby(stats_.restarts + 1) * kRestartUnit;
-  std::vector<CnfLit> learnt;
 
   for (;;) {
     const int confl = propagate();
-    if (confl >= 0) {
+    if (confl != kNoReason) {
       ++stats_.conflicts;
       bool aborted = false;
       charge_conflict(&aborted);
@@ -414,34 +460,29 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
         return finish(SolveStatus::kUnsat);
       }
       int bt_level = 0;
-      analyze(confl, &learnt, &bt_level);
-      last_learned_ = learnt;
+      analyze(confl, &last_learned_, &bt_level);
+      const std::vector<CnfLit>& learnt = last_learned_;
       if (ring_ != nullptr)
         ring_->push({DecisionEventKind::kBacktrack, 0, decision_level(),
                      -1, stats_.conflicts});
       cancel_until(bt_level);
       ++conflicts_since_restart;
       if (learnt.size() == 1) {
-        enqueue(learnt[0], -1);
+        enqueue(learnt[0], kNoReason);
       } else {
-        Clause c;
-        c.lits = learnt;
-        c.learned = true;
         // LBD = number of distinct decision levels among the literals.
-        std::vector<int> lvls;
-        lvls.reserve(learnt.size());
+        lbd_levels_.clear();
         for (const CnfLit l : learnt)
-          lvls.push_back(level_[static_cast<std::size_t>(lit_var(l))]);
-        std::sort(lvls.begin(), lvls.end());
-        c.lbd = static_cast<std::uint32_t>(
-            std::unique(lvls.begin(), lvls.end()) - lvls.begin());
-        charge_mem(clause_bytes(c));
-        clauses_.push_back(std::move(c));
-        const int ci = static_cast<int>(clauses_.size()) - 1;
-        attach(ci);
+          lbd_levels_.push_back(level_[static_cast<std::size_t>(lit_var(l))]);
+        std::sort(lbd_levels_.begin(), lbd_levels_.end());
+        const auto lbd = static_cast<std::uint32_t>(
+            std::unique(lbd_levels_.begin(), lbd_levels_.end()) -
+            lbd_levels_.begin());
+        const int cr =
+            push_clause(learnt.data(), learnt.size(), /*learned=*/true, lbd);
         ++live_learned_;
         ++stats_.learned;
-        enqueue(learnt[0], ci);
+        enqueue(learnt[0], cr);
       }
       decay_var_inc();
       if (live_learned_ >= reduce_limit_) reduce_db();
@@ -469,15 +510,14 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
       const CnfLit a = assumptions[static_cast<std::size_t>(decision_level())];
       if (value_of(a) == 0) return finish(SolveStatus::kUnsat);
       trail_lim_.push_back(trail_.size());
-      if (value_of(a) == -1) enqueue(a, -1);
+      if (value_of(a) == -1) enqueue(a, kNoReason);
       continue;
     }
 
     const int v = pick_branch_var();
     if (v < 0) {
       for (int u = 0; u < num_vars(); ++u)
-        model_[static_cast<std::size_t>(u)] =
-            assign_[static_cast<std::size_t>(u)] > 0 ? 1 : 0;
+        model_[static_cast<std::size_t>(u)] = value_of(mk_lit(u)) > 0 ? 1 : 0;
       return finish(SolveStatus::kSat);
     }
     ++stats_.decisions;
@@ -493,30 +533,40 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
                    tags_[static_cast<std::size_t>(v)].node,
                    static_cast<std::uint64_t>(v)});
     trail_lim_.push_back(trail_.size());
-    enqueue(l, -1);
+    enqueue(l, kNoReason);
   }
 }
 
 bool CdclSolver::check_watch_invariants() const {
-  // Count watch entries per (clause, literal).
-  std::vector<int> entries(clauses_.size(), 0);
+  // Clause headers in arena order, and watch entries per clause.
+  std::vector<int> heads;
+  for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
+       cr = next_clause(cr)) {
+    if (clause_size(cr) < 2 || clause_deleted(cr)) return false;
+    heads.push_back(cr);
+  }
+  const auto index_of = [&](int cr) -> std::ptrdiff_t {
+    const auto it = std::lower_bound(heads.begin(), heads.end(), cr);
+    if (it == heads.end() || *it != cr) return -1;
+    return it - heads.begin();
+  };
+  std::vector<int> entries(heads.size(), 0);
   for (std::size_t l = 0; l < watches_.size(); ++l) {
-    for (const int ci : watches_[l]) {
-      if (ci < 0 || static_cast<std::size_t>(ci) >= clauses_.size())
-        return false;
-      const Clause& c = clauses_[static_cast<std::size_t>(ci)];
-      if (c.deleted) continue;  // stale entry from lazy detach: tolerated
-      if (c.lits.size() < 2) return false;
-      if (c.lits[0] != static_cast<CnfLit>(l) &&
-          c.lits[1] != static_cast<CnfLit>(l))
+    for (const int cr : watches_[l]) {
+      const std::ptrdiff_t at = index_of(cr);
+      if (at < 0) return false;
+      const CnfLit* c = clause_lits(cr);
+      if (c[0] != static_cast<CnfLit>(l) && c[1] != static_cast<CnfLit>(l))
         return false;  // watched on a non-watch literal
-      ++entries[static_cast<std::size_t>(ci)];
+      ++entries[static_cast<std::size_t>(at)];
     }
   }
-  for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
-    const Clause& c = clauses_[ci];
-    if (c.deleted) continue;
-    if (c.lits.size() >= 2 && entries[ci] != 2) return false;
+  for (const int n : entries)
+    if (n != 2) return false;
+  for (const CnfLit l : trail_) {
+    const int r = reason_[static_cast<std::size_t>(lit_var(l))];
+    if (r != kNoReason && (index_of(r) < 0 || clause_lits(r)[0] != l))
+      return false;
   }
   return true;
 }

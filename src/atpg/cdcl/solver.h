@@ -6,10 +6,19 @@
 // conflict analysis WITHOUT clause minimization (so hand-built conflict
 // graphs in tests predict the learned clause exactly), Luby restarts with
 // a fixed unit of 64 conflicts, and LBD-ordered learned-clause reduction
-// on a fixed arithmetic schedule with a clause-index tie-break. There is
+// on a fixed arithmetic schedule with a clause-age tie-break. There is
 // no randomization anywhere: for a given clause stream the search is a
 // pure function, which is what the byte-identity contract of DESIGN.md §4d
 // and capture/replay (atpg/capture.h) require.
+//
+// Layout: every clause lives in one flat arena — a two-word header (size,
+// then LBD and flags) followed by its literals inline — and watch lists and
+// reasons hold arena offsets. Clauses are appended in creation order and
+// reduction compacts the arena in place without reordering, so offset order
+// is creation order. Values are kept per literal, so a literal's value is
+// one load. Clause intake sorts and simplifies in a reused scratch buffer.
+// A solver is copyable: a copy taken before set_budget() solves exactly as
+// a fresh solver fed the same clause stream would (DESIGN.md §9).
 //
 // Budget integration: when a PodemBudget is attached the solver charges
 // its work through PodemBudget::charge_cdcl — THE one conversion from
@@ -20,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "base/events.h"
@@ -61,19 +71,28 @@ struct VarTag {
 class CdclSolver {
  public:
   CdclSolver() = default;
+  /// Copies the formula, the level-0 trail and the accounted-byte backlog.
+  /// Copy only a solver with no budget attached: the copy then owns its
+  /// backlog, which its own set_budget() moves into a tally.
+  CdclSolver(const CdclSolver&) = default;
+  CdclSolver& operator=(const CdclSolver&) = delete;
   /// Releases every accounted byte back to the attached budget's MemTally
   /// (the tally outlives the solver; attempt-end live bytes return to 0).
   ~CdclSolver();
 
   /// Allocate a fresh variable; returns its index.
   int new_var(VarTag tag = {});
-  int num_vars() const { return static_cast<int>(assign_.size()); }
+  int num_vars() const { return static_cast<int>(level_.size()); }
 
   /// Add a clause over existing variables. May be called before the first
   /// solve() or between solve() calls (incremental blocking clauses). An
   /// empty clause (after level-0 simplification) makes the formula
-  /// permanently unsatisfiable.
-  void add_clause(std::vector<CnfLit> lits);
+  /// permanently unsatisfiable. The literals are copied; `lits` may be
+  /// reused by the caller.
+  void add_clause(const CnfLit* lits, std::size_t n);
+  void add_clause(std::initializer_list<CnfLit> lits) {
+    add_clause(lits.begin(), lits.size());
+  }
 
   /// Solve the current formula. kAborted only when a budget is attached
   /// and it ran out (or its external abort fired). The trail is unwound to
@@ -115,58 +134,81 @@ class CdclSolver {
     return last_learned_;
   }
 
-  /// Watch-list invariant: every live clause of size >= 2 is watched on
-  /// exactly its first two literals, each watch entry names a clause that
-  /// really watches that literal, and no deleted/short clause is watched.
+  /// Watch-list invariant: every clause in the arena is watched on exactly
+  /// its first two literals, each watch entry names a clause header that
+  /// really watches that literal, and every assigned variable's reason is a
+  /// clause header whose first literal is the variable's true literal.
   bool check_watch_invariants() const;
 
  private:
-  struct Clause {
-    std::vector<CnfLit> lits;
-    std::uint32_t lbd = 0;   ///< distinct decision levels at learn time
-    bool learned = false;
-    bool deleted = false;
-  };
-
   using LBool = std::int8_t;  // -1 undef, 0 false, 1 true
-  LBool value_of(CnfLit l) const {
-    const LBool v = assign_[static_cast<std::size_t>(lit_var(l))];
-    if (v < 0) return -1;
-    return lit_sign(l) ? static_cast<LBool>(1 - v) : v;
+  LBool value_of(CnfLit l) const { return val_[static_cast<std::size_t>(l)]; }
+
+  // Clause arena. A clause reference is the offset of its header in
+  // arena_: word 0 holds the literal count, word 1 (lbd << 2 | deleted << 1
+  // | learned), and the literals follow inline.
+  static constexpr std::size_t kHeaderWords = 2;
+  static constexpr int kNoReason = -1;
+  std::size_t clause_size(int cr) const {
+    return static_cast<std::size_t>(arena_[static_cast<std::size_t>(cr)]);
   }
+  std::uint32_t clause_flags(int cr) const {
+    return static_cast<std::uint32_t>(
+        arena_[static_cast<std::size_t>(cr) + 1]);
+  }
+  std::uint32_t clause_lbd(int cr) const { return clause_flags(cr) >> 2; }
+  bool clause_learned(int cr) const { return (clause_flags(cr) & 1u) != 0; }
+  bool clause_deleted(int cr) const { return (clause_flags(cr) & 2u) != 0; }
+  CnfLit* clause_lits(int cr) {
+    return arena_.data() + static_cast<std::size_t>(cr) + kHeaderWords;
+  }
+  const CnfLit* clause_lits(int cr) const {
+    return arena_.data() + static_cast<std::size_t>(cr) + kHeaderWords;
+  }
+  int next_clause(int cr) const {
+    return cr + static_cast<int>(kHeaderWords + clause_size(cr));
+  }
+  /// Appends a clause of >= 2 literals, charges it and attaches its
+  /// watches; returns its reference.
+  int push_clause(const CnfLit* lits, std::size_t n, bool learned,
+                  std::uint32_t lbd);
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
   void enqueue(CnfLit l, int reason);
-  int propagate();  ///< returns conflicting clause index, or -1
-  void attach(int ci);
+  int propagate();  ///< returns the conflicting clause, or kNoReason
+  void attach(int cr);
   void analyze(int confl, std::vector<CnfLit>* learnt, int* bt_level);
   void cancel_until(int level);
   void bump_var(int v);
   void decay_var_inc();
   void reduce_db();
+  /// Drops deleted clauses, sliding the rest down in order; remaps the
+  /// reasons of assigned variables and rebuilds the watch lists.
+  void compact_arena();
   void rebuild_watches();
-  bool locked(int ci) const;
+  bool locked(int cr) const;
   int pick_branch_var() const;  ///< -1 when all assigned
   void charge_conflict(bool* out_abort);
   void publish_progress();
 
   // Deterministic clause-DB byte accounting (base/memstats, subsystem
-  // cdcl_clause_db). Logical footprint only — element counts x element
-  // sizes plus the two watch entries — so the charge stream is a pure
-  // function of the clause stream, never of allocator behaviour.
-  static std::uint64_t clause_bytes(const Clause& c) {
-    return sizeof(Clause) + c.lits.size() * sizeof(CnfLit) +
-           2 * sizeof(int);
+  // cdcl_clause_db). Logical footprint only — a fixed per-clause header
+  // charge plus the literals and the two watch entries — so the charge
+  // stream is a pure function of the clause stream, never of allocator
+  // behaviour or of the clause store's layout (DESIGN.md §11).
+  static constexpr std::uint64_t kClauseHeaderBytes = 32;
+  static std::uint64_t clause_bytes(std::size_t size) {
+    return kClauseHeaderBytes + size * sizeof(CnfLit) + 2 * sizeof(int);
   }
   void charge_mem(std::uint64_t bytes);
   void release_mem(std::uint64_t bytes);
 
   bool ok_ = true;
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<int>> watches_;  ///< per literal: clause indices
-  std::vector<LBool> assign_;              ///< per var
+  std::vector<CnfLit> arena_;
+  std::vector<std::vector<int>> watches_;  ///< per literal: clause refs
+  std::vector<LBool> val_;                 ///< per literal
   std::vector<int> level_;                 ///< per var
-  std::vector<int> reason_;                ///< per var: clause index or -1
+  std::vector<int> reason_;                ///< per var: clause or kNoReason
   std::vector<CnfLit> trail_;
   std::vector<std::size_t> trail_lim_;
   std::size_t qhead_ = 0;
@@ -177,6 +219,8 @@ class CdclSolver {
   std::vector<std::uint8_t> model_;
   std::vector<std::uint8_t> seen_;  ///< analyze() scratch
   std::vector<CnfLit> last_learned_;
+  std::vector<CnfLit> scratch_;  ///< add_clause() intake
+  std::vector<int> lbd_levels_;  ///< LBD scratch
 
   // Deterministic schedules (see DESIGN.md §9): restarts follow
   // luby(i) * kRestartUnit conflicts; the learned DB is reduced whenever

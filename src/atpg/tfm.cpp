@@ -136,8 +136,14 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
   trail_.clear();  // initial state is the baseline; not undoable
 }
 
+TimeFrameModel::TimeFrameModel(Template, const Netlist& nl,
+                               std::optional<Fault> fault, int num_frames)
+    : TimeFrameModel(nl, std::move(fault), num_frames) {
+  template_.set = true;
+}
+
 TimeFrameModel::~TimeFrameModel() {
-  if (evals_ != 0 && metrics_enabled()) {
+  if (evals_ != 0 && !template_.set && metrics_enabled()) {
     static MetricsRegistry::Counter& c =
         MetricsRegistry::global().counter("tfm.evals");
     c.add(evals_);

@@ -59,8 +59,19 @@ class TimeFrameModel {
   /// `fault` absent models the fault-free machine (used by justification).
   TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
                  int num_frames);
+  /// Tag for a template: a model built once and then only copied. A
+  /// template never flushes into the "tfm.evals" registry counter; each
+  /// copy carries the template's evals() and flushes them on destruction,
+  /// so a copy counts exactly as a fresh model would.
+  struct Template {};
+  TimeFrameModel(Template, const Netlist& nl, std::optional<Fault> fault,
+                 int num_frames);
+  /// A copy is never a template, whatever it was copied from.
+  TimeFrameModel(const TimeFrameModel&) = default;
+  TimeFrameModel& operator=(const TimeFrameModel&) = delete;
   /// Flushes this model's eval count into the "tfm.evals" registry counter
-  /// (one bulk add per model, never per evaluation).
+  /// (one bulk add per model, never per evaluation), unless it is a
+  /// template.
   ~TimeFrameModel();
 
   const Netlist& netlist() const { return nl_; }
@@ -180,6 +191,15 @@ class TimeFrameModel {
 
   std::uint64_t evals_ = 0;
   std::uint64_t* external_evals_ = nullptr;
+
+  /// Set only by the Template constructor; copying yields an unset flag.
+  struct TemplateFlag {
+    bool set = false;
+    TemplateFlag() = default;
+    TemplateFlag(const TemplateFlag&) {}
+    TemplateFlag& operator=(const TemplateFlag&) = delete;
+  };
+  TemplateFlag template_;
 };
 
 }  // namespace satpg

@@ -48,27 +48,28 @@ std::vector<std::pair<std::string, int>> table7_ladder() {
 
 Suite::Suite(SuiteOptions opts) : opts_(std::move(opts)) {}
 
+std::string Suite::cache_path(const std::string& name) const {
+  return (std::filesystem::path(opts_.cache_dir) /
+          (name + "_s" + std::to_string(opts_.seed) + "_x" +
+           std::to_string(static_cast<int>(opts_.fsm_scale * 100)) +
+           ".bench"))
+      .string();
+}
+
 std::optional<Netlist> Suite::load_cached(const std::string& name) const {
-  const std::filesystem::path path =
-      std::filesystem::path(opts_.cache_dir) /
-      (name + "_s" + std::to_string(opts_.seed) + "_x" +
-       std::to_string(static_cast<int>(opts_.fsm_scale * 100)) + ".bench");
-  std::ifstream is(path);
+  std::ifstream is(cache_path(name));
   if (!is) return std::nullopt;
   Netlist nl = read_bench(is, name);
   annotate_library(nl);
   return nl;
 }
 
-void Suite::store_cached(const Netlist& nl) const {
+void Suite::store_cached(const std::string& name,
+                         const std::string& bench_text) const {
   std::error_code ec;
   std::filesystem::create_directories(opts_.cache_dir, ec);
-  const std::filesystem::path path =
-      std::filesystem::path(opts_.cache_dir) /
-      (nl.name() + "_s" + std::to_string(opts_.seed) + "_x" +
-       std::to_string(static_cast<int>(opts_.fsm_scale * 100)) + ".bench");
-  std::ofstream os(path);
-  if (os) write_bench(nl, os);
+  std::ofstream os(cache_path(name));
+  if (os) os << bench_text;
 }
 
 Netlist Suite::build_original(const PairSpec& spec) {
@@ -129,8 +130,13 @@ Netlist Suite::circuit(const std::string& name) {
     return std::move(*cached);
   }
   SATPG_LOG(kInfo) << "suite: building " << name;
-  Netlist nl = build(name);
-  store_cached(nl);
+  // Return the netlist exactly as a later cache hit will read it back:
+  // read_bench renumbers nodes, and fault order and the engines' tie-breaks
+  // follow node ids, so a fresh run matches a cached one only this way.
+  const std::string text = write_bench_string(build(name));
+  store_cached(name, text);
+  Netlist nl = read_bench_string(text, name);
+  annotate_library(nl);
   return nl;
 }
 

@@ -8,7 +8,9 @@
 // Synthesis of the larger machines takes tens of seconds, so circuits are
 // cached as .bench files in a cache directory (delay/area annotations are
 // re-derived on load through the library annotator); delete the directory
-// to force a rebuild.
+// to force a rebuild. A freshly built circuit is returned as read back from
+// its .bench text, so a run that builds a circuit and a run that loads it
+// from the cache see the same netlist, node numbering included.
 #pragma once
 
 #include <optional>
@@ -60,8 +62,10 @@ class Suite {
   const SuiteOptions& options() const { return opts_; }
 
  private:
+  std::string cache_path(const std::string& name) const;
   std::optional<Netlist> load_cached(const std::string& name) const;
-  void store_cached(const Netlist& nl) const;
+  void store_cached(const std::string& name,
+                    const std::string& bench_text) const;
   Netlist build(const std::string& name);
   Netlist build_original(const PairSpec& spec);
 

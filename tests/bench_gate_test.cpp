@@ -14,7 +14,8 @@
 //     strictly fewer conflicts than the same run with
 //     --no-shared-learning (the headline benefit of the shared cache);
 //   * the --mem gate passes a fresh run against its golden at the default
-//     ratio and flags the same pair once the ratio is squeezed below 1.
+//     ratio and flags the same pair once the ratio is squeezed below 1;
+//   * both cdcl runs flush exactly their goldens' "tfm.evals" total.
 //
 // Paths are injected by CMake: SATPG_CLI_PATH / BENCH_GATE_PATH are the
 // built tools, SATPG_GOLDEN_DIR the committed reports, SATPG_SMOKE_CIRCUIT
@@ -129,6 +130,21 @@ TEST_F(BenchGateTest, FreshCdclReportsGateCleanlyAgainstGoldens) {
   EXPECT_EQ(run_cmd(sh_quote(BENCH_GATE_PATH) + " " +
                     sh_quote(golden_twin_cdcl_) + " " + sh_quote(twin)),
             0);
+}
+
+// The CDCL engine copies its lifting models from per-window templates;
+// templates never flush into the "tfm.evals" registry counter and every
+// copy does, so the registry total is exactly what a fresh model per lift
+// gave when the goldens were recorded.
+TEST_F(BenchGateTest, CdclRegistryEvalsMatchGoldens) {
+  const std::string parent =
+      fresh_report(SATPG_SMOKE_CIRCUIT, "parent_tfm", "--engine=cdcl");
+  EXPECT_EQ(json_counter(read_file(parent), "tfm.evals"),
+            json_counter(read_file(golden_parent_cdcl_), "tfm.evals"));
+  const std::string twin =
+      fresh_report(make_twin(), "twin_tfm", "--engine=cdcl");
+  EXPECT_EQ(json_counter(read_file(twin), "tfm.evals"),
+            json_counter(read_file(golden_twin_cdcl_), "tfm.evals"));
 }
 
 TEST_F(BenchGateTest, TwinAgainstParentTripsTheEffortThreshold) {

@@ -8,9 +8,13 @@
 // retimed twin (the digest includes per-fault cube provenance), the
 // cube-provenance round-trip (every recorded source names a fault that
 // really exported cubes), and the budget-abort capture/replay regression:
-// a CDCL attempt cut by the eval budget must replay bit-for-bit.
+// a CDCL attempt cut by the eval budget must replay bit-for-bit. The arena
+// solver is checked against a vector-clause reference on seeded random
+// CNFs, and a copied solver + encoder pair against a fresh encode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +26,8 @@
 #include "atpg/cdcl/solver.h"
 #include "atpg/parallel.h"
 #include "atpg/podem.h"
+#include "base/memstats.h"
+#include "base/rng.h"
 #include "fsm/mcnc_suite.h"
 #include "netlist/netlist.h"
 #include "retime/retime.h"
@@ -175,6 +181,472 @@ TEST(CdclSolverTest, FirstUipCutsAtTheDominatorWithLowerLevelContext) {
   EXPECT_EQ(s.solve_under({mk_lit(0), mk_lit(1)}), SolveStatus::kUnsat);
   const std::vector<CnfLit> want{mk_lit(3, true), mk_lit(2, true)};
   EXPECT_EQ(s.last_learned_clause(), want);
+}
+
+Netlist mcnc_circuit(const std::string& name, double scale);
+
+// --- differential: the arena solver against a vector-clause reference -------
+
+// The solver with one std::vector per clause, a per-variable assignment and
+// the linear decision scan — the layout the arena replaced, kept here as the
+// reference the arena solver must match step for step. No budget, ring or
+// event sink: the search itself is what is compared.
+class RefSolver {
+ public:
+  int new_var() {
+    const int v = num_vars();
+    assign_.push_back(-1);
+    level_.push_back(0);
+    reason_.push_back(-1);
+    activity_.push_back(0.0);
+    phase_.push_back(0);
+    model_.push_back(0);
+    seen_.push_back(0);
+    watches_.emplace_back();
+    watches_.emplace_back();
+    return v;
+  }
+  int num_vars() const { return static_cast<int>(assign_.size()); }
+
+  void add_clause(std::vector<CnfLit> lits) {
+    if (!ok_) return;
+    std::sort(lits.begin(), lits.end());
+    std::vector<CnfLit> out;
+    for (const CnfLit l : lits) {
+      if (!out.empty() && out.back() == l) continue;
+      if (!out.empty() && out.back() == lit_not(l)) return;
+      const std::int8_t v = value_of(l);
+      if (v == 1 && level_[idx(lit_var(l))] == 0) return;
+      if (v == 0 && level_[idx(lit_var(l))] == 0) continue;
+      out.push_back(l);
+    }
+    if (out.empty()) {
+      ok_ = false;
+      return;
+    }
+    if (out.size() == 1) {
+      if (value_of(out[0]) == 0) {
+        ok_ = false;
+        return;
+      }
+      if (value_of(out[0]) == -1) enqueue(out[0], -1);
+      return;
+    }
+    Clause c;
+    c.lits = std::move(out);
+    clauses_.push_back(std::move(c));
+    attach(static_cast<int>(clauses_.size()) - 1);
+  }
+
+  SolveStatus solve_under(const std::vector<CnfLit>& assumptions) {
+    const auto finish = [&](SolveStatus st) {
+      cancel_until(0);
+      return st;
+    };
+    if (!ok_) return finish(SolveStatus::kUnsat);
+    if (propagate() >= 0) {
+      ok_ = false;
+      return finish(SolveStatus::kUnsat);
+    }
+    std::uint64_t since_restart = 0;
+    std::uint64_t restart_limit = luby(stats_.restarts + 1) * 64;
+    std::vector<CnfLit> learnt;
+    for (;;) {
+      const int confl = propagate();
+      if (confl >= 0) {
+        ++stats_.conflicts;
+        if (decision_level() == 0) {
+          ok_ = false;
+          return finish(SolveStatus::kUnsat);
+        }
+        int bt_level = 0;
+        analyze(confl, &learnt, &bt_level);
+        last_learned_ = learnt;
+        cancel_until(bt_level);
+        ++since_restart;
+        if (learnt.size() == 1) {
+          enqueue(learnt[0], -1);
+        } else {
+          Clause c;
+          c.lits = learnt;
+          c.learned = true;
+          std::vector<int> lvls;
+          for (const CnfLit l : learnt) lvls.push_back(level_[idx(lit_var(l))]);
+          std::sort(lvls.begin(), lvls.end());
+          c.lbd = static_cast<std::uint32_t>(
+              std::unique(lvls.begin(), lvls.end()) - lvls.begin());
+          clauses_.push_back(std::move(c));
+          const int ci = static_cast<int>(clauses_.size()) - 1;
+          attach(ci);
+          ++live_learned_;
+          ++stats_.learned;
+          enqueue(learnt[0], ci);
+        }
+        var_inc_ *= (1.0 / 0.95);
+        if (live_learned_ >= reduce_limit_) reduce_db();
+        continue;
+      }
+      if (since_restart >= restart_limit) {
+        ++stats_.restarts;
+        since_restart = 0;
+        restart_limit = luby(stats_.restarts + 1) * 64;
+        cancel_until(0);
+        continue;
+      }
+      if (static_cast<std::size_t>(decision_level()) < assumptions.size()) {
+        const CnfLit a = assumptions[idx(decision_level())];
+        if (value_of(a) == 0) return finish(SolveStatus::kUnsat);
+        trail_lim_.push_back(trail_.size());
+        if (value_of(a) == -1) enqueue(a, -1);
+        continue;
+      }
+      int v = -1;
+      for (int u = 0; u < num_vars(); ++u) {
+        if (assign_[idx(u)] >= 0) continue;
+        if (v < 0 || activity_[idx(u)] > activity_[idx(v)]) v = u;
+      }
+      if (v < 0) {
+        for (int u = 0; u < num_vars(); ++u)
+          model_[idx(u)] = assign_[idx(u)] > 0 ? 1 : 0;
+        return finish(SolveStatus::kSat);
+      }
+      ++stats_.decisions;
+      trail_lim_.push_back(trail_.size());
+      enqueue(mk_lit(v, phase_[idx(v)] == 0), -1);
+    }
+  }
+
+  bool model_value(int var) const { return model_[idx(var)] != 0; }
+  const SolverStats& stats() const { return stats_; }
+  const std::vector<CnfLit>& last_learned_clause() const {
+    return last_learned_;
+  }
+
+ private:
+  struct Clause {
+    std::vector<CnfLit> lits;
+    std::uint32_t lbd = 0;
+    bool learned = false;
+    bool deleted = false;
+  };
+  static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
+  static std::uint64_t luby(std::uint64_t i) {
+    std::uint64_t k = 1;
+    while ((1ULL << k) - 1 < i) ++k;
+    while ((1ULL << k) - 1 != i) {
+      i -= (1ULL << (k - 1)) - 1;
+      k = 1;
+      while ((1ULL << k) - 1 < i) ++k;
+    }
+    return 1ULL << (k - 1);
+  }
+  std::int8_t value_of(CnfLit l) const {
+    const std::int8_t v = assign_[idx(lit_var(l))];
+    if (v < 0) return -1;
+    return lit_sign(l) ? static_cast<std::int8_t>(1 - v) : v;
+  }
+  int decision_level() const { return static_cast<int>(trail_lim_.size()); }
+  void attach(int ci) {
+    const Clause& c = clauses_[idx(ci)];
+    watches_[idx(c.lits[0])].push_back(ci);
+    watches_[idx(c.lits[1])].push_back(ci);
+  }
+  void enqueue(CnfLit l, int reason) {
+    const int v = lit_var(l);
+    assign_[idx(v)] = lit_sign(l) ? 0 : 1;
+    level_[idx(v)] = decision_level();
+    reason_[idx(v)] = reason;
+    trail_.push_back(l);
+    if (reason >= 0) ++stats_.propagations;
+  }
+  int propagate() {
+    while (qhead_ < trail_.size()) {
+      const CnfLit p = trail_[qhead_++];
+      std::vector<int>& ws = watches_[idx(lit_not(p))];
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < ws.size(); ++i) {
+        const int ci = ws[i];
+        Clause& c = clauses_[idx(ci)];
+        if (c.deleted) continue;
+        const CnfLit false_lit = lit_not(p);
+        if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
+        if (value_of(c.lits[0]) == 1) {
+          ws[keep++] = ci;
+          continue;
+        }
+        bool moved = false;
+        for (std::size_t k = 2; k < c.lits.size(); ++k) {
+          if (value_of(c.lits[k]) != 0) {
+            std::swap(c.lits[1], c.lits[k]);
+            watches_[idx(c.lits[1])].push_back(ci);
+            moved = true;
+            break;
+          }
+        }
+        if (moved) continue;
+        ws[keep++] = ci;
+        if (value_of(c.lits[0]) == 0) {
+          for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
+          ws.resize(keep);
+          qhead_ = trail_.size();
+          return ci;
+        }
+        enqueue(c.lits[0], ci);
+      }
+      ws.resize(keep);
+    }
+    return -1;
+  }
+  void bump_var(int v) {
+    activity_[idx(v)] += var_inc_;
+    if (activity_[idx(v)] > 1e100) {
+      for (double& a : activity_) a *= 1e-100;
+      var_inc_ *= 1e-100;
+      ++rescales;
+    }
+  }
+  void analyze(int confl, std::vector<CnfLit>* learnt, int* bt_level) {
+    learnt->clear();
+    learnt->push_back(0);
+    int counter = 0;
+    CnfLit p = -1;
+    std::size_t i = trail_.size();
+    int ci = confl;
+    do {
+      for (const CnfLit q : clauses_[idx(ci)].lits) {
+        if (p >= 0 && q == lit_not(p)) continue;
+        const int v = lit_var(q);
+        if (seen_[idx(v)] || level_[idx(v)] == 0) continue;
+        seen_[idx(v)] = 1;
+        bump_var(v);
+        if (level_[idx(v)] >= decision_level())
+          ++counter;
+        else
+          learnt->push_back(q);
+      }
+      while (!seen_[idx(lit_var(trail_[i - 1]))]) --i;
+      p = lit_not(trail_[i - 1]);
+      --i;
+      seen_[idx(lit_var(p))] = 0;
+      ci = reason_[idx(lit_var(p))];
+      --counter;
+    } while (counter > 0);
+    (*learnt)[0] = p;
+    for (std::size_t k = 1; k < learnt->size(); ++k)
+      seen_[idx(lit_var((*learnt)[k]))] = 0;
+    if (learnt->size() == 1) {
+      *bt_level = 0;
+    } else {
+      std::size_t max_i = 1;
+      for (std::size_t k = 2; k < learnt->size(); ++k)
+        if (level_[idx(lit_var((*learnt)[k]))] >
+            level_[idx(lit_var((*learnt)[max_i]))])
+          max_i = k;
+      std::swap((*learnt)[1], (*learnt)[max_i]);
+      *bt_level = level_[idx(lit_var((*learnt)[1]))];
+    }
+  }
+  void cancel_until(int lvl) {
+    if (decision_level() <= lvl) return;
+    const std::size_t bound = trail_lim_[idx(lvl)];
+    for (std::size_t i = trail_.size(); i-- > bound;) {
+      const int v = lit_var(trail_[i]);
+      phase_[idx(v)] = assign_[idx(v)] > 0 ? 1 : 0;
+      assign_[idx(v)] = -1;
+      reason_[idx(v)] = -1;
+    }
+    trail_.resize(bound);
+    trail_lim_.resize(idx(lvl));
+    qhead_ = trail_.size();
+  }
+  bool locked(int ci) const {
+    const Clause& c = clauses_[idx(ci)];
+    const int v = lit_var(c.lits[0]);
+    return assign_[idx(v)] >= 0 && reason_[idx(v)] == ci &&
+           value_of(c.lits[0]) == 1;
+  }
+  void reduce_db() {
+    std::vector<int> cand;
+    for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
+      const Clause& c = clauses_[ci];
+      if (!c.learned || c.deleted || c.lits.size() <= 2 || c.lbd <= 2)
+        continue;
+      if (locked(static_cast<int>(ci))) continue;
+      cand.push_back(static_cast<int>(ci));
+    }
+    std::sort(cand.begin(), cand.end(), [&](int a, int b) {
+      const std::uint32_t la = clauses_[idx(a)].lbd;
+      const std::uint32_t lb = clauses_[idx(b)].lbd;
+      if (la != lb) return la > lb;
+      return a < b;
+    });
+    const std::size_t kill = cand.size() / 2;
+    for (std::size_t i = 0; i < kill; ++i) {
+      Clause& c = clauses_[idx(cand[i])];
+      c.deleted = true;
+      std::vector<CnfLit>().swap(c.lits);
+      --live_learned_;
+      ++stats_.deleted;
+    }
+    for (auto& w : watches_) w.clear();
+    for (std::size_t ci = 0; ci < clauses_.size(); ++ci)
+      if (!clauses_[ci].deleted) attach(static_cast<int>(ci));
+    reduce_limit_ += 500;
+  }
+
+  bool ok_ = true;
+  std::vector<Clause> clauses_;
+  std::vector<std::vector<int>> watches_;
+  std::vector<std::int8_t> assign_;
+  std::vector<int> level_;
+  std::vector<int> reason_;
+  std::vector<CnfLit> trail_;
+  std::vector<std::size_t> trail_lim_;
+  std::size_t qhead_ = 0;
+  std::vector<double> activity_;
+  double var_inc_ = 1.0;
+  std::vector<std::uint8_t> phase_;
+  std::vector<std::uint8_t> model_;
+  std::vector<std::uint8_t> seen_;
+  std::vector<CnfLit> last_learned_;
+  std::size_t reduce_limit_ = 2000;
+  std::size_t live_learned_ = 0;
+  SolverStats stats_;
+
+ public:
+  int rescales = 0;  ///< activity rescales so far (coverage check)
+};
+
+void expect_same_stats(const SolverStats& a, const SolverStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.decisions, b.decisions) << where;
+  EXPECT_EQ(a.propagations, b.propagations) << where;
+  EXPECT_EQ(a.conflicts, b.conflicts) << where;
+  EXPECT_EQ(a.restarts, b.restarts) << where;
+  EXPECT_EQ(a.learned, b.learned) << where;
+  EXPECT_EQ(a.deleted, b.deleted) << where;
+}
+
+// Seeded random 3-CNFs near the satisfiability threshold, fed identically to
+// both solvers: an initial formula, then rounds of solves with and without
+// assumptions, with fresh clauses added between solves. The instances are
+// large enough that the learned DB passes kReduceBase (so the arena is
+// compacted with reasons live) and the activity increment passes 1e100
+// (so the rescale runs).
+TEST(CdclSolverTest, ArenaSolverMatchesVectorClauseReference) {
+  std::uint64_t total_deleted = 0;
+  int total_rescales = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+    const int n = 200;
+    CdclSolver s;
+    RefSolver r;
+    for (int v = 0; v < n; ++v) {
+      ASSERT_EQ(s.new_var(), v);
+      ASSERT_EQ(r.new_var(), v);
+    }
+    const auto random_clause = [&](std::size_t width) {
+      std::vector<CnfLit> c;
+      for (std::size_t k = 0; k < width; ++k)
+        c.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
+                           rng.next_below(2) != 0));
+      return c;
+    };
+    const auto add = [&](const std::vector<CnfLit>& c) {
+      s.add_clause(c.data(), c.size());
+      r.add_clause(c);
+    };
+    for (int i = 0; i < 852; ++i) add(random_clause(3));
+    for (int round = 0; round < 6; ++round) {
+      std::vector<CnfLit> assume;
+      if (round % 2 == 1) {
+        for (std::size_t k = 0; k < 3; ++k)
+          assume.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
+                                  rng.next_below(2) != 0));
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const SolveStatus st = s.solve_under(assume);
+      ASSERT_EQ(st, r.solve_under(assume)) << where;
+      expect_same_stats(s.stats(), r.stats(), where);
+      EXPECT_EQ(s.last_learned_clause(), r.last_learned_clause()) << where;
+      if (st == SolveStatus::kSat) {
+        for (int v = 0; v < n; ++v)
+          ASSERT_EQ(s.model_value(v), r.model_value(v)) << where;
+      }
+      ASSERT_TRUE(s.check_watch_invariants()) << where;
+      for (int i = 0; i < 4; ++i) add(random_clause(2 + rng.next_below(3)));
+    }
+    total_deleted += s.stats().deleted;
+    total_rescales += r.rescales;
+  }
+  EXPECT_GT(total_deleted, 0u) << "no instance reached reduce_db";
+  EXPECT_GT(total_rescales, 0) << "no instance rescaled its activities";
+}
+
+// --- copy of an encoded solver == fresh encode --------------------------------
+
+// A solver + CNF pair copied from a template before any budget is attached
+// must behave exactly like a fresh encode: same search, same model, and the
+// same bytes moved into the tally when the budget attaches.
+TEST(CdclSolverTest, CopiedEncodingSolvesLikeAFreshOne) {
+  const Netlist nl = mcnc_circuit("dk16", 0.35);
+  const auto faults = enumerate_faults(nl);
+  ASSERT_FALSE(faults.empty());
+  int sat_solves = 0;
+  for (std::size_t k = 0; k < 6; ++k) {
+    const Fault fault = faults[(k * 97) % faults.size()];
+    for (const int frames : {1, 3}) {
+      const std::string where =
+          "fault " + std::to_string(k) + " frames " + std::to_string(frames);
+      CdclSolver tmpl_solver;
+      const TimeFrameCnf tmpl(nl, fault, frames, &tmpl_solver);
+
+      // [0] a fresh encode, [1] a copy of the template.
+      std::array<CdclSolver, 2> solvers{CdclSolver(), tmpl_solver};
+      TimeFrameCnf fresh(nl, fault, frames, &solvers[0]);
+      TimeFrameCnf copy(tmpl, &solvers[1]);
+      ASSERT_EQ(copy.footprint_bytes(), fresh.footprint_bytes());
+      ASSERT_EQ(solvers[1].num_vars(), solvers[0].num_vars());
+
+      std::array<MemTally, 2> mem;
+      std::array<PodemBudget, 2> budget;
+      for (std::size_t r = 0; r < 2; ++r) {
+        budget[r].max_evals = 200'000;
+        budget[r].max_backtracks = 2'000;
+        budget[r].mem = &mem[r];
+        solvers[r].set_budget(&budget[r]);
+      }
+      const bool has_objective = fresh.add_detect_objective(false);
+      ASSERT_EQ(copy.add_detect_objective(false), has_objective);
+      if (!has_objective) continue;
+      // Enumerate a few models, blocking each state, so the copies also see
+      // clauses added between solves.
+      for (int round = 0; round < 3; ++round) {
+        const SolveStatus st = solvers[0].solve();
+        ASSERT_EQ(solvers[1].solve(), st) << where;
+        expect_same_stats(solvers[1].stats(), solvers[0].stats(), where);
+        EXPECT_EQ(budget[1].evals, budget[0].evals) << where;
+        EXPECT_EQ(mem[1].live, mem[0].live) << where;
+        EXPECT_EQ(mem[1].peak, mem[0].peak) << where;
+        if (st != SolveStatus::kSat) break;
+        ++sat_solves;
+        for (int v = 0; v < solvers[0].num_vars(); ++v)
+          ASSERT_EQ(solvers[1].model_value(v), solvers[0].model_value(v))
+              << where;
+        std::vector<CnfLit> blk;
+        for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+          blk.push_back(mk_lit(fresh.state_var(i),
+                               solvers[0].model_value(fresh.state_var(i))));
+        if (blk.empty()) break;
+        for (CdclSolver& s : solvers) s.add_clause(blk.data(), blk.size());
+      }
+      for (CdclSolver& s : solvers) EXPECT_TRUE(s.check_watch_invariants());
+      // The template is untouched by its copies' searches.
+      EXPECT_EQ(tmpl_solver.stats().conflicts, 0u);
+    }
+  }
+  EXPECT_GT(sat_solves, 10);
 }
 
 // --- the budget conversion (satellite: budget-counting consistency) ----------

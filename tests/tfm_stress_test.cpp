@@ -3,13 +3,15 @@
 // (fresh model, same assignments) across random assignment/undo schedules,
 // fault types, and window sizes. Also checks the incrementally-maintained
 // D-set against a full rescan, and pins the eval count (the budget
-// currency) to the set of evaluations the model is defined to perform.
+// currency) to the set of evaluations the model is defined to perform. A
+// copy of a template model must behave and count exactly like a fresh one.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
 #include "atpg/tfm.h"
+#include "base/metrics.h"
 #include "base/rng.h"
 #include "fault/fault.h"
 #include "fsm/mcnc_suite.h"
@@ -181,6 +183,91 @@ TEST(TfmEvalContract, EvalsMatchTheChangedFaninSet) {
     }
   }
   EXPECT_GT(checked_assigns, 500u);
+}
+
+// A copy of a template and a fresh model, driven by the same random
+// assign/undo schedule, agree after every step on values, evals(), the
+// D-set and the byte footprint.
+TEST(TfmTemplateCopy, CopyMatchesFreshUnderRandomSchedules) {
+  const Netlist nl = small_machine(9);
+  const auto universe = enumerate_faults(nl);
+  std::vector<std::optional<Fault>> faults = {std::nullopt};
+  for (std::size_t i = 0; i < universe.size(); i += 13)
+    faults.push_back(universe[i]);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    const int frames = 1 + static_cast<int>(fi % 3);
+    const TimeFrameModel tmpl(TimeFrameModel::Template{}, nl, faults[fi],
+                              frames);
+    // Two copies in turn, so a copy is shown not to disturb the template.
+    for (int round = 0; round < 2; ++round) {
+      TimeFrameModel copy(tmpl);
+      TimeFrameModel fresh(nl, faults[fi], frames);
+      ASSERT_EQ(copy.evals(), fresh.evals());
+      ASSERT_EQ(copy.footprint_bytes(), fresh.footprint_bytes());
+      Rng rng(fi * 104729 + static_cast<std::uint64_t>(round));
+      const auto vars = decision_vars(nl, frames);
+      std::vector<std::size_t> marks;
+      for (int step = 0; step < 40; ++step) {
+        if (!marks.empty() && rng.next_bernoulli(0.3)) {
+          const std::size_t k =
+              static_cast<std::size_t>(rng.next_below(marks.size()));
+          copy.undo_to(marks[k]);
+          fresh.undo_to(marks[k]);
+          marks.resize(k);
+        } else {
+          const auto& [t, id] =
+              vars[static_cast<std::size_t>(rng.next_below(vars.size()))];
+          if (fresh.decision_value(t, id) != V3::kX) continue;
+          const V3 v = rng.next_bool() ? V3::kOne : V3::kZero;
+          const std::size_t mark = fresh.assign(t, id, v);
+          ASSERT_EQ(copy.assign(t, id, v), mark);
+          marks.push_back(mark);
+        }
+        expect_models_equal(copy, fresh, nl, frames);
+        ASSERT_EQ(copy.evals(), fresh.evals()) << "step " << step;
+        ASSERT_EQ(copy.d_set(), fresh.d_set()) << "step " << step;
+        ASSERT_EQ(copy.footprint_bytes(), fresh.footprint_bytes());
+      }
+    }
+    EXPECT_EQ(tmpl.trail_mark(), 0u);
+  }
+}
+
+// The "tfm.evals" registry counter sees a copy exactly as it sees a fresh
+// model (its whole evals(), initial settle included), and never sees the
+// template itself.
+TEST(TfmTemplateCopy, RegistryCountsCopiesLikeFreshModels) {
+  const Netlist nl = small_machine(4);
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  MetricsRegistry::Counter& counter =
+      MetricsRegistry::global().counter("tfm.evals");
+  const auto drive = [&](TimeFrameModel& m) {
+    for (const NodeId pi : nl.inputs()) m.assign(0, pi, V3::kOne);
+    for (const NodeId ff : nl.dffs()) m.assign(0, ff, V3::kZero);
+  };
+
+  std::uint64_t fresh_evals = 0;
+  std::uint64_t before = counter.total();
+  {
+    TimeFrameModel fresh(nl, std::nullopt, 2);
+    drive(fresh);
+    fresh_evals = fresh.evals();
+  }
+  EXPECT_EQ(counter.total() - before, fresh_evals);
+
+  before = counter.total();
+  {
+    const TimeFrameModel tmpl(TimeFrameModel::Template{}, nl, std::nullopt,
+                              2);
+    for (int i = 0; i < 3; ++i) {
+      TimeFrameModel copy(tmpl);
+      drive(copy);
+      EXPECT_EQ(copy.evals(), fresh_evals);
+    }
+  }
+  EXPECT_EQ(counter.total() - before, 3 * fresh_evals);
+  set_metrics_enabled(was_enabled);
 }
 
 TEST(TfmFaultKinds, EveryFaultKindInjectsOnFaultyRailOnly) {
