@@ -162,7 +162,6 @@ FfLevel build_ff_level(const Netlist& nl) {
     ff_index[static_cast<std::size_t>(nl.dffs()[i])] = static_cast<int>(i);
     f.ff_node.push_back(nl.dffs()[i]);
   }
-  const auto& fanouts = nl.fanouts();
   for (int i = 0; i < f.num_ffs; ++i) {
     const NodeId q = f.ff_node[static_cast<std::size_t>(i)];
     const NodeId d = nl.node(q).fanins[0];
@@ -183,7 +182,7 @@ FfLevel build_ff_level(const Netlist& nl) {
     while (!stack.empty()) {
       const NodeId u = stack.back();
       stack.pop_back();
-      for (NodeId sx : fanouts[static_cast<std::size_t>(u)]) {
+      for (NodeId sx : nl.fanouts(u)) {
         if (seen[static_cast<std::size_t>(sx)]) continue;
         seen[static_cast<std::size_t>(sx)] = true;
         const auto& n = nl.node(sx);
@@ -210,7 +209,6 @@ FfLevel build_ff_level(const Netlist& nl) {
 // in pathological sharing, never accepts an unroutable one).
 bool verify_cycle_routing(const Netlist& nl, const FfLevel& f,
                           const std::vector<int>& cycle) {
-  const auto& fanouts = nl.fanouts();
   const std::size_t n = cycle.size();
   for (std::size_t rot = 0; rot < std::min<std::size_t>(n, 2); ++rot) {
     std::vector<bool> used(nl.num_nodes(), false);
@@ -235,7 +233,7 @@ bool verify_cycle_routing(const Netlist& nl, const FfLevel& f,
       for (std::size_t head = 0; head < queue.size() && found == kNoNode;
            ++head) {
         const NodeId u = queue[head];
-        for (NodeId sx : fanouts[static_cast<std::size_t>(u)]) {
+        for (NodeId sx : nl.fanouts(u)) {
           if (seen[static_cast<std::size_t>(sx)]) continue;
           const auto& node = nl.node(sx);
           if (!is_combinational(node.type)) continue;

@@ -281,8 +281,7 @@ ReplayResult replay_capture(const Netlist& nl, const SearchCapture& cap) {
   // the identical trajectory through the cut. Deterministic endings
   // (detected/redundant/budget) must reproduce the same stream with no
   // forcing at all.
-  nl.topo_order();
-  nl.fanouts();
+  nl.compiled();
   nl.fanout_cones();
   DecisionRing ring(cap.ring_capacity);
   AtpgEngine engine(nl, cap.options);

@@ -444,8 +444,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
 
   // Build the netlist's lazy caches before workers share it: the const
   // accessors populate mutable caches on first use and must not race.
-  nl.topo_order();
-  nl.fanouts();
+  nl.compiled();
   nl.fanout_cones();
 
   const auto collapsed = collapse_faults(nl);

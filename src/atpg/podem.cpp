@@ -165,11 +165,10 @@ std::optional<Podem::Objective> Podem::pick_objective() const {
   // latest frame and the structurally deepest gate (closest to outputs).
   std::optional<Objective> best;
   int best_frame = -1, best_pos = -1;
-  const auto& pos = tfm_.topo_pos();
-  const auto& fanouts = nl.fanouts();
+  const auto& pos = nl.compiled().topo_pos;
 
   for (const auto& [t, d_node] : tfm_.d_set()) {
-    for (NodeId id : fanouts[static_cast<std::size_t>(d_node)]) {
+    for (NodeId id : nl.fanouts(d_node)) {
       const auto& n = nl.node(id);
       if (!is_combinational(n.type)) continue;
       const V5 out = tfm_.value(t, id);

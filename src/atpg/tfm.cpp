@@ -63,7 +63,10 @@ constexpr RailTable kRailTable = [] {
 
 TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
                                int num_frames)
-    : nl_(nl), fault_(std::move(fault)), num_frames_(num_frames) {
+    : nl_(nl),
+      c_(nl.compiled()),
+      fault_(std::move(fault)),
+      num_frames_(num_frames) {
   SATPG_CHECK(num_frames >= 1);
   const std::size_t n = nl.num_nodes();
   const std::size_t total = static_cast<std::size_t>(num_frames) * n;
@@ -75,54 +78,9 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
     stuck_ = fault_->stuck1 ? V3::kOne : V3::kZero;
   }
 
-  // Compile the live netlist into flat arrays and levelize it.
-  const auto& topo = nl.topo_order();
-  num_live_ = topo.size();
-  type_.assign(n, GateType::kBuf);
-  topo_pos_.assign(n, -1);
-  level_.assign(n, 0);
-  fanin_off_.assign(n + 1, 0);
-  fanout_off_.assign(n + 1, 0);
-  std::uint32_t num_levels = 1;
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    const auto id = static_cast<std::size_t>(topo[i]);
-    const Node& node = nl.node(topo[i]);
-    type_[id] = node.type;
-    topo_pos_[id] = static_cast<int>(i);
-    fanin_off_[id + 1] = static_cast<std::uint32_t>(node.fanins.size());
-    for (NodeId f : node.fanins) ++fanout_off_[static_cast<std::size_t>(f) + 1];
-    if (node.type == GateType::kInput || node.type == GateType::kDff ||
-        node.type == GateType::kConst0 || node.type == GateType::kConst1)
-      continue;
-    std::uint32_t lvl = 0;
-    for (NodeId f : node.fanins)
-      lvl = std::max(lvl, level_[static_cast<std::size_t>(f)]);
-    level_[id] = lvl + 1;
-    num_levels = std::max(num_levels, lvl + 2);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    fanin_off_[i + 1] += fanin_off_[i];
-    fanout_off_[i + 1] += fanout_off_[i];
-  }
-  fanin_.resize(fanin_off_[n]);
-  fanout_.resize(fanout_off_[n]);
-  std::vector<std::uint32_t> fo_fill(fanout_off_.begin(),
-                                     fanout_off_.end() - 1);
-  level_start_.assign(num_levels + 1, 0);
-  for (NodeId id : topo) {
-    const auto u = static_cast<std::size_t>(id);
-    const bool is_dff = type_[u] == GateType::kDff;
-    std::uint32_t k = fanin_off_[u];
-    for (NodeId f : nl.node(id).fanins) {
-      fanin_[k++] = f;
-      fanout_[fo_fill[static_cast<std::size_t>(f)]++] = is_dff ? ~id : id;
-    }
-    ++level_start_[level_[u] + 1];
-  }
-  for (std::uint32_t l = 0; l < num_levels; ++l)
-    level_start_[l + 1] += level_start_[l];
-
-  bucket_.resize(static_cast<std::size_t>(num_frames) * num_live_);
+  const std::size_t num_live = c_.topo.size();
+  const std::size_t num_levels = c_.num_levels();
+  bucket_.resize(static_cast<std::size_t>(num_frames) * num_live);
   fill_.assign(static_cast<std::size_t>(num_frames) * num_levels, 0);
   lo_.assign(static_cast<std::size_t>(num_frames), num_levels);
   hi_.assign(static_cast<std::size_t>(num_frames), 0);
@@ -131,7 +89,7 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
   // Initial full evaluation (everything X, but faulty-rail pins and
   // constants must settle).
   for (int t = 0; t < num_frames_; ++t)
-    for (NodeId id : topo) mark_dirty(t, id);
+    for (NodeId id : c_.topo) mark_dirty(t, id);
   propagate();
   trail_.clear();  // initial state is the baseline; not undoable
 }
@@ -168,17 +126,16 @@ void TimeFrameModel::mark_dirty(int frame, NodeId node) {
   if (in_queue_[idx]) return;
   in_queue_[idx] = 1;
   const auto t = static_cast<std::size_t>(frame);
-  const std::uint32_t l = level_[static_cast<std::size_t>(node)];
-  const std::size_t num_levels = level_start_.size() - 1;
-  bucket_[t * num_live_ + level_start_[l] + fill_[t * num_levels + l]++] =
-      node;
+  const std::uint32_t l = c_.level[static_cast<std::size_t>(node)];
+  bucket_[t * c_.topo.size() + c_.level_start[l] +
+          fill_[t * c_.num_levels() + l]++] = node;
   lo_[t] = std::min(lo_[t], l);
   hi_[t] = std::max(hi_[t], l);
 }
 
 V5 TimeFrameModel::eval(int frame, NodeId node) const {
   const auto u = static_cast<std::size_t>(node);
-  const GateType type = type_[u];
+  const GateType type = c_.type[u];
   V5 v;
   switch (type) {
     case GateType::kInput:
@@ -188,7 +145,7 @@ V5 TimeFrameModel::eval(int frame, NodeId node) const {
       if (frame == 0) {
         v.g = v.f = decisions_[flat(0, node)];
       } else {
-        v = values_[flat(frame - 1, fanin_[fanin_off_[u]])];
+        v = values_[flat(frame - 1, c_.fanin[c_.fanin_off[u]])];
         if (node == fault_node_ && fault_pin_ == 0) v.f = stuck_;  // D pin
       }
       break;
@@ -203,15 +160,15 @@ V5 TimeFrameModel::eval(int frame, NodeId node) const {
       // occur on a rail, and the low value bit accumulates XOR parity. The
       // faulty rail reads the stuck value on a faulted input pin.
       const V5* row = values_.data() + flat(frame, 0);
-      const std::uint32_t begin = fanin_off_[u];
-      const std::uint32_t end = fanin_off_[u + 1];
+      const std::uint32_t begin = c_.fanin_off[u];
+      const std::uint32_t end = c_.fanin_off[u + 1];
       const std::uint32_t pin =
           node == fault_node_ && fault_pin_ >= 0
               ? begin + static_cast<std::uint32_t>(fault_pin_)
               : end;
       unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
       for (std::uint32_t k = begin; k < end; ++k) {
-        const V5 in = row[fanin_[k]];
+        const V5 in = row[c_.fanin[k]];
         const auto g = static_cast<unsigned>(in.g);
         const auto f = static_cast<unsigned>(k == pin ? stuck_ : in.f);
         seen_g |= 1u << g;
@@ -230,11 +187,11 @@ V5 TimeFrameModel::eval(int frame, NodeId node) const {
 }
 
 void TimeFrameModel::propagate() {
-  const std::size_t num_levels = level_start_.size() - 1;
+  const std::size_t num_levels = c_.num_levels();
   std::uint64_t evals = 0;
   for (int t = 0; t < num_frames_; ++t) {
     const auto ut = static_cast<std::size_t>(t);
-    NodeId* bucket = bucket_.data() + ut * num_live_;
+    NodeId* bucket = bucket_.data() + ut * c_.topo.size();
     std::uint32_t* fill = fill_.data() + ut * num_levels;
     // A node dirties only higher levels of this frame, so each level is
     // complete once the sweep reaches it; hi_[t] may grow during the sweep.
@@ -243,19 +200,17 @@ void TimeFrameModel::propagate() {
       fill[l] = 0;
       evals += count;
       for (std::uint32_t i = 0; i < count; ++i) {
-        const NodeId id = bucket[level_start_[l] + i];
+        const NodeId id = bucket[c_.level_start[l] + i];
         const std::size_t idx = flat(t, id);
         in_queue_[idx] = 0;
         const V5 nv = eval(t, id);
         if (nv == values_[idx]) continue;
         set_value(t, id, idx, nv);
-        const auto u = static_cast<std::size_t>(id);
-        for (std::uint32_t k = fanout_off_[u]; k < fanout_off_[u + 1]; ++k) {
-          const NodeId s = fanout_[k];
-          if (s >= 0)
+        for (NodeId s : c_.fanouts(id)) {
+          if (c_.type[static_cast<std::size_t>(s)] != GateType::kDff)
             mark_dirty(t, s);
           else if (t + 1 < num_frames_)
-            mark_dirty(t + 1, ~s);
+            mark_dirty(t + 1, s);  // a FF latches into the next frame
         }
       }
     }
@@ -297,7 +252,7 @@ void TimeFrameModel::undo_to(std::size_t mark) {
 }
 
 bool TimeFrameModel::is_decision_var(int frame, NodeId node) const {
-  const GateType type = type_[static_cast<std::size_t>(node)];
+  const GateType type = c_.type[static_cast<std::size_t>(node)];
   if (type == GateType::kInput) return frame >= 0 && frame < num_frames_;
   if (type == GateType::kDff) return frame == 0;
   return false;
@@ -351,20 +306,18 @@ bool TimeFrameModel::effect_still_possible(bool allow_boundary) const {
   }
 
   // Forward reachability from D nodes through X-capable nodes.
-  const auto& fanouts = nl_.fanouts();
   std::vector<char> seen(values_.size(), 0);
   std::vector<std::pair<int, NodeId>> stack = dset;
   for (const auto& [t, id] : dset) seen[flat(t, id)] = 1;
   while (!stack.empty()) {
     const auto [t, id] = stack.back();
     stack.pop_back();
-    const auto& n = nl_.node(id);
-    if (n.type == GateType::kOutput) return true;  // reachable or already D
+    if (c_.type[static_cast<std::size_t>(id)] == GateType::kOutput)
+      return true;  // reachable or already D
     // Does this node drive a FF into the next frame (or the boundary)?
-    for (NodeId s : fanouts[static_cast<std::size_t>(id)]) {
-      const auto& sn = nl_.node(s);
+    for (NodeId s : c_.fanouts(id)) {
       int nt = t;
-      if (sn.type == GateType::kDff) {
+      if (c_.type[static_cast<std::size_t>(s)] == GateType::kDff) {
         if (t + 1 >= num_frames_) {
           if (allow_boundary) return true;
           continue;

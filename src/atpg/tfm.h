@@ -12,10 +12,11 @@
 // variables (a PI at any frame, or a frame-0 FF), with a trail for O(1)
 // backtracking.
 //
-// Implication is forward event propagation over a flat copy of the netlist
-// (CSR fan-in/fan-out arrays and a gate-type array, built once per model).
-// Each node has a combinational level: PIs, FFs and constants are 0, a gate
-// is one more than its deepest fan-in. Every frame keeps its dirty nodes in
+// Implication is forward event propagation over the netlist's compiled form
+// (Netlist::compiled(): CSR fan-in/fan-out arrays, gate types and levels),
+// which every model of one netlist shares and no copy duplicates. Each
+// node has a combinational level: PIs, FFs and constants are 0, a gate is
+// one more than its deepest fan-in. Every frame keeps its dirty nodes in
 // per-level buckets, and propagate() sweeps the frames in order and each
 // frame's levels upward, folding both rails of a node in one pass over its
 // fan-ins. A changed node dirties only higher levels of its own frame and
@@ -106,13 +107,9 @@ class TimeFrameModel {
   /// dirty-queue heaps they replaced were not.
   std::uint64_t footprint_bytes() const {
     return values_.size() * sizeof(V5) + decisions_.size() * sizeof(V3) +
-           topo_pos_.size() * sizeof(int) + num_live_ * sizeof(NodeId) +
-           in_queue_.size() * sizeof(char);
+           c_.topo_pos.size() * sizeof(int) +
+           c_.topo.size() * sizeof(NodeId) + in_queue_.size() * sizeof(char);
   }
-
-  /// Position of each node in the netlist's topological order (-1 for dead
-  /// nodes).
-  const std::vector<int>& topo_pos() const { return topo_pos_; }
 
   /// Mirror every evaluation into an external counter as well (e.g. the
   /// fault-cumulative PodemBudget::evals, which outlives any one model).
@@ -150,6 +147,7 @@ class TimeFrameModel {
   V5 eval(int frame, NodeId node) const;
 
   const Netlist& nl_;
+  const CompiledNetlist& c_;  ///< nl_.compiled(), shared by every model
   std::optional<Fault> fault_;
   int num_frames_;
   std::vector<V5> values_;
@@ -160,21 +158,9 @@ class TimeFrameModel {
   int fault_pin_ = -1;  ///< -1: stem fault
   V3 stuck_ = V3::kZero;
 
-  // Compiled netlist: gate types, CSR fan-ins, and CSR fan-outs where a FF
-  // sink `s` is stored as ~s (it is dirtied in the next frame).
-  std::vector<GateType> type_;
-  std::vector<std::uint32_t> fanin_off_;
-  std::vector<NodeId> fanin_;
-  std::vector<std::uint32_t> fanout_off_;
-  std::vector<NodeId> fanout_;
-  std::vector<int> topo_pos_;
-  std::size_t num_live_ = 0;
-
-  // Dirty queue. Each frame owns num_live_ bucket slots partitioned by
-  // level (level l owns [level_start_[l], level_start_[l+1])), a fill count
-  // per level, and the range [lo_, hi_] of levels that may be non-empty.
-  std::vector<std::uint32_t> level_;  ///< per node
-  std::vector<std::uint32_t> level_start_;
+  // Dirty queue. Each frame owns one bucket slot per live node,
+  // partitioned by level as c_.level_start says, a fill count per level,
+  // and the range [lo_, hi_] of levels that may be non-empty.
   std::vector<NodeId> bucket_;
   std::vector<std::uint32_t> fill_;  ///< frame * num_levels + level
   std::vector<std::uint32_t> lo_, hi_;

@@ -18,7 +18,6 @@ std::vector<std::vector<int>> ff_dependency_graph(const Netlist& nl) {
     ff_index[static_cast<std::size_t>(nl.dffs()[i])] = static_cast<int>(i);
 
   std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
-  const auto& fanouts = nl.fanouts();
   for (int i = 0; i < n; ++i) {
     std::vector<bool> seen(nl.num_nodes(), false);
     std::vector<NodeId> stack{nl.dffs()[static_cast<std::size_t>(i)]};
@@ -26,7 +25,7 @@ std::vector<std::vector<int>> ff_dependency_graph(const Netlist& nl) {
     while (!stack.empty()) {
       const NodeId u = stack.back();
       stack.pop_back();
-      for (NodeId s : fanouts[static_cast<std::size_t>(u)]) {
+      for (NodeId s : nl.fanouts(u)) {
         if (seen[static_cast<std::size_t>(s)]) continue;
         seen[static_cast<std::size_t>(s)] = true;
         const auto& node = nl.node(s);

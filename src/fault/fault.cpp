@@ -80,7 +80,6 @@ std::vector<CollapsedFault> collapse_faults(const Netlist& nl) {
     if (ia >= 0 && ib >= 0) uf.unite(ia, ib);
   };
 
-  const auto& fanouts = nl.fanouts();
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const NodeId id = static_cast<NodeId>(i);
     const auto& n = nl.node(id);
@@ -114,8 +113,9 @@ std::vector<CollapsedFault> collapse_faults(const Netlist& nl) {
       }
     }
     // Single-fanout stems merge with their unique branch.
-    if (n.type != GateType::kOutput && fanouts[i].size() == 1) {
-      const NodeId sink = fanouts[i][0];
+    const auto fo = nl.fanouts(id);
+    if (n.type != GateType::kOutput && fo.size() == 1) {
+      const NodeId sink = fo[0];
       const auto& s = nl.node(sink);
       for (int pin = 0; pin < static_cast<int>(s.fanins.size()); ++pin) {
         if (s.fanins[static_cast<std::size_t>(pin)] != id) continue;

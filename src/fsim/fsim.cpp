@@ -108,6 +108,7 @@ struct GoodTrace {
 
 void simulate_good(const Netlist& nl, const TestSequence& seq,
                    GoodTrace& trace, StateSet* good_states) {
+  const CompiledNetlist& c = nl.compiled();
   const auto& inputs = nl.inputs();
   const auto& dffs = nl.dffs();
   trace.state.assign(dffs.size(), V3::kX);
@@ -122,14 +123,9 @@ void simulate_good(const Netlist& nl, const TestSequence& seq,
       val[static_cast<std::size_t>(inputs[i])] = pi[i];
     for (std::size_t i = 0; i < dffs.size(); ++i)
       val[static_cast<std::size_t>(dffs[i])] = trace.state[i];
-    for (NodeId id : nl.topo_order()) {
-      const auto& n = nl.node(id);
-      if (is_combinational(n.type))
-        val[static_cast<std::size_t>(id)] =
-            eval_gate_v3(n.type, n.fanins, val);
-      else if (n.type == GateType::kOutput)
-        val[static_cast<std::size_t>(id)] =
-            val[static_cast<std::size_t>(n.fanins[0])];
+    for (NodeId id : c.eval) {
+      const auto u = static_cast<std::size_t>(id);
+      val[u] = eval_gate_v3(c.type[u], c.fanins(id), val);
     }
     // Clock.
     for (std::size_t i = 0; i < dffs.size(); ++i)
@@ -180,12 +176,8 @@ struct FsimArena {
     active.assign(nl.num_nodes(), 0);
     inj_head.assign(nl.num_nodes(), -1);
     inj.reserve(63);
-    std::size_t max_fanins = 1;
-    for (std::size_t i = 0; i < nl.num_nodes(); ++i)
-      max_fanins = std::max(
-          max_fanins, nl.node(static_cast<NodeId>(i)).fanins.size());
-    pv_gather.resize(max_fanins);
-    v3_gather.resize(max_fanins);
+    pv_gather.resize(nl.compiled().max_fanins);
+    v3_gather.resize(nl.compiled().max_fanins);
     cone.resize(nl.num_nodes());
     prepared = true;
   }
@@ -196,10 +188,7 @@ struct FsimArena {
 // is charged this once per simulation call regardless of worker count, so
 // the accounted bytes are thread-count invariant.
 std::uint64_t arena_logical_bytes(const Netlist& nl) {
-  std::size_t max_fanins = 1;
-  for (std::size_t i = 0; i < nl.num_nodes(); ++i)
-    max_fanins =
-        std::max(max_fanins, nl.node(static_cast<NodeId>(i)).fanins.size());
+  const std::size_t max_fanins = nl.compiled().max_fanins;
   return nl.num_nodes() *
              (sizeof(PV) + sizeof(std::uint8_t) + sizeof(std::int32_t)) +
          nl.num_dffs() * sizeof(PV) + 63 * sizeof(FsimArena::Inject) +
@@ -220,6 +209,7 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
                     std::uint8_t* newly_pot) {
   SATPG_DCHECK(batch_size >= 1 && batch_size <= 63);
   a.prepare(nl);
+  const CompiledNetlist& c = nl.compiled();
   const auto& cones = nl.fanout_cones();
   const auto& inputs = nl.inputs();
   const auto& dffs = nl.dffs();
@@ -253,12 +243,8 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
   for (std::size_t i = 0; i < dffs.size(); ++i)
     if (a.cone.get(static_cast<std::size_t>(dffs[i])))
       a.cone_dffs.push_back(static_cast<std::uint32_t>(i));
-  for (NodeId id : nl.topo_order()) {
-    if (!a.cone.get(static_cast<std::size_t>(id))) continue;
-    const auto& n = nl.node(id);
-    if (is_combinational(n.type) || n.type == GateType::kOutput)
-      a.cone_eval.push_back(id);
-  }
+  for (NodeId id : c.eval)
+    if (a.cone.get(static_cast<std::size_t>(id))) a.cone_eval.push_back(id);
   for (NodeId po : nl.outputs())
     if (a.cone.get(static_cast<std::size_t>(po))) a.cone_pos.push_back(po);
 
@@ -302,14 +288,15 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
 
     // Cone gates and PO markers in topological order.
     for (NodeId id : a.cone_eval) {
-      const auto& n = nl.node(id);
       const auto ni = static_cast<std::size_t>(id);
+      const GateType type = c.type[ni];
+      const auto fanins = c.fanins(id);
       const V3 g = gval[ni];
       // Activity check: a gate whose fanins all equal the good machine in
       // every slot and which injects nothing evaluates to the good value.
       bool act = a.inj_head[ni] >= 0;
       if (!act)
-        for (NodeId f : n.fanins) {
+        for (NodeId f : fanins) {
           const auto fi = static_cast<std::size_t>(f);
           if (a.cone.get(fi) && a.active[fi]) {
             act = true;
@@ -323,16 +310,16 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
         continue;
       }
       if (count_metrics) ++gate_evals;
-      const std::size_t nfi = n.fanins.size();
+      const std::size_t nfi = fanins.size();
       for (std::size_t k = 0; k < nfi; ++k) {
-        const auto fi = static_cast<std::size_t>(n.fanins[k]);
+        const auto fi = static_cast<std::size_t>(fanins[k]);
         a.pv_gather[k] =
             a.cone.get(fi) ? a.val[fi] : PV::all(gval[fi]);
       }
-      PV v = eval_gate_pv_packed(n.type, a.pv_gather.data(), nfi);
+      PV v = eval_gate_pv_packed(type, a.pv_gather.data(), nfi);
       for (std::int32_t e = a.inj_head[ni]; e >= 0; e = a.inj[e].next) {
         const auto& j = a.inj[e];
-        if (n.type == GateType::kOutput) {
+        if (type == GateType::kOutput) {
           if (j.pin == 0) v.set_slot(j.slot, forced(j));
         } else if (j.pin < 0) {
           v.set_slot(j.slot, forced(j));
@@ -342,7 +329,7 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
             a.v3_gather[k] = a.pv_gather[k].slot(j.slot);
           a.v3_gather[static_cast<std::size_t>(j.pin)] = forced(j);
           v.set_slot(j.slot,
-                     eval_gate_v3_packed(n.type, a.v3_gather.data(), nfi));
+                     eval_gate_v3_packed(type, a.v3_gather.data(), nfi));
         }
       }
       a.val[ni] = v;
@@ -374,7 +361,7 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
     // Clock the cone's flip-flops (D-pin faults inject here).
     for (std::uint32_t i : a.cone_dffs) {
       const auto id = static_cast<std::size_t>(dffs[i]);
-      const auto d = static_cast<std::size_t>(nl.node(dffs[i]).fanins[0]);
+      const auto d = static_cast<std::size_t>(c.fanins(dffs[i])[0]);
       PV v = a.cone.get(d) ? a.val[d] : PV::all(gval[d]);
       for (std::int32_t e = a.inj_head[id]; e >= 0; e = a.inj[e].next)
         if (a.inj[e].pin == 0) v.set_slot(a.inj[e].slot, forced(a.inj[e]));
@@ -415,7 +402,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
 
   // Build the netlist's lazy caches before workers share it: the const
   // accessors populate mutable caches on first use and must not race.
-  nl.topo_order();
+  nl.compiled();
   if (!faults.empty()) nl.fanout_cones();
 
   const unsigned max_workers = opts.num_threads == 0

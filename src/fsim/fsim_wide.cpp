@@ -5,7 +5,7 @@
 // good masks, then every 63-fault batch is simulated across all lanes at
 // once by a SIMD kernel (wide_scalar/sse2/avx2/avx512.cpp) chosen by a
 // one-time CPUID dispatch. The driver owns everything that is not
-// ISA-sensitive: netlist flattening, cone construction, injection tables,
+// ISA-sensitive: opcode translation, cone construction, injection tables,
 // the thread-pool fan-out, and the merge that maps per-lane detection
 // masks back to per-sequence results.
 //
@@ -95,16 +95,7 @@ bool run_wide_kernel_selftest(SimdTier tier) {
 namespace fsim_wide {
 namespace {
 
-/// Netlist flattened once per run: CSR fanins and the topological
-/// evaluation list translated to kernel opcodes.
-struct Topo {
-  std::vector<std::int32_t> fanin_nodes;
-  std::vector<std::uint32_t> fanin_begin;  ///< per node, size N+1
-  std::vector<std::int32_t> eval_ids;      ///< comb + PO nodes, topo order
-  std::vector<std::uint8_t> eval_ops;      ///< WOp per eval entry
-  std::size_t max_fanins = 1;
-};
-
+/// Kernel opcode of a node the kernel evaluates (a gate or PO marker).
 std::uint8_t wop_of(GateType t) {
   switch (t) {
     case GateType::kConst0:
@@ -135,29 +126,6 @@ std::uint8_t wop_of(GateType t) {
   }
 }
 
-void build_topo(const Netlist& nl, Topo& tp) {
-  const std::size_t n = nl.num_nodes();
-  tp.fanin_begin.assign(n + 1, 0);
-  tp.fanin_nodes.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& fanins = nl.node(static_cast<NodeId>(i)).fanins;
-    tp.fanin_begin[i] = static_cast<std::uint32_t>(tp.fanin_nodes.size());
-    tp.fanin_nodes.insert(tp.fanin_nodes.end(), fanins.begin(),
-                          fanins.end());
-    tp.max_fanins = std::max(tp.max_fanins, fanins.size());
-  }
-  tp.fanin_begin[n] = static_cast<std::uint32_t>(tp.fanin_nodes.size());
-  tp.eval_ids.clear();
-  tp.eval_ops.clear();
-  for (NodeId id : nl.topo_order()) {
-    const auto& node = nl.node(id);
-    if (is_combinational(node.type) || node.type == GateType::kOutput) {
-      tp.eval_ids.push_back(id);
-      tp.eval_ops.push_back(wop_of(node.type));
-    }
-  }
-}
-
 /// Packed good-machine trace of one lane group: one PV pass (slot g =
 /// lane g) over the full netlist per frame, flattened to the per-node
 /// 8-lane 0/1 masks the kernels consume.
@@ -173,6 +141,7 @@ void simulate_group_good(const Netlist& nl,
                          const std::vector<TestSequence>& seqs,
                          std::size_t base, unsigned lanes, GroupGood& gg,
                          StateSet* good_states) {
+  const CompiledNetlist& c = nl.compiled();
   const auto& inputs = nl.inputs();
   const auto& dffs = nl.dffs();
   const std::size_t n = nl.num_nodes();
@@ -205,14 +174,9 @@ void simulate_group_good(const Netlist& nl,
     }
     for (std::size_t i = 0; i < dffs.size(); ++i)
       gg.val[static_cast<std::size_t>(dffs[i])] = gg.state[i];
-    for (NodeId id : nl.topo_order()) {
-      const auto& node = nl.node(id);
-      if (is_combinational(node.type))
-        gg.val[static_cast<std::size_t>(id)] =
-            eval_gate_pv(node.type, node.fanins, gg.val);
-      else if (node.type == GateType::kOutput)
-        gg.val[static_cast<std::size_t>(id)] =
-            gg.val[static_cast<std::size_t>(node.fanins[0])];
+    for (NodeId id : c.eval) {
+      const auto u = static_cast<std::size_t>(id);
+      gg.val[u] = eval_gate_pv(c.type[u], c.fanins(id), gg.val);
     }
     std::uint8_t* zrow = gg.zm.data() + t * n;
     std::uint8_t* orow = gg.om.data() + t * n;
@@ -283,13 +247,13 @@ struct WideArena {
 /// worker count so the accounted bytes are thread-count invariant. The
 /// per-batch id lists are rebuilt in place from prepare()-sized storage
 /// and are covered by the node-indexed terms.
-std::uint64_t wide_logical_bytes(const Netlist& nl, const Topo& tp,
-                                 std::size_t max_frames) {
+std::uint64_t wide_logical_bytes(const Netlist& nl, std::size_t max_frames) {
   const std::uint64_t n = nl.num_nodes();
   const std::uint64_t arena =
       n * (sizeof(PVW) + 2 * sizeof(std::uint8_t) + sizeof(std::int32_t)) +
       nl.num_dffs() * sizeof(PVW) +
-      tp.max_fanins * (sizeof(PVW) + sizeof(const PVW*) + sizeof(V3)) +
+      nl.compiled().max_fanins *
+          (sizeof(PVW) + sizeof(const PVW*) + sizeof(V3)) +
       63 * sizeof(WInject) + (n + 7) / 8;
   const std::uint64_t group = max_frames * (2 * n + 1) +
                               (n + nl.num_dffs()) * sizeof(PV);
@@ -300,7 +264,7 @@ std::uint64_t wide_logical_bytes(const Netlist& nl, const Topo& tp,
 /// kernel over all frames, then unpack the per-fault 8-bit lane masks.
 /// Each batch owns disjoint fault indices, so concurrent batches never
 /// write the same det_lanes/pot_lanes byte.
-void simulate_group_batch(const Netlist& nl, const Topo& tp,
+void simulate_group_batch(const Netlist& nl,
                           const std::vector<Fault>& faults,
                           const std::size_t* batch, std::size_t batch_size,
                           const GroupGood& gg, KernelFn kernel,
@@ -308,7 +272,8 @@ void simulate_group_batch(const Netlist& nl, const Topo& tp,
                           std::uint8_t* det_lanes,
                           std::uint8_t* pot_lanes) {
   SATPG_DCHECK(batch_size >= 1 && batch_size <= 63);
-  a.prepare(nl, tp.max_fanins);
+  const CompiledNetlist& c = nl.compiled();
+  a.prepare(nl, c.max_fanins);
   const auto& cones = nl.fanout_cones();
   const auto& inputs = nl.inputs();
   const auto& dffs = nl.dffs();
@@ -345,13 +310,13 @@ void simulate_group_batch(const Netlist& nl, const Topo& tp,
   for (std::size_t i = 0; i < dffs.size(); ++i)
     if (a.in_cone[static_cast<std::size_t>(dffs[i])]) {
       a.dff_ids.push_back(dffs[i]);
-      a.dff_dnode.push_back(nl.node(dffs[i]).fanins[0]);
+      a.dff_dnode.push_back(c.fanins(dffs[i])[0]);
       a.dff_index.push_back(static_cast<std::int32_t>(i));
     }
-  for (std::size_t e = 0; e < tp.eval_ids.size(); ++e)
-    if (a.in_cone[static_cast<std::size_t>(tp.eval_ids[e])]) {
-      a.eval_ids.push_back(tp.eval_ids[e]);
-      a.eval_ops.push_back(tp.eval_ops[e]);
+  for (NodeId id : c.eval)
+    if (a.in_cone[static_cast<std::size_t>(id)]) {
+      a.eval_ids.push_back(id);
+      a.eval_ops.push_back(wop_of(c.type[static_cast<std::size_t>(id)]));
     }
   for (NodeId po : nl.outputs())
     if (a.in_cone[static_cast<std::size_t>(po)]) a.po_ids.push_back(po);
@@ -361,8 +326,8 @@ void simulate_group_batch(const Netlist& nl, const Topo& tp,
   std::uint64_t activity_skips = 0;
 
   WideView w;
-  w.fanin_nodes = tp.fanin_nodes.data();
-  w.fanin_begin = tp.fanin_begin.data();
+  w.fanin_nodes = c.fanin.data();
+  w.fanin_begin = c.fanin_off.data();
   w.num_nodes = nl.num_nodes();
   w.in_cone = a.in_cone.data();
   w.eval_ids = a.eval_ids.data();
@@ -441,9 +406,6 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
   SATPG_CHECK(kernel != nullptr);
   const ProfPhase kernel_phase = prof_phase_for_wide_kernel(tier);
 
-  Topo tp;
-  build_topo(nl, tp);
-
   // One arena + one group image for the duration of the call (never
   // x workers, never x groups).
   std::uint64_t wide_bytes = 0;
@@ -451,7 +413,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
     std::size_t max_frames = 0;
     for (const auto& s : sequences)
       max_frames = std::max(max_frames, s.size());
-    wide_bytes = wide_logical_bytes(nl, tp, max_frames);
+    wide_bytes = wide_logical_bytes(nl, max_frames);
   }
   const MemRegistryScope lanes_mem(MemSubsystem::kFsimWideLanes, wide_bytes);
 
@@ -495,7 +457,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
       const std::size_t lo = b * 63;
       const std::size_t nb =
           std::min<std::size_t>(63, remaining.size() - lo);
-      simulate_group_batch(nl, tp, faults, remaining.data() + lo, nb, gg,
+      simulate_group_batch(nl, faults, remaining.data() + lo, nb, gg,
                            kernel, kernel_phase, arena, det_lanes.data(),
                            pot_lanes.data());
     };

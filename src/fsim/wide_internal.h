@@ -2,9 +2,10 @@
 // fsim_wide.cpp and the per-tier SIMD kernel translation units
 // (wide_scalar.cpp / wide_sse2.cpp / wide_avx2.cpp / wide_avx512.cpp).
 //
-// Everything that crosses this boundary is plain data: the driver
-// pre-flattens the netlist (CSR fanins, opcode array), the batch (cone
-// membership bytes, injection table, eval/source/PO lists) and the group
+// Everything that crosses this boundary is plain data: the driver hands
+// over the netlist's compiled CSR fan-ins (Netlist::compiled()) as raw
+// pointers, flattens the batch (cone membership bytes, injection table,
+// eval/source/PO lists with gate types translated to opcodes) and the group
 // good-machine trace (per-frame per-node 8-lane 0/1 masks) into raw
 // arrays, and the kernel runs the whole frame loop against them. The
 // kernel TUs are compiled with wider -m flags than the rest of the build,
@@ -54,7 +55,7 @@ struct WInject {
 
 /// Flattened inputs/scratch/outputs of one (group, batch) kernel run.
 struct WideView {
-  // Netlist topology, built once per run and shared read-only.
+  // Netlist topology: the compiled form's CSR fan-ins, shared read-only.
   const std::int32_t* fanin_nodes = nullptr;   ///< CSR fanin ids
   const std::uint32_t* fanin_begin = nullptr;  ///< per node, size N+1
   std::size_t num_nodes = 0;

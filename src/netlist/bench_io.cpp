@@ -16,7 +16,14 @@ namespace {
 struct PendingGate {
   std::string output;
   std::string func;
+  GateType type = GateType::kDff;  ///< parsed `func`; kDff for DFF lines
   std::vector<std::string> args;
+  int line;
+};
+
+/// An INPUT(...) or OUTPUT(...) declaration.
+struct Declared {
+  std::string name;
   int line;
 };
 
@@ -41,7 +48,7 @@ GateType gate_type_from(const std::string& f, int line) {
 
 Netlist read_bench(std::istream& is, const std::string& name) {
   Netlist nl(name);
-  std::vector<std::string> input_names, output_names;
+  std::vector<Declared> input_names, output_names;
   std::vector<PendingGate> gates;
   std::string raw;
   int lineno = 0;
@@ -62,9 +69,9 @@ Netlist read_bench(std::istream& is, const std::string& name) {
     };
 
     if (starts_with(line, "INPUT")) {
-      input_names.push_back(read_parenthesized("INPUT"));
+      input_names.push_back({read_parenthesized("INPUT"), lineno});
     } else if (starts_with(line, "OUTPUT")) {
-      output_names.push_back(read_parenthesized("OUTPUT"));
+      output_names.push_back({read_parenthesized("OUTPUT"), lineno});
     } else {
       const auto eq = line.find('=');
       if (eq == std::string::npos) parse_error(lineno, "expected '='");
@@ -82,6 +89,17 @@ Netlist read_bench(std::istream& is, const std::string& name) {
       for (const auto& a : split(rhs.substr(open + 1, close - open - 1), ','))
         g.args.emplace_back(trim(a));
       if (g.output.empty()) parse_error(lineno, "empty gate output name");
+      for (const auto& a : g.args)
+        if (a.empty()) parse_error(lineno, "empty argument name");
+      if (g.func != "DFF") {
+        g.type = gate_type_from(g.func, lineno);
+        const bool unary =
+            g.type == GateType::kBuf || g.type == GateType::kNot;
+        if (unary && g.args.size() != 1)
+          parse_error(lineno, g.func + " needs exactly one argument");
+        if (!unary && g.args.size() < 2)
+          parse_error(lineno, g.func + " needs at least two arguments");
+      }
       gates.push_back(std::move(g));
     }
   }
@@ -89,7 +107,11 @@ Netlist read_bench(std::istream& is, const std::string& name) {
   // .bench names a *signal*; a signal that is also listed in OUTPUT(...)
   // gets an explicit OUTPUT marker node named "<signal>_po".
   std::map<std::string, NodeId> sig;
-  for (const auto& in : input_names) sig[in] = nl.add_input(in);
+  for (const auto& in : input_names) {
+    if (sig.count(in.name))
+      parse_error(in.line, "signal '" + in.name + "' redefined");
+    sig[in.name] = nl.add_input(in.name);
+  }
 
   // DFFs first so combinational gates can reference FF outputs regardless of
   // declaration order; then iterate gates to fixpoint to tolerate any order.
@@ -111,8 +133,9 @@ Netlist read_bench(std::istream& is, const std::string& name) {
   // allowing references to DFF names via a proxy map resolved at the end.
   // Simpler scheme: create all DFF nodes now fed by a dummy const that we
   // patch afterwards.
+  // '#' starts a comment, so no declared signal can take the dummy's name.
   NodeId dummy = kNoNode;
-  if (!dff_of.empty()) dummy = nl.add_const(false, "__bench_dummy");
+  if (!dff_of.empty()) dummy = nl.add_const(false, "#bench_dummy");
   for (auto& [name_, g] : dff_of)
     sig[name_] = nl.add_dff(name_, dummy, FfInit::kUnknown);
 
@@ -142,16 +165,15 @@ Netlist read_bench(std::istream& is, const std::string& name) {
       }
       if (sig.count(g->output) && sig[g->output] != kNoNode)
         parse_error(g->line, "signal '" + g->output + "' redefined");
-      sig[g->output] =
-          nl.add_gate(gate_type_from(g->func, g->line), g->output,
-                      std::move(fanins));
+      sig[g->output] = nl.add_gate(g->type, g->output, std::move(fanins));
       progress = true;
     }
     todo.swap(next);
   }
   if (!todo.empty())
-    parse_error(todo.front()->line,
-                "unresolved fanin '" + todo.front()->args.front() + "'");
+    for (const auto& a : todo.front()->args)
+      if (auto it = sig.find(a); it == sig.end() || it->second == kNoNode)
+        parse_error(todo.front()->line, "unresolved fanin '" + a + "'");
 
   // Patch DFF D inputs.
   for (const auto& [name_, g] : dff_of) {
@@ -163,10 +185,15 @@ Netlist read_bench(std::istream& is, const std::string& name) {
   if (dummy != kNoNode) nl.kill_node(dummy);
 
   for (const auto& out : output_names) {
-    auto it = sig.find(out);
+    auto it = sig.find(out.name);
     if (it == sig.end())
-      throw std::runtime_error("bench: OUTPUT(" + out + ") never defined");
-    nl.add_output(out + "_po", it->second);
+      throw std::runtime_error("bench: OUTPUT(" + out.name +
+                               ") never defined");
+    if (nl.find(out.name + "_po") != kNoNode)
+      parse_error(out.line, "OUTPUT(" + out.name +
+                                ") repeated, or its marker '" + out.name +
+                                "_po' names a signal");
+    nl.add_output(out.name + "_po", it->second);
   }
   nl.compact();
   if (auto err = nl.validate())

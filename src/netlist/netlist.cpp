@@ -189,67 +189,110 @@ NodeId Netlist::find(const std::string& name) const {
   return it == by_name_.end() ? kNoNode : it->second;
 }
 
-const std::vector<std::vector<NodeId>>& Netlist::fanouts() const {
-  if (!caches_valid_) {
-    fanouts_.assign(nodes_.size(), {});
-    topo_.clear();
-    // fanouts
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const auto& n = nodes_[i];
-      if (n.dead) continue;
-      for (NodeId f : n.fanins)
-        fanouts_[static_cast<std::size_t>(f)].push_back(
-            static_cast<NodeId>(i));
-    }
-    // topo order: Kahn over combinational edges; PIs, consts, DFFs are
-    // sources. DFF and OUTPUT nodes are appended after all comb nodes.
-    std::vector<int> pending(nodes_.size(), 0);
-    std::vector<NodeId> ready;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const auto& n = nodes_[i];
-      if (n.dead) continue;
-      if (n.type == GateType::kInput || n.type == GateType::kDff ||
-          n.type == GateType::kConst0 || n.type == GateType::kConst1) {
-        ready.push_back(static_cast<NodeId>(i));
-      } else {
-        pending[i] = static_cast<int>(n.fanins.size());
-        if (pending[i] == 0) ready.push_back(static_cast<NodeId>(i));
-      }
-    }
-    std::size_t live_count = 0;
-    for (const auto& n : nodes_)
-      if (!n.dead) ++live_count;
-    std::vector<NodeId> tail;  // OUTPUT marker nodes, appended last
-    std::size_t head = 0;
-    while (head < ready.size()) {
-      const NodeId id = ready[head++];
-      const auto& n = nodes_[static_cast<std::size_t>(id)];
-      if (n.type == GateType::kOutput)
-        tail.push_back(id);
-      else
-        topo_.push_back(id);  // DFF/PI/const sources come out first
-      for (NodeId s : fanouts_[static_cast<std::size_t>(id)]) {
-        const auto& sn = nodes_[static_cast<std::size_t>(s)];
-        if (sn.type == GateType::kDff) continue;  // already a source
-        if (--pending[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-      }
-    }
-    for (NodeId id : tail) topo_.push_back(id);
-    SATPG_CHECK_MSG(topo_.size() == live_count,
-                    "combinational cycle detected in netlist");
-    caches_valid_ = true;
-  }
-  return fanouts_;
+namespace {
+
+bool is_source(GateType t) {
+  return t == GateType::kInput || t == GateType::kDff ||
+         t == GateType::kConst0 || t == GateType::kConst1;
 }
 
-const std::vector<NodeId>& Netlist::topo_order() const {
-  fanouts();  // builds both caches
-  return topo_;
+// Flattens `nodes` into `c`, reusing its storage. Returns false when a
+// combinational cycle leaves live nodes unordered.
+bool compile_nodes(const std::vector<Node>& nodes, CompiledNetlist& c) {
+  const std::size_t n = nodes.size();
+  c.type.resize(n);
+  c.fanin_off.assign(n + 1, 0);
+  c.fanout_off.assign(n + 1, 0);
+  c.max_fanins = 1;
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& node = nodes[i];
+    const std::size_t arity = node.dead ? 0 : node.fanins.size();
+    c.type[i] = node.type;
+    c.fanin_off[i + 1] = c.fanin_off[i] + static_cast<std::uint32_t>(arity);
+    c.max_fanins = std::max(c.max_fanins, arity);
+    live += node.dead ? 0 : 1;
+    for (std::size_t k = 0; k < arity; ++k)
+      ++c.fanout_off[static_cast<std::size_t>(node.fanins[k]) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) c.fanout_off[i + 1] += c.fanout_off[i];
+  c.fanin.resize(c.fanin_off[n]);
+  c.fanout.resize(c.fanout_off[n]);
+  // Sinks are visited in ascending id, so every fan-out list comes out
+  // sorted; `cursor` is each list's fill point.
+  std::vector<std::uint32_t> cursor(c.fanout_off.begin(),
+                                    c.fanout_off.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::uint32_t k = c.fanin_off[i]; k < c.fanin_off[i + 1]; ++k) {
+      const NodeId f = nodes[i].fanins[k - c.fanin_off[i]];
+      c.fanin[k] = f;
+      c.fanout[cursor[static_cast<std::size_t>(f)]++] = static_cast<NodeId>(i);
+    }
+
+  // Kahn over combinational edges, with PIs, constants and DFFs as sources
+  // (they come out first) and OUTPUT markers held back to the end. A node
+  // leaves the queue after all its fan-ins, so its level is final there.
+  // `cursor` now counts each node's pending fan-ins.
+  std::vector<NodeId> ready, tail;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (nodes[i].dead) continue;
+    cursor[i] = is_source(c.type[i]) ? 0 : c.fanin_off[i + 1] - c.fanin_off[i];
+    if (cursor[i] == 0) ready.push_back(static_cast<NodeId>(i));
+  }
+  c.topo.clear();
+  c.eval.clear();
+  c.level.assign(n, 0);
+  std::uint32_t num_levels = 1;
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const NodeId id = ready[head];
+    const auto u = static_cast<std::size_t>(id);
+    if (!is_source(c.type[u])) {
+      std::uint32_t lvl = 0;
+      for (NodeId f : c.fanins(id))
+        lvl = std::max(lvl, c.level[static_cast<std::size_t>(f)]);
+      c.level[u] = lvl + 1;
+      num_levels = std::max(num_levels, lvl + 2);
+    }
+    if (c.type[u] == GateType::kOutput) {
+      tail.push_back(id);
+    } else {
+      c.topo.push_back(id);
+      if (c.type[u] != GateType::kInput && c.type[u] != GateType::kDff)
+        c.eval.push_back(id);
+    }
+    for (NodeId s : c.fanouts(id)) {
+      const auto su = static_cast<std::size_t>(s);
+      if (c.type[su] == GateType::kDff) continue;  // already a source
+      if (--cursor[su] == 0) ready.push_back(s);
+    }
+  }
+  c.topo.insert(c.topo.end(), tail.begin(), tail.end());
+  c.eval.insert(c.eval.end(), tail.begin(), tail.end());
+  if (c.topo.size() != live) return false;
+
+  c.topo_pos.assign(n, -1);
+  c.level_start.assign(num_levels + 1, 0);
+  for (std::size_t i = 0; i < c.topo.size(); ++i) {
+    const auto u = static_cast<std::size_t>(c.topo[i]);
+    c.topo_pos[u] = static_cast<int>(i);
+    ++c.level_start[c.level[u] + 1];
+  }
+  for (std::uint32_t l = 0; l < num_levels; ++l)
+    c.level_start[l + 1] += c.level_start[l];
+  return true;
+}
+
+}  // namespace
+
+void Netlist::compile() const {
+  SATPG_CHECK_MSG(compile_nodes(nodes_, compiled_),
+                  "combinational cycle detected in netlist");
+  compiled_valid_ = true;
 }
 
 const std::vector<BitVec>& Netlist::fanout_cones() const {
-  if (!cones_valid_ || !caches_valid_) {
-    const auto& fo = fanouts();
+  if (!cones_valid_ || !compiled_valid_) {
+    const CompiledNetlist& c = compiled();
     cones_.assign(nodes_.size(), BitVec(nodes_.size()));
     // Breadth-first closure per node. The graph is cyclic through DFFs, so
     // a reverse-topological DP would need a fixpoint anyway; direct BFS is
@@ -264,7 +307,7 @@ const std::vector<BitVec>& Netlist::fanout_cones() const {
       while (!work.empty()) {
         const NodeId id = work.back();
         work.pop_back();
-        for (NodeId s : fo[static_cast<std::size_t>(id)]) {
+        for (NodeId s : c.fanouts(id)) {
           if (cone.get(static_cast<std::size_t>(s))) continue;
           cone.set(static_cast<std::size_t>(s), true);
           work.push_back(s);
@@ -308,42 +351,9 @@ std::optional<std::string> Netlist::validate() const {
       if (ft == GateType::kOutput) return n.name + ": fans in from OUTPUT";
     }
   }
-  // Acyclicity: topo_order CHECK-fails on cycles, so probe via a copy of the
-  // same Kahn logic without aborting.
-  std::vector<int> pending(nodes_.size(), 0);
-  std::vector<NodeId> ready;
-  std::size_t live = 0, emitted = 0;
-  std::vector<std::vector<NodeId>> fo(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto& n = nodes_[i];
-    if (n.dead) continue;
-    ++live;
-    for (NodeId f : n.fanins) fo[static_cast<std::size_t>(f)].push_back(
-        static_cast<NodeId>(i));
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto& n = nodes_[i];
-    if (n.dead) continue;
-    if (n.type == GateType::kInput || n.type == GateType::kDff ||
-        n.type == GateType::kConst0 || n.type == GateType::kConst1 ||
-        n.fanins.empty())
-      ready.push_back(static_cast<NodeId>(i));
-    else
-      pending[i] = static_cast<int>(n.fanins.size());
-  }
-  std::size_t head = 0;
-  while (head < ready.size()) {
-    const NodeId id = ready[head++];
-    ++emitted;
-    const auto& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.type == GateType::kOutput) continue;
-    for (NodeId s : fo[static_cast<std::size_t>(id)]) {
-      const auto& sn = nodes_[static_cast<std::size_t>(s)];
-      if (sn.type == GateType::kDff) continue;
-      if (--pending[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-    }
-  }
-  if (emitted != live) return "combinational cycle present";
+  // Acyclicity: compile() CHECK-fails on cycles, so probe a scratch copy.
+  CompiledNetlist probe;
+  if (!compile_nodes(nodes_, probe)) return "combinational cycle present";
   return std::nullopt;
 }
 
@@ -354,7 +364,7 @@ Netlist Netlist::clone(const std::string& new_name) const {
 }
 
 void Netlist::invalidate_caches() const {
-  caches_valid_ = false;
+  compiled_valid_ = false;
   cones_valid_ = false;
 }
 

@@ -15,12 +15,14 @@
 //     1..k fanins.
 //
 // Node ids are dense indices into nodes(); deleted nodes are tombstoned and
-// removed by compact(). Combinational topological order (DFFs and PIs as
-// sources) is computed on demand and cached.
+// removed by compact(). The netlist compiles itself on demand into one flat
+// form (CompiledNetlist: topological order, levels, CSR fan-ins and
+// fan-outs) that every evaluator reads; any mutation drops it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,6 +69,46 @@ struct Node {
   double delay = 1.0;     ///< propagation delay (library units; 0 for DFF/IO)
   double area = 1.0;      ///< area contribution (library units)
   bool dead = false;      ///< tombstone flag (see Netlist::compact)
+};
+
+/// The netlist flattened for evaluation: one topological sort, one
+/// levelization and CSR adjacency, shared read-only by the logic and fault
+/// simulators, the time-frame model and PODEM. Per-node arrays are indexed
+/// by NodeId and cover dead nodes too (no fan-ins, no fan-outs, level 0).
+struct CompiledNetlist {
+  /// Live nodes in Netlist::topo_order() order.
+  std::vector<NodeId> topo;
+  /// Per node: index into `topo`; -1 for dead nodes.
+  std::vector<int> topo_pos;
+  std::vector<GateType> type;
+  /// Per node combinational level: 0 for PIs, FFs and constants; a gate or
+  /// PO marker is one more than its deepest fan-in.
+  std::vector<std::uint32_t> level;
+  /// Live nodes per level, as offsets: level l owns
+  /// [level_start[l], level_start[l+1]). Size num_levels() + 1.
+  std::vector<std::uint32_t> level_start;
+  /// CSR fan-ins in pin order: node i reads fanin[fanin_off[i]..[i+1]).
+  std::vector<std::uint32_t> fanin_off;
+  std::vector<NodeId> fanin;
+  /// CSR fan-outs in ascending sink id; a sink reading a node on k pins is
+  /// listed k times.
+  std::vector<std::uint32_t> fanout_off;
+  std::vector<NodeId> fanout;
+  /// Combinational gates (constants included) and PO markers in
+  /// topological order: what one full simulation sweep evaluates.
+  std::vector<NodeId> eval;
+  /// Largest fan-in count of any node, at least 1.
+  std::size_t max_fanins = 1;
+
+  std::span<const NodeId> fanins(NodeId id) const {
+    const auto u = static_cast<std::size_t>(id);
+    return {fanin.data() + fanin_off[u], fanin_off[u + 1] - fanin_off[u]};
+  }
+  std::span<const NodeId> fanouts(NodeId id) const {
+    const auto u = static_cast<std::size_t>(id);
+    return {fanout.data() + fanout_off[u], fanout_off[u + 1] - fanout_off[u]};
+  }
+  std::size_t num_levels() const { return level_start.size() - 1; }
 };
 
 class Netlist {
@@ -128,8 +170,19 @@ class Netlist {
   /// Lookup by unique name; kNoNode when absent.
   NodeId find(const std::string& name) const;
 
-  /// Fanout lists (node -> nodes that reference it), computed lazily.
-  const std::vector<std::vector<NodeId>>& fanouts() const;
+  /// The compiled form, built on first use after a mutation. Build it
+  /// before threads share the netlist: the first call writes the cache. A
+  /// held reference keeps reading the form it was built as until the next
+  /// compiled() call after a mutation rebuilds it in place.
+  const CompiledNetlist& compiled() const {
+    if (!compiled_valid_) compile();
+    return compiled_;
+  }
+
+  /// Nodes that reference `id`, in ascending id order, with multiplicity.
+  std::span<const NodeId> fanouts(NodeId id) const {
+    return compiled().fanouts(id);
+  }
 
   /// Sequential transitive-fanout cone of every live node: bit j of
   /// fanout_cones()[i] is set when a value change at node i can ever reach
@@ -146,7 +199,7 @@ class Netlist {
   /// all its fanins; OUTPUT marker nodes appear last. A DFF's D fanin
   /// appears *after* the DFF itself — simulators read D when clocking.
   /// CHECK-fails on a combinational cycle.
-  const std::vector<NodeId>& topo_order() const;
+  const std::vector<NodeId>& topo_order() const { return compiled().topo; }
 
   /// Validate structural invariants (arity, name uniqueness, reference
   /// liveness, combinational acyclicity). Returns an error description or
@@ -160,6 +213,7 @@ class Netlist {
   NodeId new_node(GateType t, const std::string& name,
                   std::vector<NodeId> fanins);
   void invalidate_caches() const;
+  void compile() const;
 
   std::string name_;
   std::vector<Node> nodes_;
@@ -168,10 +222,9 @@ class Netlist {
   std::vector<NodeId> dffs_;
   std::unordered_map<std::string, NodeId> by_name_;
 
-  mutable std::vector<std::vector<NodeId>> fanouts_;  // lazy caches
-  mutable std::vector<NodeId> topo_;
+  mutable CompiledNetlist compiled_;  // lazy caches
   mutable std::vector<BitVec> cones_;
-  mutable bool caches_valid_ = false;
+  mutable bool compiled_valid_ = false;
   mutable bool cones_valid_ = false;
 };
 

@@ -469,10 +469,11 @@ void move_forward(Netlist& nl, NodeId gate) {
       if (f == gate) f = q;
   }
 
-  // Old FFs that lost their last reader disappear.
-  const auto& fo = nl.fanouts();
+  // Old FFs that lost their last reader disappear. The fan-outs are read
+  // as they stand before the first kill.
+  const CompiledNetlist& c = nl.compiled();
   for (NodeId f : old_ffs)
-    if (!nl.node(f).dead && fo[static_cast<std::size_t>(f)].empty())
+    if (!nl.node(f).dead && c.fanouts(f).empty())
       nl.kill_node(f);
 }
 
@@ -481,13 +482,13 @@ bool can_move_backward(const Netlist& nl, NodeId gate) {
   if (!is_combinational(n.type) || n.fanins.empty()) return false;
   if (n.type == GateType::kConst0 || n.type == GateType::kConst1)
     return false;
-  const auto& fo = nl.fanouts()[static_cast<std::size_t>(gate)];
+  const auto fo = nl.fanouts(gate);
   return fo.size() == 1 && nl.node(fo[0]).type == GateType::kDff;
 }
 
 void move_backward(Netlist& nl, NodeId gate) {
   SATPG_CHECK(can_move_backward(nl, gate));
-  const NodeId q = nl.fanouts()[static_cast<std::size_t>(gate)][0];
+  const NodeId q = nl.fanouts(gate)[0];
   const auto q_init = nl.node(q).init;
   const auto fanins = nl.node(gate).fanins;
 

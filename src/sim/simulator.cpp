@@ -2,7 +2,7 @@
 
 namespace satpg {
 
-V3 eval_gate_v3(GateType t, const std::vector<NodeId>& fanins,
+V3 eval_gate_v3(GateType t, std::span<const NodeId> fanins,
                 const std::vector<V3>& values) {
   auto in = [&](std::size_t i) {
     return values[static_cast<std::size_t>(fanins[i])];
@@ -13,7 +13,8 @@ V3 eval_gate_v3(GateType t, const std::vector<NodeId>& fanins,
     case GateType::kConst1:
       return V3::kOne;
     case GateType::kBuf:
-      return in(0);
+    case GateType::kOutput:
+      return in(0);  // PO marker pass-through
     case GateType::kNot:
       return v3_not(in(0));
     case GateType::kAnd:
@@ -40,7 +41,7 @@ V3 eval_gate_v3(GateType t, const std::vector<NodeId>& fanins,
   return V3::kX;
 }
 
-PV eval_gate_pv(GateType t, const std::vector<NodeId>& fanins,
+PV eval_gate_pv(GateType t, std::span<const NodeId> fanins,
                 const std::vector<PV>& values) {
   auto in = [&](std::size_t i) {
     return values[static_cast<std::size_t>(fanins[i])];
@@ -51,6 +52,7 @@ PV eval_gate_pv(GateType t, const std::vector<NodeId>& fanins,
     case GateType::kConst1:
       return PV::all(V3::kOne);
     case GateType::kBuf:
+    case GateType::kOutput:
       return in(0);
     case GateType::kNot:
       return pv_not(in(0));
@@ -154,7 +156,7 @@ SeqSimulator::SeqSimulator(const Netlist& nl)
     : nl_(nl),
       state_(nl.num_dffs(), V3::kX),
       values_(nl.num_nodes(), V3::kX) {
-  nl.topo_order();  // pre-build caches so step() never mutates them
+  nl.compiled();  // pre-build the cache so step() never mutates it
   reset_to_init();
 }
 
@@ -195,14 +197,10 @@ void SeqSimulator::evaluate(const std::vector<V3>& pi) {
   const auto& dffs = nl_.dffs();
   for (std::size_t i = 0; i < dffs.size(); ++i)
     values_[static_cast<std::size_t>(dffs[i])] = state_[i];
-  for (NodeId id : nl_.topo_order()) {
-    const auto& n = nl_.node(id);
-    if (is_combinational(n.type))
-      values_[static_cast<std::size_t>(id)] =
-          eval_gate_v3(n.type, n.fanins, values_);
-    else if (n.type == GateType::kOutput)
-      values_[static_cast<std::size_t>(id)] =
-          values_[static_cast<std::size_t>(n.fanins[0])];
+  const CompiledNetlist& c = nl_.compiled();
+  for (NodeId id : c.eval) {
+    const auto u = static_cast<std::size_t>(id);
+    values_[u] = eval_gate_v3(c.type[u], c.fanins(id), values_);
   }
 }
 

@@ -8,6 +8,7 @@
 // throughput actually matters.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,13 @@
 
 namespace satpg {
 
-/// Evaluate one combinational gate over V3 fanin values.
-V3 eval_gate_v3(GateType t, const std::vector<NodeId>& fanins,
+/// Evaluate one combinational gate (or pass a PO marker's fanin through)
+/// over V3 fanin values.
+V3 eval_gate_v3(GateType t, std::span<const NodeId> fanins,
                 const std::vector<V3>& values);
 
-/// Evaluate one combinational gate over PV fanin values.
-PV eval_gate_pv(GateType t, const std::vector<NodeId>& fanins,
+/// Evaluate one combinational gate or PO marker over PV fanin values.
+PV eval_gate_pv(GateType t, std::span<const NodeId> fanins,
                 const std::vector<PV>& values);
 
 /// Evaluate over already-gathered fanin values (`vals[0..n)` in pin

@@ -193,7 +193,10 @@ void decompose_wide(Netlist& nl, bool area_mode) {
 // ---- pass 3: NAND/NOR merging ----------------------------------------------
 
 void merge_inverters(Netlist& nl) {
-  const auto& fo = nl.fanouts();
+  // Fan-outs as they stand at the start of the pass: merging below
+  // mutates the netlist, but the held form is not rebuilt until the next
+  // compiled() call.
+  const CompiledNetlist& c = nl.compiled();
   const std::size_t count = nl.num_nodes();
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId id = static_cast<NodeId>(i);
@@ -203,7 +206,7 @@ void merge_inverters(Netlist& nl) {
     const auto& s = nl.node(src);
     if (s.dead) continue;
     // Merge only when the inverter is the AND/OR's sole fanout.
-    if (fo[static_cast<std::size_t>(src)].size() != 1) continue;
+    if (c.fanouts(src).size() != 1) continue;
     if (s.type == GateType::kAnd) {
       auto fanins = s.fanins;
       auto& m = nl.node_mut(id);
@@ -250,7 +253,6 @@ void sweep_dead(Netlist& nl) {
   bool changed = true;
   while (changed) {
     changed = false;
-    const auto& fo = nl.fanouts();
     std::vector<NodeId> dead;
     for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
       const NodeId id = static_cast<NodeId>(i);
@@ -259,7 +261,7 @@ void sweep_dead(Netlist& nl) {
       if (n.type == GateType::kInput || n.type == GateType::kOutput ||
           n.type == GateType::kDff)
         continue;
-      if (fo[i].empty()) dead.push_back(id);
+      if (nl.fanouts(id).empty()) dead.push_back(id);
     }
     for (NodeId id : dead) {
       nl.kill_node(id);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "netlist/bench_io.h"
 #include "netlist/netlist.h"
@@ -64,14 +68,160 @@ TEST(NetlistTest, TopoOrderRespectsDependencies) {
 
 TEST(NetlistTest, FanoutsAreInverseOfFanins) {
   const Netlist nl = make_counter();
-  const auto& fo = nl.fanouts();
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     for (NodeId f : nl.node(static_cast<NodeId>(i)).fanins) {
-      const auto& lst = fo[static_cast<std::size_t>(f)];
+      const auto lst = nl.fanouts(f);
       EXPECT_NE(std::find(lst.begin(), lst.end(), static_cast<NodeId>(i)),
                 lst.end());
     }
   }
+}
+
+// Checks every array of nl.compiled() against a recomputation straight from
+// the nodes' fan-in lists.
+void expect_compiled_matches(const Netlist& nl) {
+  const CompiledNetlist& c = nl.compiled();
+  const std::size_t n = nl.num_nodes();
+  ASSERT_EQ(c.type.size(), n);
+  ASSERT_EQ(c.topo_pos.size(), n);
+  ASSERT_EQ(c.level.size(), n);
+  EXPECT_EQ(&nl.topo_order(), &c.topo);
+
+  // Positions invert the order, which lists every live node once.
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& node = nl.node(static_cast<NodeId>(i));
+    EXPECT_EQ(c.type[i], node.type);
+    if (node.dead) {
+      EXPECT_EQ(c.topo_pos[i], -1);
+      EXPECT_TRUE(c.fanins(static_cast<NodeId>(i)).empty());
+      continue;
+    }
+    ++live;
+    ASSERT_GE(c.topo_pos[i], 0);
+    EXPECT_EQ(c.topo[static_cast<std::size_t>(c.topo_pos[i])],
+              static_cast<NodeId>(i));
+  }
+  EXPECT_EQ(c.topo.size(), live);
+
+  // Fan-ins in pin order; fan-outs their inverse in ascending sink id, one
+  // entry per reading pin.
+  std::vector<std::vector<NodeId>> fanouts(n);
+  std::size_t max_fanins = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& fanins = nl.node(static_cast<NodeId>(i)).fanins;
+    const auto got = c.fanins(static_cast<NodeId>(i));
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), fanins);
+    max_fanins = std::max(max_fanins, fanins.size());
+    for (NodeId f : fanins)
+      fanouts[static_cast<std::size_t>(f)].push_back(static_cast<NodeId>(i));
+  }
+  EXPECT_EQ(c.max_fanins, max_fanins);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto got = nl.fanouts(static_cast<NodeId>(i));
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), fanouts[i])
+        << "fanouts of node " << i;
+  }
+
+  // Levels by memoized recursion over combinational fan-ins, independent of
+  // the order; then the per-level bucket offsets and the evaluation list.
+  std::vector<int> level(n, -1);
+  auto level_of = [&](auto&& self, NodeId id) -> int {
+    auto& l = level[static_cast<std::size_t>(id)];
+    if (l >= 0) return l;
+    const Node& node = nl.node(id);
+    l = 0;
+    if (is_combinational(node.type) || node.type == GateType::kOutput)
+      for (NodeId f : node.fanins) l = std::max(l, self(self, f) + 1);
+    return l;
+  };
+  std::vector<std::uint32_t> per_level;
+  for (NodeId id : c.topo) {
+    const int l = level_of(level_of, id);
+    EXPECT_EQ(c.level[static_cast<std::size_t>(id)],
+              static_cast<std::uint32_t>(l));
+    if (per_level.size() <= static_cast<std::size_t>(l))
+      per_level.resize(static_cast<std::size_t>(l) + 1, 0);
+    ++per_level[static_cast<std::size_t>(l)];
+  }
+  if (per_level.empty()) per_level.push_back(0);
+  ASSERT_EQ(c.num_levels(), per_level.size());
+  EXPECT_EQ(c.level_start.front(), 0u);
+  for (std::size_t l = 0; l < per_level.size(); ++l)
+    EXPECT_EQ(c.level_start[l + 1] - c.level_start[l], per_level[l]);
+
+  std::vector<NodeId> eval;
+  for (NodeId id : c.topo)
+    if (is_combinational(nl.node(id).type) ||
+        nl.node(id).type == GateType::kOutput)
+      eval.push_back(id);
+  EXPECT_EQ(c.eval, eval);
+}
+
+TEST(NetlistTest, CompiledFormMatchesRandomNetlists) {
+  const GateType kinds[] = {GateType::kBuf, GateType::kNot, GateType::kAnd,
+                            GateType::kNand, GateType::kOr, GateType::kNor,
+                            GateType::kXor, GateType::kXnor};
+  std::mt19937 rng(17);
+  // Names are "<index><kind>"; appending rather than prepending the kind
+  // keeps GCC 12's -Wrestrict false positive on string operator+ quiet.
+  for (int trial = 0; trial < 25; ++trial) {
+    Netlist nl(std::to_string(trial) + "rand");
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 3; ++i)
+      pool.push_back(nl.add_input(std::to_string(i) + "i"));
+    std::vector<NodeId> ffs;
+    for (int i = 0; i < 3; ++i)
+      ffs.push_back(nl.add_dff(std::to_string(i) + "q", pool[0],
+                               FfInit::kUnknown));
+    pool.insert(pool.end(), ffs.begin(), ffs.end());
+    pool.push_back(nl.add_const(trial % 2 == 0, "k"));
+    for (int g = 0; g < 30; ++g) {
+      const GateType t = kinds[rng() % std::size(kinds)];
+      const std::size_t arity =
+          t == GateType::kBuf || t == GateType::kNot ? 1 : 2 + rng() % 3;
+      std::vector<NodeId> fanins;
+      for (std::size_t k = 0; k < arity; ++k)  // repeats are allowed
+        fanins.push_back(pool[rng() % pool.size()]);
+      pool.push_back(nl.add_gate(t, std::to_string(g) + "g", fanins));
+    }
+    for (NodeId q : ffs) nl.set_fanin(q, 0, pool[rng() % pool.size()]);
+    for (int o = 0; o < 2; ++o)
+      nl.add_output(std::to_string(o) + "o", pool[rng() % pool.size()]);
+    ASSERT_EQ(nl.validate(), std::nullopt);
+    expect_compiled_matches(nl);
+  }
+}
+
+TEST(NetlistTest, CompiledFormIsRebuiltAfterEachMutator) {
+  Netlist nl = make_counter();
+  expect_compiled_matches(nl);
+  const NodeId en = nl.find("en"), q0 = nl.find("q0"), q1 = nl.find("q1");
+
+  const NodeId extra = nl.add_gate(GateType::kOr, "extra", {q1, en, q1});
+  expect_compiled_matches(nl);
+  EXPECT_EQ(nl.compiled().max_fanins, 3u);
+
+  nl.set_fanin(nl.find("both"), 1, extra);
+  expect_compiled_matches(nl);
+
+  nl.replace_uses(q1, q0);
+  expect_compiled_matches(nl);
+  EXPECT_TRUE(nl.fanouts(q1).empty());
+
+  Node& carry = nl.node_mut(nl.find("carry"));
+  carry.type = GateType::kNand;
+  carry.fanins.push_back(extra);
+  expect_compiled_matches(nl);
+  EXPECT_EQ(nl.compiled().type[static_cast<std::size_t>(nl.find("carry"))],
+            GateType::kNand);
+
+  nl.kill_node(nl.find("d1"));
+  nl.kill_node(q1);
+  expect_compiled_matches(nl);
+  nl.compact();
+  expect_compiled_matches(nl);
+  EXPECT_EQ(nl.validate(), std::nullopt);
 }
 
 TEST(NetlistTest, KillAndCompact) {
@@ -181,6 +331,48 @@ TEST(BenchIoTest, RejectsMalformedInput) {
                std::runtime_error);
   EXPECT_THROW(read_bench_string("INPUT(a)\nG1 = AND(a, missing)\n", "x"),
                std::runtime_error);
+  // Wrong gate arity, repeated declarations and a PO marker name clash are
+  // parse errors too, not aborts.
+  EXPECT_THROW(read_bench_string("INPUT(a)\nz = AND(a)\n", "x"),
+               std::runtime_error);
+  EXPECT_THROW(read_bench_string("INPUT(a)\nz = NOT(a, a)\n", "x"),
+               std::runtime_error);
+  EXPECT_THROW(read_bench_string("INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "x"),
+               std::runtime_error);
+  EXPECT_THROW(read_bench_string(
+                   "INPUT(a)\nOUTPUT(z)\nOUTPUT(z)\nz = NOT(a)\n", "x"),
+               std::runtime_error);
+  EXPECT_THROW(
+      read_bench_string(
+          "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz_po = BUF(a)\n", "x"),
+      std::runtime_error);
+  EXPECT_THROW(read_bench_string("INPUT(a)\nz = AND()\n", "x"),
+               std::runtime_error);
+}
+
+// The placeholder that feeds flip-flops while the reader resolves their D
+// inputs must not collide with a declared signal.
+TEST(BenchIoTest, AcceptsSignalNamedLikeTheDffPlaceholder) {
+  const Netlist nl = read_bench_string(
+      "INPUT(__bench_dummy)\nOUTPUT(z)\nq = DFF(z)\n"
+      "z = AND(q, __bench_dummy)\n",
+      "x");
+  EXPECT_EQ(nl.validate(), std::nullopt);
+  EXPECT_EQ(nl.num_dffs(), 1u);
+  EXPECT_NE(nl.find("__bench_dummy"), kNoNode);
+}
+
+// The message carries the line number and the argument that does not
+// resolve, not merely the first one.
+TEST(BenchIoTest, UnresolvedFaninNamesTheMissingSignal) {
+  try {
+    read_bench_string("INPUT(a)\n\nz = AND(a, q)\n", "x");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'q'"), std::string::npos) << msg;
+  }
 }
 
 TEST(BenchIoTest, RejectsRedefinedSignal) {
