@@ -184,8 +184,10 @@ void write_fsim_bench_json() {
     double seconds = 0.0;
     std::size_t detected = 0;
     std::uint64_t peak_bytes = 0;  ///< accounted arena/lane peak (memstats)
-    std::uint64_t span_task_ns = 0;  ///< profiled pass: span task-clock
-    std::uint64_t span_cycles = 0;   ///< profiled pass: span cycles (perf)
+    /// Profiled pass, root fold (fsim.run on the calling thread plus
+    /// pool.task on the workers): task-clock, and cycles under perf.
+    std::uint64_t span_task_ns = 0;
+    std::uint64_t span_cycles = 0;
   };
   std::vector<Row> rows;
   rows.push_back({"baseline64", FsimEngine::kBaseline64, SimdTier::kAuto});

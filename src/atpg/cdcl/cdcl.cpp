@@ -8,6 +8,7 @@
 #include "atpg/cdcl/cnf.h"
 #include "atpg/tfm.h"
 #include "base/memstats.h"
+#include "base/profiler.h"
 
 namespace satpg {
 
@@ -18,6 +19,50 @@ namespace {
 constexpr std::uint8_t kObjDetect = 0;
 constexpr std::uint8_t kObjDetectOrStore = 1;
 constexpr std::uint8_t kObjJustify = 2;
+
+/// A SAT model lifted to 3-valued form: the window's input vectors and
+/// the frame-0 flip-flops the objective still needs.
+struct LiftedModel {
+  std::vector<std::vector<V3>> inputs;
+  std::vector<std::pair<NodeId, V3>> cube;
+};
+
+/// Lift a model of `cnf`, shared by the justify and window queries: the
+/// model's inputs of the first `frames` frames are assigned on `tfm`, then,
+/// greedily in dffs() order, a flip-flop is dropped when assigning every
+/// other still-kept flip-flop's model value leaves `holds()` true.
+template <class Holds>
+LiftedModel lift_model(const Netlist& nl, const CdclSolver& solver,
+                       const TimeFrameCnf& cnf, int frames,
+                       TimeFrameModel& tfm, Holds holds) {
+  PhaseSpan span(ProfPhase::kCdclLift);
+  LiftedModel out;
+  out.inputs.assign(static_cast<std::size_t>(frames),
+                    std::vector<V3>(nl.num_inputs(), V3::kX));
+  for (int t = 0; t < frames; ++t)
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      const NodeId pi = nl.inputs()[i];
+      const V3 v = solver.model_value(cnf.good(t, pi)) ? V3::kOne : V3::kZero;
+      out.inputs[static_cast<std::size_t>(t)][i] = v;
+      tfm.assign(t, pi, v);
+    }
+  const std::size_t pi_mark = tfm.trail_mark();
+  const std::size_t n = nl.num_dffs();
+  std::vector<V3> sv(n);
+  for (std::size_t i = 0; i < n; ++i)
+    sv[i] = solver.model_value(cnf.state_var(i)) ? V3::kOne : V3::kZero;
+  std::vector<char> kept(n, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      if (kept[j] && j != i) tfm.assign(0, nl.dffs()[j], sv[j]);
+    const bool held = holds();
+    tfm.undo_to(pi_mark);
+    if (held) kept[i] = 0;
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (kept[i]) out.cube.push_back({nl.dffs()[i], sv[i]});
+  return out;
+}
 
 }  // namespace
 
@@ -261,8 +306,7 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
     }
     // Lift the model to a 3-valued (previous-state, input) pair: keep the
     // model's inputs, drop every flip-flop whose value the targets don't
-    // need. Greedy in dffs() order, checked on the good rail of the TFM.
-    std::vector<V3> vec(e_.nl_.num_inputs(), V3::kX);
+    // need, checked on the good rail of the TFM.
     if (!justify_tfm_)
       justify_tfm_.emplace(TimeFrameModel::Template{}, e_.nl_, std::nullopt,
                            1);
@@ -270,32 +314,11 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
     const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                            tfm.footprint_bytes());
     tfm.attach_eval_counter(&budget.evals);
-    for (std::size_t i = 0; i < e_.nl_.inputs().size(); ++i) {
-      const NodeId pi = e_.nl_.inputs()[i];
-      vec[i] = solver.model_value(cnf.good(0, pi)) ? V3::kOne : V3::kZero;
-      tfm.assign(0, pi, vec[i]);
-    }
-    const std::size_t pi_mark = tfm.trail_mark();
-    const std::size_t n = e_.nl_.num_dffs();
-    std::vector<V3> sv(n);
-    for (std::size_t i = 0; i < n; ++i)
-      sv[i] = solver.model_value(cnf.state_var(i)) ? V3::kOne : V3::kZero;
-    std::vector<char> kept(n, 1);
-    const auto targets_met = [&] {
+    auto [inputs, prev_cube] = lift_model(e_.nl_, solver, cnf, 1, tfm, [&] {
       for (const auto& [ff, v] : cube)
         if (tfm.value(0, e_.nl_.node(ff).fanins[0]).g != v) return false;
       return true;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j)
-        if (kept[j] && j != i) tfm.assign(0, e_.nl_.dffs()[j], sv[j]);
-      const bool met = targets_met();
-      tfm.undo_to(pi_mark);
-      if (met) kept[i] = 0;
-    }
-    std::vector<std::pair<NodeId, V3>> prev_cube;
-    for (std::size_t i = 0; i < n; ++i)
-      if (kept[i]) prev_cube.push_back({e_.nl_.dffs()[i], sv[i]});
+    });
     commit_spend();
 
     auto sub = justify(prev_cube, depth + 1, on_path, budget);
@@ -305,7 +328,7 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
     if (sub.status == JustifyOutcome::Status::kJustified) {
       out.status = JustifyOutcome::Status::kJustified;
       out.prefix = std::move(sub.prefix);
-      out.prefix.push_back(std::move(vec));
+      out.prefix.push_back(std::move(inputs[0]));
       break;
     }
     if (sub.status == JustifyOutcome::Status::kFailed) {
@@ -490,11 +513,8 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
       }
       if (st == SolveStatus::kUnsat) break;  // widen the window
       // Extract the window's input vectors and lift the frame-0 state:
-      // drop every flip-flop the detection doesn't need, greedily in
-      // dffs() order, re-checked on the dual-rail model.
-      std::vector<std::vector<V3>> window(
-          static_cast<std::size_t>(frames),
-          std::vector<V3>(e_.nl_.num_inputs(), V3::kX));
+      // drop every flip-flop the detection doesn't need, re-checked on the
+      // dual-rail model.
       if (!lift_template)
         lift_template.emplace(TimeFrameModel::Template{}, e_.nl_, fault,
                               frames);
@@ -502,30 +522,9 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
       const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                              tfm.footprint_bytes());
       tfm.attach_eval_counter(&budget.evals);
-      for (int t = 0; t < frames; ++t)
-        for (std::size_t i = 0; i < e_.nl_.inputs().size(); ++i) {
-          const NodeId pi = e_.nl_.inputs()[i];
-          const V3 v =
-              solver.model_value(cnf.good(t, pi)) ? V3::kOne : V3::kZero;
-          window[static_cast<std::size_t>(t)][i] = v;
-          tfm.assign(t, pi, v);
-        }
-      const std::size_t pi_mark = tfm.trail_mark();
-      const std::size_t n = e_.nl_.num_dffs();
-      std::vector<V3> sv(n);
-      for (std::size_t i = 0; i < n; ++i)
-        sv[i] = solver.model_value(cnf.state_var(i)) ? V3::kOne : V3::kZero;
-      std::vector<char> kept(n, 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j)
-          if (kept[j] && j != i) tfm.assign(0, e_.nl_.dffs()[j], sv[j]);
-        const bool det = tfm.detected_at_po();
-        tfm.undo_to(pi_mark);
-        if (det) kept[i] = 0;
-      }
-      std::vector<std::pair<NodeId, V3>> cube;
-      for (std::size_t i = 0; i < n; ++i)
-        if (kept[i]) cube.push_back({e_.nl_.dffs()[i], sv[i]});
+      const auto [window, cube] =
+          lift_model(e_.nl_, solver, cnf, frames, tfm,
+                     [&] { return tfm.detected_at_po(); });
 
       StateSet on_path;
       auto just = justify(cube, 0, on_path, budget);
@@ -555,7 +554,7 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
             const int var = cnf.good(t, e_.nl_.inputs()[i]);
             blk.push_back(mk_lit(var, solver.model_value(var)));
           }
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < e_.nl_.num_dffs(); ++i)
           blk.push_back(mk_lit(cnf.state_var(i),
                                solver.model_value(cnf.state_var(i))));
         solver.add_clause(blk.data(), blk.size());

@@ -1,6 +1,7 @@
 #include "atpg/cdcl/cnf.h"
 
 #include "base/check.h"
+#include "base/profiler.h"
 
 namespace satpg {
 
@@ -133,6 +134,7 @@ TimeFrameCnf::TimeFrameCnf(const TimeFrameCnf& other, CdclSolver* solver)
 TimeFrameCnf::TimeFrameCnf(const Netlist& nl, std::optional<Fault> fault,
                            int frames, CdclSolver* solver)
     : nl_(nl), fault_(std::move(fault)), frames_(frames), solver_(solver) {
+  PhaseSpan span(ProfPhase::kCdclEncode);
   SATPG_CHECK(frames_ >= 1);
   const std::size_t total =
       static_cast<std::size_t>(frames_) * nl_.num_nodes();

@@ -150,7 +150,7 @@ void CdclSolver::enqueue(CnfLit l, int reason) {
 }
 
 int CdclSolver::propagate() {
-  ProfileSpan prof_span(ProfPhase::kCdclPropagate);
+  PhaseSpan prof_span(ProfPhase::kCdclPropagate);
   // Neither the arena nor the value array grows during propagation, so
   // their base pointers are loaded once.
   CnfLit* const arena = arena_.data();
@@ -209,7 +209,7 @@ void CdclSolver::decay_var_inc() { var_inc_ *= (1.0 / 0.95); }
 
 void CdclSolver::analyze(int confl, std::vector<CnfLit>* learnt,
                          int* bt_level) {
-  ProfileSpan prof_span(ProfPhase::kCdclAnalyze);
+  PhaseSpan prof_span(ProfPhase::kCdclAnalyze);
   // Standard first-UIP resolution walk over the implication graph, with no
   // clause minimization afterwards: the result is exactly the asserting
   // clause the textbook construction yields, which the hand-built conflict
@@ -325,7 +325,7 @@ void CdclSolver::compact_arena() {
 }
 
 void CdclSolver::reduce_db() {
-  ProfileSpan prof_span(ProfPhase::kCdclReduceDb);
+  PhaseSpan prof_span(ProfPhase::kCdclReduceDb);
   // Candidates: learned, not binary, not a reason, LBD above the
   // keep-forever threshold. Order by (LBD, age): older clauses of equal
   // quality die first — a total order independent of anything but the

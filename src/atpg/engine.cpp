@@ -59,7 +59,7 @@ AtpgEngine::JustifyOutcome AtpgEngine::justify(
   if (cube.empty()) return {true, {}};
   // Span only the outermost call: justification recurses through nested
   // frames, and a span per level would double-count every inner cycle.
-  std::optional<ProfileSpan> prof_span;
+  std::optional<PhaseSpan> prof_span;
   if (depth == 0) prof_span.emplace(ProfPhase::kPodemJustify);
   if (progress_ != nullptr)
     progress_->phase.store(static_cast<std::uint32_t>(SearchPhase::kJustify),

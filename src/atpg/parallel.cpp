@@ -13,7 +13,6 @@
 #include "base/profiler.h"
 #include "base/strutil.h"
 #include "base/threadpool.h"
-#include "base/trace.h"
 
 namespace satpg {
 
@@ -522,7 +521,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
       make_random_sequences(nl, opts.run.random_sequences,
                             opts.run.random_length, opts.run.seed);
   if (!random_seqs.empty()) {
-    TraceSpan span("atpg.random_phase");
+    PhaseSpan span(ProfPhase::kAtpgRandomPhase);
     const auto fr =
         run_fault_simulation(nl, faults, random_seqs, opts.run.fsim);
     std::vector<int> seq_test_index(random_seqs.size(), -1);
@@ -556,7 +555,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
   // attribution buckets are as thread-count invariant as the search stats.
   StateValidityOracle oracle;
   if (opts.run.attribute_effort) {
-    TraceSpan oracle_span("atpg.oracle_build");
+    PhaseSpan oracle_span(ProfPhase::kAtpgOracleBuild);
     set_phase(RunPhase::kOracle);
     oracle = StateValidityOracle::build(nl);
     run.oracle = oracle.info();
@@ -649,7 +648,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
         round_mem_limited[k] = requeued[todo[k]] ? 0 : 1;
 
     const auto run_unit = [&](std::size_t u, unsigned w) {
-      TraceSpan span("atpg.unit", "atpg");
+      PhaseSpan span(ProfPhase::kAtpgUnit);
       const std::size_t lo = u * kUnitSize;
       const std::size_t n = std::min(kUnitSize, round_faults - lo);
       UnitOutcome& out = outcome[u];
@@ -730,8 +729,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
     }
 
     // ---- merge barrier: unit order, fault order within a unit ----
-    TraceSpan merge_span("atpg.merge", "atpg");
-    ProfileSpan merge_prof(ProfPhase::kAtpgMerge);
+    PhaseSpan merge_span(ProfPhase::kAtpgMerge);
     for (std::size_t u = 0; u < num_units; ++u) {
       const std::size_t lo = u * kUnitSize;
       UnitOutcome& out = outcome[u];
@@ -934,7 +932,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
 
   // Final replay for the state-traversal census.
   if (!run.tests.empty()) {
-    TraceSpan span("atpg.replay");
+    PhaseSpan span(ProfPhase::kAtpgReplay);
     set_phase(RunPhase::kReplay);
     auto fr = run_fault_simulation(nl, {}, run.tests, opts.run.fsim);
     run.states_traversed = std::move(fr.good_states);

@@ -203,7 +203,7 @@ std::optional<Podem::Objective> Podem::pick_objective() const {
 }
 
 std::optional<Podem::Objective> Podem::backtrace(Objective obj) const {
-  ProfileSpan prof_span(ProfPhase::kPodemBacktrace);
+  PhaseSpan prof_span(ProfPhase::kPodemBacktrace);
   const Netlist& nl = tfm_.netlist();
   int frame = obj.frame;
   NodeId node = obj.node;

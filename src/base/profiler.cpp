@@ -5,6 +5,7 @@
 #include <ctime>
 
 #include "base/metrics.h"
+#include "base/trace.h"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define SATPG_HAVE_PERF_EVENT 1
@@ -16,7 +17,7 @@
 namespace satpg {
 
 namespace detail {
-std::atomic<bool> g_profiler_enabled{false};
+std::atomic<std::uint8_t> g_span_sinks{0};
 }
 
 namespace {
@@ -135,61 +136,6 @@ bool read_perf_group(std::uint64_t*) { return false; }
 
 }  // namespace
 
-const char* prof_phase_name(ProfPhase p) {
-  switch (p) {
-    case ProfPhase::kAtpgMerge:
-      return "atpg.merge";
-    case ProfPhase::kCdclAnalyze:
-      return "cdcl.analyze";
-    case ProfPhase::kCdclPropagate:
-      return "cdcl.propagate";
-    case ProfPhase::kCdclReduceDb:
-      return "cdcl.reduce_db";
-    case ProfPhase::kFsimBatch:
-      return "fsim.batch";
-    case ProfPhase::kFsimGood:
-      return "fsim.good";
-    case ProfPhase::kFsimWideGood:
-      return "fsim.wide.good";
-    case ProfPhase::kFsimWideKernelAvx2:
-      return "fsim.wide.kernel.avx2";
-    case ProfPhase::kFsimWideKernelAvx512:
-      return "fsim.wide.kernel.avx512";
-    case ProfPhase::kFsimWideKernelScalar:
-      return "fsim.wide.kernel.scalar";
-    case ProfPhase::kFsimWideKernelSse2:
-      return "fsim.wide.kernel.sse2";
-    case ProfPhase::kPodemBacktrace:
-      return "podem.backtrace";
-    case ProfPhase::kPodemJustify:
-      return "podem.justify";
-  }
-  return "?";
-}
-
-const char* prof_phase_subsystem(ProfPhase p) {
-  switch (p) {
-    case ProfPhase::kAtpgMerge:
-      return "atpg";
-    case ProfPhase::kCdclAnalyze:
-    case ProfPhase::kCdclPropagate:
-    case ProfPhase::kCdclReduceDb:
-      return "cdcl";
-    case ProfPhase::kFsimBatch:
-    case ProfPhase::kFsimGood:
-    case ProfPhase::kFsimWideGood:
-    case ProfPhase::kFsimWideKernelAvx2:
-    case ProfPhase::kFsimWideKernelAvx512:
-    case ProfPhase::kFsimWideKernelScalar:
-    case ProfPhase::kFsimWideKernelSse2:
-      return "fsim";
-    case ProfPhase::kPodemBacktrace:
-    case ProfPhase::kPodemJustify:
-      return "podem";
-  }
-  return "?";
-}
-
 ProfPhase prof_phase_for_wide_kernel(SimdTier tier) {
   switch (tier) {
     case SimdTier::kSse2:
@@ -240,17 +186,15 @@ Profiler& Profiler::global() {
   return *p;
 }
 
-void Profiler::start(const Options& opts) {
+void Profiler::start() {
   stop();  // idempotence: a dangling previous session is closed first
-  for (Lane& lane : lanes_)
-    for (Lane::Phase& ph : lane.phases) {
-      ph.calls.store(0, std::memory_order_relaxed);
-      for (auto& c : ph.counters) c.store(0, std::memory_order_relaxed);
-    }
-  {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    samples_.clear();
-    samples_dropped_ = 0;
+  const auto reset = [](Lane::Totals& t) {
+    t.calls.store(0, std::memory_order_relaxed);
+    for (auto& c : t.counters) c.store(0, std::memory_order_relaxed);
+  };
+  for (Lane& lane : lanes_) {
+    for (Lane::Totals& ph : lane.phases) reset(ph);
+    reset(lane.root);
   }
   wall_seconds_ = 0.0;
 
@@ -267,26 +211,15 @@ void Profiler::start(const Options& opts) {
                  std::memory_order_relaxed);
 
   epoch_ = std::chrono::steady_clock::now();
-  if (opts.sample_interval_ms > 0) {
-    sampler_stop_.store(false, std::memory_order_relaxed);
-    sampler_ = std::thread(&Profiler::sampler_loop, this,
-                           opts.sample_interval_ms, opts.max_samples);
-  }
-  detail::g_profiler_enabled.store(true, std::memory_order_relaxed);
+  detail::g_span_sinks.fetch_or(detail::kSinkProfile,
+                                std::memory_order_relaxed);
 }
 
 void Profiler::stop() {
-  const bool was_enabled =
-      detail::g_profiler_enabled.exchange(false, std::memory_order_relaxed);
-  if (sampler_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_.store(true, std::memory_order_relaxed);
-    }
-    sampler_cv_.notify_all();
-    sampler_.join();
-  }
-  if (was_enabled)
+  const std::uint8_t was = detail::g_span_sinks.fetch_and(
+      static_cast<std::uint8_t>(~detail::kSinkProfile),
+      std::memory_order_relaxed);
+  if ((was & detail::kSinkProfile) != 0)
     wall_seconds_ =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       epoch_)
@@ -302,68 +235,38 @@ void Profiler::read_thread_counters(std::uint64_t* vals) {
     vals[static_cast<std::size_t>(ProfCounter::kCycles) + i] = hw[i];
 }
 
-void Profiler::accumulate(ProfPhase phase, const std::uint64_t* deltas) {
+void Profiler::accumulate(ProfPhase phase, const std::uint64_t* deltas,
+                          bool root) {
   unsigned lane = telemetry_thread_index();
   if (lane >= kMaxLanes) lane = kMaxLanes - 1;  // foreign/overflow lane
-  Lane::Phase& ph =
-      lanes_[lane].phases[static_cast<std::size_t>(phase)];
-  ph.calls.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t c = 0; c < kNumProfCounters; ++c)
-    if (deltas[c] != 0)
-      ph.counters[c].fetch_add(deltas[c], std::memory_order_relaxed);
-}
-
-void Profiler::sampler_loop(std::uint64_t interval_ms,
-                            std::uint64_t max_samples) {
-  std::unique_lock<std::mutex> lock(sampler_mu_);
-  while (!sampler_stop_.load(std::memory_order_relaxed)) {
-    sampler_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms));
-    if (sampler_stop_.load(std::memory_order_relaxed)) break;
-    ProfSnapshot::Sample s;
-    s.at_ms = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-    for (const Lane& lane : lanes_)
-      for (const Lane::Phase& ph : lane.phases) {
-        s.task_clock_ns += ph.counters[static_cast<std::size_t>(
-                                           ProfCounter::kTaskClockNs)]
-                               .load(std::memory_order_relaxed);
-        s.cycles +=
-            ph.counters[static_cast<std::size_t>(ProfCounter::kCycles)]
-                .load(std::memory_order_relaxed);
-      }
-    std::lock_guard<std::mutex> slock(samples_mu_);
-    if (samples_.size() < max_samples)
-      samples_.push_back(s);
-    else
-      ++samples_dropped_;
-  }
+  const auto charge = [deltas](Lane::Totals& t) {
+    t.calls.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t c = 0; c < kNumProfCounters; ++c)
+      if (deltas[c] != 0)
+        t.counters[c].fetch_add(deltas[c], std::memory_order_relaxed);
+  };
+  charge(lanes_[lane].phases[static_cast<std::size_t>(phase)]);
+  if (root) charge(lanes_[lane].root);
 }
 
 ProfSnapshot Profiler::snapshot() const {
   ProfSnapshot snap;
   snap.backend = backend();
   snap.wall_seconds = wall_seconds_;
+  const auto load = [](const Lane::Totals& ph, ProfPhaseTotals& t) {
+    t.calls = ph.calls.load(std::memory_order_relaxed);
+    for (std::size_t c = 0; c < kNumProfCounters; ++c)
+      t.counters[c] = ph.counters[c].load(std::memory_order_relaxed);
+  };
   for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    const Lane& lane = lanes_[l];
     ProfSnapshot::Lane out;
     out.lane = static_cast<unsigned>(l);
-    bool any = false;
-    for (std::size_t p = 0; p < kNumProfPhases; ++p) {
-      const Lane::Phase& ph = lane.phases[p];
-      ProfPhaseTotals& t = out.phases[p];
-      t.calls = ph.calls.load(std::memory_order_relaxed);
-      if (t.calls != 0) any = true;
-      for (std::size_t c = 0; c < kNumProfCounters; ++c)
-        t.counters[c] = ph.counters[c].load(std::memory_order_relaxed);
-    }
+    for (std::size_t p = 0; p < kNumProfPhases; ++p)
+      load(lanes_[l].phases[p], out.phases[p]);
+    load(lanes_[l].root, out.root);
+    bool any = false;  // a root charge always comes with a phase charge
+    for (const ProfPhaseTotals& t : out.phases) any = any || t.calls != 0;
     if (any) snap.lanes.push_back(out);
-  }
-  {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    snap.samples = samples_;
-    snap.samples_dropped = samples_dropped_;
   }
   return snap;
 }
@@ -377,18 +280,40 @@ ProfPhaseTotals ProfSnapshot::phase(ProfPhase p) const {
 
 ProfPhaseTotals ProfSnapshot::total() const {
   ProfPhaseTotals t;
-  for (const Lane& lane : lanes)
-    for (const ProfPhaseTotals& ph : lane.phases) t.add(ph);
+  for (const Lane& lane : lanes) t.add(lane.root);
   return t;
 }
 
-void ProfileSpan::end() {
-  std::uint64_t now[kNumProfCounters];
-  Profiler::global().read_thread_counters(now);
-  std::uint64_t deltas[kNumProfCounters];
-  for (std::size_t c = 0; c < kNumProfCounters; ++c)
-    deltas[c] = now[c] >= at_[c] ? now[c] - at_[c] : 0;
-  Profiler::global().accumulate(phase_, deltas);
+namespace {
+// Profiled spans open on this thread: a span that finds none is a root.
+thread_local unsigned t_open_spans = 0;
+}  // namespace
+
+void PhaseSpan::begin() {
+  if ((sinks_ & detail::kSinkTrace) != 0)
+    start_us_ = TraceRecorder::global().now_us();
+  if ((sinks_ & detail::kSinkProfile) != 0) {
+    root_ = t_open_spans++ == 0;
+    Profiler::global().read_thread_counters(at_);
+  }
+}
+
+void PhaseSpan::end() {
+  if ((sinks_ & detail::kSinkProfile) != 0) {
+    std::uint64_t now[kNumProfCounters];
+    Profiler::global().read_thread_counters(now);
+    std::uint64_t deltas[kNumProfCounters];
+    for (std::size_t c = 0; c < kNumProfCounters; ++c)
+      deltas[c] = now[c] >= at_[c] ? now[c] - at_[c] : 0;
+    Profiler::global().accumulate(phase_, deltas, root_);
+    --t_open_spans;
+  }
+  if ((sinks_ & detail::kSinkTrace) != 0) {
+    TraceRecorder& rec = TraceRecorder::global();
+    const ProfPhaseInfo& info = prof_phase_info(phase_);
+    rec.add_complete(info.name, info.subsystem, telemetry_thread_index(),
+                     start_us_, rec.now_us() - start_us_);
+  }
 }
 
 }  // namespace satpg

@@ -1,19 +1,29 @@
-// Cycle-level profiling: hardware counters attributed to engine phases.
+// Phase spans and cycle-level profiling: one span type for the pipeline.
 //
-// The profiler answers "where do the cycles go" for the hot phases of
-// every engine — the fsim good-machine pass and faulty batches, the wide
-// kernel per dispatched SIMD tier, PODEM justify/backtrace, the CDCL
-// solver's propagate/analyze/reduce, and the parallel driver's merge
-// barrier — with per-worker lanes so the attribution survives any
-// `--threads` value.
+// A PhaseSpan brackets one phase of the pipeline — synth, retime, the
+// oracle build, the random phase, every ATPG work unit and the merge
+// barrier, the replay, fault-simulation runs and their passes and wide
+// kernels (per dispatched SIMD tier), PODEM justify/backtrace, CDCL
+// encode/lift/propagate/analyze/reduce, and every thread-pool task — named
+// by one ProfPhase of the phase table below. It feeds two sinks:
+//   * the profiler's per-worker counter lanes (`--profile-json`): every
+//     span charges its phase on the calling thread's lane;
+//   * the Chrome trace (`--trace-json`, base/trace.h): only the phases the
+//     table marks `timeline` emit a complete event, named by the phase
+//     with its subsystem as the category.
+// So the trace and the `satpg.profile.v2` sidecar are two renderings of
+// the same spans. Phase counters are inclusive (a span's counters include
+// its nested spans'); a span opened with no enclosing profiled span on
+// its thread also charges its lane's root total, and only root totals fold
+// into ProfSnapshot::total(), so nesting never double-counts the total.
 //
-// Like the monitor (DESIGN.md §7) and the trace recorder, everything here
-// lives on the wall-clock plane: counter readings are nondeterministic by
-// nature and may only ever reach the `satpg.profile.v1` sidecar
-// (`--profile-json`), never the deterministic metrics/events artifacts.
-// While disabled, a ProfileSpan costs one relaxed load in the constructor
-// and nothing in the destructor — the same contract as TraceSpan — so the
-// spans can sit on per-decision paths without perturbing unprofiled runs.
+// Like the monitor (DESIGN.md §7), everything here lives on the wall-clock
+// plane: counter readings are nondeterministic by nature and may only ever
+// reach the trace and the sidecar, never the deterministic metrics/events
+// artifacts. Both sinks are armed through one atomic byte: with both off a
+// span costs one relaxed load in the constructor and nothing in the
+// destructor, so spans can sit on per-decision paths without perturbing
+// unprofiled runs.
 //
 // Backend ladder (probed once per start()):
 //   * perf_event  per-thread perf_event_open counter group (cycles,
@@ -29,25 +39,30 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "base/cpu.h"
 
 namespace satpg {
 
-/// One profiled phase. Enum order is sorted-name order (like
-/// MemSubsystem), so iterating the enum emits sorted JSON keys.
+/// One pipeline phase. Enum order is sorted-name order (like
+/// MemSubsystem), so iterating the enum emits sorted JSON keys, and it is
+/// subsystem-contiguous.
 enum class ProfPhase : std::uint8_t {
   kAtpgMerge = 0,         ///< parallel driver merge barrier
+  kAtpgOracleBuild,       ///< state-validity (BDD reachability) oracle
+  kAtpgRandomPhase,       ///< random-sequence phase before the rounds
+  kAtpgReplay,            ///< final replay for the state census
+  kAtpgUnit,              ///< one deterministic-phase work unit
   kCdclAnalyze,           ///< CDCL conflict analysis (1UIP)
+  kCdclEncode,            ///< time-frame CNF encoding
+  kCdclLift,              ///< greedy lifting of a model's state
   kCdclPropagate,         ///< CDCL unit propagation
   kCdclReduceDb,          ///< CDCL learned-clause DB reduction
   kFsimBatch,             ///< 64-slot faulty-batch simulation
   kFsimGood,              ///< 64-slot good-machine pass
+  kFsimRun,               ///< one run_fault_simulation call
   kFsimWideGood,          ///< wide engine group good-machine pass
   kFsimWideKernelAvx2,    ///< wide kernel, avx2 tier
   kFsimWideKernelAvx512,  ///< wide kernel, avx512 tier
@@ -55,13 +70,58 @@ enum class ProfPhase : std::uint8_t {
   kFsimWideKernelSse2,    ///< wide kernel, sse2 tier
   kPodemBacktrace,        ///< PODEM objective backtrace
   kPodemJustify,          ///< multi-frame state justification (depth 0)
+  kPoolTask,              ///< one thread-pool task on a worker
+  kRetime,                ///< retiming to a flip-flop target
+  kSynth,                 ///< FSM synthesis to a gate netlist
 };
-inline constexpr std::size_t kNumProfPhases = 13;
+inline constexpr std::size_t kNumProfPhases = 23;
 
+/// One row of the phase table.
+struct ProfPhaseInfo {
+  const char* name;       ///< stable JSON key and Chrome event name
+  const char* subsystem;  ///< owner, and the Chrome event category
+  bool timeline;          ///< also a Chrome event when tracing is armed
+};
+
+/// The phase table, in enum order. Timeline phases are the coarse layer
+/// spans; the rest are kernel spans that only the profiler sees.
+inline constexpr ProfPhaseInfo kProfPhases[kNumProfPhases] = {
+    {"atpg.merge", "atpg", true},
+    {"atpg.oracle_build", "atpg", true},
+    {"atpg.random_phase", "atpg", true},
+    {"atpg.replay", "atpg", true},
+    {"atpg.unit", "atpg", true},
+    {"cdcl.analyze", "cdcl", false},
+    {"cdcl.encode", "cdcl", false},
+    {"cdcl.lift", "cdcl", false},
+    {"cdcl.propagate", "cdcl", false},
+    {"cdcl.reduce_db", "cdcl", false},
+    {"fsim.batch", "fsim", false},
+    {"fsim.good", "fsim", false},
+    {"fsim.run", "fsim", true},
+    {"fsim.wide.good", "fsim", false},
+    {"fsim.wide.kernel.avx2", "fsim", false},
+    {"fsim.wide.kernel.avx512", "fsim", false},
+    {"fsim.wide.kernel.scalar", "fsim", false},
+    {"fsim.wide.kernel.sse2", "fsim", false},
+    {"podem.backtrace", "podem", false},
+    {"podem.justify", "podem", false},
+    {"pool.task", "pool", true},
+    {"retime", "retime", true},
+    {"synth", "synth", true},
+};
+
+constexpr const ProfPhaseInfo& prof_phase_info(ProfPhase p) {
+  return kProfPhases[static_cast<std::size_t>(p)];
+}
 /// "atpg.merge", "cdcl.propagate", ... — stable JSON keys.
-const char* prof_phase_name(ProfPhase p);
-/// Owning subsystem for rollups: "atpg", "cdcl", "fsim", "podem".
-const char* prof_phase_subsystem(ProfPhase p);
+constexpr const char* prof_phase_name(ProfPhase p) {
+  return prof_phase_info(p).name;
+}
+/// Owning subsystem: "atpg", "cdcl", "fsim", "podem", "pool", ...
+constexpr const char* prof_phase_subsystem(ProfPhase p) {
+  return prof_phase_info(p).subsystem;
+}
 /// The wide-kernel phase for a resolved (non-auto) SIMD tier.
 ProfPhase prof_phase_for_wide_kernel(SimdTier tier);
 
@@ -83,11 +143,20 @@ enum class ProfBackend : std::uint8_t { kOff = 0, kPerfEvent, kFallback };
 const char* prof_backend_name(ProfBackend b);
 
 namespace detail {
-extern std::atomic<bool> g_profiler_enabled;
-}
+/// The span sinks, as bits of one atomic byte (TraceRecorder::start/stop
+/// flip kSinkTrace, Profiler::start/stop flip kSinkProfile).
+inline constexpr std::uint8_t kSinkTrace = 1;
+inline constexpr std::uint8_t kSinkProfile = 2;
+extern std::atomic<std::uint8_t> g_span_sinks;
+}  // namespace detail
 
+inline bool tracing_enabled() {
+  return (detail::g_span_sinks.load(std::memory_order_relaxed) &
+          detail::kSinkTrace) != 0;
+}
 inline bool profiler_enabled() {
-  return detail::g_profiler_enabled.load(std::memory_order_relaxed);
+  return (detail::g_span_sinks.load(std::memory_order_relaxed) &
+          detail::kSinkProfile) != 0;
 }
 
 /// Folded counters for one phase (one lane, or a fold across lanes).
@@ -109,47 +178,32 @@ struct ProfPhaseTotals {
 struct ProfSnapshot {
   struct Lane {
     unsigned lane = 0;
-    ProfPhaseTotals phases[kNumProfPhases];
-  };
-  struct Sample {
-    std::uint64_t at_ms = 0;         ///< wall offset from start()
-    std::uint64_t task_clock_ns = 0; ///< cross-lane total at the sample
-    std::uint64_t cycles = 0;
+    ProfPhaseTotals phases[kNumProfPhases];  ///< inclusive, per phase
+    ProfPhaseTotals root;  ///< spans with no enclosing span on the lane
   };
 
   ProfBackend backend = ProfBackend::kOff;
   double wall_seconds = 0.0;
   std::vector<Lane> lanes;  ///< lanes with activity, ascending lane id
-  std::vector<Sample> samples;
-  std::uint64_t samples_dropped = 0;
 
   /// Fold of one phase across all lanes.
   ProfPhaseTotals phase(ProfPhase p) const;
-  /// Fold of every phase across all lanes.
+  /// Fold of the lanes' root totals: every profiled cycle counted once.
   ProfPhaseTotals total() const;
 };
 
 /// Process-wide profiler. start()/stop() bracket the measured work;
-/// ProfileSpans accumulate into fixed per-worker lanes (indexed by
+/// PhaseSpans accumulate into fixed per-worker lanes (indexed by
 /// telemetry_thread_index(); threads past the lane cap share the last
 /// lane). Not reentrant: one start()/stop() pair at a time.
 class Profiler {
  public:
   static constexpr std::size_t kMaxLanes = 64;
 
-  struct Options {
-    /// Sampler period; 0 = no sampler thread. The sampler appends
-    /// cross-lane totals to the snapshot's timeline on the wall clock.
-    std::uint64_t sample_interval_ms = 0;
-    /// Timeline cap; samples past it are counted as dropped.
-    std::uint64_t max_samples = 4096;
-  };
-
-  /// Reset lanes, probe the backend (honoring SATPG_PROFILE_BACKEND),
-  /// optionally spawn the sampler, and enable span recording.
-  void start(const Options& opts);
-  void start() { start(Options()); }
-  /// Disable recording, join the sampler, and freeze wall_seconds.
+  /// Reset lanes, probe the backend (honoring SATPG_PROFILE_BACKEND), and
+  /// arm the profile sink.
+  void start();
+  /// Disarm the profile sink and freeze wall_seconds.
   void stop();
 
   /// Backend selected by the last start() (kOff before any start()).
@@ -163,60 +217,57 @@ class Profiler {
 
   static Profiler& global();
 
-  // --- ProfileSpan internals -----------------------------------------------
+  // --- PhaseSpan internals -------------------------------------------------
   /// Read the calling thread's counters into vals[kNumProfCounters].
   void read_thread_counters(std::uint64_t* vals);
-  /// Accumulate one completed span's deltas into the caller's lane.
-  void accumulate(ProfPhase phase, const std::uint64_t* deltas);
+  /// Accumulate one completed span's deltas into the caller's lane, and
+  /// into the lane's root total when the span was a root.
+  void accumulate(ProfPhase phase, const std::uint64_t* deltas, bool root);
 
  private:
   struct alignas(64) Lane {
-    struct Phase {
+    struct Totals {
       std::atomic<std::uint64_t> calls{0};
       std::atomic<std::uint64_t> counters[kNumProfCounters];
     };
-    Phase phases[kNumProfPhases];
+    Totals phases[kNumProfPhases];
+    Totals root;
   };
-
-  void sampler_loop(std::uint64_t interval_ms, std::uint64_t max_samples);
 
   Lane lanes_[kMaxLanes];
   std::atomic<std::uint8_t> backend_{0};
   std::chrono::steady_clock::time_point epoch_;
   double wall_seconds_ = 0.0;
-
-  mutable std::mutex samples_mu_;
-  std::vector<ProfSnapshot::Sample> samples_;
-  std::uint64_t samples_dropped_ = 0;
-
-  std::thread sampler_;
-  std::atomic<bool> sampler_stop_{false};
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
 };
 
-/// RAII phase span: reads the thread's counters at construction and
-/// destruction and charges the delta to the phase on the calling thread's
-/// lane. One relaxed load and an early return while the profiler is off.
-class ProfileSpan {
+/// RAII phase span. Charges the phase on the calling thread's profiler
+/// lane while the profiler is armed, and records a Chrome complete event
+/// while tracing is armed and the phase is a timeline phase. One relaxed
+/// load and an early return while neither sink wants it.
+class PhaseSpan {
  public:
-  explicit ProfileSpan(ProfPhase phase) : active_(profiler_enabled()) {
-    if (active_) {
-      phase_ = phase;
-      Profiler::global().read_thread_counters(at_);
-    }
+  explicit PhaseSpan(ProfPhase phase)
+      : phase_(phase),
+        sinks_(detail::g_span_sinks.load(std::memory_order_relaxed) &
+               (prof_phase_info(phase).timeline
+                    ? detail::kSinkTrace | detail::kSinkProfile
+                    : detail::kSinkProfile)) {
+    if (sinks_ != 0) begin();
   }
-  ~ProfileSpan() {
-    if (active_) end();
+  ~PhaseSpan() {
+    if (sinks_ != 0) end();
   }
-  ProfileSpan(const ProfileSpan&) = delete;
-  ProfileSpan& operator=(const ProfileSpan&) = delete;
+  PhaseSpan(const PhaseSpan&) = delete;
+  PhaseSpan& operator=(const PhaseSpan&) = delete;
 
  private:
+  void begin();
   void end();
 
-  ProfPhase phase_{};
-  bool active_;
+  ProfPhase phase_;
+  std::uint8_t sinks_;  ///< the sinks armed at construction, masked
+  bool root_ = false;   ///< no enclosing profiled span on this thread
+  std::uint64_t start_us_ = 0;
   std::uint64_t at_[kNumProfCounters];
 };
 

@@ -74,16 +74,6 @@ bool TelemetryFlags::parse(const char* arg) {
     profile_json = v;
     return true;
   }
-  if (const char* v = flag_value(arg, "--profile-interval-ms=")) {
-    if (!parse_positive_u64(v, &profile_interval_ms) && error.empty())
-      error = arg;
-    return true;
-  }
-  if (const char* v = flag_value(arg, "--profile-max-samples=")) {
-    if (!parse_positive_u64(v, &profile_max_samples) && error.empty())
-      error = arg;
-    return true;
-  }
   if (std::strcmp(arg, "--progress") == 0) {
     progress = true;
     return true;
@@ -99,12 +89,7 @@ void TelemetryFlags::arm() const {
     set_memstats_enabled(true);
   }
   if (trace_enabled()) TraceRecorder::global().start();
-  if (profile_enabled()) {
-    Profiler::Options popts;
-    popts.sample_interval_ms = profile_interval_ms;
-    popts.max_samples = profile_max_samples;
-    Profiler::global().start(popts);
-  }
+  if (profile_enabled()) Profiler::global().start();
 }
 
 bool TelemetryFlags::finish_trace(std::ostream* info) const {

@@ -8,9 +8,9 @@
 //   --heartbeat-interval-ms=N    monitor sampling period (default 500)
 //   --progress                   one-line live progress samples on stderr
 //   --profile-json=FILE          cycle profiler sidecar (wall-clock plane)
-//   --profile-interval-ms=N      profiler timeline sampler period (off by
-//                                default; counters alone need no thread)
-//   --profile-max-samples=N      profiler timeline cap (default 4096)
+// The trace and the profile sidecar are two sinks of the same PhaseSpans
+// (base/profiler.h): --trace-json renders the timeline phases,
+// --profile-json every phase's counters.
 // TelemetryFlags is the one place those flags are recognized and acted on,
 // so the CLI subcommands, the bench mains, and the experiment harness all
 // agree on spelling and arming semantics instead of each carrying a copy.
@@ -47,10 +47,6 @@ struct TelemetryFlags {
   std::string profile_json;    ///< empty = cycle profiler disabled
   bool progress = false;       ///< live progress lines on stderr
   std::uint64_t heartbeat_interval_ms = 500;
-  /// Profiler timeline sampler period (0 = counters only, no sampler)
-  /// and its sample cap (--profile-interval-ms / --profile-max-samples).
-  std::uint64_t profile_interval_ms = 0;
-  std::uint64_t profile_max_samples = 4096;
   /// First flag whose value failed strict validation ("" = all valid).
   /// parse() still consumes such a flag; callers must check error after
   /// their flag loop and exit 2 with usage.
@@ -78,7 +74,7 @@ struct TelemetryFlags {
   }
 
   /// Reset + enable the metrics and memstats registries and/or start the
-  /// trace recorder, as requested by the parsed flags. Call once, before
+  /// trace recorder and the profiler, as requested by the parsed flags. Call once, before
   /// the measured work.
   void arm() const;
 

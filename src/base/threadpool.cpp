@@ -71,13 +71,11 @@ void ThreadPool::worker_loop(unsigned index) {
     }
     if (tracing_enabled()) {
       TraceRecorder& rec = TraceRecorder::global();
-      const std::uint64_t start = rec.now_us();
-      rec.add_counter("pool.queue_depth", start,
+      rec.add_counter("pool.queue_depth", rec.now_us(),
                       static_cast<std::uint64_t>(depth));
-      task();
-      rec.add_complete("pool.task", "pool", telemetry_thread_index(), start,
-                       rec.now_us() - start);
-    } else {
+    }
+    {
+      PhaseSpan span(ProfPhase::kPoolTask);
       task();
     }
     {

@@ -7,20 +7,19 @@
 
 namespace satpg {
 
-namespace detail {
-std::atomic<bool> g_tracing_enabled{false};
-}
-
 void TraceRecorder::start() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   dropped_ = 0;
   epoch_ = std::chrono::steady_clock::now();
-  detail::g_tracing_enabled.store(true, std::memory_order_relaxed);
+  detail::g_span_sinks.fetch_or(detail::kSinkTrace,
+                                std::memory_order_relaxed);
 }
 
 void TraceRecorder::stop() {
-  detail::g_tracing_enabled.store(false, std::memory_order_relaxed);
+  detail::g_span_sinks.fetch_and(
+      static_cast<std::uint8_t>(~detail::kSinkTrace),
+      std::memory_order_relaxed);
   // Surface the overflow count instead of silently swallowing it: a
   // `trace_events_dropped` counter in the metrics JSON (normally 0 — the
   // buffer cap is far above any real run) plus the metadata event
@@ -144,19 +143,6 @@ bool TraceRecorder::write_json(const std::string& path) const {
 TraceRecorder& TraceRecorder::global() {
   static TraceRecorder* const recorder = new TraceRecorder;  // immortal
   return *recorder;
-}
-
-TraceSpan::TraceSpan(const char* name, const char* cat)
-    : name_(name), cat_(cat), active_(tracing_enabled()) {
-  if (active_) start_us_ = TraceRecorder::global().now_us();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!active_) return;
-  TraceRecorder& rec = TraceRecorder::global();
-  const std::uint64_t end = rec.now_us();
-  rec.add_complete(name_, cat_, telemetry_thread_index(), start_us_,
-                   end - start_us_);
 }
 
 }  // namespace satpg

@@ -1,11 +1,12 @@
-// Phase-scoped tracing: RAII spans emitting Chrome trace_event JSON.
+// The Chrome trace_event writer behind `--trace-json=FILE`.
 //
 // The recorder buffers complete ("X") and counter ("C") events with
 // per-thread lanes (tid = `telemetry_thread_index()`), and writes the
 // Trace Event Format JSON that chrome://tracing and Perfetto load
-// directly. Enabled explicitly by `--trace-json=FILE`; while disabled a
-// TraceSpan costs one relaxed load in the constructor and nothing in the
-// destructor.
+// directly. Complete events come from the timeline phases of PhaseSpan
+// (base/profiler.h), which also arms this sink: start() and stop() flip
+// the trace bit of the span sinks byte, so tracing_enabled() is one
+// relaxed load.
 //
 // Unlike the metrics registry (base/metrics.h), everything here is
 // wall-clock and therefore nondeterministic by design — timing belongs in
@@ -15,7 +16,6 @@
 // the recorder): events store the pointers, not copies.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -23,15 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "base/profiler.h"
+
 namespace satpg {
-
-namespace detail {
-extern std::atomic<bool> g_tracing_enabled;
-}
-
-inline bool tracing_enabled() {
-  return detail::g_tracing_enabled.load(std::memory_order_relaxed);
-}
 
 class TraceRecorder {
  public:
@@ -87,22 +81,6 @@ class TraceRecorder {
   std::size_t dropped_ = 0;
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-};
-
-/// RAII phase timer: records a complete event over its lifetime on the
-/// calling thread's lane. `name`/`cat` must be string literals.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name, const char* cat = "phase");
-  ~TraceSpan();
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* cat_;
-  std::uint64_t start_us_ = 0;
-  bool active_;
 };
 
 }  // namespace satpg

@@ -7,7 +7,6 @@
 #include "base/metrics.h"
 #include "base/profiler.h"
 #include "base/threadpool.h"
-#include "base/trace.h"
 #include "fsim/wide_driver.h"
 #include "sim/simulator.h"
 
@@ -390,7 +389,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
   res.potential_at.assign(faults.size(), -1);
   if (sequences.empty()) return res;
 
-  TraceSpan fsim_span("fsim.run", "fsim");
+  PhaseSpan fsim_span(ProfPhase::kFsimRun);
   if (metrics_enabled()) {
     MetricsRegistry& reg = MetricsRegistry::global();
     reg.counter("fsim.calls").add();
@@ -437,7 +436,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
     // the faulty cones against it. This also records the state trajectory
     // without ever simulating an empty batch.
     {
-      ProfileSpan good_span(ProfPhase::kFsimGood);
+      PhaseSpan good_span(ProfPhase::kFsimGood);
       simulate_good(nl, sequences[si], trace, &res.good_states);
     }
 
@@ -462,7 +461,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
       const std::size_t lo = b * 63;
       const std::size_t n =
           std::min<std::size_t>(63, remaining.size() - lo);
-      ProfileSpan batch_span(ProfPhase::kFsimBatch);
+      PhaseSpan batch_span(ProfPhase::kFsimBatch);
       simulate_batch(nl, faults, remaining.data() + lo, n, sequences[si],
                      trace, arena, newly.data(), newly_pot.data());
     };

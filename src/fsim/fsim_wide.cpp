@@ -363,7 +363,7 @@ void simulate_group_batch(const Netlist& nl,
   {
     // Attributed to the dispatched tier's phase, so a profile splits the
     // wide-kernel cycles by the instruction set that actually ran.
-    ProfileSpan kernel_span(kernel_phase);
+    PhaseSpan kernel_span(kernel_phase);
     kernel(w);
   }
 
@@ -442,7 +442,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
     const unsigned lanes = static_cast<unsigned>(
         std::min<std::size_t>(kLanes, sequences.size() - base));
     {
-      ProfileSpan good_span(ProfPhase::kFsimWideGood);
+      PhaseSpan good_span(ProfPhase::kFsimWideGood);
       simulate_group_good(nl, sequences, base, lanes, gg,
                           &res.good_states);
     }

@@ -577,7 +577,7 @@ void render_memory_json(std::ostream& os, const Doc& doc,
 
 // ---- profile sidecar view ---------------------------------------------------
 
-/// One phase row of a satpg.profile.v1 sidecar.
+/// One phase row of a satpg.profile.* sidecar.
 struct ProfRow {
   std::string name;
   std::string subsystem;
@@ -589,7 +589,7 @@ struct ProfRow {
   std::uint64_t cache_misses = 0;
 };
 
-/// A parsed satpg.profile.v1 sidecar, plus the same configuration string
+/// A parsed satpg.profile.* sidecar, plus the same configuration string
 /// the archive digests — the join key for the trend view.
 struct ProfDoc {
   std::string schema;

@@ -14,7 +14,7 @@
 //     (report);
 //   * --memory: the v6 per-subsystem byte-accounting block, the budget
 //     verdict, and the hungriest faults ranked by per-attempt peak bytes.
-// inspect_source also accepts a satpg.profile.v1 sidecar when --profile
+// inspect_source also accepts a satpg.profile.* sidecar when --profile
 // is set, rendering the ranked where-do-the-cycles-go phase table.
 // inspect_diff compares two reports as trajectories: summary deltas,
 // fault-efficiency milestones from the fe_trace, and the per-fault
@@ -45,7 +45,7 @@ struct InspectOptions {
   /// plus the hungriest faults by peak_bytes. Event logs have no such block.
   bool memory = false;
   /// Profile view (--profile): the ranked per-phase cost table from a
-  /// satpg.profile.v1 sidecar (--profile-json output).
+  /// satpg.profile.* sidecar (--profile-json output).
   bool profile = false;
   /// Machine-readable output (--format=json) instead of aligned text.
   bool json = false;

@@ -40,7 +40,7 @@ void write_totals(std::ostream& os, const ProfPhaseTotals& t) {
 
 void write_profile_json(std::ostream& os, const ProfileArtifact& a) {
   const ProfSnapshot& snap = a.snap;
-  os << "{\n  \"schema\": \"satpg.profile.v1\",\n";
+  os << "{\n  \"schema\": \"satpg.profile.v2\",\n";
   os << "  \"tool\": \"" << json_escape(a.tool) << "\",\n";
   // Identity shaped like the report's, so archive config digests match.
   os << "  \"circuit\": {\"name\": \"" << json_escape(a.circuit)
@@ -71,6 +71,7 @@ void write_profile_json(std::ostream& os, const ProfileArtifact& a) {
      << ", \"patterns\": " << a.patterns << "},\n";
 
   // Fixed shape: every phase appears, enum order == sorted-name order.
+  // Rows are inclusive (a span's counters include its nested spans').
   os << "  \"phases\": {\n";
   for (std::size_t p = 0; p < kNumProfPhases; ++p) {
     const ProfPhase phase = static_cast<ProfPhase>(p);
@@ -85,33 +86,7 @@ void write_profile_json(std::ostream& os, const ProfileArtifact& a) {
   }
   os << "  },\n";
 
-  // Subsystem rollup in sorted order (atpg < cdcl < fsim < podem, and
-  // the phase enum is already subsystem-contiguous in that order).
-  os << "  \"subsystems\": {\n";
-  {
-    const char* current = nullptr;
-    ProfPhaseTotals roll;
-    bool first = true;
-    const auto flush = [&] {
-      if (current == nullptr) return;
-      os << (first ? "" : ",\n") << "    \"" << current << "\": ";
-      write_totals(os, roll);
-      first = false;
-    };
-    for (std::size_t p = 0; p < kNumProfPhases; ++p) {
-      const ProfPhase phase = static_cast<ProfPhase>(p);
-      const char* sub = prof_phase_subsystem(phase);
-      if (current == nullptr || std::string(current) != sub) {
-        flush();
-        current = sub;
-        roll = ProfPhaseTotals{};
-      }
-      roll.add(snap.phase(phase));
-    }
-    flush();
-  }
-  os << "\n  },\n";
-
+  // The root fold: every profiled cycle once, however spans nest.
   os << "  \"total\": ";
   write_totals(os, snap.total());
   os << ",\n";
@@ -168,26 +143,15 @@ void write_profile_json(std::ostream& os, const ProfileArtifact& a) {
   }
   os << "},\n";
 
-  // Per-worker lanes (only lanes that recorded anything).
+  // Per-worker lanes (only lanes that recorded anything), root folds.
   os << "  \"lanes\": [";
   for (std::size_t l = 0; l < snap.lanes.size(); ++l) {
-    ProfPhaseTotals t;
-    for (const ProfPhaseTotals& ph : snap.lanes[l].phases) t.add(ph);
+    const ProfPhaseTotals& t = snap.lanes[l].root;
     os << (l == 0 ? "\n    " : ",\n    ") << "{\"lane\": "
        << snap.lanes[l].lane << ", ";
     os << "\"calls\": " << t.calls
        << ", \"task_clock_ns\": " << t.counter(ProfCounter::kTaskClockNs)
        << ", \"cycles\": " << t.counter(ProfCounter::kCycles) << "}";
-  }
-  os << "],\n";
-
-  os << "  \"samples_dropped\": " << snap.samples_dropped << ",\n";
-  os << "  \"samples\": [";
-  for (std::size_t i = 0; i < snap.samples.size(); ++i) {
-    const ProfSnapshot::Sample& s = snap.samples[i];
-    os << (i == 0 ? "\n    " : ",\n    ") << "{\"at_ms\": " << s.at_ms
-       << ", \"task_clock_ns\": " << s.task_clock_ns
-       << ", \"cycles\": " << s.cycles << "}";
   }
   os << "]\n}\n";
 }

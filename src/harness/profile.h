@@ -1,4 +1,4 @@
-// The satpg.profile.v1 sidecar: the serialized form of a Profiler
+// The satpg.profile.v2 sidecar: the serialized form of a Profiler
 // snapshot (base/profiler.h) plus the identity and provenance context
 // that makes the numbers interpretable — circuit/engine identity (shaped
 // exactly like the atpg_run report's, so the archive derives the same
@@ -37,8 +37,9 @@ struct ProfileArtifact {
   ProfSnapshot snap;
 };
 
-/// Write the satpg.profile.v1 JSON document. Fixed shape: every phase
-/// appears (sorted), every counter slot appears, derived rates are
+/// Write the satpg.profile.v2 JSON document. Fixed shape: every phase
+/// appears (sorted, inclusive counters), every counter slot appears, the
+/// total and the per-lane rows are root folds, and derived rates are
 /// emitted only when their inputs are nonzero.
 void write_profile_json(std::ostream& os, const ProfileArtifact& a);
 

@@ -4,7 +4,7 @@
 #include <fstream>
 
 #include "base/logging.h"
-#include "base/trace.h"
+#include "base/profiler.h"
 #include "fsm/mcnc_suite.h"
 #include "netlist/bench_io.h"
 #include "retime/retime.h"
@@ -88,7 +88,7 @@ Netlist Suite::build_original(const PairSpec& spec) {
   so.encode = spec.encode;
   so.script = spec.script;
   so.seed = opts_.seed;
-  TraceSpan span("synth");
+  PhaseSpan span(ProfPhase::kSynth);
   SynthResult res = synthesize(fsm, so);
   return std::move(res.netlist);
 }
@@ -104,7 +104,7 @@ Netlist Suite::build(const std::string& name) {
           orig.num_dffs() + 1,
           static_cast<std::size_t>(spec.paper_re_dffs * opts_.fsm_scale +
                                    0.5));
-      TraceSpan span("retime");
+      PhaseSpan span(ProfPhase::kRetime);
       RetimeResult rt = retime_to_dff_target(orig, target, name);
       return std::move(rt.netlist);
     }
@@ -116,7 +116,7 @@ Netlist Suite::build(const std::string& name) {
     const std::size_t target = std::max<std::size_t>(
         orig.num_dffs() + 1,
         static_cast<std::size_t>(dffs * opts_.fsm_scale + 0.5));
-    TraceSpan span("retime");
+    PhaseSpan span(ProfPhase::kRetime);
     RetimeResult rt = retime_to_dff_target(orig, target, name);
     return std::move(rt.netlist);
   }

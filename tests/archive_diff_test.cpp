@@ -2,6 +2,7 @@
 // lookup, report parsing, deterministic diff rendering, and the bench_gate
 // thresholds.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -52,7 +53,9 @@ std::string make_report(const std::string& circuit, double coverage,
 class ArchiveTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps two test processes running at once from sharing it.
     dir_ = ::testing::TempDir() + "archive_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::remove_all(dir_);
   }

@@ -354,7 +354,8 @@ TEST(CliSmokeTest, ConcurrentShortRunsExitCleanly) {
 // message, never a silent clamp to some default (README "Exit codes",
 // DESIGN.md §11). Zero is out of range for all three — an interval of 0
 // would spin, a stuck threshold of 0 would flag everything, a budget of 0
-// is spelled by omitting the flag.
+// is spelled by omitting the flag. --profile-interval-ms and
+// --profile-max-samples are not satpg flags: they exit 2 as unknown flags.
 TEST(CliSmokeTest, MalformedTelemetryFlagsExitUsage) {
   const std::string dir = ::testing::TempDir();
   const std::string args_prefix =
@@ -525,7 +526,7 @@ TEST(CliSmokeTest, ProfilerDoesNotPerturbMetricsOrEvents) {
     ASSERT_FALSE(prof.empty());
     std::string err;
     EXPECT_TRUE(json_valid(prof, &err)) << err;
-    EXPECT_NE(prof.find("\"schema\": \"satpg.profile.v1\""),
+    EXPECT_NE(prof.find("\"schema\": \"satpg.profile.v2\""),
               std::string::npos);
     EXPECT_NE(prof.find("\"backend\": \"fallback\""), std::string::npos);
     EXPECT_NE(prof.find("\"phases\""), std::string::npos);

@@ -14,6 +14,7 @@
 #include "atpg/parallel.h"
 #include "base/json.h"
 #include "base/metrics.h"
+#include "base/profiler.h"
 #include "base/threadpool.h"
 #include "base/trace.h"
 #include "fsm/mcnc_suite.h"
@@ -165,8 +166,8 @@ TEST_F(MetricsTest, TraceRecorderSmoke) {
   rec.start();
   ASSERT_TRUE(tracing_enabled());
   {
-    TraceSpan span("test.phase");
-    TraceSpan inner("test.inner", "unit");
+    PhaseSpan span(ProfPhase::kSynth);
+    PhaseSpan inner(ProfPhase::kRetime);
   }
   rec.add_counter("test.queue_depth", rec.now_us(), 3);
   rec.stop();
@@ -180,7 +181,8 @@ TEST_F(MetricsTest, TraceRecorderSmoke) {
   std::string err;
   EXPECT_TRUE(json_valid(ss.str(), &err)) << err;
   EXPECT_NE(ss.str().find("traceEvents"), std::string::npos);
-  EXPECT_NE(ss.str().find("test.phase"), std::string::npos);
+  EXPECT_NE(ss.str().find("\"name\": \"synth\", \"cat\": \"synth\""),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, DisabledTraceSpanRecordsNothing) {
@@ -189,7 +191,7 @@ TEST_F(MetricsTest, DisabledTraceSpanRecordsNothing) {
   rec.start();
   rec.stop();  // clears the buffer, then disables
   const std::size_t before = rec.num_events();
-  { TraceSpan span("test.disabled_span"); }
+  { PhaseSpan span(ProfPhase::kSynth); }
   EXPECT_EQ(rec.num_events(), before);
 }
 

@@ -1,24 +1,29 @@
-// Tests for the base/profiler cycle-accounting layer (DESIGN.md §12): the
-// phase taxonomy invariants the JSON writers rely on (sorted enum order,
-// subsystem-contiguous blocks, wide-kernel tier mapping), the disabled-span
-// no-op contract, the fallback backend ladder (SATPG_PROFILE_BACKEND pins
-// it; task-clock moves, hardware counters stay zero), per-worker lane
-// attribution through the thread pool, the snapshot fold identity
-// (total == sum of lanes == sum of phases), the timeline sampler cap, and
-// the strict --profile-* flag validation shared by every tool.
+// Tests for PhaseSpan and the base/profiler cycle-accounting layer
+// (DESIGN.md §12): the phase table invariants the JSON writers rely on
+// (sorted enum order, subsystem-contiguous blocks, the timeline column,
+// wide-kernel tier mapping), the disabled-span no-op contract, the
+// fallback backend ladder (SATPG_PROFILE_BACKEND pins it; task-clock
+// moves, hardware counters stay zero), per-worker lane attribution
+// through the thread pool, the root fold behind total() (nested spans
+// never double-count it), the two sinks (only timeline phases reach the
+// trace; arming only the trace charges no lane), and the --profile-json
+// flag shared by every tool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/profiler.h"
 #include "base/telemetry_flags.h"
 #include "base/threadpool.h"
+#include "base/trace.h"
 
 namespace satpg {
 namespace {
@@ -58,15 +63,15 @@ TEST(ProfPhaseTest, NamesAreSortedUniqueAndMatchEnumOrder) {
 }
 
 TEST(ProfPhaseTest, SubsystemsAreContiguousAndPrefixNames) {
-  // The subsystem rollup in the sidecar assumes each subsystem owns one
-  // contiguous enum range, and that "sub.phase" names carry their owner.
+  // Each subsystem owns one contiguous enum range, and a phase name is
+  // its subsystem ("synth") or carries it as a prefix ("cdcl.lift").
   std::vector<std::string> seen_order;
   for (std::size_t i = 0; i < kNumProfPhases; ++i) {
     const auto p = static_cast<ProfPhase>(i);
     const std::string sub = prof_phase_subsystem(p);
     const std::string name = prof_phase_name(p);
-    EXPECT_EQ(name.rfind(sub + ".", 0), 0u)
-        << name << " must start with \"" << sub << ".\"";
+    EXPECT_TRUE(name == sub || name.rfind(sub + ".", 0) == 0)
+        << name << " must be or start with \"" << sub << ".\"";
     if (seen_order.empty() || seen_order.back() != sub) {
       for (const auto& earlier : seen_order)
         EXPECT_NE(earlier, sub) << "subsystem " << sub << " is split";
@@ -74,7 +79,21 @@ TEST(ProfPhaseTest, SubsystemsAreContiguousAndPrefixNames) {
     }
   }
   EXPECT_EQ(seen_order,
-            (std::vector<std::string>{"atpg", "cdcl", "fsim", "podem"}));
+            (std::vector<std::string>{"atpg", "cdcl", "fsim", "podem",
+                                      "pool", "retime", "synth"}));
+}
+
+TEST(ProfPhaseTest, TimelinePhasesAreTheLayerSpans) {
+  // The trace carries exactly these event names; every other phase is a
+  // kernel span that only the profiler sees.
+  std::set<std::string> timeline;
+  for (std::size_t i = 0; i < kNumProfPhases; ++i)
+    if (kProfPhases[i].timeline) timeline.insert(kProfPhases[i].name);
+  EXPECT_EQ(timeline,
+            (std::set<std::string>{"atpg.merge", "atpg.oracle_build",
+                                   "atpg.random_phase", "atpg.replay",
+                                   "atpg.unit", "fsim.run", "pool.task",
+                                   "retime", "synth"}));
 }
 
 TEST(ProfPhaseTest, WideKernelTierMapping) {
@@ -104,7 +123,7 @@ TEST(ProfilerTest, DisabledSpansRecordNothing) {
   ASSERT_FALSE(profiler_enabled())
       << "tests must leave the global profiler stopped";
   {
-    ProfileSpan span(ProfPhase::kFsimGood);
+    PhaseSpan span(ProfPhase::kFsimGood);
     burn_cpu();
   }
   // Arm once just to read a snapshot; the span above must not be in it.
@@ -120,7 +139,7 @@ TEST(ProfilerTest, FallbackBackendCountsTaskClockOnly) {
   Profiler::global().start();
   EXPECT_TRUE(profiler_enabled());
   {
-    ProfileSpan span(ProfPhase::kPodemJustify);
+    PhaseSpan span(ProfPhase::kPodemJustify);
     burn_cpu();
   }
   Profiler::global().stop();
@@ -150,7 +169,7 @@ TEST(ProfilerTest, AutoProbeNeverFailsToArm) {
   EXPECT_TRUE(backend == ProfBackend::kPerfEvent ||
               backend == ProfBackend::kFallback);
   {
-    ProfileSpan span(ProfPhase::kCdclPropagate);
+    PhaseSpan span(ProfPhase::kCdclPropagate);
     burn_cpu();
   }
   Profiler::global().stop();
@@ -164,7 +183,7 @@ TEST(ProfilerTest, AutoProbeNeverFailsToArm) {
 TEST(ProfilerTest, RestartResetsLanes) {
   BackendGuard guard("fallback");
   Profiler::global().start();
-  { ProfileSpan span(ProfPhase::kFsimBatch); burn_cpu(); }
+  { PhaseSpan span(ProfPhase::kFsimBatch); burn_cpu(); }
   Profiler::global().stop();
   EXPECT_EQ(Profiler::global().snapshot().phase(ProfPhase::kFsimBatch).calls,
             1u);
@@ -186,7 +205,7 @@ TEST(ProfilerTest, WorkerLanesAttributeSpansPerThread) {
   Profiler::global().start();
   pool.run_on_workers(kWorkers, [&](unsigned) {
     for (std::uint64_t i = 0; i < kSpansPerWorker; ++i) {
-      ProfileSpan span(ProfPhase::kAtpgMerge);
+      PhaseSpan span(ProfPhase::kAtpgMerge);
       burn_cpu();
     }
   });
@@ -197,52 +216,93 @@ TEST(ProfilerTest, WorkerLanesAttributeSpansPerThread) {
   EXPECT_EQ(merge.calls, kWorkers * kSpansPerWorker);
   EXPECT_GT(merge.counter(ProfCounter::kTaskClockNs), 0u);
 
+  // Each pool worker runs its share inside one pool.task span, so its
+  // merge spans nest; fn(0) runs on the calling thread, where they are
+  // roots.
+  EXPECT_EQ(snap.phase(ProfPhase::kPoolTask).calls, kWorkers - 1);
+
   // Lanes appear ascending and only for threads that recorded activity;
   // the calling thread is lane 0, pool workers register as >= 1.
   ASSERT_FALSE(snap.lanes.empty());
-  std::uint64_t lane_calls = 0;
+  std::uint64_t lane_root_calls = 0;
   for (std::size_t i = 0; i < snap.lanes.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(snap.lanes[i - 1].lane, snap.lanes[i].lane);
     }
-    for (std::size_t p = 0; p < kNumProfPhases; ++p)
-      lane_calls += snap.lanes[i].phases[p].calls;
+    lane_root_calls += snap.lanes[i].root.calls;
   }
-  EXPECT_EQ(lane_calls, snap.total().calls)
-      << "total() must be exactly the fold of the per-lane totals";
+  EXPECT_EQ(lane_root_calls, snap.total().calls)
+      << "total() must be exactly the fold of the per-lane root totals";
+  EXPECT_EQ(snap.total().calls, kSpansPerWorker + (kWorkers - 1))
+      << "roots: fn(0)'s merge spans plus one pool.task per worker";
   EXPECT_EQ(snap.lanes.front().lane, 0u)
       << "run_on_workers executes fn(0) on the calling thread";
 }
 
-// --- sampler ----------------------------------------------------------------
+// --- sinks and nesting ------------------------------------------------------
 
-TEST(ProfilerTest, SamplerHonorsMaxSamplesCap) {
-  BackendGuard guard("fallback");
-  Profiler::Options opts;
-  opts.sample_interval_ms = 1;
-  opts.max_samples = 3;
-  Profiler::global().start(opts);
-  {
-    ProfileSpan span(ProfPhase::kFsimGood);
-    // Enough wall time for well over max_samples ticks.
-    for (int i = 0; i < 60; ++i) burn_cpu();
-  }
-  Profiler::global().stop();
-
-  const ProfSnapshot snap = Profiler::global().snapshot();
-  EXPECT_LE(snap.samples.size(), 3u);
-  for (std::size_t i = 1; i < snap.samples.size(); ++i)
-    EXPECT_LE(snap.samples[i - 1].at_ms, snap.samples[i].at_ms);
+std::string slurp(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
 }
 
-TEST(ProfilerTest, NoSamplerWhenIntervalIsZero) {
+TEST(ProfilerTest, NestedKernelSpanChargesBothPhasesAndOneRoot) {
   BackendGuard guard("fallback");
-  Profiler::global().start();  // default Options: interval 0
-  { ProfileSpan span(ProfPhase::kFsimGood); burn_cpu(); }
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.start();
+  Profiler::global().start();
+  {
+    PhaseSpan unit(ProfPhase::kAtpgUnit);
+    burn_cpu();
+    {
+      PhaseSpan propagate(ProfPhase::kCdclPropagate);
+      burn_cpu();
+    }
+  }
   Profiler::global().stop();
+  rec.stop();
+
+  // One Chrome event: the timeline phase, with its subsystem as category.
+  EXPECT_EQ(rec.num_events(), 1u);
+  const std::string path = ::testing::TempDir() + "profiler_test_trace.json";
+  ASSERT_TRUE(rec.write_json(path));
+  const std::string trace = slurp(path);
+  EXPECT_NE(trace.find("\"name\": \"atpg.unit\", \"cat\": \"atpg\""),
+            std::string::npos);
+  EXPECT_EQ(trace.find("cdcl.propagate"), std::string::npos);
+
+  // Both phases charged, inclusively; the total is the outer span alone.
   const ProfSnapshot snap = Profiler::global().snapshot();
-  EXPECT_TRUE(snap.samples.empty());
-  EXPECT_EQ(snap.samples_dropped, 0u);
+  const ProfPhaseTotals unit = snap.phase(ProfPhase::kAtpgUnit);
+  const ProfPhaseTotals propagate = snap.phase(ProfPhase::kCdclPropagate);
+  EXPECT_EQ(unit.calls, 1u);
+  EXPECT_EQ(propagate.calls, 1u);
+  EXPECT_GT(propagate.counter(ProfCounter::kTaskClockNs), 0u);
+  EXPECT_GE(unit.counter(ProfCounter::kTaskClockNs),
+            propagate.counter(ProfCounter::kTaskClockNs));
+  const ProfPhaseTotals total = snap.total();
+  EXPECT_EQ(total.calls, 1u);
+  EXPECT_EQ(total.counter(ProfCounter::kTaskClockNs),
+            unit.counter(ProfCounter::kTaskClockNs));
+}
+
+TEST(ProfilerTest, TraceOnlyChargesNoLane) {
+  BackendGuard guard("fallback");
+  Profiler::global().start();  // reset the lanes, then disarm
+  Profiler::global().stop();
+  TraceRecorder& rec = TraceRecorder::global();
+  rec.start();
+  {
+    PhaseSpan unit(ProfPhase::kAtpgUnit);
+    PhaseSpan propagate(ProfPhase::kCdclPropagate);
+    burn_cpu();
+  }
+  rec.stop();
+  EXPECT_EQ(rec.num_events(), 1u);
+  EXPECT_TRUE(Profiler::global().snapshot().lanes.empty())
+      << "the profile sink was never armed";
 }
 
 // --- flag validation --------------------------------------------------------
@@ -250,32 +310,19 @@ TEST(ProfilerTest, NoSamplerWhenIntervalIsZero) {
 TEST(TelemetryFlagsTest, ProfileFlagsParseStrictly) {
   TelemetryFlags good;
   EXPECT_TRUE(good.parse("--profile-json=prof.json"));
-  EXPECT_TRUE(good.parse("--profile-interval-ms=25"));
-  EXPECT_TRUE(good.parse("--profile-max-samples=128"));
   EXPECT_TRUE(good.error.empty()) << good.error;
   EXPECT_TRUE(good.profile_enabled());
-  EXPECT_EQ(good.profile_interval_ms, 25u);
-  EXPECT_EQ(good.profile_max_samples, 128u);
 
-  // Anything but a positive decimal number must be flagged, never clamped.
-  const char* bad[] = {
-      "--profile-interval-ms=abc", "--profile-interval-ms=",
-      "--profile-interval-ms=0",   "--profile-interval-ms=-3",
-      "--profile-interval-ms=5x",  "--profile-max-samples=abc",
-      "--profile-max-samples=0",   "--profile-max-samples=-1",
-  };
-  for (const char* arg : bad) {
-    TelemetryFlags f;
-    EXPECT_TRUE(f.parse(arg)) << arg << " is ours to consume";
-    EXPECT_FALSE(f.error.empty()) << arg << " must fail strict validation";
-  }
+  // The removed timeline-sampler flags are no longer ours: each tool's own
+  // flag loop rejects them as unknown.
+  TelemetryFlags f;
+  EXPECT_FALSE(f.parse("--profile-interval-ms=25"));
+  EXPECT_FALSE(f.parse("--profile-max-samples=128"));
 }
 
 TEST(TelemetryFlagsTest, ProfileDisabledByDefault) {
   TelemetryFlags f;
   EXPECT_FALSE(f.profile_enabled());
-  EXPECT_EQ(f.profile_interval_ms, 0u);
-  EXPECT_EQ(f.profile_max_samples, 4096u);
 }
 
 }  // namespace

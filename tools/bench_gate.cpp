@@ -28,7 +28,7 @@
 // floor (default 2.0x over the 64-slot baseline). Wired non-blocking in
 // CI: wall-clock on shared runners is advisory, determinism is not.
 //
-// --profile mode is purely advisory: it reads a satpg.profile.v1 sidecar
+// --profile mode is purely advisory: it reads a satpg.profile.* sidecar
 // (--profile-json output), prints the backend and the ranked per-phase
 // cost table plus cycles/eval, and exits 0 for any well-formed sidecar
 // (2 when malformed). There is no threshold — cycle counts on shared
@@ -133,7 +133,7 @@ int run_fsim_gate(const std::string& path, double min_speedup) {
 }
 
 // --profile mode: advisory where-do-the-cycles-go report off a
-// satpg.profile.v1 sidecar. No thresholds; exit 0 iff well-formed.
+// satpg.profile.* sidecar. No thresholds; exit 0 iff well-formed.
 int run_profile_report(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
@@ -176,14 +176,16 @@ int run_profile_report(const std::string& path) {
     std::uint64_t cycles;
   };
   std::vector<Row> rows;
-  std::uint64_t total_ns = 0;
   for (const auto& [name, v] : phases->members()) {
     const std::uint64_t calls = v.uint_or("calls", 0);
     if (calls == 0) continue;
     rows.push_back({name, calls, v.uint_or("task_clock_ns", 0),
                     v.uint_or("cycles", 0)});
-    total_ns += rows.back().task_ns;
   }
+  // Phase rows nest (inclusive counters), so shares are of the total.
+  const JsonValue* total = doc.find("total");
+  const std::uint64_t total_ns =
+      total ? total->uint_or("task_clock_ns", 0) : 0;
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.task_ns != b.task_ns) return a.task_ns > b.task_ns;
     return a.name < b.name;

@@ -25,7 +25,6 @@
 //               --mem-budget-mb=F (deterministic per-attempt byte cap)
 //               --capture-json=FILE / --capture-fault=ID
 //               --profile-json=FILE (cycle-level profile sidecar; wall-clock)
-//               --profile-interval-ms=N / --profile-max-samples=N
 // Every engine-running subcommand accepts --metrics-json/--trace-json; the
 // flags are parsed by the shared TelemetryFlags helper. The monitor,
 // watchdog, capture, and flight-recorder flags are wired in `satpg atpg`
@@ -33,7 +32,7 @@
 //
 // archive stores satpg.atpg_run.* reports; diff/inspect read only
 // satpg.atpg_run.v6 and exit 2 on any other report schema (inspect also
-// reads satpg.events.v1 logs and, with --profile, satpg.profile.v1
+// reads satpg.events.v1 logs and, with --profile, satpg.profile.*
 // sidecars; the archive stores profile sidecars too so `inspect --trend`
 // can join them to their runs); <a>/<b>/<src> may each be a file path or
 // a stored report's hash prefix (see harness/archive.h).
@@ -100,7 +99,7 @@ void print_usage(std::FILE* f) {
       " [--compact]\n"
       "                [--threads=N] [--deadline-ms=N]"
       " [--metrics-json=FILE] [--events-json=FILE]\n"
-      "                [--trace-json=FILE]\n"
+      "                [--trace-json=FILE] [--profile-json=FILE]\n"
       "                [--heartbeat-json=FILE] [--heartbeat-interval-ms=N]"
       " [--progress]\n"
       "                [--stuck-evals=N] [--stuck-seconds=F]"
@@ -108,8 +107,6 @@ void print_usage(std::FILE* f) {
       "                [--mem-budget-mb=F] (per-attempt accounted-byte cap;"
       " trips park + requeue)\n"
       "                [--capture-json=FILE] [--capture-fault=NAME|INDEX]\n"
-      "                [--profile-json=FILE] [--profile-interval-ms=N]"
-      " [--profile-max-samples=N]\n"
       "  satpg fsim    c.bench [--sequences=N] [--length=N] [--seed=N]"
       " [--threads=N]\n"
       "                [--engine=auto|baseline|wide]"
