@@ -36,14 +36,21 @@ bool parse_positive_u64(const char* s, std::uint64_t* out) {
   return true;
 }
 
-bool parse_positive_double(const char* s, double* out) {
+bool parse_nonnegative_double(const char* s, double* out) {
   if (s == nullptr || *s == '\0') return false;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || !(v > 0.0) ||
+  if (errno != 0 || end == s || *end != '\0' || !(v >= 0.0) ||
       !std::isfinite(v))
     return false;
+  *out = v;
+  return true;
+}
+
+bool parse_positive_double(const char* s, double* out) {
+  double v = 0.0;
+  if (!parse_nonnegative_double(s, &v) || v == 0.0) return false;
   *out = v;
   return true;
 }

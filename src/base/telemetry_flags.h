@@ -36,8 +36,10 @@ namespace satpg {
 /// with `*out > 0` — anything else (empty, trailing junk, zero, negative,
 /// and for the double an infinity or NaN) returns false so the caller can
 /// exit 2 with usage instead of silently clamping a typo into a real run.
+/// parse_nonnegative_double also accepts zero.
 bool parse_positive_u64(const char* s, std::uint64_t* out);
 bool parse_positive_double(const char* s, double* out);
+bool parse_nonnegative_double(const char* s, double* out);
 
 struct TelemetryFlags {
   std::string metrics_json;    ///< empty = metrics disabled

@@ -7,6 +7,7 @@
 
 #include "base/json.h"
 #include "base/strutil.h"
+#include "harness/report.h"
 
 namespace satpg {
 
@@ -20,10 +21,11 @@ std::string read_file_or_throw(const std::string& path) {
   return ss.str();
 }
 
-/// Identity fields pulled out of a parsed report. The config digest hashes
-/// the engine object's canonical rendering plus the circuit identity — the
-/// pieces that define "the same experiment", deliberately excluding every
-/// result field.
+/// Identity fields pulled out of a report or profile sidecar: the
+/// identity triple plus the config digest, which hashes archive_config —
+/// the pieces that define "the same experiment". Profile sidecars carry
+/// the same circuit/engine identity blocks as the reports they ride along
+/// with, so the same digest joins the two planes.
 ArchiveEntry identity_of(const std::string& report_text) {
   JsonValue root;
   std::string err;
@@ -33,30 +35,17 @@ ArchiveEntry identity_of(const std::string& report_text) {
     throw std::runtime_error("report is not a JSON object");
   ArchiveEntry e;
   e.schema = root.str_or("schema", "");
-  // Profile sidecars carry the same circuit/engine identity blocks as the
-  // reports they ride along with, so the same digest joins the two planes.
-  if (e.schema.rfind("satpg.atpg_run.", 0) != 0 &&
-      e.schema.rfind("satpg.profile.", 0) != 0)
-    throw std::runtime_error("not an atpg_run report or profile (schema \"" +
-                             e.schema + "\")");
+  if (e.schema != kAtpgRunSchema && e.schema.rfind("satpg.profile.", 0) != 0)
+    throw std::runtime_error(std::string("not a ") + kAtpgRunSchema +
+                             " report or profile (schema \"" + e.schema +
+                             "\")");
   const JsonValue* circuit = root.find("circuit");
   const JsonValue* engine = root.find("engine");
   if (circuit == nullptr || engine == nullptr)
     throw std::runtime_error("report lacks circuit/engine identity");
   e.circuit = circuit->str_or("name", "?");
   e.engine = engine->str_or("kind", "?");
-
-  std::string config = e.circuit;
-  config += '|';
-  config += strprintf(
-      "%s eval=%llu bt=%llu fwd=%llu bwd=%llu seed=%llu", e.engine.c_str(),
-      static_cast<unsigned long long>(engine->uint_or("eval_limit", 0)),
-      static_cast<unsigned long long>(engine->uint_or("backtrack_limit", 0)),
-      static_cast<unsigned long long>(engine->uint_or("max_forward_frames", 0)),
-      static_cast<unsigned long long>(
-          engine->uint_or("max_backward_frames", 0)),
-      static_cast<unsigned long long>(engine->uint_or("seed", 0)));
-  e.config_digest = fnv1a64_hex(config);
+  e.config_digest = fnv1a64_hex(archive_config(root));
   e.hash = fnv1a64_hex(report_text);
   return e;
 }
@@ -71,6 +60,26 @@ std::string index_line(const ArchiveEntry& e) {
 }
 
 }  // namespace
+
+std::string archive_config(const JsonValue& root) {
+  std::string circuit = "?";
+  if (const JsonValue* c = root.find("circuit"))
+    circuit = c->str_or("name", "?");
+  static const JsonValue kEmpty;
+  const JsonValue* e = root.find("engine");
+  if (e == nullptr) e = &kEmpty;
+  return circuit + "|" +
+         strprintf(
+             "%s eval=%llu bt=%llu fwd=%llu bwd=%llu seed=%llu",
+             e->str_or("kind", "?").c_str(),
+             static_cast<unsigned long long>(e->uint_or("eval_limit", 0)),
+             static_cast<unsigned long long>(e->uint_or("backtrack_limit", 0)),
+             static_cast<unsigned long long>(
+                 e->uint_or("max_forward_frames", 0)),
+             static_cast<unsigned long long>(
+                 e->uint_or("max_backward_frames", 0)),
+             static_cast<unsigned long long>(e->uint_or("seed", 0)));
+}
 
 RunArchive::RunArchive(std::string dir) : dir_(std::move(dir)) {}
 
@@ -106,10 +115,6 @@ ArchiveEntry RunArchive::add(const std::string& report_text) {
   if (!os.good())
     throw std::runtime_error("append failed: " + index_path());
   return e;
-}
-
-ArchiveEntry RunArchive::add_file(const std::string& path) {
-  return add(read_file_or_throw(path));
 }
 
 std::vector<ArchiveEntry> RunArchive::list() const {

@@ -14,8 +14,9 @@
 //
 // Each index line records the report's identity triple (circuit, engine,
 // schema) plus a config digest — the hash of the engine/seed configuration
-// alone — so tooling can find "the same configuration, different code
-// version" pairs to diff.
+// alone (archive_config) — so tooling can find "the same configuration,
+// different code version" pairs to diff, and `satpg inspect --trend` can
+// join profile sidecars to their reports.
 #pragma once
 
 #include <optional>
@@ -24,9 +25,17 @@
 
 namespace satpg {
 
+class JsonValue;
+
+/// The pre-digest configuration string of any document carrying the
+/// shared circuit/engine identity blocks (report or profile sidecar):
+/// circuit name, engine kind, limits and seed — deliberately no result
+/// field. Missing blocks or keys render as "?" / 0.
+std::string archive_config(const JsonValue& root);
+
 struct ArchiveEntry {
   std::string hash;           ///< 16-hex FNV-1a of the report text
-  std::string schema;         ///< e.g. "satpg.atpg_run.v3"
+  std::string schema;         ///< kAtpgRunSchema or "satpg.profile.*"
   std::string circuit;        ///< circuit name from the report
   std::string engine;         ///< engine kind from the report
   std::string config_digest;  ///< 16-hex hash of circuit+engine+seed config
@@ -39,14 +48,12 @@ class RunArchive {
 
   const std::string& dir() const { return dir_; }
 
-  /// Validate + parse `report_text` (any satpg.atpg_run.* schema), store it
-  /// under its content hash, and append an index line unless the hash is
-  /// already indexed. Throws std::runtime_error on malformed input or I/O
-  /// failure. Idempotent.
+  /// Validate `report_text` (a kAtpgRunSchema report or a satpg.profile.*
+  /// sidecar; any other schema, older reports included, is refused), store
+  /// it under its content hash, and append an index line unless the hash
+  /// is already indexed. Throws std::runtime_error on malformed input or
+  /// I/O failure. Idempotent.
   ArchiveEntry add(const std::string& report_text);
-
-  /// add() on a file's contents. Throws std::runtime_error when unreadable.
-  ArchiveEntry add_file(const std::string& path);
 
   /// Index entries in append order. Malformed index lines are skipped.
   std::vector<ArchiveEntry> list() const;

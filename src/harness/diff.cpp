@@ -1,100 +1,45 @@
 #include "harness/diff.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <ostream>
 
-#include "base/json.h"
 #include "base/strutil.h"
 #include "base/table.h"
-#include "harness/report.h"
 
 namespace satpg {
 
 namespace {
 
+/// Fault-efficiency thresholds the milestone table reports.
+constexpr double kFeMilestones[] = {25.0, 50.0, 75.0, 90.0, 95.0};
+
 double ratio_of(std::uint64_t b, std::uint64_t a) {
-  if (a == 0) return b == 0 ? 1.0 : 0.0;
+  if (a == 0)
+    return b == 0 ? 1.0 : std::numeric_limits<double>::infinity();
   return static_cast<double>(b) / static_cast<double>(a);
 }
 
+std::string fmt_u64(std::uint64_t v) {
+  return strprintf("%llu", static_cast<unsigned long long>(v));
+}
 std::string fmt_frac(double v) { return strprintf("%.4f", v); }
 std::string fmt_pct(double v) { return strprintf("%.2f", v); }
-std::string fmt_ratio(double v) { return strprintf("%.3fx", v); }
+std::string fmt_ratio(double v) {
+  return std::isinf(v) ? "inf" : strprintf("%.3fx", v);
+}
 std::string fmt_delta_pts(double v) { return strprintf("%+.2f", v); }
 
-}  // namespace
-
-bool parse_run_report(const std::string& json_text, RunReport* out,
-                      std::string* error) {
-  JsonValue root;
-  if (!json_parse(json_text, &root, error)) return false;
-  if (!root.is_object()) {
-    if (error) *error = "report is not a JSON object";
-    return false;
-  }
-  RunReport r;
-  r.schema = root.str_or("schema", "");
-  if (r.schema != kAtpgRunSchema) {
-    if (error)
-      *error = "unsupported report schema \"" + r.schema + "\" (need " +
-               kAtpgRunSchema + ")";
-    return false;
-  }
-  if (const JsonValue* c = root.find("circuit"))
-    r.circuit = c->str_or("name", "?");
-  if (const JsonValue* e = root.find("engine")) {
-    r.engine = e->str_or("kind", "?");
-    r.seed = e->uint_or("seed", 0);
-  }
-  if (const JsonValue* a = root.find("attribution")) {
-    r.oracle_mode = a->str_or("oracle", "");
-    r.density = a->num_or("density", -1.0);
-  }
-  if (const JsonValue* bi = root.find("build_info"))
-    r.build_line = strprintf(
-        "%s %s %s san=%s simd=%s/%s", bi->str_or("compiler", "?").c_str(),
-        bi->str_or("compiler_version", "?").c_str(),
-        bi->str_or("build_type", "?").c_str(),
-        bi->str_or("sanitizer", "?").c_str(),
-        bi->str_or("simd_compiled", "?").c_str(),
-        bi->str_or("simd_dispatched", "?").c_str());
-  if (const JsonValue* mem = root.find("memory"))
-    if (const JsonValue* tot = mem->find("total")) {
-      r.mem_peak_bytes = tot->uint_or("peak", 0);
-      r.mem_allocated_bytes = tot->uint_or("allocated", 0);
-    }
-  const JsonValue* s = root.find("summary");
-  if (s == nullptr || !s->is_object()) {
-    if (error) *error = "report lacks a summary object";
-    return false;
-  }
-  r.fault_coverage = s->num_or("fault_coverage", 0.0);
-  r.fault_efficiency = s->num_or("fault_efficiency", 0.0);
-  r.evals = s->uint_or("evals", 0);
-  r.backtracks = s->uint_or("backtracks", 0);
-  r.justify_calls = s->uint_or("justify_calls", 0);
-  r.justify_failures = s->uint_or("justify_failures", 0);
-  r.effort_invalid_frac = s->num_or("effort_invalid_frac", 0.0);
-
-  if (const JsonValue* pf = root.find("per_fault"); pf && pf->is_array()) {
-    r.per_fault.reserve(pf->array().size());
-    for (const JsonValue& f : pf->array()) {
-      if (!f.is_object()) continue;
-      RunReport::PerFault rec;
-      rec.name = f.str_or("fault", "?");
-      rec.status = f.str_or("status", "?");
-      rec.attempted = f.bool_or("attempted", false);
-      rec.evals = f.uint_or("evals", 0);
-      rec.backtracks = f.uint_or("backtracks", 0);
-      rec.justify_failures = f.uint_or("justify_failures", 0);
-      rec.effort_invalid_frac = f.num_or("effort_invalid_frac", 0.0);
-      r.per_fault.push_back(std::move(rec));
-    }
-  }
-  *out = std::move(r);
-  return true;
+std::int64_t evals_to_reach(const RunReport& r, double fe_pct) {
+  for (const auto& [evals, fe] : r.fe_trace)
+    if (fe >= fe_pct) return static_cast<std::int64_t>(evals);
+  return -1;
 }
+
+}  // namespace
 
 RunDiff diff_runs(const RunReport& a, const RunReport& b,
                   const DiffOptions& opts) {
@@ -105,35 +50,36 @@ RunDiff diff_runs(const RunReport& a, const RunReport& b,
   d.backtracks_ratio = ratio_of(b.backtracks, a.backtracks);
   d.invalid_frac_delta = b.effort_invalid_frac - a.effort_invalid_frac;
 
-  // Per-fault join on fault name. std::map keeps the iteration (and with
-  // it every output row) in a fixed order independent of input order.
+  for (const double fe : kFeMilestones)
+    d.milestones.push_back({fe, evals_to_reach(a, fe), evals_to_reach(b, fe)});
+
+  // Per-fault join on fault name; the sort fixes every output row's order
+  // independent of input order.
   std::map<std::string, const RunReport::PerFault*> by_name_a;
   for (const auto& f : a.per_fault) by_name_a.emplace(f.name, &f);
 
-  std::vector<RunDiff::FaultDelta> grew;
   for (const auto& fb : b.per_fault) {
     const auto it = by_name_a.find(fb.name);
     if (it == by_name_a.end()) continue;
     const RunReport::PerFault& fa = *it->second;
-    RunDiff::FaultDelta fd;
-    fd.name = fb.name;
-    fd.status_a = fa.status;
-    fd.status_b = fb.status;
-    fd.evals_delta = static_cast<std::int64_t>(fb.evals) -
-                     static_cast<std::int64_t>(fa.evals);
-    fd.invalid_frac_a = fa.effort_invalid_frac;
-    fd.invalid_frac_b = fb.effort_invalid_frac;
-    if (fd.evals_delta > 0) grew.push_back(fd);
-    if (fa.status != fb.status) d.status_changes.push_back(fd);
+    if (fa.status == fb.status && fa.evals == fb.evals) continue;
+    d.divergent.push_back({fb.name, fa.status, fb.status,
+                           static_cast<std::int64_t>(fb.evals) -
+                               static_cast<std::int64_t>(fa.evals),
+                           fa.effort_invalid_frac, fb.effort_invalid_frac});
   }
-  std::sort(grew.begin(), grew.end(),
+  std::sort(d.divergent.begin(), d.divergent.end(),
             [](const RunDiff::FaultDelta& x, const RunDiff::FaultDelta& y) {
-              if (x.evals_delta != y.evals_delta)
-                return x.evals_delta > y.evals_delta;
+              const bool xs = x.status_a != x.status_b;
+              const bool ys = y.status_a != y.status_b;
+              if (xs != ys) return xs;
+              const std::int64_t xd = std::abs(x.evals_delta);
+              const std::int64_t yd = std::abs(y.evals_delta);
+              if (xd != yd) return xd > yd;
               return x.name < y.name;
             });
-  if (grew.size() > opts.top_regressions) grew.resize(opts.top_regressions);
-  d.regressions = std::move(grew);
+  d.divergent_total = d.divergent.size();
+  if (d.divergent.size() > opts.top) d.divergent.resize(opts.top);
 
   const std::size_t bins = std::max<std::size_t>(1, opts.scatter_bins);
   d.scatter_a.assign(bins, 0);
@@ -166,22 +112,14 @@ void write_run_diff(std::ostream& os, const RunReport& a, const RunReport& b,
   summary.add_row({"fault_efficiency %", fmt_pct(a.fault_efficiency),
                    fmt_pct(b.fault_efficiency),
                    fmt_delta_pts(d.efficiency_delta)});
-  summary.add_row({"evals", strprintf("%llu",
-                                      static_cast<unsigned long long>(a.evals)),
-                   strprintf("%llu", static_cast<unsigned long long>(b.evals)),
-                   fmt_ratio(d.evals_ratio)});
-  summary.add_row(
-      {"backtracks",
-       strprintf("%llu", static_cast<unsigned long long>(a.backtracks)),
-       strprintf("%llu", static_cast<unsigned long long>(b.backtracks)),
-       fmt_ratio(d.backtracks_ratio)});
-  summary.add_row({"justify_failures",
-                   strprintf("%llu", static_cast<unsigned long long>(
-                                         a.justify_failures)),
-                   strprintf("%llu", static_cast<unsigned long long>(
-                                         b.justify_failures)),
-                   fmt_ratio(ratio_of(b.justify_failures,
-                                      a.justify_failures))});
+  const auto add_count = [&summary](const char* metric, std::uint64_t va,
+                                    std::uint64_t vb) {
+    summary.add_row({metric, fmt_u64(va), fmt_u64(vb),
+                     fmt_ratio(ratio_of(vb, va))});
+  };
+  add_count("evals", a.evals, b.evals);
+  add_count("backtracks", a.backtracks, b.backtracks);
+  add_count("justify_failures", a.justify_failures, b.justify_failures);
   summary.add_row({"effort_invalid_frac", fmt_frac(a.effort_invalid_frac),
                    fmt_frac(b.effort_invalid_frac),
                    strprintf("%+.4f", d.invalid_frac_delta)});
@@ -191,12 +129,9 @@ void write_run_diff(std::ostream& os, const RunReport& a, const RunReport& b,
   summary.add_row({"density",
                    a.density < 0 ? "-" : format_density(a.density),
                    b.density < 0 ? "-" : format_density(b.density), "-"});
-  summary.add_row({"peak mem bytes",
-                   strprintf("%llu", static_cast<unsigned long long>(
-                                         a.mem_peak_bytes)),
-                   strprintf("%llu", static_cast<unsigned long long>(
-                                         b.mem_peak_bytes)),
-                   fmt_ratio(ratio_of(b.mem_peak_bytes, a.mem_peak_bytes))});
+  add_count("peak mem bytes", a.mem_peak_bytes, b.mem_peak_bytes);
+  add_count("cube exports", a.prov_exports, b.prov_exports);
+  add_count("cube import hits", a.prov_hits, b.prov_hits);
   os << summary.to_string() << "\n";
 
   // Build provenance: performance-level comparisons across differing
@@ -212,24 +147,29 @@ void write_run_diff(std::ostream& os, const RunReport& a, const RunReport& b,
     os << "\n";
   }
 
-  if (!d.regressions.empty()) {
-    os << "top effort regressions (evals, baseline -> candidate):\n";
-    Table reg({"fault", "d_evals", "status", "inv_frac a", "inv_frac b"});
-    for (const auto& f : d.regressions)
-      reg.add_row({f.name,
-                   strprintf("%+lld", static_cast<long long>(f.evals_delta)),
+  os << "fault-efficiency milestones (evals to reach FE%):\n";
+  Table m({"fe %", "baseline", "candidate"});
+  const auto evals_or_dash = [](std::int64_t v) {
+    return v < 0 ? std::string("-") : fmt_u64(static_cast<std::uint64_t>(v));
+  };
+  for (const RunDiff::Milestone& ms : d.milestones)
+    m.add_row({strprintf("%.0f", ms.fe_pct), evals_or_dash(ms.evals_a),
+               evals_or_dash(ms.evals_b)});
+  os << m.to_string() << "\n";
+
+  if (d.divergent_total == 0) {
+    os << "per-fault trajectories identical\n\n";
+  } else {
+    os << "per-fault divergence (" << d.divergent.size() << " of "
+       << d.divergent_total << ", status changes first):\n";
+    Table div({"fault", "status", "d_evals", "inv_frac a", "inv_frac b"});
+    for (const auto& f : d.divergent)
+      div.add_row({f.name,
                    f.status_a == f.status_b ? f.status_a
                                             : f.status_a + "->" + f.status_b,
+                   strprintf("%+lld", static_cast<long long>(f.evals_delta)),
                    fmt_frac(f.invalid_frac_a), fmt_frac(f.invalid_frac_b)});
-    os << reg.to_string() << "\n";
-  }
-
-  if (!d.status_changes.empty()) {
-    os << "status changes:\n";
-    Table st({"fault", "baseline", "candidate"});
-    for (const auto& f : d.status_changes)
-      st.add_row({f.name, f.status_a, f.status_b});
-    os << st.to_string() << "\n";
+    os << div.to_string() << "\n";
   }
 
   // The Figure-3 scatter: how much of each attempted fault's effort went
@@ -243,10 +183,7 @@ void write_run_diff(std::ostream& os, const RunReport& a, const RunReport& b,
     const double hi =
         static_cast<double>(i + 1) / static_cast<double>(bins);
     scatter.add_row({strprintf("[%.1f,%.1f)", lo, hi),
-                     strprintf("%llu", static_cast<unsigned long long>(
-                                           d.scatter_a[i])),
-                     strprintf("%llu", static_cast<unsigned long long>(
-                                           d.scatter_b[i]))});
+                     fmt_u64(d.scatter_a[i]), fmt_u64(d.scatter_b[i])});
   }
   os << scatter.to_string();
 }
@@ -267,7 +204,8 @@ GateResult evaluate_gate(const RunReport& baseline,
   if (ratio > opts.max_effort_ratio) {
     res.pass = false;
     res.violations.push_back(strprintf(
-        "effort grew %.3fx (%llu -> %llu evals), allowed %.3fx", ratio,
+        "effort grew %s (%llu -> %llu evals), allowed %.3fx",
+        fmt_ratio(ratio).c_str(),
         static_cast<unsigned long long>(baseline.evals),
         static_cast<unsigned long long>(candidate.evals),
         opts.max_effort_ratio));

@@ -9,94 +9,24 @@
 #include "base/json.h"
 #include "base/strutil.h"
 #include "base/table.h"
+#include "harness/archive.h"
 #include "harness/report.h"
 
 namespace satpg {
 
 namespace {
 
-// ---- parsed model -----------------------------------------------------------
+// ---- event-log reader -------------------------------------------------------
 
-/// One flight-recorder event, as read back from the NDJSON log.
-struct EventRec {
-  std::string k;
-  std::uint64_t at = 0;
-  std::int64_t a = 0;
-  std::int64_t b = 0;
-  std::uint64_t bytes = 0;  ///< v6 byte annotation (db_reduce reclaimed, …)
-  std::string cube;
-  std::string src;
-  std::vector<std::uint64_t> lbd;
-};
+constexpr char kEventsSchema[] = "satpg.events.v1";
 
-struct FaultRec {
-  std::string name;
-  std::size_t index = 0;
-  std::string status;
-  bool attempted = true;
-  std::uint64_t evals = 0;
-  std::uint64_t backtracks = 0;
-  double invalid_frac = 0.0;
-  std::uint64_t cube_exports = 0;
-  std::uint64_t peak_bytes = 0;  ///< v6 reports; 0 before
-  std::vector<EventRec> events;  ///< event-log sources only
-  struct Source {
-    std::string from;
-    std::uint64_t epoch = 0;
-    std::uint64_t hits = 0;
-  };
-  std::vector<Source> sources;
-};
-
-struct ExporterRow {
-  std::string fault;
-  std::uint64_t cubes = 0;
-  std::uint64_t beneficiaries = 0;
-  std::uint64_t hits = 0;
-};
-
-/// One subsystem row of a v6 report's "memory" block.
-struct MemRow {
-  std::string name;
-  std::uint64_t live = 0;
-  std::uint64_t peak = 0;
-  std::uint64_t allocated = 0;
-  std::uint64_t allocs = 0;
-};
-
-/// Either artifact, normalized. `is_events` tells which one it was.
-struct Doc {
-  bool is_events = false;
-  std::string schema;
-  std::string circuit;
-  std::string engine;
-  std::uint64_t seed = 0;
-  std::size_t total_faults = 0;
-  std::vector<FaultRec> faults;  ///< attempted faults only for event logs
-  std::vector<std::pair<std::uint64_t, double>> fe_trace;  ///< reports only
-  std::uint64_t prov_exports = 0;
-  std::uint64_t prov_hits = 0;
-  std::vector<ExporterRow> exporters;
-  double fault_coverage = 0.0;
-  double fault_efficiency = 0.0;
-  std::uint64_t evals = 0;
-  // Report memory block (absent from event logs).
-  bool has_memory = false;
-  std::vector<MemRow> memory;          ///< writer's sorted-name order
-  std::uint64_t mem_total_live = 0;
-  std::uint64_t mem_total_peak = 0;    ///< sum-of-subsystem-peaks bound
-  std::uint64_t mem_total_allocated = 0;
-  std::uint64_t mem_budget = 0;        ///< watchdog.memory: bytes, 0 = off
-  std::uint64_t mem_tripped = 0;
-  std::uint64_t mem_requeued = 0;
-  std::string mem_verdict;             ///< "off" / "clean" / "degraded"
-};
+bool is_event_log(const RunReport& doc) { return doc.schema == kEventsSchema; }
 
 std::string fmt_u64(std::uint64_t v) {
   return strprintf("%llu", static_cast<unsigned long long>(v));
 }
 
-void parse_event(const JsonValue& v, EventRec* e) {
+void parse_event(const JsonValue& v, RunReport::Event* e) {
   e->k = v.str_or("k", "?");
   e->at = v.uint_or("at", 0);
   e->a = static_cast<std::int64_t>(v.num_or("a", 0.0));
@@ -113,16 +43,15 @@ void parse_event(const JsonValue& v, EventRec* e) {
 /// Aggregate provenance from the parsed faults (event logs carry no
 /// rollup block): exports = cube_export events; hits = cube_import +
 /// learn-failure hits, attributed to their src tag.
-void derive_provenance(Doc* doc) {
-  std::map<std::string, ExporterRow> by_name;
-  for (const FaultRec& f : doc->faults) {
+void derive_provenance(RunReport* doc) {
+  std::map<std::string, RunReport::Exporter> by_name;
+  for (const RunReport::PerFault& f : doc->per_fault) {
     if (f.cube_exports > 0) {
-      ExporterRow& row = by_name[f.name];
-      row.cubes += f.cube_exports;
+      by_name[f.name].cubes += f.cube_exports;
       doc->prov_exports += f.cube_exports;
     }
-    for (const FaultRec::Source& s : f.sources) {
-      ExporterRow& row = by_name[s.from];
+    for (const CubeSource& s : f.cube_sources) {
+      RunReport::Exporter& row = by_name[s.exporter];
       ++row.beneficiaries;
       row.hits += s.hits;
       doc->prov_hits += s.hits;
@@ -134,10 +63,11 @@ void derive_provenance(Doc* doc) {
   }
 }
 
+/// Fill a RunReport from a flight-recorder log: identity from the header,
+/// one attempted per_fault record per fault line, its events after it.
 bool parse_events_doc(const std::string& text, const JsonValue& header,
-                      Doc* doc, std::string* error) {
-  doc->is_events = true;
-  doc->schema = header.str_or("schema", "?");
+                      RunReport* doc, std::string* error) {
+  doc->schema = kEventsSchema;
   doc->circuit = header.str_or("circuit", "?");
   doc->engine = header.str_or("engine", "?");
   doc->seed = header.uint_or("seed", 0);
@@ -161,187 +91,89 @@ bool parse_events_doc(const std::string& text, const JsonValue& header,
       return false;
     }
     if (v.find("fault") != nullptr) {
-      FaultRec f;
+      RunReport::PerFault f;
       f.name = v.str_or("fault", "?");
       f.index = static_cast<std::size_t>(v.uint_or("index", 0));
       f.status = v.str_or("status", "?");
+      f.attempted = true;
       f.evals = v.uint_or("evals", 0);
       f.backtracks = v.uint_or("backtracks", 0);
-      f.invalid_frac = v.num_or("invalid_frac", 0.0);
-      doc->faults.push_back(std::move(f));
+      f.effort_invalid_frac = v.num_or("invalid_frac", 0.0);
+      doc->per_fault.push_back(std::move(f));
       continue;
     }
     if (v.find("k") == nullptr) continue;  // ignorable extension line
-    if (doc->faults.empty()) {
+    if (doc->per_fault.empty()) {
       if (error) *error = strprintf("line %zu: event before any fault line",
                                     line_no);
       return false;
     }
-    EventRec e;
+    RunReport::Event e;
     parse_event(v, &e);
-    FaultRec& f = doc->faults.back();
+    RunReport::PerFault& f = doc->per_fault.back();
     if (e.k == "cube_export") ++f.cube_exports;
     // Per-fault source aggregation (by exporter name; the epoch shows in
     // the timeline, the rollup does not need it).
     if ((e.k == "cube_import" || e.k == "learn_hit") && !e.src.empty()) {
       bool found = false;
-      for (FaultRec::Source& s : f.sources)
-        if (s.from == e.src) {
+      for (CubeSource& s : f.cube_sources)
+        if (s.exporter == e.src) {
           ++s.hits;
           found = true;
           break;
         }
-      if (!found) f.sources.push_back({e.src, 0, 1});
+      if (!found) f.cube_sources.push_back({e.src, 0, 1});
     }
     f.events.push_back(std::move(e));
   }
-  for (FaultRec& f : doc->faults)
-    std::sort(f.sources.begin(), f.sources.end(),
-              [](const FaultRec::Source& x, const FaultRec::Source& y) {
-                return x.from < y.from;
+  for (RunReport::PerFault& f : doc->per_fault)
+    std::sort(f.cube_sources.begin(), f.cube_sources.end(),
+              [](const CubeSource& x, const CubeSource& y) {
+                return x.exporter < y.exporter;
               });
   derive_provenance(doc);
   return true;
 }
 
-bool parse_report_doc(const JsonValue& root, Doc* doc, std::string* error) {
-  doc->is_events = false;
-  doc->schema = root.str_or("schema", "?");
-  if (const JsonValue* c = root.find("circuit"))
-    doc->circuit = c->str_or("name", "?");
-  if (const JsonValue* e = root.find("engine")) {
-    doc->engine = e->str_or("kind", "?");
-    doc->seed = e->uint_or("seed", 0);
-  }
-  const JsonValue* summary = root.find("summary");
-  if (summary == nullptr || !summary->is_object()) {
-    if (error) *error = "report lacks a summary object";
-    return false;
-  }
-  doc->total_faults = summary->uint_or("total_faults", 0);
-  doc->fault_coverage = summary->num_or("fault_coverage", 0.0);
-  doc->fault_efficiency = summary->num_or("fault_efficiency", 0.0);
-  doc->evals = summary->uint_or("evals", 0);
-
-  if (const JsonValue* pf = root.find("per_fault"); pf && pf->is_array()) {
-    doc->faults.reserve(pf->array().size());
-    for (std::size_t i = 0; i < pf->array().size(); ++i) {
-      const JsonValue& v = pf->array()[i];
-      if (!v.is_object()) continue;
-      FaultRec f;
-      f.name = v.str_or("fault", "?");
-      f.index = i;
-      f.status = v.str_or("status", "?");
-      f.attempted = v.bool_or("attempted", false);
-      f.evals = v.uint_or("evals", 0);
-      f.backtracks = v.uint_or("backtracks", 0);
-      f.invalid_frac = v.num_or("effort_invalid_frac", 0.0);
-      f.cube_exports = v.uint_or("cube_exports", 0);
-      f.peak_bytes = v.uint_or("peak_bytes", 0);
-      if (const JsonValue* cs = v.find("cube_sources"); cs && cs->is_array())
-        for (const JsonValue& s : cs->array())
-          f.sources.push_back({s.str_or("from", ""), s.uint_or("epoch", 0),
-                               s.uint_or("hits", 0)});
-      doc->faults.push_back(std::move(f));
-    }
-  }
-  if (const JsonValue* fe = root.find("fe_trace"); fe && fe->is_array())
-    for (const JsonValue& p : fe->array())
-      if (p.is_array() && p.array().size() == 2)
-        doc->fe_trace.emplace_back(
-            static_cast<std::uint64_t>(p.array()[0].number()),
-            p.array()[1].number());
-
-  if (const JsonValue* prov = root.find("cube_provenance")) {
-    doc->prov_exports = prov->uint_or("exports", 0);
-    doc->prov_hits = prov->uint_or("import_hits", 0);
-    if (const JsonValue* ex = prov->find("exporters"); ex && ex->is_array())
-      for (const JsonValue& v : ex->array())
-        doc->exporters.push_back({v.str_or("fault", ""),
-                                  v.uint_or("cubes", 0),
-                                  v.uint_or("beneficiaries", 0),
-                                  v.uint_or("hits", 0)});
-  }
-
-  // Per-subsystem byte accounting + the watchdog's memory verdict.
-  if (const JsonValue* mem = root.find("memory"); mem && mem->is_object()) {
-    doc->has_memory = true;
-    if (const JsonValue* subs = mem->find("subsystems");
-        subs && subs->is_object())
-      for (const auto& [name, v] : subs->members()) {
-        MemRow row;
-        row.name = name;
-        row.live = v.uint_or("live", 0);
-        row.peak = v.uint_or("peak", 0);
-        row.allocated = v.uint_or("allocated", 0);
-        row.allocs = v.uint_or("allocs", 0);
-        doc->memory.push_back(std::move(row));
-      }
-    if (const JsonValue* tot = mem->find("total")) {
-      doc->mem_total_live = tot->uint_or("live", 0);
-      doc->mem_total_peak = tot->uint_or("peak", 0);
-      doc->mem_total_allocated = tot->uint_or("allocated", 0);
-    }
-  }
-  if (const JsonValue* wd = root.find("watchdog"))
-    if (const JsonValue* wm = wd->find("memory")) {
-      doc->mem_budget = wm->uint_or("budget", 0);
-      doc->mem_tripped = wm->uint_or("tripped", 0);
-      doc->mem_requeued = wm->uint_or("requeued", 0);
-      doc->mem_verdict = wm->str_or("verdict", "");
-    }
-  return true;
-}
-
-bool parse_doc(const std::string& text, Doc* doc, std::string* error) {
-  // An event log is NDJSON whose first line is its header; a report is one
-  // multi-line JSON document (its first line alone never parses).
+/// Either artifact: an event log is NDJSON whose first line is its header;
+/// anything else must be a report (whose first line alone never parses).
+bool parse_doc(const std::string& text, RunReport* doc, std::string* error) {
   std::size_t nl = text.find('\n');
   const std::string first =
       text.substr(0, nl == std::string::npos ? text.size() : nl);
   JsonValue v;
-  if (json_parse(first, &v) &&
-      v.str_or("schema", "") == "satpg.events.v1")
+  if (json_parse(first, &v) && v.str_or("schema", "") == kEventsSchema)
     return parse_events_doc(text, v, doc, error);
-  std::string jerr;
-  if (!json_parse(text, &v, &jerr)) {
-    if (error) *error = jerr;
-    return false;
-  }
-  const std::string schema = v.str_or("schema", "");
-  if (schema != kAtpgRunSchema) {
-    if (error)
-      *error = "not an event log or " + std::string(kAtpgRunSchema) +
-               " report (schema \"" + schema + "\")";
-    return false;
-  }
-  return parse_report_doc(v, doc, error);
+  if (parse_run_report(text, doc, error)) return true;
+  if (error) *error = "not an event log; " + *error;
+  return false;
 }
 
 // ---- rendering helpers ------------------------------------------------------
 
-std::string doc_kind(const Doc& doc) {
-  return doc.is_events ? "event log" : "report";
+std::string doc_kind(const RunReport& doc) {
+  return is_event_log(doc) ? "event log" : "report";
 }
 
 /// Attempted faults ranked hardest-first: evals desc, invalid fraction
 /// desc, name asc. Stable across machines — every key is deterministic.
-std::vector<const FaultRec*> hardest(const Doc& doc, std::size_t top) {
-  std::vector<const FaultRec*> ranked;
-  for (const FaultRec& f : doc.faults)
+std::vector<const RunReport::PerFault*> hardest(const RunReport& doc,
+                                                std::size_t top) {
+  std::vector<const RunReport::PerFault*> ranked;
+  for (const RunReport::PerFault& f : doc.per_fault)
     if (f.attempted) ranked.push_back(&f);
   std::sort(ranked.begin(), ranked.end(),
-            [](const FaultRec* x, const FaultRec* y) {
+            [](const RunReport::PerFault* x, const RunReport::PerFault* y) {
               if (x->evals != y->evals) return x->evals > y->evals;
-              if (x->invalid_frac != y->invalid_frac)
-                return x->invalid_frac > y->invalid_frac;
+              if (x->effort_invalid_frac != y->effort_invalid_frac)
+                return x->effort_invalid_frac > y->effort_invalid_frac;
               return x->name < y->name;
             });
   if (ranked.size() > top) ranked.resize(top);
   return ranked;
 }
 
-std::string event_detail(const EventRec& e) {
+std::string event_detail(const RunReport::Event& e) {
   if (e.k == "window_grow" || e.k == "redundancy_start")
     return strprintf("frames=%lld", static_cast<long long>(e.a));
   if (e.k == "justify_enter")
@@ -356,7 +188,8 @@ std::string event_detail(const EventRec& e) {
     std::string s =
         strprintf("evals_exhausted=%lld backtracks_exhausted=%lld",
                   static_cast<long long>(e.a), static_cast<long long>(e.b));
-    if (e.bytes != 0) s += strprintf(" peak_bytes=%s", fmt_u64(e.bytes).c_str());
+    if (e.bytes != 0)
+      s += strprintf(" peak_bytes=%s", fmt_u64(e.bytes).c_str());
     return s;
   }
   if (e.k == "restart")
@@ -383,7 +216,7 @@ std::string event_detail(const EventRec& e) {
   return "";
 }
 
-std::string event_json(const EventRec& e) {
+std::string event_json(const RunReport::Event& e) {
   std::string s = strprintf("{\"k\": \"%s\", \"at\": %s",
                             json_escape(e.k).c_str(), fmt_u64(e.at).c_str());
   if (e.a != 0) s += strprintf(", \"a\": %lld", static_cast<long long>(e.a));
@@ -401,12 +234,13 @@ std::string event_json(const EventRec& e) {
   return s + "}";
 }
 
-const FaultRec* find_fault(const Doc& doc, const std::string& spec) {
+const RunReport::PerFault* find_fault(const RunReport& doc,
+                                      const std::string& spec) {
   const bool numeric =
       !spec.empty() &&
       std::all_of(spec.begin(), spec.end(),
                   [](unsigned char c) { return std::isdigit(c); });
-  for (const FaultRec& f : doc.faults) {
+  for (const RunReport::PerFault& f : doc.per_fault) {
     if (f.name == spec) return &f;
     if (numeric && f.index == static_cast<std::size_t>(std::stoull(spec)))
       return &f;
@@ -414,10 +248,10 @@ const FaultRec* find_fault(const Doc& doc, const std::string& spec) {
   return nullptr;
 }
 
-void render_overview_txt(std::ostream& os, const Doc& doc,
+void render_overview_txt(std::ostream& os, const RunReport& doc,
                          const InspectOptions& opts) {
   std::size_t attempted = 0;
-  for (const FaultRec& f : doc.faults)
+  for (const RunReport::PerFault& f : doc.per_fault)
     if (f.attempted) ++attempted;
   os << "=== inspect: " << doc.circuit << " (" << doc.engine << ", seed "
      << doc.seed << ") — " << doc_kind(doc) << " " << doc.schema << " ===\n";
@@ -426,17 +260,17 @@ void render_overview_txt(std::ostream& os, const Doc& doc,
 
   const auto ranked = hardest(doc, opts.top);
   os << "hardest faults (top " << ranked.size() << " by evals):\n";
-  Table t(doc.is_events
+  Table t(is_event_log(doc)
               ? std::vector<std::string>{"rank", "fault", "status", "evals",
                                          "backtracks", "inv_frac", "events"}
               : std::vector<std::string>{"rank", "fault", "status", "evals",
                                          "backtracks", "inv_frac"});
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const FaultRec& f = *ranked[i];
+    const RunReport::PerFault& f = *ranked[i];
     std::vector<std::string> row{strprintf("%zu", i + 1), f.name, f.status,
                                  fmt_u64(f.evals), fmt_u64(f.backtracks),
-                                 strprintf("%.4f", f.invalid_frac)};
-    if (doc.is_events) row.push_back(strprintf("%zu", f.events.size()));
+                                 strprintf("%.4f", f.effort_invalid_frac)};
+    if (is_event_log(doc)) row.push_back(strprintf("%zu", f.events.size()));
     t.add_row(std::move(row));
   }
   os << t.to_string() << "\n";
@@ -445,20 +279,21 @@ void render_overview_txt(std::ostream& os, const Doc& doc,
      << doc.prov_hits << " import hits\n";
   if (!doc.exporters.empty()) {
     Table p({"exporter", "cubes", "beneficiaries", "hits"});
-    for (const ExporterRow& e : doc.exporters)
+    for (const RunReport::Exporter& e : doc.exporters)
       p.add_row({e.fault.empty() ? "(unknown)" : e.fault, fmt_u64(e.cubes),
                  fmt_u64(e.beneficiaries), fmt_u64(e.hits)});
     os << p.to_string();
   }
 }
 
-void render_overview_json(std::ostream& os, const Doc& doc,
+void render_overview_json(std::ostream& os, const RunReport& doc,
                           const InspectOptions& opts) {
   std::size_t attempted = 0;
-  for (const FaultRec& f : doc.faults)
+  for (const RunReport::PerFault& f : doc.per_fault)
     if (f.attempted) ++attempted;
   os << "{\n  \"schema\": \"satpg.inspect.v1\",\n";
-  os << "  \"source\": {\"kind\": \"" << (doc.is_events ? "events" : "report")
+  os << "  \"source\": {\"kind\": \""
+     << (is_event_log(doc) ? "events" : "report")
      << "\", \"schema\": \"" << json_escape(doc.schema) << "\", \"circuit\": \""
      << json_escape(doc.circuit) << "\", \"engine\": \""
      << json_escape(doc.engine) << "\", \"seed\": " << doc.seed << "},\n";
@@ -467,19 +302,19 @@ void render_overview_json(std::ostream& os, const Doc& doc,
   os << "  \"hardest\": [";
   const auto ranked = hardest(doc, opts.top);
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const FaultRec& f = *ranked[i];
+    const RunReport::PerFault& f = *ranked[i];
     os << (i == 0 ? "\n    " : ",\n    ") << "{\"fault\": \""
        << json_escape(f.name) << "\", \"status\": \""
        << json_escape(f.status) << "\", \"evals\": " << f.evals
        << ", \"backtracks\": " << f.backtracks << ", \"invalid_frac\": "
-       << strprintf("%.17g", f.invalid_frac)
+       << strprintf("%.17g", f.effort_invalid_frac)
        << ", \"events\": " << f.events.size() << "}";
   }
   os << "],\n";
   os << "  \"provenance\": {\"exports\": " << doc.prov_exports
      << ", \"import_hits\": " << doc.prov_hits << ", \"exporters\": [";
   for (std::size_t i = 0; i < doc.exporters.size(); ++i) {
-    const ExporterRow& e = doc.exporters[i];
+    const RunReport::Exporter& e = doc.exporters[i];
     os << (i == 0 ? "\n    " : ",\n    ") << "{\"fault\": \""
        << json_escape(e.fault) << "\", \"cubes\": " << e.cubes
        << ", \"beneficiaries\": " << e.beneficiaries << ", \"hits\": "
@@ -490,12 +325,13 @@ void render_overview_json(std::ostream& os, const Doc& doc,
 
 /// Attempted faults ranked by per-attempt peak bytes desc, evals desc,
 /// name asc — the memory view's analogue of hardest().
-std::vector<const FaultRec*> hungriest(const Doc& doc, std::size_t top) {
-  std::vector<const FaultRec*> ranked;
-  for (const FaultRec& f : doc.faults)
+std::vector<const RunReport::PerFault*> hungriest(const RunReport& doc,
+                                                  std::size_t top) {
+  std::vector<const RunReport::PerFault*> ranked;
+  for (const RunReport::PerFault& f : doc.per_fault)
     if (f.attempted) ranked.push_back(&f);
   std::sort(ranked.begin(), ranked.end(),
-            [](const FaultRec* x, const FaultRec* y) {
+            [](const RunReport::PerFault* x, const RunReport::PerFault* y) {
               if (x->peak_bytes != y->peak_bytes)
                 return x->peak_bytes > y->peak_bytes;
               if (x->evals != y->evals) return x->evals > y->evals;
@@ -505,18 +341,18 @@ std::vector<const FaultRec*> hungriest(const Doc& doc, std::size_t top) {
   return ranked;
 }
 
-void render_memory_txt(std::ostream& os, const Doc& doc,
+void render_memory_txt(std::ostream& os, const RunReport& doc,
                        const InspectOptions& opts) {
   os << "=== memory: " << doc.circuit << " (" << doc.engine << ", seed "
      << doc.seed << ") — " << doc.schema << " ===\n";
   os << "subsystems (logical bytes):\n";
   Table t({"subsystem", "live", "peak", "allocated", "allocs"});
-  for (const MemRow& r : doc.memory)
+  for (const RunReport::MemRow& r : doc.memory)
     t.add_row({r.name, fmt_u64(r.live), fmt_u64(r.peak),
                fmt_u64(r.allocated), fmt_u64(r.allocs)});
-  t.add_row({"total", fmt_u64(doc.mem_total_live),
-             fmt_u64(doc.mem_total_peak),
-             fmt_u64(doc.mem_total_allocated), ""});
+  t.add_row({"total", fmt_u64(doc.mem_live_bytes),
+             fmt_u64(doc.mem_peak_bytes),
+             fmt_u64(doc.mem_allocated_bytes), ""});
   os << t.to_string() << "\n";
 
   if (!doc.mem_verdict.empty()) {
@@ -533,14 +369,14 @@ void render_memory_txt(std::ostream& os, const Doc& doc,
   os << "hungriest faults (top " << ranked.size() << " by peak bytes):\n";
   Table h({"rank", "fault", "status", "peak_bytes", "evals"});
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const FaultRec& f = *ranked[i];
+    const RunReport::PerFault& f = *ranked[i];
     h.add_row({strprintf("%zu", i + 1), f.name, f.status,
                fmt_u64(f.peak_bytes), fmt_u64(f.evals)});
   }
   os << h.to_string();
 }
 
-void render_memory_json(std::ostream& os, const Doc& doc,
+void render_memory_json(std::ostream& os, const RunReport& doc,
                         const InspectOptions& opts) {
   os << "{\n  \"schema\": \"satpg.inspect_memory.v1\",\n";
   os << "  \"source\": {\"schema\": \"" << json_escape(doc.schema)
@@ -549,16 +385,16 @@ void render_memory_json(std::ostream& os, const Doc& doc,
      << "\", \"seed\": " << doc.seed << "},\n";
   os << "  \"subsystems\": {";
   for (std::size_t i = 0; i < doc.memory.size(); ++i) {
-    const MemRow& r = doc.memory[i];
+    const RunReport::MemRow& r = doc.memory[i];
     os << (i == 0 ? "\n    " : ",\n    ") << "\"" << json_escape(r.name)
        << "\": {\"live\": " << r.live << ", \"peak\": " << r.peak
        << ", \"allocated\": " << r.allocated << ", \"allocs\": " << r.allocs
        << "}";
   }
   os << "\n  },\n";
-  os << "  \"total\": {\"live\": " << doc.mem_total_live
-     << ", \"peak\": " << doc.mem_total_peak
-     << ", \"allocated\": " << doc.mem_total_allocated << "},\n";
+  os << "  \"total\": {\"live\": " << doc.mem_live_bytes
+     << ", \"peak\": " << doc.mem_peak_bytes
+     << ", \"allocated\": " << doc.mem_allocated_bytes << "},\n";
   os << "  \"budget\": {\"bytes\": " << doc.mem_budget
      << ", \"tripped\": " << doc.mem_tripped
      << ", \"requeued\": " << doc.mem_requeued << ", \"verdict\": \""
@@ -566,7 +402,7 @@ void render_memory_json(std::ostream& os, const Doc& doc,
   os << "  \"hungriest\": [";
   const auto ranked = hungriest(doc, opts.top);
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const FaultRec& f = *ranked[i];
+    const RunReport::PerFault& f = *ranked[i];
     os << (i == 0 ? "\n    " : ",\n    ") << "{\"fault\": \""
        << json_escape(f.name) << "\", \"status\": \""
        << json_escape(f.status) << "\", \"peak_bytes\": " << f.peak_bytes
@@ -617,27 +453,6 @@ void parse_prof_row(const JsonValue& v, ProfRow* r) {
   r->cache_misses = v.uint_or("cache_misses", 0);
 }
 
-/// The archive's pre-digest identity string for any document carrying the
-/// shared circuit/engine identity blocks (report or profile sidecar).
-std::string config_of(const JsonValue& root) {
-  std::string circuit = "?";
-  if (const JsonValue* c = root.find("circuit"))
-    circuit = c->str_or("name", "?");
-  std::string config = circuit + "|";
-  const JsonValue* e = root.find("engine");
-  static const JsonValue kEmpty;
-  if (e == nullptr) e = &kEmpty;
-  config += strprintf(
-      "%s eval=%llu bt=%llu fwd=%llu bwd=%llu seed=%llu",
-      e->str_or("kind", "?").c_str(),
-      static_cast<unsigned long long>(e->uint_or("eval_limit", 0)),
-      static_cast<unsigned long long>(e->uint_or("backtrack_limit", 0)),
-      static_cast<unsigned long long>(e->uint_or("max_forward_frames", 0)),
-      static_cast<unsigned long long>(e->uint_or("max_backward_frames", 0)),
-      static_cast<unsigned long long>(e->uint_or("seed", 0)));
-  return config;
-}
-
 bool parse_profile_doc(const JsonValue& root, ProfDoc* doc,
                        std::string* error) {
   doc->schema = root.str_or("schema", "?");
@@ -654,7 +469,7 @@ bool parse_profile_doc(const JsonValue& root, ProfDoc* doc,
     doc->engine = e->str_or("kind", "?");
   doc->backend = root.str_or("backend", "?");
   doc->host_cpu = root.str_or("host_cpu", "");
-  doc->config = config_of(root);
+  doc->config = archive_config(root);
   doc->wall_seconds = root.num_or("wall_seconds", 0.0);
   if (const JsonValue* w = root.find("work")) {
     doc->evals = w->uint_or("evals", 0);
@@ -770,48 +585,51 @@ void render_profile_json(std::ostream& os, const ProfDoc& doc) {
   os << "}\n}\n";
 }
 
-void render_fault_txt(std::ostream& os, const Doc& doc, const FaultRec& f) {
+void render_fault_txt(std::ostream& os, const RunReport& doc,
+                      const RunReport::PerFault& f) {
   os << "=== fault " << f.name << " (index " << f.index << ") — "
      << doc.circuit << " (" << doc.engine << ") ===\n";
   os << "status: " << f.status << ", evals: " << f.evals << ", backtracks: "
      << f.backtracks << ", invalid_frac: "
-     << strprintf("%.4f", f.invalid_frac) << "\n";
-  if (!f.sources.empty()) {
+     << strprintf("%.4f", f.effort_invalid_frac) << "\n";
+  if (!f.cube_sources.empty()) {
     os << "cube sources:\n";
-    Table s(doc.is_events
+    Table s(is_event_log(doc)
                 ? std::vector<std::string>{"from", "hits"}
                 : std::vector<std::string>{"from", "epoch", "hits"});
-    for (const FaultRec::Source& src : f.sources) {
-      std::vector<std::string> row{src.from.empty() ? "(unknown)" : src.from};
-      if (!doc.is_events) row.push_back(fmt_u64(src.epoch));
+    for (const CubeSource& src : f.cube_sources) {
+      std::vector<std::string> row{src.exporter.empty() ? "(unknown)"
+                                                        : src.exporter};
+      if (!is_event_log(doc)) row.push_back(fmt_u64(src.epoch));
       row.push_back(fmt_u64(src.hits));
       s.add_row(std::move(row));
     }
     os << s.to_string();
   }
-  if (doc.is_events) {
+  if (is_event_log(doc)) {
     os << "timeline (" << f.events.size() << " events, at = budget evals):\n";
     Table t({"at", "event", "detail"});
-    for (const EventRec& e : f.events)
+    for (const RunReport::Event& e : f.events)
       t.add_row({fmt_u64(e.at), e.k, event_detail(e)});
     os << t.to_string();
-  } else if (f.sources.empty()) {
+  } else if (f.cube_sources.empty()) {
     os << "(report record only — run with --events-json for a timeline)\n";
   }
 }
 
-void render_fault_json(std::ostream& os, const Doc& doc, const FaultRec& f) {
+void render_fault_json(std::ostream& os, const RunReport::PerFault& f) {
   os << "{\n  \"schema\": \"satpg.inspect.v1\",\n";
   os << "  \"fault\": {\"name\": \"" << json_escape(f.name)
      << "\", \"index\": " << f.index << ", \"status\": \""
      << json_escape(f.status) << "\", \"evals\": " << f.evals
      << ", \"backtracks\": " << f.backtracks << ", \"invalid_frac\": "
-     << strprintf("%.17g", f.invalid_frac) << "},\n";
+     << strprintf("%.17g", f.effort_invalid_frac) << "},\n";
   os << "  \"cube_sources\": [";
-  for (std::size_t i = 0; i < f.sources.size(); ++i)
+  for (std::size_t i = 0; i < f.cube_sources.size(); ++i)
     os << (i == 0 ? "" : ", ") << "{\"from\": \""
-       << json_escape(f.sources[i].from) << "\", \"epoch\": "
-       << f.sources[i].epoch << ", \"hits\": " << f.sources[i].hits << "}";
+       << json_escape(f.cube_sources[i].exporter) << "\", \"epoch\": "
+       << f.cube_sources[i].epoch << ", \"hits\": " << f.cube_sources[i].hits
+       << "}";
   os << "],\n  \"events\": [";
   for (std::size_t i = 0; i < f.events.size(); ++i)
     os << (i == 0 ? "\n    " : ",\n    ") << event_json(f.events[i]);
@@ -837,12 +655,12 @@ bool inspect_source(std::ostream& os, const std::string& text,
       render_profile_txt(os, doc);
     return true;
   }
-  Doc doc;
+  RunReport doc;
   if (!parse_doc(text, &doc, error)) return false;
   if (opts.memory) {
     if (!doc.has_memory) {
       if (error)
-        *error = doc.is_events
+        *error = is_event_log(doc)
                      ? "event logs carry no memory block; inspect a " +
                            std::string(kAtpgRunSchema) + " report"
                      : std::string("report has no memory block");
@@ -855,16 +673,17 @@ bool inspect_source(std::ostream& os, const std::string& text,
     return true;
   }
   if (!opts.fault.empty()) {
-    const FaultRec* f = find_fault(doc, opts.fault);
+    const RunReport::PerFault* f = find_fault(doc, opts.fault);
     if (f == nullptr) {
       if (error)
         *error = "fault \"" + opts.fault + "\" not found" +
-                 (doc.is_events ? " (event logs record attempted faults only)"
-                                : "");
+                 (is_event_log(doc)
+                      ? " (event logs record attempted faults only)"
+                      : "");
       return false;
     }
     if (opts.json)
-      render_fault_json(os, doc, *f);
+      render_fault_json(os, *f);
     else
       render_fault_txt(os, doc, *f);
     return true;
@@ -876,130 +695,11 @@ bool inspect_source(std::ostream& os, const std::string& text,
   return true;
 }
 
-bool inspect_diff(std::ostream& os, const std::string& a_text,
-                  const std::string& b_text, const InspectOptions& opts,
-                  std::string* error) {
-  Doc a, b;
-  if (!parse_doc(a_text, &a, error)) return false;
-  if (!parse_doc(b_text, &b, error)) return false;
-  if (a.is_events || b.is_events) {
-    if (error)
-      *error = "inspect --diff compares atpg_run reports, not event logs";
-    return false;
-  }
-
-  // Fault-efficiency milestones: cumulative evals spent when each
-  // threshold is first reached, read off the fe_trace. "-" = never
-  // reached.
-  static constexpr double kMilestones[] = {25.0, 50.0, 75.0, 90.0, 95.0};
-  const auto evals_to = [](const Doc& doc, double fe) -> std::string {
-    for (const auto& [evals, value] : doc.fe_trace)
-      if (value >= fe) return fmt_u64(evals);
-    return "-";
-  };
-
-  // Per-fault divergence: joined on name, ranked by |evals delta| (status
-  // changes first), name as tie-break.
-  struct Divergence {
-    const FaultRec* fa;
-    const FaultRec* fb;
-    std::uint64_t abs_delta;
-  };
-  std::map<std::string, const FaultRec*> by_name;
-  for (const FaultRec& f : a.faults) by_name.emplace(f.name, &f);
-  std::vector<Divergence> divergent;
-  for (const FaultRec& fb : b.faults) {
-    const auto it = by_name.find(fb.name);
-    if (it == by_name.end()) continue;
-    const FaultRec& fa = *it->second;
-    if (fa.status == fb.status && fa.evals == fb.evals) continue;
-    const std::uint64_t delta =
-        fa.evals > fb.evals ? fa.evals - fb.evals : fb.evals - fa.evals;
-    divergent.push_back({&fa, &fb, delta});
-  }
-  std::sort(divergent.begin(), divergent.end(),
-            [](const Divergence& x, const Divergence& y) {
-              const bool xs = x.fa->status != x.fb->status;
-              const bool ys = y.fa->status != y.fb->status;
-              if (xs != ys) return xs;
-              if (x.abs_delta != y.abs_delta) return x.abs_delta > y.abs_delta;
-              return x.fa->name < y.fa->name;
-            });
-  if (divergent.size() > opts.top) divergent.resize(opts.top);
-
-  if (opts.json) {
-    os << "{\n  \"schema\": \"satpg.inspect_diff.v1\",\n";
-    os << "  \"baseline\": {\"circuit\": \"" << json_escape(a.circuit)
-       << "\", \"engine\": \"" << json_escape(a.engine)
-       << "\", \"coverage\": " << strprintf("%.17g", a.fault_coverage)
-       << ", \"evals\": " << a.evals << "},\n";
-    os << "  \"candidate\": {\"circuit\": \"" << json_escape(b.circuit)
-       << "\", \"engine\": \"" << json_escape(b.engine)
-       << "\", \"coverage\": " << strprintf("%.17g", b.fault_coverage)
-       << ", \"evals\": " << b.evals << "},\n";
-    os << "  \"milestones\": [";
-    for (std::size_t i = 0; i < std::size(kMilestones); ++i) {
-      const std::string ta = evals_to(a, kMilestones[i]);
-      const std::string tb = evals_to(b, kMilestones[i]);
-      os << (i == 0 ? "" : ", ") << "{\"fe\": "
-         << strprintf("%.0f", kMilestones[i]) << ", \"baseline\": \"" << ta
-         << "\", \"candidate\": \"" << tb << "\"}";
-    }
-    os << "],\n  \"divergent\": [";
-    for (std::size_t i = 0; i < divergent.size(); ++i) {
-      const Divergence& d = divergent[i];
-      os << (i == 0 ? "\n    " : ",\n    ") << "{\"fault\": \""
-         << json_escape(d.fa->name) << "\", \"status_a\": \""
-         << json_escape(d.fa->status) << "\", \"status_b\": \""
-         << json_escape(d.fb->status) << "\", \"evals_a\": " << d.fa->evals
-         << ", \"evals_b\": " << d.fb->evals << "}";
-    }
-    os << "]\n}\n";
-    return true;
-  }
-
-  os << "=== trajectory diff: " << a.circuit << " (" << a.engine << ") -> "
-     << b.circuit << " (" << b.engine << ") ===\n";
-  Table summary({"metric", "baseline", "candidate"});
-  summary.add_row({"fault_coverage %", strprintf("%.2f", a.fault_coverage),
-                   strprintf("%.2f", b.fault_coverage)});
-  summary.add_row({"fault_efficiency %",
-                   strprintf("%.2f", a.fault_efficiency),
-                   strprintf("%.2f", b.fault_efficiency)});
-  summary.add_row({"evals", fmt_u64(a.evals), fmt_u64(b.evals)});
-  summary.add_row({"cube exports", fmt_u64(a.prov_exports),
-                   fmt_u64(b.prov_exports)});
-  summary.add_row({"cube import hits", fmt_u64(a.prov_hits),
-                   fmt_u64(b.prov_hits)});
-  os << summary.to_string() << "\n";
-
-  os << "fault-efficiency milestones (evals to reach FE%):\n";
-  Table m({"fe %", "baseline", "candidate"});
-  for (const double fe : kMilestones)
-    m.add_row({strprintf("%.0f", fe), evals_to(a, fe), evals_to(b, fe)});
-  os << m.to_string() << "\n";
-
-  if (divergent.empty()) {
-    os << "per-fault trajectories identical\n";
-  } else {
-    os << "per-fault divergence (top " << divergent.size() << "):\n";
-    Table t({"fault", "status", "evals a", "evals b"});
-    for (const Divergence& d : divergent)
-      t.add_row({d.fa->name,
-                 d.fa->status == d.fb->status
-                     ? d.fa->status
-                     : d.fa->status + "->" + d.fb->status,
-                 fmt_u64(d.fa->evals), fmt_u64(d.fb->evals)});
-    os << t.to_string();
-  }
-  return true;
-}
-
 bool inspect_trend(std::ostream& os, const std::vector<TrendEntry>& entries,
                    const InspectOptions& opts, std::string* error) {
   struct TrendRow {
     std::string hash;
-    Doc report;
+    RunReport report;
     std::string config;
     const ProfDoc* profile = nullptr;  ///< joined sidecar, if any
   };
@@ -1023,16 +723,10 @@ bool inspect_trend(std::ostream& os, const std::vector<TrendEntry>& entries,
       profiles[p.config] = std::move(p);
       continue;
     }
-    if (schema != kAtpgRunSchema) {
-      if (error)
-        *error = "entry " + entry.hash + ": not a " + kAtpgRunSchema +
-                 " report or profile (schema \"" + schema + "\")";
-      return false;
-    }
     TrendRow row;
     row.hash = entry.hash;
-    row.config = config_of(root);
-    if (!parse_report_doc(root, &row.report, error)) {
+    row.config = archive_config(root);
+    if (!parse_run_report(entry.text, &row.report, error)) {
       if (error) *error = "entry " + entry.hash + ": " + *error;
       return false;
     }
@@ -1070,7 +764,7 @@ bool inspect_trend(std::ostream& os, const std::vector<TrendEntry>& entries,
          << json_escape(r.report.engine) << "\", \"coverage\": "
          << strprintf("%.17g", r.report.fault_coverage)
          << ", \"evals\": " << r.report.evals << ", \"peak_bytes\": "
-         << r.report.mem_total_peak;
+         << r.report.mem_peak_bytes;
       if (r.profile == nullptr) {
         os << ", \"profile\": null}";
       } else {
@@ -1101,7 +795,7 @@ bool inspect_trend(std::ostream& os, const std::vector<TrendEntry>& entries,
                r.report.circuit, r.report.engine,
                strprintf("%.2f", r.report.fault_coverage),
                fmt_u64(r.report.evals),
-               r.report.has_memory ? fmt_u64(r.report.mem_total_peak) : "-",
+               r.report.has_memory ? fmt_u64(r.report.mem_peak_bytes) : "-",
                derived_of(r.profile, "evals_per_second"),
                derived_of(r.profile, "cycles_per_eval")});
   }

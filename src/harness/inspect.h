@@ -16,9 +16,9 @@
 //     verdict, and the hungriest faults ranked by per-attempt peak bytes.
 // inspect_source also accepts a satpg.profile.* sidecar when --profile
 // is set, rendering the ranked where-do-the-cycles-go phase table.
-// inspect_diff compares two reports as trajectories: summary deltas,
-// fault-efficiency milestones from the fe_trace, and the per-fault
-// divergence table.
+// Reports are read by parse_run_report (harness/report.h), and the event
+// log is read into the same RunReport struct; two runs are compared by
+// `satpg diff` (harness/diff.h).
 // inspect_trend walks a sequence of archived documents (reports and
 // profile sidecars, in archive append order) and renders one row per
 // report — coverage, evals, peak bytes, plus evals/s and cycles/eval
@@ -63,12 +63,6 @@ struct TrendEntry {
 /// fault; writes nothing to `os` in that case.
 bool inspect_source(std::ostream& os, const std::string& text,
                     const InspectOptions& opts, std::string* error = nullptr);
-
-/// Trajectory diff of two atpg_run reports (a = baseline). Returns false
-/// with *error on malformed input or non-report artifacts.
-bool inspect_diff(std::ostream& os, const std::string& a_text,
-                  const std::string& b_text, const InspectOptions& opts,
-                  std::string* error = nullptr);
 
 /// Cross-run trend table over archived documents in append order: one
 /// row per atpg_run report; profile sidecars in the sequence contribute

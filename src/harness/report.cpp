@@ -46,6 +46,123 @@ bool is_stale_atpg_run_report(const std::string& text) {
   return schema.rfind("satpg.atpg_run.", 0) == 0 && schema != kAtpgRunSchema;
 }
 
+bool parse_run_report(const std::string& json_text, RunReport* out,
+                      std::string* error) {
+  JsonValue root;
+  if (!json_parse(json_text, &root, error)) return false;
+  if (!root.is_object()) {
+    if (error) *error = "report is not a JSON object";
+    return false;
+  }
+  RunReport r;
+  r.schema = root.str_or("schema", "");
+  if (r.schema != kAtpgRunSchema) {
+    if (error)
+      *error = "unsupported report schema \"" + r.schema + "\" (need " +
+               kAtpgRunSchema + ")";
+    return false;
+  }
+  if (const JsonValue* c = root.find("circuit"))
+    r.circuit = c->str_or("name", "?");
+  if (const JsonValue* e = root.find("engine")) {
+    r.engine = e->str_or("kind", "?");
+    r.seed = e->uint_or("seed", 0);
+  }
+  if (const JsonValue* a = root.find("attribution")) {
+    r.oracle_mode = a->str_or("oracle", "");
+    r.density = a->num_or("density", -1.0);
+  }
+  if (const JsonValue* bi = root.find("build_info"))
+    r.build_line = strprintf(
+        "%s %s %s san=%s simd=%s/%s", bi->str_or("compiler", "?").c_str(),
+        bi->str_or("compiler_version", "?").c_str(),
+        bi->str_or("build_type", "?").c_str(),
+        bi->str_or("sanitizer", "?").c_str(),
+        bi->str_or("simd_compiled", "?").c_str(),
+        bi->str_or("simd_dispatched", "?").c_str());
+  if (const JsonValue* wd = root.find("watchdog")) {
+    r.watchdog_defer = wd->bool_or("defer", false);
+    if (const JsonValue* wm = wd->find("memory")) {
+      r.mem_budget = wm->uint_or("budget", 0);
+      r.mem_tripped = wm->uint_or("tripped", 0);
+      r.mem_requeued = wm->uint_or("requeued", 0);
+      r.mem_verdict = wm->str_or("verdict", "");
+    }
+  }
+  const JsonValue* s = root.find("summary");
+  if (s == nullptr || !s->is_object()) {
+    if (error) *error = "report lacks a summary object";
+    return false;
+  }
+  r.total_faults = s->uint_or("total_faults", 0);
+  r.fault_coverage = s->num_or("fault_coverage", 0.0);
+  r.fault_efficiency = s->num_or("fault_efficiency", 0.0);
+  r.evals = s->uint_or("evals", 0);
+  r.backtracks = s->uint_or("backtracks", 0);
+  r.justify_failures = s->uint_or("justify_failures", 0);
+  r.cube_exports = s->uint_or("cube_exports", 0);
+  r.effort_invalid_frac = s->num_or("effort_invalid_frac", 0.0);
+
+  if (const JsonValue* fe = root.find("fe_trace"); fe && fe->is_array())
+    for (const JsonValue& p : fe->array())
+      if (p.is_array() && p.array().size() == 2)
+        r.fe_trace.emplace_back(
+            static_cast<std::uint64_t>(p.array()[0].number()),
+            p.array()[1].number());
+
+  if (const JsonValue* pf = root.find("per_fault"); pf && pf->is_array()) {
+    r.per_fault.reserve(pf->array().size());
+    for (std::size_t i = 0; i < pf->array().size(); ++i) {
+      const JsonValue& f = pf->array()[i];
+      if (!f.is_object()) continue;
+      RunReport::PerFault rec;
+      rec.name = f.str_or("fault", "?");
+      rec.index = i;
+      rec.status = f.str_or("status", "?");
+      rec.attempted = f.bool_or("attempted", false);
+      rec.evals = f.uint_or("evals", 0);
+      rec.backtracks = f.uint_or("backtracks", 0);
+      rec.effort_invalid_frac = f.num_or("effort_invalid_frac", 0.0);
+      rec.cube_exports = f.uint_or("cube_exports", 0);
+      rec.peak_bytes = f.uint_or("peak_bytes", 0);
+      if (const JsonValue* cs = f.find("cube_sources"); cs && cs->is_array())
+        for (const JsonValue& src : cs->array())
+          rec.cube_sources.push_back(
+              {src.str_or("from", ""),
+               static_cast<std::uint32_t>(src.uint_or("epoch", 0)),
+               src.uint_or("hits", 0)});
+      r.per_fault.push_back(std::move(rec));
+    }
+  }
+
+  if (const JsonValue* prov = root.find("cube_provenance")) {
+    r.prov_exports = prov->uint_or("exports", 0);
+    r.prov_hits = prov->uint_or("import_hits", 0);
+    if (const JsonValue* ex = prov->find("exporters"); ex && ex->is_array())
+      for (const JsonValue& v : ex->array())
+        r.exporters.push_back({v.str_or("fault", ""), v.uint_or("cubes", 0),
+                               v.uint_or("beneficiaries", 0),
+                               v.uint_or("hits", 0)});
+  }
+
+  if (const JsonValue* mem = root.find("memory"); mem && mem->is_object()) {
+    r.has_memory = true;
+    if (const JsonValue* subs = mem->find("subsystems");
+        subs && subs->is_object())
+      for (const auto& [name, v] : subs->members())
+        r.memory.push_back({name, v.uint_or("live", 0), v.uint_or("peak", 0),
+                            v.uint_or("allocated", 0),
+                            v.uint_or("allocs", 0)});
+    if (const JsonValue* tot = mem->find("total")) {
+      r.mem_live_bytes = tot->uint_or("live", 0);
+      r.mem_peak_bytes = tot->uint_or("peak", 0);
+      r.mem_allocated_bytes = tot->uint_or("allocated", 0);
+    }
+  }
+  *out = std::move(r);
+  return true;
+}
+
 void write_atpg_report_json(std::ostream& os, const Netlist& nl,
                             const ParallelAtpgOptions& opts,
                             const ParallelAtpgResult& res) {

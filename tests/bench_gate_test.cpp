@@ -197,6 +197,26 @@ TEST_F(BenchGateTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_cmd(sh_quote(BENCH_GATE_PATH) + " " + sh_quote(golden_parent_) +
                     " /no/such/report.json"),
             2);
+  // Thresholds are strict: not a finite decimal, a negative coverage drop
+  // or a non-positive ratio is a usage error, never a silent 0.
+  const std::string self = sh_quote(BENCH_GATE_PATH) + " " +
+                           sh_quote(golden_parent_) + " " +
+                           sh_quote(golden_parent_) + " ";
+  for (const char* bad :
+       {"--max-effort-ratio=abc", "--max-effort-ratio=0",
+        "--max-effort-ratio=inf", "--max-coverage-drop=-1",
+        "--max-coverage-drop=nan", "--max-coverage-drop=",
+        "--mem --max-mem-ratio=-2", "--mem --max-mem-ratio=1.5x"})
+    EXPECT_EQ(run_cmd(self + bad), 2) << bad;
+  EXPECT_EQ(run_cmd(sh_quote(BENCH_GATE_PATH) + " --fsim " +
+                    sh_quote(golden_parent_) + " --min-fsim-speedup=fast"),
+            2);
+  // The profile table moved to `satpg inspect --profile`.
+  EXPECT_EQ(run_cmd(sh_quote(BENCH_GATE_PATH) + " --profile " +
+                    sh_quote(golden_parent_)),
+            2);
+  // A golden gated against itself passes, also at a zero coverage drop.
+  EXPECT_EQ(run_cmd(self + "--max-coverage-drop=0 --max-effort-ratio=1"), 0);
 }
 
 }  // namespace

@@ -212,9 +212,10 @@ TEST(CliSmokeTest, CaptureReplayRoundTrip) {
 }
 
 // Flight recorder + inspect smoke (DESIGN.md §10): --events-json writes
-// an NDJSON log that is byte-identical across thread counts, and `satpg
-// inspect` renders it, diffs two runs' reports, maps an unknown fault to
-// exit 1, and refuses an older report schema with exit 2.
+// an NDJSON log that is byte-identical across thread counts, `satpg
+// inspect` renders it and maps an unknown fault to exit 1, `satpg diff`
+// finds two runs' reports identical, and inspect, diff and archive refuse
+// an older report schema with exit 2.
 TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
   const std::string dir = ::testing::TempDir();
   const std::string e1 = dir + "cli_events_1.ndjson";
@@ -244,10 +245,12 @@ TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
   EXPECT_NE(slurp(out).find("hardest faults"), std::string::npos);
   ASSERT_EQ(run_satpg("inspect " + m1, out), 0);
   EXPECT_NE(slurp(out).find("hardest faults"), std::string::npos);
-  // Two deterministic runs of the same configuration diff clean.
-  ASSERT_EQ(run_satpg("inspect --diff " + m1 + " " + m2, out), 0);
+  // Two deterministic runs of the same configuration diff clean; the one
+  // run diff is `satpg diff`, and inspect no longer has a --diff mode.
+  ASSERT_EQ(run_satpg("diff " + m1 + " " + m2, out), 0);
   EXPECT_NE(slurp(out).find("per-fault trajectories identical"),
             std::string::npos);
+  EXPECT_EQ(run_satpg("inspect --diff " + m1 + " " + m2), 2);
   // Unknown fault: runtime failure, exit 1 (README "Exit codes").
   EXPECT_EQ(run_satpg("inspect " + e1 + " --fault=bogus"), 1);
   // An older report schema is the wrong input, not a failed run: diff and
@@ -262,6 +265,8 @@ TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
   EXPECT_NE(diag.find("satpg.atpg_run.v5"), std::string::npos) << diag;
   EXPECT_EQ(std::count(diag.begin(), diag.end(), '\n'), 1) << diag;
   EXPECT_EQ(run_satpg("diff " + m1 + " " + old), 2);
+  EXPECT_EQ(run_satpg("archive " + old + " --dir=" + dir + "cli_events_runs"),
+            2);
 }
 
 // Wide-fsim engine selection on the real CLI. The determinism contract
@@ -375,13 +380,19 @@ TEST(CliSmokeTest, MalformedTelemetryFlagsExitUsage) {
 
 // The numeric run-shape flags of `satpg atpg` and `satpg fsim` are strict
 // too: a typo must not zero every fault budget, wrap a negative value into
-// a huge one, fall back to all hardware threads or disarm a deadline.
+// a huge one, fall back to all hardware threads or disarm a deadline. So
+// is the --top of `satpg diff` and `satpg inspect`: a typo must not drop
+// the per-fault table or wrap around to "show all".
 TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
   const std::string dir = ::testing::TempDir();
   const std::string atpg =
       std::string("atpg \"") + SATPG_SMOKE_CIRCUIT + "\" ";
   const std::string fsim =
       std::string("fsim \"") + SATPG_SMOKE_CIRCUIT + "\" ";
+  const std::string golden = std::string(SATPG_GOLDEN_DIR) + "/dk16_";
+  const std::string diff = "diff \"" + golden + "parent.v6.json\" \"" +
+                           golden + "retimed.v6.json\" ";
+  const std::string inspect = "inspect \"" + golden + "retimed.v6.json\" ";
   const std::vector<std::string> bad = {
       atpg + "--budget=abc",        atpg + "--budget=-1",
       atpg + "--budget=0",          atpg + "--budget=inf",
@@ -390,7 +401,10 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
       atpg + "--deadline-ms=-5",    atpg + "--deadline-ms=1s",
       fsim + "--sequences=abc",     fsim + "--sequences=-4",
       fsim + "--length=0",          fsim + "--length=9999999999",
-      fsim + "--threads=two",       fsim + "--threads=-1"};
+      fsim + "--threads=two",       fsim + "--threads=-1",
+      diff + "--top=junk",          diff + "--top=-3",
+      diff + "--top=0",             inspect + "--top=junk",
+      inspect + "--top=-3"};
   for (const std::string& args : bad) {
     const std::string err = dir + "cli_badnum.err";
     EXPECT_EQ(run_satpg(args, "", err), 2) << args;
@@ -403,6 +417,8 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
   EXPECT_EQ(run_satpg(atpg + "--budget=0.05 --threads=2 --deadline-ms=60000"),
             0);
   EXPECT_EQ(run_satpg(fsim + "--sequences=4 --length=8 --threads=1"), 0);
+  EXPECT_EQ(run_satpg(diff + "--top=3"), 0);
+  EXPECT_EQ(run_satpg(inspect + "--top=3"), 0);
 }
 
 // `satpg retime --dffs=` takes a positive count: a non-number must not
@@ -536,8 +552,8 @@ TEST(CliSmokeTest, ProfilerDoesNotPerturbMetricsOrEvents) {
 
 // `satpg inspect --profile` renders the ranked where-do-the-cycles-go
 // table from a sidecar, in both formats; a report is not a profile
-// (exit 1), and --profile composes with neither --diff nor --trend
-// (exit 2).
+// (exit 1), --profile does not compose with --trend (exit 2), and the
+// removed --diff mode is an unknown flag (exit 2).
 TEST(CliSmokeTest, InspectProfileRendersSidecar) {
   FallbackBackendGuard backend;
   const std::string dir = ::testing::TempDir();

@@ -1,7 +1,7 @@
 // Unit tests for the `satpg inspect` analytics layer (harness/inspect):
 // artifact detection (events NDJSON vs atpg_run report), hardest-fault
 // ranking, provenance aggregation from both source kinds, per-fault
-// timelines, trajectory diffs, the v6 --memory view (subsystem table,
+// timelines, the v6 --memory view (subsystem table,
 // budget verdict, hungriest-fault ranking, pre-v6 rejection), the §12
 // --profile view (ranked phase table, fallback-backend "-" columns,
 // non-sidecar rejection), the --trend view (config-keyed profile join,
@@ -158,40 +158,6 @@ TEST(InspectTest, JsonFormatIsValidAndStable) {
   EXPECT_NE(a.find("\"kind\": \"events\""), std::string::npos);
   // Pure function of the input text.
   EXPECT_EQ(a, inspect_text(kEventsLog, opts));
-}
-
-TEST(InspectDiffTest, TrajectoryDiffFindsDivergence) {
-  std::ostringstream os;
-  std::string err;
-  ASSERT_TRUE(inspect_diff(os, report_text("c17", 400),
-                           report_text("c17.re", 700), {}, &err))
-      << err;
-  const std::string out = os.str();
-  EXPECT_NE(out.find("trajectory diff: c17 (cdcl) -> c17.re (cdcl)"),
-            std::string::npos);
-  // b s-a-1 grew 400 -> 700; a s-a-0 is identical in both runs.
-  EXPECT_NE(out.find("b s-a-1"), std::string::npos);
-  EXPECT_EQ(out.find("a s-a-0  aborted"), std::string::npos);
-  // Milestones read off the fe_trace.
-  EXPECT_NE(out.find("fault-efficiency milestones"), std::string::npos);
-}
-
-TEST(InspectDiffTest, IdenticalRunsDiffClean) {
-  std::ostringstream os;
-  std::string err;
-  ASSERT_TRUE(inspect_diff(os, report_text("c17", 400),
-                           report_text("c17", 400), {}, &err))
-      << err;
-  EXPECT_NE(os.str().find("per-fault trajectories identical"),
-            std::string::npos);
-}
-
-TEST(InspectDiffTest, EventLogsAreRejected) {
-  std::ostringstream os;
-  std::string err;
-  EXPECT_FALSE(
-      inspect_diff(os, kEventsLog, report_text("c17", 400), {}, &err));
-  EXPECT_NE(err.find("atpg_run reports"), std::string::npos);
 }
 
 // A minimal v6 report with the DESIGN.md §11 memory surface: two

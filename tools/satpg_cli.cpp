@@ -8,9 +8,8 @@
 //   satpg scan     <in.bench> <out.bench> [--partial]
 //   satpg faults   <circuit.bench>              fault universe summary
 //   satpg archive  <report.json>|--list         store run reports by hash
-//   satpg diff     <a> <b>                      compare two run reports
+//   satpg diff     <a> <b> [--top=N]            compare two run reports
 //   satpg inspect  <src> [--fault=ID]           event-log / report analytics
-//   satpg inspect  --diff <a> <b>               two-run trajectory diff
 //   satpg replay   <capture.json>               re-run a captured search
 //
 // ATPG options: --engine=hitec|forward|learning|cdcl  --budget=F  --seed=N
@@ -30,12 +29,14 @@
 // watchdog, capture, and flight-recorder flags are wired in `satpg atpg`
 // only; --profile-json is wired in atpg and fsim.
 //
-// archive stores satpg.atpg_run.* reports; diff/inspect read only
-// satpg.atpg_run.v6 and exit 2 on any other report schema (inspect also
-// reads satpg.events.v1 logs and, with --profile, satpg.profile.*
-// sidecars; the archive stores profile sidecars too so `inspect --trend`
-// can join them to their runs); <a>/<b>/<src> may each be a file path or
-// a stored report's hash prefix (see harness/archive.h).
+// archive, diff and inspect read only satpg.atpg_run.v6 reports and exit
+// 2 on any other report schema (inspect also reads satpg.events.v1 logs
+// and, with --profile, satpg.profile.* sidecars; the archive stores
+// profile sidecars too so `inspect --trend` can join them to their runs);
+// <a>/<b>/<src> may each be a file path or a stored report's hash prefix
+// (see harness/archive.h). diff prints summary deltas, evals-to-FE%
+// milestones, the per-fault divergence table (--top rows) and the
+// invalid-fraction scatter.
 //
 // Exit codes: 0 success; 1 runtime failure (bad file, replay mismatch);
 // 2 usage error. `--help` anywhere prints usage to stdout and exits 0;
@@ -127,8 +128,6 @@ void print_usage(std::FILE* f) {
       " [--dir=DIR]\n"
       "  satpg inspect --trend [--format=txt|json] [--dir=DIR]"
       "   (whole archive, append order)\n"
-      "  satpg inspect --diff <a> <b> [--top=N] [--format=txt|json]"
-      " [--dir=DIR]\n"
       "                (src: events-json log, report file, or archive"
       " hash)\n"
       "  satpg replay  capture.json [--circuit=FILE] [--dump]\n"
@@ -603,7 +602,14 @@ int cmd_archive(int argc, char** argv) {
   if (!do_list && files.empty()) return usage();
   RunArchive archive(dir);
   for (const std::string& f : files) {
-    const ArchiveEntry e = archive.add_file(f);
+    const std::string text = load_report_spec(archive, f);
+    ArchiveEntry e;
+    try {
+      e = archive.add(text);
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "error: %s: %s\n", f.c_str(), ex.what());
+      return is_stale_atpg_run_report(text) ? 2 : 1;
+    }
     std::printf("archived %s  %s %s (config %s)\n", e.hash.c_str(),
                 e.circuit.c_str(), e.engine.c_str(), e.config_digest.c_str());
   }
@@ -631,7 +637,7 @@ int cmd_diff(int argc, char** argv) {
     if (const char* v = flag_value(argv[i], "--dir=")) {
       dir = v;
     } else if (const char* v2 = flag_value(argv[i], "--top=")) {
-      dopts.top_regressions = static_cast<std::size_t>(std::atoll(v2));
+      if (!parse_count(v2, &dopts.top)) return bad_value("--top=", v2);
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
@@ -659,7 +665,6 @@ int cmd_diff(int argc, char** argv) {
 int cmd_inspect(int argc, char** argv) {
   std::string dir = "runs";
   InspectOptions iopts;
-  bool do_diff = false;
   bool do_trend = false;
   std::vector<std::string> specs;
   for (int i = 0; i < argc; ++i) {
@@ -668,7 +673,7 @@ int cmd_inspect(int argc, char** argv) {
     } else if (const char* v2 = flag_value(argv[i], "--fault=")) {
       iopts.fault = v2;
     } else if (const char* v3 = flag_value(argv[i], "--top=")) {
-      iopts.top = static_cast<std::size_t>(std::atoll(v3));
+      if (!parse_count(v3, &iopts.top)) return bad_value("--top=", v3);
     } else if (const char* v4 = flag_value(argv[i], "--format=")) {
       if (!std::strcmp(v4, "json"))
         iopts.json = true;
@@ -680,27 +685,20 @@ int cmd_inspect(int argc, char** argv) {
       iopts.profile = true;
     } else if (!std::strcmp(argv[i], "--trend")) {
       do_trend = true;
-    } else if (!std::strcmp(argv[i], "--diff")) {
-      do_diff = true;
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
       specs.emplace_back(argv[i]);
     }
   }
-  if (do_diff + do_trend + (iopts.profile ? 1 : 0) > 1) return usage();
-  if (specs.size() != (do_diff ? 2u : do_trend ? 0u : 1u)) return usage();
+  if (do_trend && iopts.profile) return usage();
+  if (specs.size() != (do_trend ? 0u : 1u)) return usage();
   const RunArchive archive(dir);
   std::string err;
   bool ok = false;
   bool stale = false;  // an input is an older atpg_run schema: exit 2
   try {
-    if (do_diff) {
-      const std::string a = load_report_spec(archive, specs[0]);
-      const std::string b = load_report_spec(archive, specs[1]);
-      stale = is_stale_atpg_run_report(a) || is_stale_atpg_run_report(b);
-      ok = inspect_diff(std::cout, a, b, iopts, &err);
-    } else if (do_trend) {
+    if (do_trend) {
       // The whole archive in append order; inspect joins profile sidecars
       // to their reports by configuration.
       std::vector<TrendEntry> entries;
