@@ -9,7 +9,6 @@
 
 #include "base/json.h"
 #include "base/memstats.h"
-#include "base/metrics.h"
 #include "base/profiler.h"
 #include "base/strutil.h"
 #include "base/threadpool.h"
@@ -339,72 +338,6 @@ class AtpgMonitorSource final : public MonitorSource {
   const double stuck_seconds_;
   const std::uint64_t stuck_evals_;
 };
-
-/// Record one fault attempt's search stats into the global metrics
-/// registry ("atpg.*" histograms and counters), once per attempted fault in
-/// merge order. No-op while metrics are disabled.
-void record_fault_stats(const FaultSearchStats& stats, FaultStatus status) {
-  if (!metrics_enabled()) return;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.histogram("atpg.evals_per_fault").record(stats.evals);
-  reg.histogram("atpg.backtracks_per_fault").record(stats.backtracks);
-  reg.histogram("atpg.implications_per_fault").record(stats.implications);
-  reg.histogram("atpg.window_growths_per_fault")
-      .record(stats.window_growths);
-  reg.histogram("atpg.justify_depth").record(stats.max_justify_depth);
-  reg.histogram("atpg.justify_failures_per_fault")
-      .record(stats.justify_failures);
-  reg.counter("atpg.justify_calls").add(stats.justify_calls);
-  reg.counter("atpg.justify_failures").add(stats.justify_failures);
-  reg.counter("atpg.learn_hits").add(stats.learn_hits);
-  reg.counter("atpg.learn_misses").add(stats.learn_misses);
-  reg.counter("atpg.learn_inserts").add(stats.learn_inserts);
-  reg.counter("atpg.verify_rejects").add(stats.verify_rejects);
-  reg.histogram("atpg.peak_bytes_per_fault").record(stats.peak_bytes);
-  // CDCL solver counters: only recorded when the attempt did SAT work, so
-  // structural-engine runs keep their metric registry unchanged.
-  if (stats.conflicts != 0 || stats.propagations != 0) {
-    reg.histogram("atpg.cdcl_conflicts_per_fault").record(stats.conflicts);
-    reg.counter("atpg.cdcl_conflicts").add(stats.conflicts);
-    reg.counter("atpg.cdcl_propagations").add(stats.propagations);
-    reg.counter("atpg.cdcl_restarts").add(stats.restarts);
-    reg.counter("atpg.cdcl_learned_clauses").add(stats.learned_clauses);
-    reg.counter("atpg.cdcl_cube_blocks").add(stats.cube_blocks);
-    reg.counter("atpg.cdcl_cube_exports").add(stats.cube_exports);
-  }
-  if (stats.budget_exhausted) reg.counter("atpg.budget_exhausted").add();
-  // Invalid-state attribution (all zeros when no oracle was attached).
-  // Bucket order: DESIGN.md §6 / StateValidity.
-  static const char* const kBucketNames[3] = {"valid", "invalid", "unknown"};
-  const EffortAttribution& a = stats.attribution;
-  for (std::size_t b = 0; b < 3; ++b) {
-    reg.counter(std::string("atpg.justify_calls_") + kBucketNames[b])
-        .add(a.justify_calls[b]);
-    reg.counter(std::string("atpg.justify_failures_") + kBucketNames[b])
-        .add(a.justify_failures[b]);
-    reg.counter(std::string("atpg.justify_evals_") + kBucketNames[b])
-        .add(a.justify_evals[b]);
-    reg.counter(std::string("atpg.justify_backtracks_") + kBucketNames[b])
-        .add(a.justify_backtracks[b]);
-  }
-  // Integer percent so the histogram stays deterministic (DESIGN.md §5
-  // allows only integral samples).
-  const std::uint64_t invalid_evals =
-      a.justify_evals[static_cast<std::size_t>(StateValidity::kInvalid)];
-  reg.histogram("atpg.effort_invalid_pct")
-      .record(stats.evals == 0 ? 0 : invalid_evals * 100 / stats.evals);
-  switch (status) {
-    case FaultStatus::kDetected:
-      reg.counter("atpg.faults_detected").add();
-      break;
-    case FaultStatus::kRedundant:
-      reg.counter("atpg.faults_redundant").add();
-      break;
-    case FaultStatus::kAborted:
-      reg.counter("atpg.faults_aborted").add();
-      break;
-  }
-}
 
 /// Replace every X in `seq` with 0 — deterministic, and keeps the reset
 /// line quiet.
@@ -766,7 +699,6 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
           res.fault_stats[i] = attempt.stats;
           res.fault_events[i] = std::move(attempt.events);
           res.cube_sources[i] = std::move(attempt.cube_sources);
-          record_fault_stats(attempt.stats, attempt.status);
           // Watchdog flag: a deterministic function of the attempt's own
           // eval count (a capped attempt that hit its cap counts too).
           if (wd && !tripped[i] &&
@@ -881,11 +813,6 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
   for (std::size_t i = 0; i < faults.size(); ++i)
     if (tripped[i])
       res.stuck_faults.push_back({i, trip_evals[i], was_deferred[i] != 0});
-  if (wd && metrics_enabled()) {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    reg.counter("atpg.watchdog_stuck").add(res.stuck_faults.size());
-    reg.counter("atpg.watchdog_requeued").add(res.deferred_requeued);
-  }
 
   // ---- accounting ----
   std::size_t w_det = 0, w_red = 0, w_abort = 0, w_total = 0;

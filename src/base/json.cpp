@@ -34,189 +34,8 @@ std::string json_escape(const std::string& s) {
 
 namespace {
 
-// Recursive-descent validator over the raw bytes; pos_ tracks the byte
-// offset for error messages.
-class Validator {
- public:
-  explicit Validator(const std::string& text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value()) {
-      if (error) *error = strprintf("JSON parse error at byte %zu", pos_);
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error)
-        *error = strprintf("trailing bytes after JSON value at byte %zu",
-                           pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool eof() const { return pos_ >= text_.size(); }
-
-  void skip_ws() {
-    while (!eof()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-        ++pos_;
-      else
-        break;
-    }
-  }
-
-  bool literal(const char* word) {
-    std::size_t i = 0;
-    while (word[i]) {
-      if (pos_ + i >= text_.size() || text_[pos_ + i] != word[i])
-        return false;
-      ++i;
-    }
-    pos_ += i;
-    return true;
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (!eof()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return false;
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + i >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + i])))
-              return false;
-          }
-          pos_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-        ++pos_;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // raw control character
-      } else {
-        ++pos_;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    return true;
-  }
-
-  bool number() {
-    if (peek() == '-') ++pos_;
-    if (peek() == '0') {
-      ++pos_;
-    } else if (!digits()) {
-      return false;
-    }
-    if (peek() == '.') {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool object() {
-    if (++depth_ > kJsonMaxDepth) return false;
-    ++pos_;  // consume '{'
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array() {
-    if (++depth_ > kJsonMaxDepth) return false;
-    ++pos_;  // consume '['
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      --depth_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        --depth_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
-
-// Recursive-descent parser building a JsonValue tree. Kept separate from
-// the Validator: validation stays allocation-free for the smoke tests,
-// and the parser can assume nothing (it re-checks syntax itself).
+// Recursive-descent parser building a JsonValue tree; pos_ tracks the
+// byte offset for error messages.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -323,8 +142,7 @@ class Parser {
             if (!hex4(&cp)) return false;
             if (cp >= 0xD800 && cp <= 0xDBFF) {
               // High surrogate: pairs with an immediately following \uDC00..
-              // \uDFFF; otherwise decode as U+FFFD (lossy, not an error —
-              // the validator accepts lone surrogates too).
+              // \uDFFF; otherwise decode as U+FFFD (lossy, not an error).
               std::uint32_t lo;
               if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
                   text_[pos_ + 1] == 'u') {
@@ -485,10 +303,6 @@ class Parser {
 
 }  // namespace
 
-bool json_valid(const std::string& text, std::string* error) {
-  return Validator(text).run(error);
-}
-
 // ---- JsonValue --------------------------------------------------------------
 
 const JsonValue* JsonValue::find(const std::string& key) const {
@@ -506,7 +320,9 @@ double JsonValue::num_or(const std::string& key, double dflt) const {
 std::uint64_t JsonValue::uint_or(const std::string& key,
                                  std::uint64_t dflt) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || !v->is_number() || v->number() < 0) return dflt;
+  if (v == nullptr || !v->is_number() || v->number() < 0 ||
+      v->number() >= 0x1p64)
+    return dflt;
   return static_cast<std::uint64_t>(v->number());
 }
 
@@ -560,6 +376,11 @@ JsonValue JsonValue::make_object(
 bool json_parse(const std::string& text, JsonValue* out,
                 std::string* error) {
   return Parser(text).run(out, error);
+}
+
+bool json_valid(const std::string& text, std::string* error) {
+  JsonValue discarded;
+  return json_parse(text, &discarded, error);
 }
 
 }  // namespace satpg

@@ -2,13 +2,13 @@
 //
 // This is deliberately not a full JSON library. The repo needs to
 // (a) escape strings it embeds in hand-written JSON reports,
-// (b) validate that the reports it just wrote actually parse, and
-// (c) parse its own atpg_run reports back into a value tree for the run
-//     archive and differ (harness/archive, harness/diff).
-// Numbers are accepted in full RFC 8259 syntax (NaN/Infinity are rejected
-// by the grammar) and parsed as double. Both the validator and the parser
-// refuse documents nested deeper than kJsonMaxDepth rather than recursing
-// without bound.
+// (b) parse its own atpg_run reports back into a value tree for the run
+//     archive and differ (harness/archive, harness/diff), and
+// (c) let tests check that a document it wrote parses (json_valid).
+// There is one grammar: one recursive-descent parser. Numbers are accepted
+// in full RFC 8259 syntax (NaN/Infinity are rejected by the grammar) and
+// parsed as double. The parser refuses documents nested deeper than
+// kJsonMaxDepth rather than recursing without bound.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +18,15 @@
 
 namespace satpg {
 
-/// Containers/recursion deeper than this fail validation and parsing.
+/// Containers/recursion deeper than this fail parsing.
 inline constexpr std::size_t kJsonMaxDepth = 256;
 
 /// Escape a string for embedding between double quotes in JSON output.
 std::string json_escape(const std::string& s);
 
-/// Strict whole-document validation: true iff `text` is exactly one JSON
-/// value (plus surrounding whitespace). On failure, *error (if non-null)
-/// gets a one-line message with the byte offset.
+/// Strict whole-document validation: json_parse into a discarded value.
+/// True iff `text` is exactly one JSON value (plus surrounding
+/// whitespace); on failure *error (if non-null) gets json_parse's message.
 bool json_valid(const std::string& text, std::string* error = nullptr);
 
 /// Parsed JSON value. Objects keep their members in document order (the
@@ -60,8 +60,8 @@ class JsonValue {
   /// First member named `key`, or nullptr (also for non-objects).
   const JsonValue* find(const std::string& key) const;
 
-  // Typed conveniences with defaults — the differ reads both v1 and v2
-  // reports, so missing fields must degrade gracefully.
+  // Typed conveniences with defaults — missing or mistyped fields degrade
+  // gracefully; uint_or also falls back for a number outside uint64_t.
   double num_or(const std::string& key, double dflt) const;
   std::uint64_t uint_or(const std::string& key, std::uint64_t dflt) const;
   std::string str_or(const std::string& key, const std::string& dflt) const;

@@ -1,7 +1,11 @@
 // Low-overhead, thread-aware metrics registry.
 //
-// A process-wide registry of named counters, gauges, and histograms that
-// the engines update from hot paths. Design constraints, in order:
+// A process-wide registry of named counters that the engines update from
+// hot paths. It holds only what nothing else counts: substrate work
+// (`tfm.evals`, `podem.*`, `fsim.*`, ...), including the speculative
+// attempts the run report never merges. Per-fault search effort lives in
+// the report's `summary` and `per_fault` blocks, not here. Design
+// constraints, in order:
 //
 //   * Near-zero cost when disabled: every mutation starts with one relaxed
 //     atomic load of the global enable flag and returns immediately when it
@@ -12,15 +16,15 @@
 //     never contend on a shared counter word. Shards are merged at report
 //     time in fixed slot order — the same merge-order discipline as
 //     `atpg/parallel` — so a read is a pure function of what was recorded.
-//   * Deterministic reports: everything the registry stores is a sum, a
-//     bucket count, or an extremum — all order-independent — and
-//     `write_json` iterates names in sorted order. A run that records only
-//     thread-count-invariant quantities (see DESIGN.md §5) therefore dumps
-//     byte-identical JSON at any `--threads` value. Wall-clock quantities
-//     belong in the trace (`base/trace.h`), never in the registry.
+//   * Deterministic reports: everything the registry stores is a sum —
+//     order-independent — and `write_json` iterates names in sorted order.
+//     A run that records only thread-count-invariant quantities (see
+//     DESIGN.md §5) therefore dumps byte-identical JSON at any `--threads`
+//     value. Wall-clock quantities belong in the trace (`base/trace.h`),
+//     never in the registry.
 //
-// Handles returned by counter()/gauge()/histogram() are stable for the
-// process lifetime; hot call sites cache them in function-local statics.
+// Handles returned by counter() are stable for the process lifetime; hot
+// call sites cache them in function-local statics.
 #pragma once
 
 #include <array>
@@ -86,70 +90,18 @@ class MetricsRegistry {
     std::array<Slot, kShards> shards_;
   };
 
-  /// Last-set value. Single-writer by convention (the orchestrating
-  /// thread); a multi-writer gauge would be scheduling-dependent and has
-  /// no place in a deterministic report.
-  class Gauge {
-   public:
-    void set(double v) {
-      if (!metrics_enabled()) return;
-      v_.store(v, std::memory_order_relaxed);
-    }
-    double value() const { return v_.load(std::memory_order_relaxed); }
-    void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
-   private:
-    std::atomic<double> v_{0.0};
-  };
-
-  /// Power-of-two histogram over uint64 samples: bucket 0 holds value 0,
-  /// bucket b >= 1 holds [2^(b-1), 2^b). Count/sum/min/max ride along.
-  class Histogram {
-   public:
-    static constexpr std::size_t kBuckets = 65;
-
-    void record(std::uint64_t v) {
-      if (!metrics_enabled()) return;
-      record_always(v);
-    }
-    std::uint64_t count() const;
-    std::uint64_t sum() const;
-    std::uint64_t min() const;  ///< 0 when empty
-    std::uint64_t max() const;
-    std::uint64_t bucket(std::size_t b) const;
-    void reset();
-
-    static unsigned bucket_of(std::uint64_t v) {
-      return v == 0 ? 0u
-                    : static_cast<unsigned>(64 - __builtin_clzll(v));
-    }
-
-   private:
-    void record_always(std::uint64_t v);
-    struct alignas(64) Shard {
-      std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-      std::atomic<std::uint64_t> count{0};
-      std::atomic<std::uint64_t> sum{0};
-      std::atomic<std::uint64_t> min{UINT64_MAX};
-      std::atomic<std::uint64_t> max{0};
-    };
-    std::array<Shard, kShards> shards_;
-  };
-
   /// Find-or-create by name. Returned references stay valid for the
   /// registry's lifetime. Names are dot-separated lowercase
-  /// ("atpg.backtracks"); registration takes a mutex — do it once per call
+  /// ("podem.backtracks"); registration takes a mutex — do it once per call
   /// site, not per event.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
 
-  /// Zero every metric (names stay registered). Used between runs that
+  /// Zero every counter (names stay registered). Used between runs that
   /// must produce independent reports.
   void reset();
 
-  /// Deterministic dump: names sorted, shards merged in slot order,
-  /// integers only except gauges. See header comment for the
+  /// Deterministic dump, `{"counters": {name: total, ...}}`: names
+  /// sorted, shards merged in slot order. See header comment for the
   /// thread-count-invariance contract.
   void write_json(std::ostream& os, int indent = 0) const;
   std::string to_json() const;
@@ -157,10 +109,8 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
  private:
-  mutable std::mutex mu_;  ///< guards the maps, not the metric storage
+  mutable std::mutex mu_;  ///< guards the map, not the counter storage
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace satpg

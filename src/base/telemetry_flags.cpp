@@ -1,6 +1,7 @@
 #include "base/telemetry_flags.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -26,13 +27,22 @@ const char* flag_value(const char* arg, const char* prefix) {
 
 }  // namespace
 
-bool parse_positive_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
+bool parse_u64(const char* s, std::uint64_t* out) {
+  // strtoull alone would skip leading blanks and wrap a '-' value around.
+  if (s == nullptr || !std::isdigit(static_cast<unsigned char>(*s)))
+    return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v == 0) return false;
+  if (errno != 0 || *end != '\0') return false;
   *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool parse_positive_u64(const char* s, std::uint64_t* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, &v) || v == 0) return false;
+  *out = v;
   return true;
 }
 

@@ -25,7 +25,9 @@
 // to whatever run accepts a RunMonitorOptions.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 
 #include "base/monitor.h"
@@ -36,10 +38,23 @@ namespace satpg {
 /// with `*out > 0` — anything else (empty, trailing junk, zero, negative,
 /// and for the double an infinity or NaN) returns false so the caller can
 /// exit 2 with usage instead of silently clamping a typo into a real run.
-/// parse_nonnegative_double also accepts zero.
+/// parse_u64 and parse_nonnegative_double also accept zero.
+bool parse_u64(const char* s, std::uint64_t* out);
 bool parse_positive_u64(const char* s, std::uint64_t* out);
 bool parse_positive_double(const char* s, double* out);
 bool parse_nonnegative_double(const char* s, double* out);
+
+/// parse_positive_u64 into a narrower unsigned type; false when the value
+/// does not fit in T.
+template <typename T>
+bool parse_count(const char* s, T* out) {
+  std::uint64_t v = 0;
+  if (!parse_positive_u64(s, &v) ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+    return false;
+  *out = static_cast<T>(v);
+  return true;
+}
 
 struct TelemetryFlags {
   std::string metrics_json;    ///< empty = metrics disabled
@@ -85,7 +100,8 @@ struct TelemetryFlags {
   bool finish_trace(std::ostream* info = nullptr) const;
 
   /// Disable metrics and write the generic registry dump
-  ///   {"schema": <schema>, "bench": <label>, "metrics": {...}}
+  ///   {"schema": <schema>, "bench": <label>,
+  ///    "metrics": {"counters": {<name>: <total>, ...}}}
   /// to metrics_json. Returns false (after printing to stderr) on write
   /// failure; true when metrics were never requested. Tools with a richer
   /// schema (satpg atpg) write their own report instead of calling this.

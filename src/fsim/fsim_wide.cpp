@@ -401,7 +401,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
   const SimdTier tier = fsim_wide_resolve_tier(opts.simd);
   SATPG_CHECK_MSG(fsim_wide_tier_usable(tier),
                   "requested wide-fsim tier is not available on this "
-                  "machine/build (see satpg fsim --width/--force-scalar)");
+                  "machine/build (satpg fsim --width=64 pins the portable one)");
   KernelFn kernel = tier_kernel(tier);
   SATPG_CHECK(kernel != nullptr);
   const ProfPhase kernel_phase = prof_phase_for_wide_kernel(tier);

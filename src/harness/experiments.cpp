@@ -406,6 +406,25 @@ Table run_ablation_encoding(const ExperimentOptions& opts) {
   return t;
 }
 
+namespace {
+
+[[noreturn]] void bench_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--budget=F] [--seed=N] [--scale=F] "
+               "[--cache=DIR] [--threads=N] [--deadline-ms=N]\n"
+               "          [--metrics-json=FILE] [--trace-json=FILE] "
+               "[--width=64|128|256|512] [--no-sidecar]\n",
+               argv0);
+  std::exit(2);
+}
+
+[[noreturn]] void bench_bad_value(const char* argv0, const std::string& arg) {
+  std::fprintf(stderr, "error: bad value %s\n", arg.c_str());
+  bench_usage(argv0);
+}
+
+}  // namespace
+
 BenchConfig parse_bench_flags(int argc, char** argv) {
   BenchConfig cfg;
   for (int i = 1; i < argc; ++i) {
@@ -414,45 +433,35 @@ BenchConfig parse_bench_flags(int argc, char** argv) {
       const std::size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    bool ok = true;
     if (const char* v = value_of("--budget=")) {
-      cfg.experiment.budget_scale = std::atof(v);
+      ok = parse_positive_double(v, &cfg.experiment.budget_scale);
     } else if (const char* v = value_of("--seed=")) {
-      cfg.experiment.seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = parse_u64(v, &cfg.experiment.seed);
       cfg.suite.seed = cfg.experiment.seed;
     } else if (const char* v = value_of("--scale=")) {
-      cfg.suite.fsm_scale = std::atof(v);
+      ok = parse_positive_double(v, &cfg.suite.fsm_scale);
     } else if (const char* v = value_of("--cache=")) {
       cfg.suite.cache_dir = v;
     } else if (const char* v = value_of("--threads=")) {
-      cfg.experiment.num_threads =
-          static_cast<unsigned>(std::atoi(v));
+      ok = parse_count(v, &cfg.experiment.num_threads);
     } else if (const char* v = value_of("--deadline-ms=")) {
-      cfg.experiment.deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(v));
+      ok = parse_positive_u64(v, &cfg.experiment.deadline_ms);
     } else if (const char* v = value_of("--width=")) {
-      SimdTier tier;
-      if (!simd_tier_from_width(static_cast<unsigned>(std::atoi(v)), &tier)) {
-        std::fprintf(stderr, "error: --width must be 64, 128, 256 or 512\n");
-        std::exit(2);
-      }
-      cfg.experiment.fsim.simd = tier;
-    } else if (arg == "--force-scalar") {
-      cfg.experiment.fsim.simd = SimdTier::kScalar;
+      unsigned width = 0;
+      ok = parse_count(v, &width) &&
+           simd_tier_from_width(width, &cfg.experiment.fsim.simd);
     } else if (cfg.telemetry.parse(arg.c_str())) {
       // --metrics-json= / --trace-json= handled by the shared helper.
     } else if (arg == "--no-sidecar") {
       cfg.write_sidecar = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--budget=F] [--seed=N] [--scale=F] "
-                   "[--cache=DIR] [--threads=N] [--deadline-ms=N]\n"
-                   "          [--metrics-json=FILE] [--trace-json=FILE] "
-                   "[--width=64|128|256|512] [--force-scalar] "
-                   "[--no-sidecar]\n",
-                   argv[0]);
-      std::exit(2);
+      bench_usage(argv[0]);
     }
+    if (!ok) bench_bad_value(argv[0], arg);
   }
+  if (!cfg.telemetry.error.empty())
+    bench_bad_value(argv[0], cfg.telemetry.error);
   return cfg;
 }
 

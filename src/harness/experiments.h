@@ -80,11 +80,13 @@ Table run_ablation_encoding(const ExperimentOptions& opts);
 /// --budget=<float>, --seed=<n>, --scale=<float> (FSM scale),
 /// --cache=<dir>, --threads=<n>, --deadline-ms=<n>,
 /// --metrics-json=<file> (dump the metrics registry after the run),
-/// --trace-json=<file> (record a Chrome trace_event timeline),
-/// --width=<64|128|256|512> (pin the wide fsim SIMD tier),
-/// --force-scalar (pin the portable scalar fsim kernel), and
-/// --no-sidecar (suppress the BENCH_*.json table sidecar). Unknown flags
-/// abort with a usage message.
+/// --trace-json=<file> (record a Chrome trace_event timeline) and the
+/// other TelemetryFlags, --width=<64|128|256|512> (pin the wide fsim SIMD
+/// tier; 64 is the portable scalar kernel), and --no-sidecar (suppress the
+/// BENCH_*.json table sidecar). Numeric values are strict, as in
+/// `satpg atpg`: budget, scale, threads and deadline must be positive,
+/// the seed may be 0. An unknown flag or a malformed value exits 2 with
+/// a usage message.
 struct BenchConfig {
   ExperimentOptions experiment;
   SuiteOptions suite;

@@ -105,7 +105,8 @@ bool parse_run_report(const std::string& json_text, RunReport* out,
 
   if (const JsonValue* fe = root.find("fe_trace"); fe && fe->is_array())
     for (const JsonValue& p : fe->array())
-      if (p.is_array() && p.array().size() == 2)
+      if (p.is_array() && p.array().size() == 2 &&
+          p.array()[0].number() >= 0 && p.array()[0].number() < 0x1p64)
         r.fe_trace.emplace_back(
             static_cast<std::uint64_t>(p.array()[0].number()),
             p.array()[1].number());

@@ -16,12 +16,12 @@
 // summary numbers the tables print (including the attribution bucket sums
 // and effort_invalid_frac), the Figure-3 fe_trace, a per-fault record
 // array (status + full FaultSearchStats + per-fault attribution), and the
-// global metrics registry. Everything in the report is deterministic —
-// wall-clock times and thread counts are deliberately absent, so the same
-// run dumps byte-identical JSON at any --threads value, with or without
-// the live monitor (DESIGN.md §5/§6/§7). Timing belongs in the trace JSON
-// (base/trace.h) and the heartbeat stream (base/monitor.h), which make no
-// such promise.
+// global metrics registry's substrate counters under "metrics". Everything
+// in the report is deterministic — wall-clock times and thread counts are
+// deliberately absent, so the same run dumps byte-identical JSON at any
+// --threads value, with or without the live monitor (DESIGN.md §5/§6/§7).
+// Timing belongs in the trace JSON (base/trace.h) and the heartbeat stream
+// (base/monitor.h), which make no such promise.
 //
 // parse_run_report is the read side: the one reader of the schema,
 // flattening a report into RunReport for diff, inspect and

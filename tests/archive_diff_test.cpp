@@ -1,7 +1,8 @@
 // Run archive + differ: content-hash identity, idempotent add, prefix
 // lookup, stale-schema refusal, report parsing, the per-fault divergence
 // table, FE% milestones, infinite ratios against a zero baseline,
-// deterministic diff rendering, and the bench_gate thresholds.
+// deterministic diff rendering, the bench_gate thresholds, and a
+// malformed-report corpus built from the committed goldens.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "base/json.h"
+#include "base/rng.h"
 #include "base/strutil.h"
 #include "harness/archive.h"
 #include "harness/diff.h"
@@ -198,6 +200,14 @@ TEST(RunReportTest, ParsesV2Fields) {
   EXPECT_EQ(r.prov_exports, 2u);
   EXPECT_EQ(r.prov_hits, 6u);
 
+  // fe_trace points whose evals uint64_t cannot hold are dropped.
+  ASSERT_TRUE(parse_run_report(
+      make_report("c1", 95.5, 123, 0.42, {}, "[[-1, 10], [1e30, 20], [3, 30]]"),
+      &r, &err))
+      << err;
+  ASSERT_EQ(r.fe_trace.size(), 1u);
+  EXPECT_EQ(r.fe_trace[0].first, 3u);
+
   EXPECT_FALSE(parse_run_report("{}", &r, &err));
   EXPECT_FALSE(parse_run_report("[1, 2]", &r, &err));
   // Only the current schema is read: an older report is refused with a
@@ -208,6 +218,57 @@ TEST(RunReportTest, ParsesV2Fields) {
   EXPECT_NE(err.find("\"satpg.atpg_run.v5\""), std::string::npos) << err;
   EXPECT_NE(err.find("satpg.atpg_run.v6"), std::string::npos) << err;
   EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+}
+
+// Malformed-report corpus: seeded truncations and single-byte
+// substitutions of the four committed goldens. Each reader entry point
+// either accepts an input or refuses it with a message; none may crash.
+// An accepted report must also diff and render against its golden, as
+// `satpg diff` would.
+TEST(RunReportTest, MutatedGoldensFailCleanly) {
+  static const char* const kGoldens[] = {"dk16_parent", "dk16_retimed",
+                                         "dk16_parent_cdcl",
+                                         "dk16_retimed_cdcl"};
+  // Bytes that break or bend the grammar; sizeof counts the NUL too.
+  static const char kBytes[] = "{}[]\",:\\-.eE+0x \n";
+  constexpr int kMutantsPerGolden = 50;
+  Rng rng(0x600d);
+  std::size_t inputs = 0, refused = 0;
+  for (const char* name : kGoldens) {
+    const std::string path =
+        std::string(SATPG_GOLDEN_DIR) + "/" + name + ".v6.json";
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    const std::string golden_text = ss.str();
+    const RunReport golden = parsed(golden_text);
+    ASSERT_FALSE(golden.per_fault.empty()) << path;
+    for (int k = 0; k < kMutantsPerGolden; ++k) {
+      std::string text = golden_text;
+      if (k % 2 == 0)
+        text.resize(rng.next_below(text.size()));
+      else
+        text[rng.next_below(text.size())] =
+            kBytes[rng.next_below(sizeof kBytes)];
+      ++inputs;
+      JsonValue doc;
+      std::string err;
+      if (!json_parse(text, &doc, &err)) {
+        EXPECT_FALSE(err.empty()) << name << " mutant " << k;
+        ++refused;
+      }
+      RunReport r;
+      err.clear();
+      if (!parse_run_report(text, &r, &err)) {
+        EXPECT_FALSE(err.empty()) << name << " mutant " << k;
+        continue;
+      }
+      EXPECT_FALSE(rendered(golden, r).empty()) << name << " mutant " << k;
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(refused, 0u);
+  EXPECT_LT(refused, inputs);
 }
 
 TEST(RunDiffTest, ComputesDeltasRegressionsAndScatter) {

@@ -292,6 +292,11 @@ TEST(JsonTest, ParsesV2RecordShapes) {
   // Members preserve document order.
   EXPECT_EQ(v.members()[0].first, "schema");
   EXPECT_EQ(v.members()[1].first, "attribution");
+  // uint_or falls back for a number uint64_t cannot hold, never casts it.
+  ASSERT_TRUE(json_parse("{\"neg\": -2, \"huge\": 1e30, \"ok\": 7}", &v));
+  EXPECT_EQ(v.uint_or("neg", 9), 9u);
+  EXPECT_EQ(v.uint_or("huge", 9), 9u);
+  EXPECT_EQ(v.uint_or("ok", 9), 7u);
 }
 
 // ---- telemetry thread indices -----------------------------------------------

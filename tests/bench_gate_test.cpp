@@ -15,7 +15,10 @@
 //     --no-shared-learning (the headline benefit of the shared cache);
 //   * the --mem gate passes a fresh run against its golden at the default
 //     ratio and flags the same pair once the ratio is squeezed below 1;
-//   * both cdcl runs flush exactly their goldens' "tfm.evals" total.
+//   * both cdcl runs flush exactly their goldens' "tfm.evals" total;
+//   * every fresh report equals its golden field for field, apart from
+//     the provenance (build_info, circuit.name), so a stale golden row
+//     fails even where no threshold reads it.
 //
 // Paths are injected by CMake: SATPG_CLI_PATH / BENCH_GATE_PATH are the
 // built tools, SATPG_GOLDEN_DIR the committed reports, SATPG_SMOKE_CIRCUIT
@@ -26,6 +29,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "base/json.h"
 
 namespace satpg {
 namespace {
@@ -66,6 +73,63 @@ unsigned long long json_counter_sum(const std::string& json,
        at = json.find(needle, at + needle.size()))
     total += std::stoull(json.substr(at + needle.size()));
   return total;
+}
+
+// The report without its provenance: build_info names the toolchain on
+// purpose and circuit.name echoes the path the circuit was read from.
+JsonValue without_provenance(const JsonValue& report) {
+  std::vector<std::pair<std::string, JsonValue>> members;
+  for (const auto& [key, value] : report.members()) {
+    if (key == "build_info") continue;
+    if (key != "circuit") {
+      members.emplace_back(key, value);
+      continue;
+    }
+    std::vector<std::pair<std::string, JsonValue>> circuit;
+    for (const auto& [ckey, cvalue] : value.members())
+      if (ckey != "name") circuit.emplace_back(ckey, cvalue);
+    members.emplace_back(key, JsonValue::make_object(std::move(circuit)));
+  }
+  return JsonValue::make_object(std::move(members));
+}
+
+// The first path at which two trees differ, "" when they are equal.
+// Object members are compared in document order: reports are written in
+// a fixed order.
+std::string first_difference(const JsonValue& a, const JsonValue& b,
+                             const std::string& path) {
+  if (a.kind() != b.kind()) return path;
+  switch (a.kind()) {
+    case JsonValue::Kind::kNull:
+      return "";
+    case JsonValue::Kind::kBool:
+      return a.boolean() == b.boolean() ? "" : path;
+    case JsonValue::Kind::kNumber:
+      return a.number() == b.number() ? "" : path;
+    case JsonValue::Kind::kString:
+      return a.string() == b.string() ? "" : path;
+    case JsonValue::Kind::kArray:
+      if (a.array().size() != b.array().size()) return path + " (length)";
+      for (std::size_t i = 0; i < a.array().size(); ++i) {
+        const std::string d = first_difference(
+            a.array()[i], b.array()[i], path + "[" + std::to_string(i) + "]");
+        if (!d.empty()) return d;
+      }
+      return "";
+    case JsonValue::Kind::kObject:
+      for (std::size_t i = 0;
+           i < a.members().size() || i < b.members().size(); ++i) {
+        if (i >= a.members().size() || i >= b.members().size() ||
+            a.members()[i].first != b.members()[i].first)
+          return path + " (member " + std::to_string(i) + ")";
+        const std::string d =
+            first_difference(a.members()[i].second, b.members()[i].second,
+                             path + "." + a.members()[i].first);
+        if (!d.empty()) return d;
+      }
+      return "";
+  }
+  return path;
 }
 
 class BenchGateTest : public ::testing::Test {
@@ -145,6 +209,34 @@ TEST_F(BenchGateTest, CdclRegistryEvalsMatchGoldens) {
       fresh_report(make_twin(), "twin_tfm", "--engine=cdcl");
   EXPECT_EQ(json_counter(read_file(twin), "tfm.evals"),
             json_counter(read_file(golden_twin_cdcl_), "tfm.evals"));
+}
+
+// bench_gate compares thresholds, so a golden row that no threshold reads
+// could go stale unnoticed; this compares every field.
+TEST_F(BenchGateTest, FreshReportsEqualGoldensOutsideProvenance) {
+  const std::string twin_bench = make_twin();
+  const struct {
+    std::string bench, tag, flags, golden;
+  } cases[] = {
+      {SATPG_SMOKE_CIRCUIT, "eq_parent", "", golden_parent_},
+      {twin_bench, "eq_twin", "", golden_twin_},
+      {SATPG_SMOKE_CIRCUIT, "eq_parent_cdcl", "--engine=cdcl",
+       golden_parent_cdcl_},
+      {twin_bench, "eq_twin_cdcl", "--engine=cdcl", golden_twin_cdcl_},
+  };
+  for (const auto& c : cases) {
+    JsonValue fresh, golden;
+    std::string err;
+    ASSERT_TRUE(json_parse(read_file(fresh_report(c.bench, c.tag, c.flags)),
+                           &fresh, &err))
+        << c.tag << ": " << err;
+    ASSERT_TRUE(json_parse(read_file(c.golden), &golden, &err))
+        << c.golden << ": " << err;
+    EXPECT_EQ(first_difference(without_provenance(fresh),
+                               without_provenance(golden), "$"),
+              "")
+        << c.tag << " differs from " << c.golden;
+  }
 }
 
 TEST_F(BenchGateTest, TwinAgainstParentTripsTheEffortThreshold) {

@@ -272,9 +272,9 @@ TEST(CliSmokeTest, EventsJsonAndInspectSmoke) {
 // Wide-fsim engine selection on the real CLI. The determinism contract
 // (DESIGN.md §8): the metrics report and the human-readable result lines
 // are byte-identical whether the wide engine runs its widest SIMD tier,
-// the portable scalar kernel (--force-scalar or SATPG_FORCE_SCALAR=1),
-// or any explicit --width; the baseline engine agrees on every result
-// line (its registry differs only in engine-scoped fsim.wide.* rows).
+// the portable scalar kernel (--width=64 or SATPG_FORCE_SCALAR=1), or any
+// other explicit --width; the baseline engine agrees on every result line
+// (its registry differs only in engine-scoped fsim.wide.* rows).
 TEST(CliSmokeTest, FsimEngineFlagsAreDeterministic) {
   const std::string dir = ::testing::TempDir();
   auto fsim_run = [&](const std::string& tag, const std::string& extra,
@@ -303,12 +303,9 @@ TEST(CliSmokeTest, FsimEngineFlagsAreDeterministic) {
   };
 
   const auto def = fsim_run("default", "");
-  const auto scalar = fsim_run("scalar", "--force-scalar");
   const auto env_scalar = fsim_run("env", "", "SATPG_FORCE_SCALAR=1");
   ASSERT_FALSE(def.first.empty());
-  EXPECT_EQ(scalar.first, def.first);
   EXPECT_EQ(env_scalar.first, def.first);
-  EXPECT_EQ(scalar.second, def.second);
   EXPECT_EQ(env_scalar.second, def.second);
   for (const char* width : {"64", "128", "256", "512"}) {
     const auto w = fsim_run(std::string("w") + width,
@@ -331,8 +328,16 @@ TEST(CliSmokeTest, FsimEngineFlagsAreDeterministic) {
 TEST(CliSmokeTest, FsimEngineFlagErrors) {
   const std::string args_prefix =
       std::string("fsim \"") + SATPG_SMOKE_CIRCUIT + "\" ";
-  EXPECT_EQ(run_satpg(args_prefix + "--width=7"), 2);
   EXPECT_EQ(run_satpg(args_prefix + "--engine=bogus"), 2);
+  for (const char* bad : {"--width=7", "--width=64junk", "--width=-64"}) {
+    const std::string err = ::testing::TempDir() + "cli_fsim_badwidth.err";
+    EXPECT_EQ(run_satpg(args_prefix + bad, "", err), 2) << bad;
+    EXPECT_NE(slurp(err).find(std::string("error: bad value ") + bad),
+              std::string::npos)
+        << bad;
+  }
+  // --width=64 pins the scalar kernel; the old alias is an unknown flag.
+  EXPECT_EQ(run_satpg(args_prefix + "--force-scalar"), 2);
 }
 
 // Process exit must be clean while the shared pool's workers are still
@@ -380,7 +385,8 @@ TEST(CliSmokeTest, MalformedTelemetryFlagsExitUsage) {
 
 // The numeric run-shape flags of `satpg atpg` and `satpg fsim` are strict
 // too: a typo must not zero every fault budget, wrap a negative value into
-// a huge one, fall back to all hardware threads or disarm a deadline. So
+// a huge one (a seed included), fall back to all hardware threads or
+// disarm a deadline or the wall-clock watchdog. A seed of 0 is valid. So
 // is the --top of `satpg diff` and `satpg inspect`: a typo must not drop
 // the per-fault table or wrap around to "show all".
 TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
@@ -399,6 +405,9 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
       atpg + "--threads=abc",       atpg + "--threads=-2",
       atpg + "--threads=0",         atpg + "--threads=99999999999",
       atpg + "--deadline-ms=-5",    atpg + "--deadline-ms=1s",
+      atpg + "--seed=junk",         atpg + "--seed=-1",
+      atpg + "--stuck-seconds=abc", atpg + "--stuck-seconds=0",
+      fsim + "--seed=junk",         fsim + "--seed=-1",
       fsim + "--sequences=abc",     fsim + "--sequences=-4",
       fsim + "--length=0",          fsim + "--length=9999999999",
       fsim + "--threads=two",       fsim + "--threads=-1",
@@ -417,6 +426,7 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
   EXPECT_EQ(run_satpg(atpg + "--budget=0.05 --threads=2 --deadline-ms=60000"),
             0);
   EXPECT_EQ(run_satpg(fsim + "--sequences=4 --length=8 --threads=1"), 0);
+  EXPECT_EQ(run_satpg(fsim + "--sequences=4 --length=8 --seed=0"), 0);
   EXPECT_EQ(run_satpg(diff + "--top=3"), 0);
   EXPECT_EQ(run_satpg(inspect + "--top=3"), 0);
 }

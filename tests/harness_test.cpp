@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "harness/experiments.h"
 #include "harness/suite.h"
@@ -112,6 +113,34 @@ TEST(ExperimentTest, FlagParser) {
   EXPECT_EQ(cfg.suite.seed, 7u);
   EXPECT_DOUBLE_EQ(cfg.suite.fsm_scale, 0.5);
   EXPECT_EQ(cfg.suite.cache_dir, "/tmp/x");
+}
+
+BenchConfig parse_one_flag(const char* flag) {
+  const char* argv[] = {"bench", flag};
+  return parse_bench_flags(2, const_cast<char**>(argv));
+}
+
+// Bench mains are as strict as `satpg atpg`: a malformed, negative or zero
+// numeric value exits 2 naming the flag, plus usage, instead of running a
+// table at a silently clamped value. A removed flag is an unknown flag.
+TEST(ExperimentTest, MalformedFlagsExitUsage) {
+  for (const char* bad :
+       {"--budget=abc", "--budget=0", "--budget=-1", "--scale=abc",
+        "--scale=-1", "--scale=0", "--threads=abc", "--threads=0",
+        "--threads=-2", "--threads=99999999999", "--deadline-ms=abc",
+        "--deadline-ms=-5", "--seed=junk", "--seed=-1", "--seed= 3",
+        "--width=64junk", "--width=7", "--heartbeat-interval-ms=junk"}) {
+    EXPECT_EXIT(parse_one_flag(bad), ::testing::ExitedWithCode(2),
+                std::string("error: bad value ") + bad + "\nusage: ")
+        << bad;
+  }
+  EXPECT_EXIT(parse_one_flag("--force-scalar"), ::testing::ExitedWithCode(2),
+              "^usage: ");
+  // Zero is a valid seed; 64 pins the portable scalar kernel.
+  EXPECT_EQ(parse_one_flag("--seed=0").experiment.seed, 0u);
+  EXPECT_EQ(parse_one_flag("--width=64").experiment.fsim.simd,
+            SimdTier::kScalar);
+  EXPECT_EQ(parse_one_flag("--threads=3").experiment.num_threads, 3u);
 }
 
 }  // namespace

@@ -10,31 +10,37 @@
 # coverage or effort; the flags below must stay in lockstep with
 # tests/bench_gate_test.cpp (kGoldenFlags). Reports are deterministic
 # (DESIGN.md §5/§6), so regeneration on any machine gives the same bytes
-# apart from the circuit name (which echoes the path passed here) and the
-# v6 build_info block, which records the generating compiler and SIMD
-# tiers on purpose — bench_gate compares thresholds, not bytes, so the
-# goldens stay usable across toolchains.
+# apart from the v6 build_info block, which records the generating
+# compiler and SIMD tiers on purpose. The circuit name echoes the path
+# passed to satpg, so the twin is run from a temporary directory under the
+# fixed relative name dk16_retimed.bench. bench_gate compares thresholds
+# and BenchGateTest.FreshReportsEqualGoldensOutsideProvenance compares
+# every field but build_info and circuit.name, so the goldens stay usable
+# across toolchains.
 set -eu
 
 BUILD="${1:-build}"
-SATPG="$BUILD/tools/satpg"
+SATPG="$(cd "$BUILD/tools" && pwd)/satpg"
 CIRCUIT="circuits_cache/dk16.ji.sd_s3_x30.bench"
 FLAGS="--budget=0.2 --seed=7 --threads=2"
-OUT="bench/golden"
+OUT="$(pwd)/bench/golden"
 
 [ -x "$SATPG" ] || { echo "error: $SATPG not built" >&2; exit 1; }
 mkdir -p "$OUT"
 
-TWIN="$(mktemp -t gate_twin.XXXXXX.bench)"
-trap 'rm -f "$TWIN"' EXIT
+WORK="$(mktemp -d -t gen_golden.XXXXXX)"
+trap 'rm -rf "$WORK"' EXIT
+TWIN="dk16_retimed.bench"
 
 "$SATPG" atpg "$CIRCUIT" $FLAGS --metrics-json="$OUT/dk16_parent.v6.json"
-"$SATPG" retime "$CIRCUIT" "$TWIN" --dffs=6
-"$SATPG" atpg "$TWIN" $FLAGS --metrics-json="$OUT/dk16_retimed.v6.json"
+"$SATPG" retime "$CIRCUIT" "$WORK/$TWIN" --dffs=6
+(cd "$WORK" &&
+  "$SATPG" atpg "$TWIN" $FLAGS --metrics-json="$OUT/dk16_retimed.v6.json")
 
 "$SATPG" atpg "$CIRCUIT" $FLAGS --engine=cdcl \
     --metrics-json="$OUT/dk16_parent_cdcl.v6.json"
-"$SATPG" atpg "$TWIN" $FLAGS --engine=cdcl \
-    --metrics-json="$OUT/dk16_retimed_cdcl.v6.json"
+(cd "$WORK" &&
+  "$SATPG" atpg "$TWIN" $FLAGS --engine=cdcl \
+      --metrics-json="$OUT/dk16_retimed_cdcl.v6.json")
 
 echo "golden reports written to $OUT/"

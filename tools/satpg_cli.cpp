@@ -24,6 +24,12 @@
 //               --mem-budget-mb=F (deterministic per-attempt byte cap)
 //               --capture-json=FILE / --capture-fault=ID
 //               --profile-json=FILE (cycle-level profile sidecar; wall-clock)
+// fsim options: --sequences=N --length=N --seed=N --threads=N
+//               --engine=auto|baseline|wide
+//               --width=64|128|256|512 (pin the wide kernel's SIMD tier;
+//               64 is the portable scalar kernel, as SATPG_FORCE_SCALAR=1)
+// Numeric flag values are strict: a malformed, negative or out-of-range
+// value is a usage error (exit 2), never a silent default. --seed may be 0.
 // Every engine-running subcommand accepts --metrics-json/--trace-json; the
 // flags are parsed by the shared TelemetryFlags helper. The monitor,
 // watchdog, capture, and flight-recorder flags are wired in `satpg atpg`
@@ -111,11 +117,11 @@ void print_usage(std::FILE* f) {
       "  satpg fsim    c.bench [--sequences=N] [--length=N] [--seed=N]"
       " [--threads=N]\n"
       "                [--engine=auto|baseline|wide]"
-      " [--width=64|128|256|512] [--force-scalar]\n"
+      " [--width=64|128|256|512]\n"
       "                [--metrics-json=FILE] [--trace-json=FILE]"
       " [--profile-json=FILE]\n"
-      "                (SATPG_FORCE_SCALAR=1 in the environment pins the"
-      " scalar kernel too)\n"
+      "                (--width=64, or SATPG_FORCE_SCALAR=1 in the"
+      " environment, pins the scalar kernel)\n"
       "  satpg retime  in.bench out.bench [--dffs=N]\n"
       "  satpg scan    in.bench out.bench [--partial]\n"
       "  satpg archive <report.json>... [--dir=DIR]\n"
@@ -145,16 +151,6 @@ int usage() {
 int bad_value(const char* flag, const char* value) {
   std::fprintf(stderr, "error: bad value %s%s\n", flag, value);
   return usage();
-}
-
-// A positive decimal count that fits in T; false on anything else.
-template <typename T>
-bool parse_count(const char* s, T* out) {
-  std::uint64_t v = 0;
-  if (!parse_positive_u64(s, &v) || v > std::numeric_limits<T>::max())
-    return false;
-  *out = static_cast<T>(v);
-  return true;
 }
 
 // limit * factor, saturating where the product leaves uint64_t's range.
@@ -242,7 +238,7 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
       opts.engine.backtrack_limit =
           scale_limit(opts.engine.backtrack_limit, f);
     } else if (const char* v3 = flag_value(argv[i], "--seed=")) {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(v3));
+      if (!parse_u64(v3, &opts.seed)) return bad_value("--seed=", v3);
     } else if (!std::strcmp(argv[i], "--strict")) {
       opts.count_potential_detections = false;
     } else if (const char* v4 = flag_value(argv[i], "--tests=")) {
@@ -266,7 +262,8 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
       popts.mem_budget_bytes =
           static_cast<std::uint64_t>(mb * 1024.0 * 1024.0);
     } else if (const char* v8 = flag_value(argv[i], "--stuck-seconds=")) {
-      popts.watchdog.stuck_seconds = std::atof(v8);
+      if (!parse_positive_double(v8, &popts.watchdog.stuck_seconds))
+        return bad_value("--stuck-seconds=", v8);
     } else if (!std::strcmp(argv[i], "--defer-stuck")) {
       popts.watchdog.defer = true;
     } else if (const char* v9 = flag_value(argv[i], "--capture-json=")) {
@@ -485,7 +482,7 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
     } else if (const char* v2 = flag_value(argv[i], "--length=")) {
       if (!parse_count(v2, &length)) return bad_value("--length=", v2);
     } else if (const char* v3 = flag_value(argv[i], "--seed=")) {
-      seed = static_cast<std::uint64_t>(std::atoll(v3));
+      if (!parse_u64(v3, &seed)) return bad_value("--seed=", v3);
     } else if (const char* v4 = flag_value(argv[i], "--threads=")) {
       if (!parse_count(v4, &fopts.num_threads))
         return bad_value("--threads=", v4);
@@ -501,13 +498,10 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
         return 2;
       }
     } else if (const char* v6 = flag_value(argv[i], "--width=")) {
+      unsigned width = 0;
       SimdTier tier;
-      if (!simd_tier_from_width(static_cast<unsigned>(std::atoi(v6)),
-                                &tier)) {
-        std::fprintf(stderr,
-                     "error: --width must be 64, 128, 256 or 512\n");
-        return 2;
-      }
+      if (!parse_count(v6, &width) || !simd_tier_from_width(width, &tier))
+        return bad_value("--width=", v6);
       if (!fsim_wide_tier_usable(tier)) {
         std::fprintf(stderr,
                      "error: --width=%s kernel is not available on this "
@@ -516,8 +510,6 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
         return 1;
       }
       fopts.simd = tier;
-    } else if (std::strcmp(argv[i], "--force-scalar") == 0) {
-      fopts.simd = SimdTier::kScalar;
     } else {
       return usage();
     }
