@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/json.h"
@@ -44,6 +45,14 @@ std::uint64_t parse_hex64(const std::string& s) {
   }
   return v;
 }
+
+// A parsed number narrowed to [lo, hi]: false (rather than an undefined
+// cast) when it lies outside, e.g. a hand-edited 1e300.
+bool fits(double v, double lo, double hi) { return v >= lo && v <= hi; }
+
+// Largest ring a capture file may ask replay to allocate (the writer's
+// default is DecisionRing::kDefaultCapacity = 4096).
+constexpr std::uint64_t kMaxRingCapacity = std::uint64_t{1} << 20;
 
 bool parse_event_code(const std::string& s, DecisionEventKind* out) {
   if (s == "O") *out = DecisionEventKind::kObjective;
@@ -191,14 +200,18 @@ bool parse_capture_json(const std::string& path, SearchCapture* out,
   if (eng == nullptr || !eng->is_object()) return fail("missing engine block");
   if (!parse_engine_kind(eng->str_or("kind", ""), &cap.options.kind))
     return fail("unknown engine kind \"" + eng->str_or("kind", "") + "\"");
-  cap.options.max_forward_frames =
-      static_cast<int>(eng->num_or("max_forward_frames", 10));
-  cap.options.max_backward_frames =
-      static_cast<int>(eng->num_or("max_backward_frames", 24));
+  const std::pair<const char*, int*> int_fields[] = {
+      {"max_forward_frames", &cap.options.max_forward_frames},
+      {"max_backward_frames", &cap.options.max_backward_frames},
+      {"verify_reject_limit", &cap.options.verify_reject_limit}};
+  for (const auto& [key, field] : int_fields) {
+    const double v = eng->num_or(key, *field);
+    if (!fits(v, 0, std::numeric_limits<int>::max()))
+      return fail(strprintf("engine.%s %g out of range", key, v));
+    *field = static_cast<int>(v);
+  }
   cap.options.backtrack_limit = eng->uint_or("backtrack_limit", 4000);
   cap.options.eval_limit = eng->uint_or("eval_limit", 4'000'000);
-  cap.options.verify_reject_limit =
-      static_cast<int>(eng->num_or("verify_reject_limit", 25));
   cap.options.share_learning = eng->bool_or("share_learning", true);
   cap.seed = root.uint_or("seed", 0);
   cap.soft_eval_cap = root.uint_or("soft_eval_cap", 0);
@@ -218,11 +231,24 @@ bool parse_capture_json(const std::string& path, SearchCapture* out,
   if (ring == nullptr || !ring->is_object()) return fail("missing ring block");
   cap.ring_capacity = static_cast<std::size_t>(
       ring->uint_or("capacity", DecisionRing::kDefaultCapacity));
-  if (cap.ring_capacity == 0) return fail("ring capacity must be positive");
+  if (cap.ring_capacity == 0 || cap.ring_capacity > kMaxRingCapacity)
+    return fail(strprintf("ring capacity %zu outside [1, %llu]",
+                          cap.ring_capacity,
+                          static_cast<unsigned long long>(kMaxRingCapacity)));
   cap.ring_total = ring->uint_or("total", 0);
   const JsonValue* events = ring->find("events");
   if (events == nullptr || !events->is_array())
     return fail("missing ring.events array");
+  constexpr double kI32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr double kI32Max = std::numeric_limits<std::int32_t>::max();
+  // Ranges of the numeric event fields, in array order after the code.
+  constexpr struct {
+    const char* name;
+    double lo, hi;
+  } kEventFields[] = {
+      {"frame", kI32Min, kI32Max},
+      {"node", kI32Min, kI32Max},
+      {"value", 0, 255}};
   for (const JsonValue& ev : events->array()) {
     if (!ev.is_array() || ev.array().size() != 5)
       return fail("malformed event (want [code, frame, node, value, aux])");
@@ -233,6 +259,11 @@ bool parse_capture_json(const std::string& path, SearchCapture* out,
     DecisionEvent e;
     if (!parse_event_code(a[0].string(), &e.kind))
       return fail("unknown event code \"" + a[0].string() + "\"");
+    for (std::size_t f = 0; f < 3; ++f)
+      if (!fits(a[f + 1].number(), kEventFields[f].lo, kEventFields[f].hi))
+        return fail(strprintf("event %zu: %s %g out of range",
+                              cap.events.size(), kEventFields[f].name,
+                              a[f + 1].number()));
     e.frame = static_cast<std::int32_t>(a[1].number());
     e.node = static_cast<std::int32_t>(a[2].number());
     e.value = static_cast<std::uint8_t>(a[3].number());

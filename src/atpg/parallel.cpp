@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "base/memstats.h"
 #include "base/profiler.h"
 #include "base/strutil.h"
+#include "base/telemetry_flags.h"
 #include "base/threadpool.h"
 
 namespace satpg {
@@ -347,25 +347,20 @@ void fill_x_with_zero(TestSequence& seq) {
       if (v == V3::kX) v = V3::kZero;
 }
 
-/// Resolve CaptureOptions::fault (fault_name string or all-digits
-/// collapsed index) against the collapsed list. Returns -1 when unmatched.
-std::ptrdiff_t resolve_capture_target(const Netlist& nl,
-                                      const std::vector<Fault>& faults,
-                                      const std::string& spec) {
+}  // namespace
+
+std::ptrdiff_t resolve_capture_fault(
+    const Netlist& nl, const std::vector<CollapsedFault>& collapsed,
+    const std::string& spec) {
   if (spec.empty()) return -1;
-  const bool all_digits =
-      spec.find_first_not_of("0123456789") == std::string::npos;
-  if (all_digits) {
-    const std::size_t i = static_cast<std::size_t>(std::atoll(spec.c_str()));
-    return i < faults.size() ? static_cast<std::ptrdiff_t>(i) : -1;
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (fault_name(nl, faults[i]) == spec)
-      return static_cast<std::ptrdiff_t>(i);
+  std::uint64_t i = 0;
+  if (parse_u64(spec.c_str(), &i))
+    return i < collapsed.size() ? static_cast<std::ptrdiff_t>(i) : -1;
+  for (std::size_t k = 0; k < collapsed.size(); ++k)
+    if (fault_name(nl, collapsed[k].representative) == spec)
+      return static_cast<std::ptrdiff_t>(k);
   return -1;
 }
-
-}  // namespace
 
 ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
                                      const ParallelAtpgOptions& opts) {
@@ -445,7 +440,7 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
   std::vector<std::uint64_t> trip_evals(faults.size(), 0);
   const bool capturing = opts.capture.armed;
   const std::ptrdiff_t capture_target =
-      capturing ? resolve_capture_target(nl, faults, opts.capture.fault)
+      capturing ? resolve_capture_fault(nl, collapsed, opts.capture.fault)
                 : -1;
 
   // ---- random phase ----

@@ -171,6 +171,15 @@ struct CaptureOptions {
   std::size_t ring_capacity = DecisionRing::kDefaultCapacity;
 };
 
+/// Resolve a CaptureOptions::fault spec against `collapsed`
+/// (collapse_faults(nl)): an all-digits collapsed-fault index, else a
+/// fault_name(). Returns -1 when the spec is empty or matches nothing, so
+/// a caller can refuse a typo before the run instead of arming a capture
+/// that never fires.
+std::ptrdiff_t resolve_capture_fault(
+    const Netlist& nl, const std::vector<CollapsedFault>& collapsed,
+    const std::string& spec);
+
 struct ParallelAtpgOptions {
   AtpgRunOptions run;
   /// Record per-fault flight-recorder events (base/events.h) into

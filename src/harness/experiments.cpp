@@ -101,7 +101,10 @@ Table run_engine_table(Suite& suite, const ExperimentOptions& opts,
   for (const auto& spec : pairs) {
     const Netlist orig = suite.circuit(spec.name());
     const Netlist re = suite.circuit(spec.retimed_name());
-    const auto run_opts = scaled_run_options(opts, kind);
+    // No column reads effort attribution, so skip the validity oracle it
+    // needs; evals and coverage do not depend on it.
+    auto run_opts = scaled_run_options(opts, kind);
+    run_opts.attribute_effort = false;
     const AtpgRunResult r0 = run_atpg_threaded(orig, opts, run_opts);
     const AtpgRunResult r1 = run_atpg_threaded(re, opts, run_opts);
     const double ratio = static_cast<double>(r1.evals) /

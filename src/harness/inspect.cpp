@@ -1,7 +1,6 @@
 #include "harness/inspect.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <ostream>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "base/json.h"
 #include "base/strutil.h"
 #include "base/table.h"
+#include "base/telemetry_flags.h"
 #include "harness/archive.h"
 #include "harness/report.h"
 
@@ -26,18 +26,27 @@ std::string fmt_u64(std::uint64_t v) {
   return strprintf("%llu", static_cast<unsigned long long>(v));
 }
 
+// num_or narrowed to int64_t; a number outside it falls back to 0, as
+// uint_or does for uint64_t.
+std::int64_t int64_or_zero(const JsonValue& v, const std::string& key) {
+  const double d = v.num_or(key, 0.0);
+  return d >= -0x1p63 && d < 0x1p63 ? static_cast<std::int64_t>(d) : 0;
+}
+
 void parse_event(const JsonValue& v, RunReport::Event* e) {
   e->k = v.str_or("k", "?");
   e->at = v.uint_or("at", 0);
-  e->a = static_cast<std::int64_t>(v.num_or("a", 0.0));
-  e->b = static_cast<std::int64_t>(v.num_or("b", 0.0));
+  e->a = int64_or_zero(v, "a");
+  e->b = int64_or_zero(v, "b");
   e->bytes = v.uint_or("bytes", 0);
   e->cube = v.str_or("cube", "");
   e->src = v.str_or("src", "");
   if (const JsonValue* lbd = v.find("lbd"); lbd && lbd->is_array())
     for (const JsonValue& n : lbd->array())
-      e->lbd.push_back(
-          n.is_number() ? static_cast<std::uint64_t>(n.number()) : 0);
+      e->lbd.push_back(n.is_number() && n.number() >= 0 &&
+                               n.number() < 0x1p64
+                           ? static_cast<std::uint64_t>(n.number())
+                           : 0);
 }
 
 /// Aggregate provenance from the parsed faults (event logs carry no
@@ -236,15 +245,10 @@ std::string event_json(const RunReport::Event& e) {
 
 const RunReport::PerFault* find_fault(const RunReport& doc,
                                       const std::string& spec) {
-  const bool numeric =
-      !spec.empty() &&
-      std::all_of(spec.begin(), spec.end(),
-                  [](unsigned char c) { return std::isdigit(c); });
-  for (const RunReport::PerFault& f : doc.per_fault) {
-    if (f.name == spec) return &f;
-    if (numeric && f.index == static_cast<std::size_t>(std::stoull(spec)))
-      return &f;
-  }
+  std::uint64_t index = 0;
+  const bool numeric = parse_u64(spec.c_str(), &index);
+  for (const RunReport::PerFault& f : doc.per_fault)
+    if (f.name == spec || (numeric && f.index == index)) return &f;
   return nullptr;
 }
 

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -429,6 +430,29 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
   EXPECT_EQ(run_satpg(fsim + "--sequences=4 --length=8 --seed=0"), 0);
   EXPECT_EQ(run_satpg(diff + "--top=3"), 0);
   EXPECT_EQ(run_satpg(inspect + "--top=3"), 0);
+}
+
+// --capture-fault that names no collapsed fault is a usage error: a typo
+// must not look like a capture that never fired. The index is parsed as a
+// whole u64, so an overflowing one is unmatched too, not wrapped.
+TEST(CliSmokeTest, UnmatchedCaptureFaultExitsUsage) {
+  const std::string dir = ::testing::TempDir();
+  const std::string atpg = std::string("atpg \"") + SATPG_SMOKE_CIRCUIT +
+                           "\" --budget=0.05 --capture-json=" + dir +
+                           "cli_nocapture.json ";
+  for (const char* spec : {"nosuch", "99999999999999999999999"}) {
+    std::remove((dir + "cli_nocapture.json").c_str());
+    const std::string err = dir + "cli_capture_fault.err";
+    EXPECT_EQ(run_satpg(atpg + "--capture-fault=" + spec, "", err), 2)
+        << spec;
+    const std::string text = slurp(err);
+    EXPECT_NE(text.find("error: --capture-fault: no collapsed fault"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(spec), std::string::npos) << text;
+    EXPECT_FALSE(std::ifstream(dir + "cli_nocapture.json").good()) << spec;
+  }
+  EXPECT_EQ(run_satpg(atpg + "--capture-fault=0"), 0);
 }
 
 // `satpg retime --dffs=` takes a positive count: a non-number must not

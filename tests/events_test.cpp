@@ -3,15 +3,22 @@
 // deterministic merge as fault_stats and contain no wall clock), arming
 // the recorder must not change any search result, and disabled mode must
 // record nothing. Plus unit coverage of the NDJSON event rendering
-// (zero/empty fields omitted; the LBD histogram only on db_reduce).
+// (zero/empty fields omitted; the LBD histogram only on db_reduce), and
+// a malformed-input corpus for `satpg inspect` over a real event log and
+// profile sidecar.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "atpg/parallel.h"
 #include "base/events.h"
+#include "base/profiler.h"
+#include "base/rng.h"
 #include "fsm/mcnc_suite.h"
+#include "harness/inspect.h"
+#include "harness/profile.h"
 #include "harness/report.h"
 #include "netlist/netlist.h"
 #include "retime/retime.h"
@@ -166,6 +173,82 @@ TEST(EventsDisabledTest, ArmingTheRecorderChangesNoResult) {
       }
     }
   }
+}
+
+// --- malformed inputs to `satpg inspect` ------------------------------------
+
+// Malformed event-log and profile-sidecar corpus: seeded truncations and
+// single-byte substitutions of a real --events-json log and a real
+// satpg.profile.v2 sidecar. inspect_source either renders an input or
+// refuses it with a message; nothing crashes. Sized to stay well under
+// 2 s in the ASan job.
+TEST(InspectCorpusTest, MutatedEventLogsAndProfilesFailCleanly) {
+  const Netlist nl = mcnc_circuit("dk16", 0.35);
+  const auto opts = engine_options(EngineKind::kCdcl, 2, true);
+  Profiler::global().start();
+  const auto res = run_parallel_atpg(nl, opts);
+  Profiler::global().stop();
+  ProfileArtifact pa;
+  pa.tool = "atpg";
+  pa.circuit = nl.name();
+  pa.engine_kind = engine_kind_name(opts.run.engine.kind);
+  pa.evals = res.run.evals;
+  pa.snap = Profiler::global().snapshot();
+  std::ostringstream profile;
+  write_profile_json(profile, pa);
+
+  InspectOptions events_view;
+  InspectOptions profile_view;
+  profile_view.profile = true;
+  const std::pair<std::string, const InspectOptions*> goldens[] = {
+      {serialized_events(nl, opts, res), &events_view},
+      {profile.str(), &profile_view}};
+  // Bytes that break or bend the grammar; sizeof counts the NUL too.
+  static const char kBytes[] = "{}[]\",:\\-.eE+09 \n";
+  constexpr int kMutantsPerGolden = 100;
+  Rng rng(0x1e300);
+  for (const auto& [golden, view] : goldens) {
+    std::string err;
+    std::ostringstream os;
+    ASSERT_TRUE(inspect_source(os, golden, *view, &err)) << err;
+    int refused = 0;
+    for (int k = 0; k < kMutantsPerGolden; ++k) {
+      std::string text = golden;
+      if (k % 2 == 0)
+        text.resize(rng.next_below(text.size()));
+      else
+        text[rng.next_below(text.size())] =
+            kBytes[rng.next_below(sizeof kBytes)];
+      std::ostringstream out;
+      err.clear();
+      if (!inspect_source(out, text, *view, &err)) {
+        EXPECT_FALSE(err.empty()) << "mutant " << k;
+        EXPECT_TRUE(out.str().empty()) << "mutant " << k;
+        ++refused;
+      }
+    }
+    // The corpus exercises both outcomes.
+    EXPECT_GT(refused, 0);
+    EXPECT_LT(refused, kMutantsPerGolden);
+  }
+
+  // Fixed input: a number outside int64_t/uint64_t in an event field
+  // falls back to 0 instead of reaching an undefined cast.
+  const std::string log =
+      "{\"schema\": \"satpg.events.v1\", \"circuit\": \"c\", "
+      "\"engine\": \"cdcl\", \"seed\": 1, \"faults\": 1}\n"
+      "{\"fault\": \"g s-a-0\", \"index\": 0, \"status\": \"aborted\"}\n"
+      "{\"k\": \"window_grow\", \"at\": 1, \"a\": 1e300}\n"
+      "{\"k\": \"db_reduce\", \"at\": 2, \"a\": -1e300, \"b\": 4, "
+      "\"lbd\": [1e300, -1, 3]}\n";
+  InspectOptions timeline;
+  timeline.fault = "g s-a-0";
+  std::ostringstream os;
+  std::string err;
+  ASSERT_TRUE(inspect_source(os, log, timeline, &err)) << err;
+  EXPECT_NE(os.str().find("frames=0"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("killed=0 live=4 lbd=[0 0 3]"), std::string::npos)
+      << os.str();
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // a fake source, DecisionRing window/arm semantics, the stuck-search
 // watchdog (observe-only invariance, defer-and-requeue coverage parity and
 // thread-count invariance), deterministic capture/replay of watchdog- and
-// deadline-flagged searches, and the trace dropped-event metadata.
+// deadline-flagged searches, a malformed-capture corpus, and the trace
+// dropped-event metadata.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "base/json.h"
 #include "base/metrics.h"
 #include "base/monitor.h"
+#include "base/rng.h"
 #include "base/trace.h"
 #include "fsm/mcnc_suite.h"
 #include "retime/retime.h"
@@ -332,6 +334,80 @@ TEST(CaptureReplayTest, DigestGuardsAgainstEditedCaptures) {
   const ReplayResult rep = replay_capture(nl, cap);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.message.find("digest"), std::string::npos) << rep.message;
+}
+
+// Replace the number that follows the first `key` at or after `from` with
+// `value`.
+std::string with_number(std::string text, const std::string& key,
+                        const std::string& value, std::size_t from = 0) {
+  const std::size_t at = text.find(key, from);
+  if (at == std::string::npos) return text;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_of(",]}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+// Malformed-capture corpus: seeded truncations and single-byte
+// substitutions of a capture made here, plus fixed out-of-range numbers.
+// parse_capture_json either refuses an input with a message or accepts
+// it, and an accepted capture either replays or says why not; nothing
+// crashes or casts a number it cannot hold. Sized to stay well under 2 s
+// in the ASan job.
+TEST(CaptureReplayTest, MutatedCapturesFailCleanly) {
+  const Netlist nl = mcnc_circuit("dk16", 0.4);
+  ParallelAtpgOptions opts = small_options(EngineKind::kHitec, 1);
+  opts.run.random_sequences = 0;
+  opts.capture.armed = true;
+  opts.capture.fault = "0";
+  const ParallelAtpgResult res = run_parallel_atpg(nl, opts);
+  ASSERT_TRUE(res.capture.has_value());
+  ASSERT_FALSE(res.capture->events.empty());
+  const std::string path = ::testing::TempDir() + "corpus_capture.json";
+  ASSERT_TRUE(write_capture_json(path, *res.capture));
+  const std::string golden = slurp(path);
+
+  // Returns the refusal message, or "" when the capture was accepted.
+  const auto load = [&](const std::string& text) {
+    std::ofstream(path) << text;
+    SearchCapture cap;
+    std::string err;
+    if (!parse_capture_json(path, &cap, &err)) return err.empty() ? "?" : err;
+    const ReplayResult rep = replay_capture(nl, cap);
+    EXPECT_TRUE(rep.ok || !rep.message.empty());
+    return std::string();
+  };
+
+  EXPECT_EQ(load(golden), "");
+  // The first event's frame: the number after its code.
+  const std::string big_frame =
+      load(with_number(golden, "\", ", "1e300", golden.find("\"events\"")));
+  EXPECT_NE(big_frame.find("frame"), std::string::npos) << big_frame;
+  const std::string big_engine =
+      load(with_number(golden, "\"max_forward_frames\": ", "1e300"));
+  EXPECT_NE(big_engine.find("max_forward_frames"), std::string::npos)
+      << big_engine;
+  const std::string big_ring =
+      load(with_number(golden, "\"capacity\": ", "40e6"));
+  EXPECT_NE(big_ring.find("ring capacity"), std::string::npos) << big_ring;
+
+  // Bytes that break or bend the grammar; sizeof counts the NUL too.
+  static const char kBytes[] = "{}[]\",:\\-.eE+09 \n";
+  constexpr int kMutants = 60;
+  Rng rng(0xca97);
+  int refused = 0;
+  for (int k = 0; k < kMutants; ++k) {
+    std::string text = golden;
+    if (k % 2 == 0)
+      text.resize(rng.next_below(text.size()));
+    else
+      text[rng.next_below(text.size())] =
+          kBytes[rng.next_below(sizeof kBytes)];
+    SCOPED_TRACE("mutant " + std::to_string(k));
+    if (!load(text).empty()) ++refused;
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(refused, 0);
+  EXPECT_LT(refused, kMutants);
 }
 
 // --- monitored runs stay deterministic ---------------------------------------

@@ -1,10 +1,12 @@
 // Unit tests for src/netlist: construction, invariants, topological order,
-// and .bench round-tripping.
+// .bench round-tripping, and a malformed-.bench corpus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <iterator>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -384,6 +386,58 @@ y = AND(a, b)
 y = OR(a, b)
 )";
   EXPECT_THROW(read_bench_string(text, "x"), std::runtime_error);
+}
+
+// Malformed-.bench corpus: seeded truncations, byte substitutions and
+// line duplications of committed cache files. Each mutant either parses
+// into a netlist that passes validate() or throws std::runtime_error —
+// never another exception, an abort or a signal. The CLI maps that
+// exception to its documented exit code 1 (bad input file; 2 stays
+// reserved for usage errors), so this is the regression guard for
+// `satpg info`/`analyze`/`atpg` on a corrupt circuit file.
+TEST(BenchIoTest, MutatedCacheFilesFailCleanly) {
+  static const char* const kFiles[] = {
+      "dk16.ji.sd_s3_x30", "dk16.ji.sd.re_s3_x30", "pma.jo.sd.re_s3_x30",
+      "s510.jc.sd_s3_x30"};
+  // Bytes that bend the .bench grammar; sizeof counts the NUL too.
+  static const char kBytes[] = "()=,# \nAGNDFOTX01";
+  constexpr int kMutantsPerFile = 60;
+  std::mt19937_64 rng(0xbe7c);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int parsed = 0, refused = 0;
+  for (const char* name : kFiles) {
+    std::ifstream is(std::string(SATPG_CACHE_DIR) + "/" + name + ".bench");
+    ASSERT_TRUE(is) << name;
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_NO_THROW(read_bench_string(text, name)) << name;
+    for (int k = 0; k < kMutantsPerFile; ++k) {
+      std::string mutant = text;
+      if (k % 3 == 0) {
+        mutant.resize(below(mutant.size()));
+      } else if (k % 3 == 1) {
+        mutant[below(mutant.size())] = kBytes[below(sizeof kBytes)];
+      } else {
+        const std::size_t at = mutant.rfind('\n', below(mutant.size()));
+        const std::size_t begin = at == std::string::npos ? 0 : at + 1;
+        const std::size_t end = mutant.find('\n', begin);
+        mutant.insert(begin, mutant.substr(begin, end - begin) + "\n");
+      }
+      try {
+        const Netlist nl = read_bench_string(mutant, name);
+        EXPECT_EQ(nl.validate(), std::nullopt) << name << " mutant " << k;
+        ++parsed;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()), "") << name << " mutant " << k;
+        ++refused;
+      }
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

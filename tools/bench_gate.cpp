@@ -22,7 +22,7 @@
 // Wired non-blocking in CI, like --fsim: logical-byte footprints are
 // deterministic, but budget tuning belongs to a human.
 //
-// --fsim mode reads the packed-vs-baseline table the microbench writes
+// --fsim mode reads the packed-vs-baseline table bench/fsim_tiers writes
 // (schema satpg.bench_fsim.v3), prints it, and passes iff the engines
 // agreed on detection counts and the best wide row reached the speedup
 // floor (default 2.0x over the 64-slot baseline). Wired non-blocking in
@@ -67,7 +67,7 @@ const char* flag_value(const char* arg, const char* prefix) {
   return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
 }
 
-// --fsim mode: gate on the microbench's packed-vs-baseline table.
+// --fsim mode: gate on fsim_tiers' packed-vs-baseline table.
 int run_fsim_gate(const std::string& path, double min_speedup) {
   std::ifstream is(path);
   if (!is) {

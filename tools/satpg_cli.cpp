@@ -282,8 +282,17 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
     std::fprintf(stderr, "--defer-stuck requires --stuck-evals=N\n");
     return 2;
   }
-  if (!popts.capture.fault.empty() && capture_file.empty())
-    capture_file = "satpg_capture.json";
+  if (!popts.capture.fault.empty()) {
+    const auto collapsed = collapse_faults(nl);
+    if (resolve_capture_fault(nl, collapsed, popts.capture.fault) < 0) {
+      std::fprintf(stderr,
+                   "error: --capture-fault: no collapsed fault named or "
+                   "indexed \"%s\" (%zu collapsed faults)\n",
+                   popts.capture.fault.c_str(), collapsed.size());
+      return 2;
+    }
+    if (capture_file.empty()) capture_file = "satpg_capture.json";
+  }
   popts.capture.armed = !capture_file.empty();
   popts.monitor = telemetry.monitor_options();
   popts.record_events = telemetry.events_enabled();
