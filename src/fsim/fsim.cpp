@@ -164,7 +164,6 @@ struct FsimArena {
   std::vector<NodeId> cone_eval;  ///< cone comb/PO nodes in topo order
   std::vector<NodeId> cone_pos;   ///< cone PO markers, nl.outputs() order
   std::vector<PV> pv_gather;      ///< fanin staging for gate evaluation
-  std::vector<V3> v3_gather;      ///< fanin staging for forced-pin slots
   BitVec cone;                    ///< union of batch fault-site cones
   bool prepared = false;
 
@@ -176,7 +175,6 @@ struct FsimArena {
     inj_head.assign(nl.num_nodes(), -1);
     inj.reserve(63);
     pv_gather.resize(nl.compiled().max_fanins);
-    v3_gather.resize(nl.compiled().max_fanins);
     cone.resize(nl.num_nodes());
     prepared = true;
   }
@@ -191,7 +189,7 @@ std::uint64_t arena_logical_bytes(const Netlist& nl) {
   return nl.num_nodes() *
              (sizeof(PV) + sizeof(std::uint8_t) + sizeof(std::int32_t)) +
          nl.num_dffs() * sizeof(PV) + 63 * sizeof(FsimArena::Inject) +
-         max_fanins * (sizeof(PV) + sizeof(V3)) + (nl.num_nodes() + 7) / 8;
+         max_fanins * sizeof(PV) + (nl.num_nodes() + 7) / 8;
 }
 
 // One 63-fault batch simulated against one sequence, restricted to the
@@ -315,21 +313,21 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
         a.pv_gather[k] =
             a.cone.get(fi) ? a.val[fi] : PV::all(gval[fi]);
       }
+      // Pin faults force their slot on the staged fan-in copy, so one
+      // word evaluation serves the batch; stem faults (and the PO marker's
+      // pin-0 fault) force the output after it.
+      const bool po_marker = type == GateType::kOutput;
+      if (!po_marker)
+        for (std::int32_t e = a.inj_head[ni]; e >= 0; e = a.inj[e].next) {
+          const auto& j = a.inj[e];
+          if (j.pin >= 0)
+            a.pv_gather[static_cast<std::size_t>(j.pin)].set_slot(j.slot,
+                                                                  forced(j));
+        }
       PV v = eval_gate_pv_packed(type, a.pv_gather.data(), nfi);
       for (std::int32_t e = a.inj_head[ni]; e >= 0; e = a.inj[e].next) {
         const auto& j = a.inj[e];
-        if (type == GateType::kOutput) {
-          if (j.pin == 0) v.set_slot(j.slot, forced(j));
-        } else if (j.pin < 0) {
-          v.set_slot(j.slot, forced(j));
-        } else {
-          // Recompute this slot scalar with the forced pin.
-          for (std::size_t k = 0; k < nfi; ++k)
-            a.v3_gather[k] = a.pv_gather[k].slot(j.slot);
-          a.v3_gather[static_cast<std::size_t>(j.pin)] = forced(j);
-          v.set_slot(j.slot,
-                     eval_gate_v3_packed(type, a.v3_gather.data(), nfi));
-        }
+        if (po_marker ? j.pin == 0 : j.pin < 0) v.set_slot(j.slot, forced(j));
       }
       a.val[ni] = v;
       a.active[ni] = v != PV::all(g) ? 1 : 0;

@@ -212,7 +212,6 @@ struct WideArena {
   std::vector<PVW> state;  ///< per DFF
   std::vector<PVW> gather;
   std::vector<const PVW*> gather_ptrs;
-  std::vector<V3> v3_gather;
   std::vector<std::uint8_t> active;
   std::vector<std::uint8_t> in_cone;
   std::vector<std::int32_t> inj_head;
@@ -231,7 +230,6 @@ struct WideArena {
     state.assign(nl.num_dffs(), PVW{});
     gather.resize(max_fanins);
     gather_ptrs.resize(max_fanins);
-    v3_gather.resize(max_fanins);
     active.assign(nl.num_nodes(), 0);
     in_cone.assign(nl.num_nodes(), 0);
     inj_head.assign(nl.num_nodes(), -1);
@@ -252,8 +250,7 @@ std::uint64_t wide_logical_bytes(const Netlist& nl, std::size_t max_frames) {
   const std::uint64_t arena =
       n * (sizeof(PVW) + 2 * sizeof(std::uint8_t) + sizeof(std::int32_t)) +
       nl.num_dffs() * sizeof(PVW) +
-      nl.compiled().max_fanins *
-          (sizeof(PVW) + sizeof(const PVW*) + sizeof(V3)) +
+      nl.compiled().max_fanins * (sizeof(PVW) + sizeof(const PVW*)) +
       63 * sizeof(WInject) + (n + 7) / 8;
   const std::uint64_t group = max_frames * (2 * n + 1) +
                               (n + nl.num_dffs()) * sizeof(PV);
@@ -352,7 +349,6 @@ void simulate_group_batch(const Netlist& nl,
   w.active = a.active.data();
   w.gather = a.gather.data();
   w.gather_ptrs = a.gather_ptrs.data();
-  w.v3_gather = a.v3_gather.data();
   w.batch_size = batch_size;
   w.det_acc = a.det_acc;
   w.pot_acc = a.pot_acc;

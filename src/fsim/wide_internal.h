@@ -7,10 +7,13 @@
 // pointers, flattens the batch (cone membership bytes, injection table,
 // eval/source/PO lists with gate types translated to opcodes) and the group
 // good-machine trace (per-frame per-node 8-lane 0/1 masks) into raw
-// arrays, and the kernel runs the whole frame loop against them. The
-// kernel TUs are compiled with wider -m flags than the rest of the build,
-// so they must not instantiate any inline code shared with other TUs —
-// POD views keep the ISA boundary airtight (see wide_kernel.h).
+// arrays, and the kernel runs the whole frame loop against them. Fault
+// injection is bit-parallel: each fault forces its slot, on the node's
+// value (stem) or on a per-pin fan-in copy (pin), and every gate costs one
+// plane evaluation per batch. The kernel TUs are compiled with wider -m
+// flags than the rest of the build, so they must not instantiate any
+// inline code shared with other TUs — POD views keep the ISA boundary
+// airtight (see wide_kernel.h).
 #pragma once
 
 #include <cstddef>
@@ -96,9 +99,10 @@ struct WideView {
   PVW* val = nullptr;            ///< per node
   PVW* state = nullptr;          ///< per nl.dffs() index
   std::uint8_t* active = nullptr;  ///< per node: differs from good?
-  PVW* gather = nullptr;           ///< max_fanins staging
-  const PVW** gather_ptrs = nullptr;
-  V3* v3_gather = nullptr;  ///< forced-pin scalar re-evaluation staging
+  /// max_fanins staging: out-of-cone fan-ins expanded from the good
+  /// trace, and per-pin copies of in-cone fan-ins that carry a pin fault.
+  PVW* gather = nullptr;
+  const PVW** gather_ptrs = nullptr;  ///< per pin: into val or gather
 
   std::size_t batch_size = 0;  ///< faults in this batch (1..63)
 

@@ -17,6 +17,11 @@
 // PVW::kSubWords sub-words — sub-word g is sequence lane g, slot 0 of
 // every sub-word is that lane's good machine, slots 1..63 are the batch's
 // faulty machines.
+//
+// Faults are injected as slot masks (PROOFS style): a stem fault forces
+// its slot on the node's value after the evaluation; a pin fault forces
+// its slot on a private copy of the faulted fan-in before it, so each gate
+// costs one plane evaluation per batch however many faults it carries.
 #pragma once
 
 #include "fsim/wide_internal.h"
@@ -50,41 +55,6 @@ inline V3 wv_xor3(V3 a, V3 b) {
   return (a == b) ? V3::kZero : V3::kOne;
 }
 
-/// Scalar evaluation of one gate over gathered V3 pins — the forced-pin
-/// injection re-evaluation path (mirrors eval_gate_v3_packed).
-inline V3 wv_eval3(std::uint8_t op, const V3* v, std::size_t n) {
-  switch (static_cast<WOp>(op)) {
-    case kWConst0:
-      return V3::kZero;
-    case kWConst1:
-      return V3::kOne;
-    case kWBuf:
-    case kWOutput:
-      return v[0];
-    case kWNot:
-      return wv_not3(v[0]);
-    case kWAnd:
-    case kWNand: {
-      V3 r = v[0];
-      for (std::size_t k = 1; k < n; ++k) r = wv_and3(r, v[k]);
-      return static_cast<WOp>(op) == kWNand ? wv_not3(r) : r;
-    }
-    case kWOr:
-    case kWNor: {
-      V3 r = v[0];
-      for (std::size_t k = 1; k < n; ++k) r = wv_or3(r, v[k]);
-      return static_cast<WOp>(op) == kWNor ? wv_not3(r) : r;
-    }
-    case kWXor:
-    case kWXnor: {
-      V3 r = v[0];
-      for (std::size_t k = 1; k < n; ++k) r = wv_xor3(r, v[k]);
-      return static_cast<WOp>(op) == kWXnor ? wv_not3(r) : r;
-    }
-  }
-  return V3::kX;
-}
-
 inline V3 wv_slot(const PVW& w, unsigned g, unsigned s) {
   const std::uint64_t m = 1ULL << s;
   if (w.zero[g] & m) return V3::kZero;
@@ -102,7 +72,7 @@ inline void wv_set_slot(PVW& w, unsigned g, unsigned s, V3 v) {
     w.one[g] |= m;
 }
 
-/// Force `slot` to the stuck value in every sub-word (stem injection).
+/// Force `slot` to the stuck value in every sub-word (all lanes).
 inline void wv_force_slot(PVW& w, unsigned slot, bool stuck1) {
   const std::uint64_t m = 1ULL << slot;
   for (unsigned g = 0; g < kLanes; ++g) {
@@ -313,24 +283,28 @@ void run_group_batch(const WideView& w) {
           w.gather_ptrs[k] = &w.gather[k];
         }
       }
+      const bool po_marker = static_cast<WOp>(op) == kWOutput;
+      // Pin faults: force the fault's slot on a private copy of the
+      // faulted fan-in, so one plane evaluation serves the whole batch.
+      // The copy is per pin, so a node read on two pins is forced on one.
+      if (!po_marker)
+        for (std::int32_t e = w.inj_head[id]; e >= 0; e = w.inj[e].next) {
+          const WInject& j = w.inj[e];
+          if (j.pin < 0) continue;
+          const auto k = static_cast<std::size_t>(j.pin);
+          if (w.gather_ptrs[k] != &w.gather[k]) {
+            Ops::copy(w.gather[k], *w.gather_ptrs[k]);
+            w.gather_ptrs[k] = &w.gather[k];
+          }
+          wv_force_slot(w.gather[k], j.slot, j.stuck1 != 0);
+        }
       PVW& v = w.val[id];
       eval_wop<Ops>(op, w.gather_ptrs, nfi, v);
+      // Stem faults, and the PO marker's pin-0 fault, force the output.
       for (std::int32_t e = w.inj_head[id]; e >= 0; e = w.inj[e].next) {
         const WInject& j = w.inj[e];
-        if (static_cast<WOp>(op) == kWOutput) {
-          if (j.pin == 0) wv_force_slot(v, j.slot, j.stuck1 != 0);
-        } else if (j.pin < 0) {
+        if (po_marker ? j.pin == 0 : j.pin < 0)
           wv_force_slot(v, j.slot, j.stuck1 != 0);
-        } else {
-          // Recompute this slot scalar with the forced pin, per lane.
-          const V3 forced = j.stuck1 ? V3::kOne : V3::kZero;
-          for (unsigned g = 0; g < kLanes; ++g) {
-            for (std::size_t k = 0; k < nfi; ++k)
-              w.v3_gather[k] = wv_slot(*w.gather_ptrs[k], g, j.slot);
-            w.v3_gather[static_cast<std::size_t>(j.pin)] = forced;
-            wv_set_slot(v, g, j.slot, wv_eval3(op, w.v3_gather, nfi));
-          }
-        }
       }
       w.active[id] = Ops::eq_expand(v, zm[id], om[id]) ? 0 : 1;
 #if !defined(NDEBUG)

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -452,7 +453,59 @@ TEST(CliSmokeTest, UnmatchedCaptureFaultExitsUsage) {
     EXPECT_NE(text.find(spec), std::string::npos) << text;
     EXPECT_FALSE(std::ifstream(dir + "cli_nocapture.json").good()) << spec;
   }
-  EXPECT_EQ(run_satpg(atpg + "--capture-fault=0"), 0);
+  // Fault 0 is detected by fault simulation before any search, so the
+  // capture cannot fire; the run says so by name and still exits 0.
+  const std::string out = dir + "cli_capture_fault0.out";
+  EXPECT_EQ(run_satpg(atpg + "--capture-fault=0", out), 0);
+  const std::string text = slurp(out);
+  EXPECT_NE(text.find("capture armed    : "), std::string::npos) << text;
+  EXPECT_NE(text.find(" never searched (detected by fault simulation; "
+                      "nothing written)"),
+            std::string::npos)
+      << text;
+  EXPECT_FALSE(std::ifstream(dir + "cli_nocapture.json").good());
+}
+
+// Malformed circuit files through the CLI processes themselves: seeded
+// truncations, byte substitutions and line duplications of the smoke
+// circuit (the kinds BenchIoTest.MutatedCacheFilesFailCleanly feeds the
+// parser) go through `satpg info`, `analyze` and `atpg`. Each run exits 0
+// (the mutant still parses) or 1 (bad input file), never 2 and never on a
+// signal (the shell reports those as 128 + signal number).
+TEST(CliSmokeTest, MutatedBenchFilesExitCleanly) {
+  const std::string text = slurp(SATPG_SMOKE_CIRCUIT);
+  ASSERT_FALSE(text.empty());
+  static const char kBytes[] = "()=,# \nAGNDFOTX01";
+  std::mt19937_64 rng(0xc11);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const std::string path = ::testing::TempDir() + "cli_mutant.bench";
+  int exits[2] = {0, 0};
+  for (int k = 0; k < 12; ++k) {
+    std::string mutant = text;
+    if (k % 3 == 0) {
+      mutant.resize(below(mutant.size()));
+    } else if (k % 3 == 1) {
+      mutant[below(mutant.size())] = kBytes[below(sizeof kBytes)];
+    } else {
+      const std::size_t at = mutant.rfind('\n', below(mutant.size()));
+      const std::size_t begin = at == std::string::npos ? 0 : at + 1;
+      const std::size_t end = mutant.find('\n', begin);
+      mutant.insert(begin, mutant.substr(begin, end - begin) + "\n");
+    }
+    std::ofstream(path, std::ios::binary) << mutant;
+    for (const char* cmd : {"info", "analyze", "atpg"}) {
+      const std::string flags =
+          std::string(cmd) == "atpg" ? " --budget=0.01 --threads=1" : "";
+      const int rc = run_satpg(std::string(cmd) + " \"" + path + "\"" + flags);
+      EXPECT_TRUE(rc == 0 || rc == 1) << cmd << " mutant " << k << " rc " << rc;
+      if (rc == 0 || rc == 1) ++exits[rc];
+    }
+  }
+  // The corpus exercises both outcomes.
+  EXPECT_GT(exits[0], 0);
+  EXPECT_GT(exits[1], 0);
 }
 
 // `satpg retime --dffs=` takes a positive count: a non-number must not

@@ -1,20 +1,24 @@
 // Differential tests for the wide (PPSFP) fault-simulation engine:
 // per-tier kernel selftests, wide == baseline == serial cross-checks on
-// hand and MCNC circuits (plus retimed twins), potential-detect
-// semantics, first-detection tie-breaks, ragged sequence lengths, PVW
-// invariants, and metrics parity between engines. Every check runs for
+// hand, MCNC and cached circuits (plus retimed twins), pin faults against
+// the serial reference, potential-detect semantics, first-detection
+// tie-breaks, ragged sequence lengths, PVW invariants, and metrics parity
+// between engines. Every check runs for
 // each SIMD tier the build + CPU can execute, always including the
 // portable scalar kernel — the results contract is byte-identity across
 // tiers, thread counts, and engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/engine.h"
 #include "base/metrics.h"
 #include "fsim/fsim.h"
 #include "fsm/mcnc_suite.h"
+#include "netlist/bench_io.h"
 #include "retime/retime.h"
 #include "sim/statekey.h"
 #include "synth/synthesize.h"
@@ -221,6 +225,88 @@ TEST(WideFsimTest, RaggedSequenceLengths) {
   for (const SimdTier tier : usable_tiers())
     expect_same_result(run_wide(nl, faults, seqs, tier), base,
                        simd_tier_name(tier));
+}
+
+// Lowest sequence index the serial reference detects `f` on, or -1.
+int serial_detected_at(const Netlist& nl, const Fault& f,
+                       const std::vector<TestSequence>& seqs) {
+  for (std::size_t s = 0; s < seqs.size(); ++s)
+    if (simulate_fault_serial(nl, f, seqs[s]) >= 0) return static_cast<int>(s);
+  return -1;
+}
+
+// Every engine, tier and thread count against the serial reference,
+// which injects each fault alone on scalar V3 values. Both bit-parallel
+// engines force a pin fault's slot on a fan-in copy, so a shared mistake
+// there would pass an engine-vs-engine comparison but not this one.
+// Returns the reference's detected_at per fault.
+std::vector<int> expect_serial_detections(const Netlist& nl,
+                              const std::vector<Fault>& faults,
+                              const std::vector<TestSequence>& seqs) {
+  // The reference costs far more than the engines; split it over a few
+  // threads (the netlist's lazy compiled form is built before they read it).
+  nl.compiled();
+  std::vector<int> want(faults.size());
+  const unsigned workers =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  std::vector<std::thread> pool;
+  for (unsigned w = 0; w < workers; ++w)
+    pool.emplace_back([&, w] {
+      for (std::size_t i = w; i < faults.size(); i += workers)
+        want[i] = serial_detected_at(nl, faults[i], seqs);
+    });
+  for (std::thread& t : pool) t.join();
+  for (const unsigned threads : {1u, 2u}) {
+    const auto base = run_baseline(nl, faults, seqs, threads);
+    std::vector<std::pair<std::string, FsimResult>> runs;
+    runs.emplace_back("baseline64", base);
+    for (const SimdTier tier : usable_tiers()) {
+      runs.emplace_back(simd_tier_name(tier),
+                        run_wide(nl, faults, seqs, tier, threads));
+      expect_same_result(runs.back().second, base, runs.back().first);
+    }
+    for (const auto& [label, r] : runs)
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        EXPECT_EQ(r.detected_at[i], want[i])
+            << fault_name(nl, faults[i]) << " " << label << " x" << threads;
+  }
+  return want;
+}
+
+TEST(WideFsimTest, PinFaultsMatchSerialReference) {
+  // (a) A cached benchmark circuit, every collapsed fault.
+  {
+    const Netlist nl = read_bench_file(std::string(SATPG_CACHE_DIR) +
+                                       "/s510.jc.sd_s3_x30.bench");
+    std::vector<Fault> faults;
+    for (const auto& cf : collapse_faults(nl))
+      faults.push_back(cf.representative);
+    expect_serial_detections(nl, faults, make_random_sequences(nl, 16, 20, 3));
+  }
+  // (b) Every uncollapsed fault of a hand-built circuit in one batch:
+  // 3-input NAND/NOR/XOR/XNOR, a gate that reads one node on two pins,
+  // a flip-flop D pin and the PO markers' pin faults.
+  Netlist nl("pins");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId c = nl.add_input("c");
+  const NodeId q = nl.add_dff("q", a, FfInit::kUnknown);
+  const NodeId g1 = nl.add_gate(GateType::kNand, "g1", {a, b, q});
+  const NodeId g2 = nl.add_gate(GateType::kNor, "g2", {b, c, q});
+  const NodeId g3 = nl.add_gate(GateType::kXor, "g3", {g1, g2, c});
+  const NodeId g4 = nl.add_gate(GateType::kXnor, "g4", {a, g3, q});
+  const NodeId g5 = nl.add_gate(GateType::kAnd, "g5", {g3, g3});
+  nl.set_fanin(q, 0, g2);
+  nl.add_output("o1", g4);
+  nl.add_output("o2", g5);
+  const auto faults = enumerate_faults(nl);
+  ASSERT_LE(faults.size(), 63u);  // one batch
+  const auto want =
+      expect_serial_detections(nl, faults, make_random_sequences(nl, 12, 8, 5));
+  std::size_t pin_detected = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    if (faults[i].pin >= 0 && want[i] >= 0) ++pin_detected;
+  EXPECT_GE(pin_detected, 20u);
 }
 
 // Semantic metrics (fsim.calls/sequences/vectors/batches) are identical

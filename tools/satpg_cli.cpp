@@ -282,15 +282,20 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
     std::fprintf(stderr, "--defer-stuck requires --stuck-evals=N\n");
     return 2;
   }
+  std::ptrdiff_t capture_idx = -1;
+  std::string capture_name;
   if (!popts.capture.fault.empty()) {
     const auto collapsed = collapse_faults(nl);
-    if (resolve_capture_fault(nl, collapsed, popts.capture.fault) < 0) {
+    capture_idx = resolve_capture_fault(nl, collapsed, popts.capture.fault);
+    if (capture_idx < 0) {
       std::fprintf(stderr,
                    "error: --capture-fault: no collapsed fault named or "
                    "indexed \"%s\" (%zu collapsed faults)\n",
                    popts.capture.fault.c_str(), collapsed.size());
       return 2;
     }
+    capture_name = fault_name(
+        nl, collapsed[static_cast<std::size_t>(capture_idx)].representative);
     if (capture_file.empty()) capture_file = "satpg_capture.json";
   }
   popts.capture.armed = !capture_file.empty();
@@ -324,6 +329,16 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
       }
       std::printf("capture written  : %s (%s, %s)\n", capture_file.c_str(),
                   pres.capture->fault.c_str(), pres.capture->reason.c_str());
+    } else if (capture_idx >= 0 &&
+               !pres.attempted[static_cast<std::size_t>(capture_idx)]) {
+      // The named fault never reached a search: fault simulation dropped
+      // it first, or the budget ran out before its turn.
+      const bool detected =
+          pres.status[static_cast<std::size_t>(capture_idx)] ==
+          FaultStatus::kDetected;
+      std::printf("capture armed    : %s never searched (%snothing written)\n",
+                  capture_name.c_str(),
+                  detected ? "detected by fault simulation; " : "");
     } else {
       std::printf("capture armed    : no trigger (nothing written)\n");
     }
