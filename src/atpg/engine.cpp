@@ -191,7 +191,7 @@ AtpgEngine::JustifyOutcome AtpgEngine::justify(
   on_path.insert(key);
   JustifyOutcome out;
 
-  TimeFrameModel tfm(nl_, current_fault_, 1);
+  TimeFrameModel tfm(justify_template());
   tfm.attach_eval_counter(&budget.evals);
   const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                          tfm.footprint_bytes());
@@ -267,6 +267,13 @@ AtpgEngine::JustifyOutcome AtpgEngine::justify(
   return out;
 }
 
+const TimeFrameModel& AtpgEngine::justify_template() {
+  if (!justify_template_)
+    justify_template_.emplace(TimeFrameModel::Template{}, nl_,
+                              current_fault_, 1);
+  return *justify_template_;
+}
+
 FaultAttempt AtpgEngine::generate(const Fault& fault) {
   if (opts_.kind == EngineKind::kCdcl) {
     CdclAtpg cdcl(*this);
@@ -275,6 +282,7 @@ FaultAttempt AtpgEngine::generate(const Fault& fault) {
   const auto t0 = std::chrono::steady_clock::now();
   FaultAttempt attempt;
   current_fault_ = fault;
+  justify_template_.reset();
   stats_ = FaultSearchStats{};
   events_buf_.clear();
   attempt_sources_.clear();
@@ -402,7 +410,7 @@ FaultAttempt AtpgEngine::generate(const Fault& fault) {
       e.at = budget.evals;
       events_buf_.push_back(std::move(e));
     }
-    TimeFrameModel tfm(nl_, fault, 1);
+    TimeFrameModel tfm(justify_template());
     tfm.attach_eval_counter(&budget.evals);
     const MemScope tfm_mem(budget.mem, MemSubsystem::kTfmFrames,
                            tfm.footprint_bytes());

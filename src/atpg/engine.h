@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -331,6 +332,11 @@ class AtpgEngine {
   };
   JustifyOutcome justify(const std::vector<std::pair<NodeId, V3>>& cube,
                          int depth, StateSet& on_path, PodemBudget& budget);
+  /// The current fault's settled one-frame model, which justification and
+  /// the redundancy check copy per use: built on first use in a generate()
+  /// and dropped at the start of the next. A copy counts its evals exactly
+  /// as a fresh model would.
+  const TimeFrameModel& justify_template();
   /// Packed key of a state cube ('-' digits are X). O(cube size) via the
   /// precomputed DFF index map.
   StateKey cube_key(const std::vector<std::pair<NodeId, V3>>& cube) const;
@@ -357,6 +363,8 @@ class AtpgEngine {
   Scoap scoap_;
   std::vector<int> dff_index_;  ///< NodeId -> position in nl.dffs(), or -1
   std::optional<Fault> current_fault_;  ///< fault modelled by justification
+  /// Template of current_fault_'s one-frame model (justify_template()).
+  std::optional<TimeFrameModel> justify_template_;
   const LearningShare* shared_ = nullptr;
   const std::atomic<bool>* abort_ = nullptr;
   std::uint64_t soft_eval_cap_ = 0;

@@ -65,11 +65,11 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
                                int num_frames)
     : nl_(nl),
       c_(nl.compiled()),
+      n_(nl.num_nodes()),
       fault_(std::move(fault)),
       num_frames_(num_frames) {
   SATPG_CHECK(num_frames >= 1);
-  const std::size_t n = nl.num_nodes();
-  const std::size_t total = static_cast<std::size_t>(num_frames) * n;
+  const std::size_t total = static_cast<std::size_t>(num_frames) * n_;
   values_.assign(total, V5{});
   decisions_.assign(total, V3::kX);
   if (fault_) {
@@ -84,7 +84,7 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
   fill_.assign(static_cast<std::size_t>(num_frames) * num_levels, 0);
   lo_.assign(static_cast<std::size_t>(num_frames), num_levels);
   hi_.assign(static_cast<std::size_t>(num_frames), 0);
-  in_queue_.assign(total, 0);
+  in_queue_.assign(total, Queued::kNo);
 
   // Initial full evaluation (everything X, but faulty-rail pins and
   // constants must settle).
@@ -108,23 +108,10 @@ TimeFrameModel::~TimeFrameModel() {
   }
 }
 
-void TimeFrameModel::set_value(int frame, NodeId node, std::size_t idx,
-                               V5 v) {
-  trail_.push_back({idx, values_[idx], false});
-  const bool was_d = values_[idx].is_d();
-  values_[idx] = v;
-  if (was_d != v.is_d()) {
-    if (v.is_d())
-      d_set_.insert({frame, node});
-    else
-      d_set_.erase({frame, node});
-  }
-}
-
 void TimeFrameModel::mark_dirty(int frame, NodeId node) {
   const std::size_t idx = flat(frame, node);
-  if (in_queue_[idx]) return;
-  in_queue_[idx] = 1;
+  if (in_queue_[idx] == Queued::kYes) return;
+  in_queue_[idx] = Queued::kYes;
   const auto t = static_cast<std::size_t>(frame);
   const std::uint32_t l = c_.level[static_cast<std::size_t>(node)];
   bucket_[t * c_.topo.size() + c_.level_start[l] +
@@ -133,84 +120,124 @@ void TimeFrameModel::mark_dirty(int frame, NodeId node) {
   hi_[t] = std::max(hi_[t], l);
 }
 
-V5 TimeFrameModel::eval(int frame, NodeId node) const {
-  const auto u = static_cast<std::size_t>(node);
-  const GateType type = c_.type[u];
-  V5 v;
-  switch (type) {
-    case GateType::kInput:
-      v.g = v.f = decisions_[flat(frame, node)];
-      break;
-    case GateType::kDff:
-      if (frame == 0) {
-        v.g = v.f = decisions_[flat(0, node)];
-      } else {
-        v = values_[flat(frame - 1, c_.fanin[c_.fanin_off[u]])];
-        if (node == fault_node_ && fault_pin_ == 0) v.f = stuck_;  // D pin
-      }
-      break;
-    case GateType::kConst0:
-      v.g = v.f = V3::kZero;
-      break;
-    case GateType::kConst1:
-      v.g = v.f = V3::kOne;
-      break;
-    default: {
-      // Fold both rails at once: bit (1 << value) records which of 0/1/X
-      // occur on a rail, and the low value bit accumulates XOR parity. The
-      // faulty rail reads the stuck value on a faulted input pin.
-      const V5* row = values_.data() + flat(frame, 0);
-      const std::uint32_t begin = c_.fanin_off[u];
-      const std::uint32_t end = c_.fanin_off[u + 1];
-      const std::uint32_t pin =
-          node == fault_node_ && fault_pin_ >= 0
-              ? begin + static_cast<std::uint32_t>(fault_pin_)
-              : end;
-      unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
-      for (std::uint32_t k = begin; k < end; ++k) {
-        const V5 in = row[c_.fanin[k]];
-        const auto g = static_cast<unsigned>(in.g);
-        const auto f = static_cast<unsigned>(k == pin ? stuck_ : in.f);
-        seen_g |= 1u << g;
-        seen_f |= 1u << f;
-        par_g ^= g;
-        par_f ^= f;
-      }
-      const auto& rail = kRailTable[static_cast<std::size_t>(type)];
-      v.g = rail[seen_g | (par_g & 1u) << 3];
-      v.f = rail[seen_f | (par_f & 1u) << 3];
-      break;
-    }
-  }
-  if (node == fault_node_ && fault_pin_ < 0) v.f = stuck_;  // stem fault
-  return v;
-}
-
 void TimeFrameModel::propagate() {
+  // One loop over locals: every array base is loaded once, and evaluation,
+  // the trail write and the queueing are written out here.
+  const std::size_t n = n_;
+  const std::size_t num_live = c_.topo.size();
   const std::size_t num_levels = c_.num_levels();
+  const GateType* const type = c_.type.data();
+  const std::uint32_t* const level = c_.level.data();
+  const std::uint32_t* const level_start = c_.level_start.data();
+  const std::uint32_t* const fanin_off = c_.fanin_off.data();
+  const NodeId* const fanin = c_.fanin.data();
+  const std::uint32_t* const fanout_off = c_.fanout_off.data();
+  const NodeId* const fanout = c_.fanout.data();
+  const NodeId fault_node = fault_node_;
+  const int fault_pin = fault_pin_;
+  const V3 stuck = stuck_;
   std::uint64_t evals = 0;
   for (int t = 0; t < num_frames_; ++t) {
     const auto ut = static_cast<std::size_t>(t);
-    NodeId* bucket = bucket_.data() + ut * c_.topo.size();
-    std::uint32_t* fill = fill_.data() + ut * num_levels;
+    NodeId* const bucket = bucket_.data() + ut * num_live;
+    std::uint32_t* const fill = fill_.data() + ut * num_levels;
+    V5* const row = values_.data() + ut * n;
+    const V5* const prev_row = t > 0 ? row - n : nullptr;
+    const V3* const dec = decisions_.data() + ut * n;
+    Queued* const queued = in_queue_.data() + ut * n;
+    // Frame t+1's queue, where a FF latches a changed D driver. A FF is at
+    // level 0, whose bucket slots come first.
+    const bool has_next = t + 1 < num_frames_;
+    NodeId* const next_bucket = bucket + num_live;
+    std::uint32_t* const next_fill = fill + num_levels;
+    Queued* const next_queued = queued + n;
     // A node dirties only higher levels of this frame, so each level is
-    // complete once the sweep reaches it; hi_[t] may grow during the sweep.
-    for (std::uint32_t l = lo_[ut]; l <= hi_[ut]; ++l) {
+    // complete once the sweep reaches it; `hi` may grow during the sweep.
+    std::uint32_t hi = hi_[ut];
+    for (std::uint32_t l = lo_[ut]; l <= hi; ++l) {
       const std::uint32_t count = fill[l];
       fill[l] = 0;
       evals += count;
+      const NodeId* const nodes = bucket + level_start[l];
       for (std::uint32_t i = 0; i < count; ++i) {
-        const NodeId id = bucket[c_.level_start[l] + i];
-        const std::size_t idx = flat(t, id);
-        in_queue_[idx] = 0;
-        const V5 nv = eval(t, id);
-        if (nv == values_[idx]) continue;
-        set_value(t, id, idx, nv);
-        for (NodeId s : c_.fanouts(id)) {
-          if (c_.type[static_cast<std::size_t>(s)] != GateType::kDff)
-            mark_dirty(t, s);
-          else if (t + 1 < num_frames_)
-            mark_dirty(t + 1, s);  // a FF latches into the next frame
+        const NodeId id = nodes[i];
+        const auto u = static_cast<std::size_t>(id);
+        queued[u] = Queued::kNo;
+
+        // Both rails of `id` from its fan-ins' current values.
+        V5 nv;
+        switch (type[u]) {
+          case GateType::kInput:
+            nv.g = nv.f = dec[u];
+            break;
+          case GateType::kDff:
+            if (t == 0) {
+              nv.g = nv.f = dec[u];
+            } else {
+              nv = prev_row[fanin[fanin_off[u]]];
+              if (id == fault_node && fault_pin == 0) nv.f = stuck;  // D pin
+            }
+            break;
+          case GateType::kConst0:
+            nv.g = nv.f = V3::kZero;
+            break;
+          case GateType::kConst1:
+            nv.g = nv.f = V3::kOne;
+            break;
+          default: {
+            // Fold both rails at once: bit (1 << value) records which of
+            // 0/1/X occur on a rail, and the low value bit accumulates XOR
+            // parity. The faulty rail reads the stuck value on a faulted
+            // input pin.
+            const std::uint32_t begin = fanin_off[u];
+            const std::uint32_t end = fanin_off[u + 1];
+            const std::uint32_t pin =
+                id == fault_node && fault_pin >= 0
+                    ? begin + static_cast<std::uint32_t>(fault_pin)
+                    : end;
+            unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
+            for (std::uint32_t k = begin; k < end; ++k) {
+              const V5 in = row[fanin[k]];
+              const auto g = static_cast<unsigned>(in.g);
+              const auto f = static_cast<unsigned>(k == pin ? stuck : in.f);
+              seen_g |= 1u << g;
+              seen_f |= 1u << f;
+              par_g ^= g;
+              par_f ^= f;
+            }
+            const auto& rail = kRailTable[static_cast<std::size_t>(type[u])];
+            nv.g = rail[seen_g | (par_g & 1u) << 3];
+            nv.f = rail[seen_f | (par_f & 1u) << 3];
+            break;
+          }
+        }
+        if (id == fault_node && fault_pin < 0) nv.f = stuck;  // stem fault
+
+        const V5 old = row[u];
+        if (nv == old) continue;
+        trail_.push_back({ut * n + u, old, false});
+        row[u] = nv;
+        if (old.is_d() != nv.is_d()) {
+          if (nv.is_d())
+            d_set_.insert({t, id});
+          else
+            d_set_.erase({t, id});
+        }
+
+        for (std::uint32_t k = fanout_off[u]; k < fanout_off[u + 1]; ++k) {
+          const NodeId s = fanout[k];
+          const auto us = static_cast<std::size_t>(s);
+          if (type[us] != GateType::kDff) {
+            if (queued[us] == Queued::kYes) continue;
+            queued[us] = Queued::kYes;
+            const std::uint32_t ls = level[us];
+            bucket[level_start[ls] + fill[ls]++] = s;
+            hi = std::max(hi, ls);
+          } else if (has_next && next_queued[us] == Queued::kNo) {
+            next_queued[us] = Queued::kYes;
+            next_bucket[next_fill[0]++] = s;
+            lo_[ut + 1] = 0;
+          }
         }
       }
     }
@@ -241,8 +268,8 @@ void TimeFrameModel::undo_to(std::size_t mark) {
     const bool was_d = values_[e.idx].is_d();
     values_[e.idx] = e.old_value;
     if (was_d != e.old_value.is_d()) {
-      const int frame = static_cast<int>(e.idx / nl_.num_nodes());
-      const NodeId node = static_cast<NodeId>(e.idx % nl_.num_nodes());
+      const int frame = static_cast<int>(e.idx / n_);
+      const NodeId node = static_cast<NodeId>(e.idx % n_);
       if (e.old_value.is_d())
         d_set_.insert({frame, node});
       else
@@ -285,10 +312,7 @@ bool TimeFrameModel::effect_still_possible(bool allow_boundary) const {
   if (!fault_) return true;
   const V3 stuck = fault_->stuck1 ? V3::kOne : V3::kZero;
 
-  // Current D nodes (maintained incrementally by set_value/undo_to).
-  std::vector<std::pair<int, NodeId>> dset(d_set_.begin(), d_set_.end());
-
-  if (dset.empty()) {
+  if (d_set_.empty()) {
     // Not excited anywhere: excitable iff the faulted line's good value can
     // still become the opposite of the stuck value in some frame.
     const NodeId line = fault_->pin >= 0
@@ -305,34 +329,48 @@ bool TimeFrameModel::effect_still_possible(bool allow_boundary) const {
     return false;
   }
 
-  // Forward reachability from D nodes through X-capable nodes.
-  std::vector<char> seen(values_.size(), 0);
-  std::vector<std::pair<int, NodeId>> stack = dset;
-  for (const auto& [t, id] : dset) seen[flat(t, id)] = 1;
-  while (!stack.empty()) {
-    const auto [t, id] = stack.back();
-    stack.pop_back();
-    if (c_.type[static_cast<std::size_t>(id)] == GateType::kOutput)
-      return true;  // reachable or already D
-    // Does this node drive a FF into the next frame (or the boundary)?
-    for (NodeId s : c_.fanouts(id)) {
-      int nt = t;
-      if (c_.type[static_cast<std::size_t>(s)] == GateType::kDff) {
-        if (t + 1 >= num_frames_) {
-          if (allow_boundary) return true;
-          continue;
-        }
-        nt = t + 1;
-      }
-      const std::size_t sidx = flat(nt, s);
-      if (seen[sidx]) continue;
-      const V5 sv = values_[sidx];
-      if (!(sv.any_x() || sv.is_d())) continue;  // blocked
-      seen[sidx] = 1;
-      stack.push_back({nt, s});
-    }
+  // Depth-first forward reachability from the current D nodes (maintained
+  // by propagate/undo_to) through X-capable nodes. Every mark set is
+  // recorded in reach_marked_ and cleared on the way out.
+  if (reach_seen_.empty()) reach_seen_.assign(values_.size(), 0);
+  std::vector<std::pair<int, NodeId>>& stack = reach_stack_;
+  std::vector<std::size_t>& marked = reach_marked_;
+  stack.assign(d_set_.begin(), d_set_.end());
+  marked.clear();
+  for (const auto& [t, id] : stack) {
+    marked.push_back(flat(t, id));
+    reach_seen_[marked.back()] = 1;
   }
-  return false;
+  const auto reach = [&] {
+    while (!stack.empty()) {
+      const auto [t, id] = stack.back();
+      stack.pop_back();
+      if (c_.type[static_cast<std::size_t>(id)] == GateType::kOutput)
+        return true;  // reachable or already D
+      // Does this node drive a FF into the next frame (or the boundary)?
+      for (NodeId s : c_.fanouts(id)) {
+        int nt = t;
+        if (c_.type[static_cast<std::size_t>(s)] == GateType::kDff) {
+          if (t + 1 >= num_frames_) {
+            if (allow_boundary) return true;
+            continue;
+          }
+          nt = t + 1;
+        }
+        const std::size_t sidx = flat(nt, s);
+        if (reach_seen_[sidx]) continue;
+        const V5 sv = values_[sidx];
+        if (!(sv.any_x() || sv.is_d())) continue;  // blocked
+        reach_seen_[sidx] = 1;
+        marked.push_back(sidx);
+        stack.push_back({nt, s});
+      }
+    }
+    return false;
+  };
+  const bool reached = reach();
+  for (const std::size_t idx : marked) reach_seen_[idx] = 0;
+  return reached;
 }
 
 }  // namespace satpg

@@ -19,9 +19,13 @@
 // one more than its deepest fan-in. Every frame keeps its dirty nodes in
 // per-level buckets, and propagate() sweeps the frames in order and each
 // frame's levels upward, folding both rails of a node in one pass over its
-// fan-ins. A changed node dirties only higher levels of its own frame and
-// the FFs it feeds in the next frame, so every node is evaluated after its
-// fan-ins have settled and at most once per propagate.
+// fan-ins. The sweep is one loop over locals: evaluation, the trail write
+// and the queueing are written out in it, and a changed node's fan-outs
+// resolve in one pass — a gate sink is queued at its level in the same
+// frame, a FF sink directly into the next frame at level 0. A changed node
+// thus dirties only higher levels of its own frame and the FFs it feeds in
+// the next frame, so every node is evaluated after its fan-ins have
+// settled and at most once per propagate.
 //
 // Eval-count contract (the study's deterministic work metric, and the
 // currency of every eval budget): an assign() evaluates exactly the
@@ -108,7 +112,8 @@ class TimeFrameModel {
   std::uint64_t footprint_bytes() const {
     return values_.size() * sizeof(V5) + decisions_.size() * sizeof(V3) +
            c_.topo_pos.size() * sizeof(int) +
-           c_.topo.size() * sizeof(NodeId) + in_queue_.size() * sizeof(char);
+           c_.topo.size() * sizeof(NodeId) +
+           in_queue_.size() * sizeof(Queued);
   }
 
   /// Mirror every evaluation into an external counter as well (e.g. the
@@ -136,18 +141,22 @@ class TimeFrameModel {
   const std::optional<Fault>& fault() const { return fault_; }
 
  private:
+  /// A dirty-queue flag: one byte per entry, and not a character type, so
+  /// the sweep's stores to it cannot alias the arrays it reads.
+  enum class Queued : std::uint8_t { kNo, kYes };
+
   std::size_t flat(int frame, NodeId node) const {
-    return static_cast<std::size_t>(frame) * nl_.num_nodes() +
+    return static_cast<std::size_t>(frame) * n_ +
            static_cast<std::size_t>(node);
   }
-  void set_value(int frame, NodeId node, std::size_t idx, V5 v);
+  /// Queue (frame, node) at its level (assign() and the initial settle;
+  /// propagate() queues inline).
   void mark_dirty(int frame, NodeId node);
   void propagate();
-  /// Both rails of `node` at `frame` from its fan-ins' current values.
-  V5 eval(int frame, NodeId node) const;
 
   const Netlist& nl_;
   const CompiledNetlist& c_;  ///< nl_.compiled(), shared by every model
+  std::size_t n_;             ///< nl_.num_nodes(): the stride of a frame
   std::optional<Fault> fault_;
   int num_frames_;
   std::vector<V5> values_;
@@ -164,7 +173,7 @@ class TimeFrameModel {
   std::vector<NodeId> bucket_;
   std::vector<std::uint32_t> fill_;  ///< frame * num_levels + level
   std::vector<std::uint32_t> lo_, hi_;
-  std::vector<char> in_queue_;  ///< per flat index
+  std::vector<Queued> in_queue_;  ///< per flat index
 
   struct TrailEntry {
     std::size_t idx;
@@ -174,6 +183,14 @@ class TimeFrameModel {
   std::vector<TrailEntry> trail_;
 
   std::set<std::pair<int, NodeId>> d_set_;
+
+  // effect_still_possible()'s walk, reused across calls: a per flat index
+  // mark (all zero between calls, sized on first use), the DFS stack and
+  // the flat indices the walk marked, which it clears again. Scratch only:
+  // none of it is charged to footprint_bytes().
+  mutable std::vector<char> reach_seen_;
+  mutable std::vector<std::pair<int, NodeId>> reach_stack_;
+  mutable std::vector<std::size_t> reach_marked_;
 
   std::uint64_t evals_ = 0;
   std::uint64_t* external_evals_ = nullptr;

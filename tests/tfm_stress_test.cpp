@@ -3,8 +3,11 @@
 // (fresh model, same assignments) across random assignment/undo schedules,
 // fault types, and window sizes. Also checks the incrementally-maintained
 // D-set against a full rescan, and pins the eval count (the budget
-// currency) to the set of evaluations the model is defined to perform. A
-// copy of a template model must behave and count exactly like a fresh one.
+// currency) to the set of evaluations the model is defined to perform.
+// Windows run up to 8 frames, HITEC's widest, on synthesized machines, on a
+// committed retimed circuit and on a hand-built one whose gates read one
+// node on two pins. A copy of a template model must behave and count
+// exactly like a fresh one.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +15,7 @@
 
 #include "atpg/tfm.h"
 #include "base/metrics.h"
+#include "netlist/bench_io.h"
 #include "base/rng.h"
 #include "fault/fault.h"
 #include "fsm/mcnc_suite.h"
@@ -49,20 +53,14 @@ void expect_models_equal(const TimeFrameModel& a, const TimeFrameModel& b,
     }
 }
 
-class TfmStress : public ::testing::TestWithParam<int> {};
-
-TEST_P(TfmStress, IncrementalMatchesFromScratch) {
-  const Netlist nl = small_machine(static_cast<std::uint64_t>(GetParam()));
-  const int frames = 3;
-  // Pick a fault (cycling through kinds) or none.
-  std::optional<Fault> fault;
-  const auto universe = enumerate_faults(nl);
-  if (GetParam() % 4 != 0)
-    fault = universe[static_cast<std::size_t>(GetParam() * 37) %
-                     universe.size()];
-
+// A random assign/undo schedule on `fault`'s model, then the model against
+// a fresh one given the surviving assignments, and its D-set against a
+// full rescan.
+void expect_incremental_matches_scratch(const Netlist& nl,
+                                        const std::optional<Fault>& fault,
+                                        int frames, std::uint64_t seed) {
   TimeFrameModel inc(nl, fault, frames);
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 1337 + 5);
+  Rng rng(seed);
   const auto vars = decision_vars(nl, frames);
 
   // Random schedule: assignments with occasional undo to a random mark.
@@ -99,7 +97,23 @@ TEST_P(TfmStress, IncrementalMatchesFromScratch) {
     for (std::size_t i = 0; i < nl.num_nodes(); ++i)
       if (inc.value(t, static_cast<NodeId>(i)).is_d())
         rescan.insert({t, static_cast<NodeId>(i)});
-  EXPECT_EQ(inc.d_set(), rescan);
+  EXPECT_EQ(inc.d_set(), rescan) << "frames " << frames;
+}
+
+class TfmStress : public ::testing::TestWithParam<int> {};
+
+TEST_P(TfmStress, IncrementalMatchesFromScratch) {
+  const Netlist nl = small_machine(static_cast<std::uint64_t>(GetParam()));
+  // Seeds 0..9 cover windows of 1..8 frames.
+  const int frames = 1 + (GetParam() * 3) % 8;
+  // Pick a fault (cycling through kinds) or none.
+  std::optional<Fault> fault;
+  const auto universe = enumerate_faults(nl);
+  if (GetParam() % 4 != 0)
+    fault = universe[static_cast<std::size_t>(GetParam() * 37) %
+                     universe.size()];
+  expect_incremental_matches_scratch(
+      nl, fault, frames, static_cast<std::uint64_t>(GetParam()) * 1337 + 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TfmStress, ::testing::Range(0, 10));
@@ -139,50 +153,129 @@ std::vector<V5> snapshot(const TimeFrameModel& m) {
   return values;
 }
 
-TEST(TfmEvalContract, EvalsMatchTheChangedFaninSet) {
-  const Netlist nl = small_machine(5);
+// Drives `fault`'s model through a random assign/undo schedule and checks
+// every assign()'s evals against expected_evals. Returns the number of
+// assigns checked.
+std::uint64_t expect_evals_match_contract(const Netlist& nl,
+                                          const std::optional<Fault>& fault,
+                                          int frames, std::uint64_t seed) {
+  TimeFrameModel m(nl, fault, frames);
+  EXPECT_EQ(m.evals(),
+            static_cast<std::uint64_t>(frames) * nl.topo_order().size());
+  Rng rng(seed);
+  const auto vars = decision_vars(nl, frames);
+  std::vector<std::size_t> marks;
+  std::uint64_t checked = 0;
+  for (int step = 0; step < 40; ++step) {
+    if (!marks.empty() && rng.next_bernoulli(0.3)) {
+      const std::size_t k = static_cast<std::size_t>(
+          rng.next_below(marks.size()));
+      m.undo_to(marks[k]);
+      marks.resize(k);
+      continue;
+    }
+    const auto& [t, id] = vars[static_cast<std::size_t>(
+        rng.next_below(vars.size()))];
+    if (m.decision_value(t, id) != V3::kX) continue;
+    const std::vector<V5> before = snapshot(m);
+    const std::uint64_t evals_before = m.evals();
+    marks.push_back(m.assign(t, id, rng.next_bool() ? V3::kOne
+                                                    : V3::kZero));
+    EXPECT_EQ(m.evals() - evals_before,
+              expected_evals(nl, frames, before, snapshot(m), t, id))
+        << "frames " << frames << " step " << step;
+    ++checked;
+  }
+  return checked;
+}
+
+// The fault-free machine, one fault of each (node type, stem or pin) kind
+// (PI/FF/gate stems, gate and PO pins, FF D pins; `num_kinds` of them),
+// and every `stride`-th fault.
+std::vector<std::optional<Fault>> faults_of_every_kind(
+    const Netlist& nl, std::size_t stride, std::size_t* num_kinds) {
   const auto universe = enumerate_faults(nl);
-  // Faults of every kind: PI/FF/gate stems, gate and PO pins, FF D pins.
   std::vector<std::optional<Fault>> faults = {std::nullopt};
   std::set<std::pair<GateType, bool>> kinds;
   for (const Fault& f : universe)
     if (kinds.insert({nl.node(f.node).type, f.pin >= 0}).second)
       faults.push_back(f);
-  for (std::size_t i = 0; i < universe.size(); i += 11)
+  for (std::size_t i = 0; i < universe.size(); i += stride)
     faults.push_back(universe[i]);
-  ASSERT_GE(kinds.size(), 5u);
+  *num_kinds = kinds.size();
+  return faults;
+}
+
+TEST(TfmEvalContract, EvalsMatchTheChangedFaninSet) {
+  const Netlist nl = small_machine(5);
+  std::size_t num_kinds = 0;
+  const auto faults = faults_of_every_kind(nl, 11, &num_kinds);
+  ASSERT_GE(num_kinds, 5u);
 
   std::uint64_t checked_assigns = 0;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    const int frames = 1 + static_cast<int>(fi % 4);
-    TimeFrameModel m(nl, faults[fi], frames);
-    ASSERT_EQ(m.evals(), static_cast<std::uint64_t>(frames) *
-                             nl.topo_order().size());
-    Rng rng(fi * 7919 + 3);
-    const auto vars = decision_vars(nl, frames);
-    std::vector<std::size_t> marks;
-    for (int step = 0; step < 40; ++step) {
-      if (!marks.empty() && rng.next_bernoulli(0.3)) {
-        const std::size_t k = static_cast<std::size_t>(
-            rng.next_below(marks.size()));
-        m.undo_to(marks[k]);
-        marks.resize(k);
-        continue;
-      }
-      const auto& [t, id] = vars[static_cast<std::size_t>(
-          rng.next_below(vars.size()))];
-      if (m.decision_value(t, id) != V3::kX) continue;
-      const std::vector<V5> before = snapshot(m);
-      const std::uint64_t evals_before = m.evals();
-      marks.push_back(m.assign(t, id, rng.next_bool() ? V3::kOne
-                                                      : V3::kZero));
-      ASSERT_EQ(m.evals() - evals_before,
-                expected_evals(nl, frames, before, snapshot(m), t, id))
-          << "fault #" << fi << " frames " << frames << " step " << step;
-      ++checked_assigns;
-    }
+    SCOPED_TRACE("fault #" + std::to_string(fi));
+    checked_assigns += expect_evals_match_contract(
+        nl, faults[fi], 1 + static_cast<int>(fi % 8), fi * 7919 + 3);
+    if (HasFailure()) return;
   }
   EXPECT_GT(checked_assigns, 500u);
+}
+
+// A committed retimed circuit (six FFs, several on register chains) in
+// windows of 1..8 frames: FF sinks are queued straight into the next
+// frame, so every frame boundary of a wide window is crossed.
+TEST(TfmWideWindow, RetimedCircuitKeepsContractAndMatchesScratch) {
+  const Netlist nl = read_bench_file(std::string(SATPG_CACHE_DIR) +
+                                     "/dk16.ji.sd.re_s3_x30.bench");
+  ASSERT_GE(nl.dffs().size(), 6u);
+  std::size_t num_kinds = 0;
+  const auto faults = faults_of_every_kind(nl, 9, &num_kinds);
+  ASSERT_GE(num_kinds, 5u);
+  std::uint64_t checked_assigns = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    SCOPED_TRACE("fault #" + std::to_string(fi));
+    const int frames = 1 + static_cast<int>(fi % 8);
+    checked_assigns +=
+        expect_evals_match_contract(nl, faults[fi], frames, fi * 31 + 1);
+    expect_incremental_matches_scratch(nl, faults[fi], frames, fi * 17 + 2);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(checked_assigns, 300u);
+}
+
+// Gates that read one node on two pins: the node is listed twice among its
+// driver's fan-outs, and the queue must hold the sink once, or the eval
+// count doubles. One of them reads a FF on both pins, and a FF latches a
+// doubly read gate.
+TEST(TfmWideWindow, NodeReadOnTwoPinsIsQueuedOnce) {
+  Netlist nl("two_pins");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId q1 = nl.add_dff("q1", a, FfInit::kUnknown);
+  const NodeId q2 = nl.add_dff("q2", a, FfInit::kUnknown);
+  const NodeId g1 = nl.add_gate(GateType::kAnd, "g1", {a, a});
+  const NodeId g2 = nl.add_gate(GateType::kNor, "g2", {q1, b, q1});
+  const NodeId g3 = nl.add_gate(GateType::kXor, "g3", {g1, g2, g1});
+  const NodeId g4 = nl.add_gate(GateType::kXnor, "g4", {g3, q2, g3});
+  nl.set_fanin(q1, 0, g3);
+  nl.set_fanin(q2, 0, q1);
+  nl.add_output("o1", g4);
+  nl.add_output("o2", q2);
+
+  const auto universe = enumerate_faults(nl);
+  std::vector<std::optional<Fault>> faults = {std::nullopt};
+  for (const Fault& f : universe) faults.push_back(f);
+  std::uint64_t checked_assigns = 0;
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    SCOPED_TRACE("fault #" + std::to_string(fi));
+    const int frames = 1 + static_cast<int>(fi % 8);
+    checked_assigns +=
+        expect_evals_match_contract(nl, faults[fi], frames, fi * 13 + 7);
+    expect_incremental_matches_scratch(nl, faults[fi], frames, fi * 5 + 1);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(checked_assigns, 300u);
 }
 
 // A copy of a template and a fresh model, driven by the same random

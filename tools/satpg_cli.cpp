@@ -72,6 +72,7 @@
 #include "base/memstats.h"
 #include "base/metrics.h"
 #include "base/profiler.h"
+#include "base/strutil.h"
 #include "base/telemetry_flags.h"
 #include "dft/scan.h"
 #include "fsim/fsim.h"
@@ -597,6 +598,13 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
                   : 100.0 * static_cast<double>(detected_weight) /
                         static_cast<double>(total_weight));
   std::printf("states traversed : %zu\n", r.good_states.size());
+  // Which faults were detected, not only how many: FNV-1a 64 over one
+  // "<detected_at> <potential_at>\n" line per collapsed fault, in order.
+  std::string per_fault;
+  for (std::size_t i = 0; i < r.detected_at.size(); ++i)
+    per_fault += std::to_string(r.detected_at[i]) + ' ' +
+                 std::to_string(r.potential_at[i]) + '\n';
+  std::printf("per-fault digest : %s\n", fnv1a64_hex(per_fault).c_str());
   return 0;
 }
 
