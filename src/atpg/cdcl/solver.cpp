@@ -1,6 +1,7 @@
 #include "atpg/cdcl/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "atpg/capture.h"
@@ -64,8 +65,8 @@ void CdclSolver::release_mem(std::uint64_t bytes) {
 int CdclSolver::new_var(VarTag tag) {
   const int v = num_vars();
   charge_mem(kVarBytes);
-  val_.push_back(-1);
-  val_.push_back(-1);
+  val_.push_back(kUndef);
+  val_.push_back(kUndef);
   level_.push_back(0);
   reason_.push_back(kNoReason);
   activity_.push_back(0.0);
@@ -78,11 +79,53 @@ int CdclSolver::new_var(VarTag tag) {
   return v;
 }
 
+void CdclSolver::push_watch(CnfLit l, int entry) {
+  WatchSlice& ws = watches_[static_cast<std::size_t>(l)];
+  if (ws.len == ws.cap) {
+    const std::uint32_t cap = ws.cap == 0 ? kMinWatchCap : 2 * ws.cap;
+    // A full pool sheds its abandoned slots rather than reallocating with
+    // them.
+    if (watch_pool_.size() + cap > watch_pool_.capacity()) compact_watches(cap);
+    if (ws.cap != 0 && ws.off + ws.cap == watch_pool_.size()) {
+      watch_pool_.resize(watch_pool_.size() + (cap - ws.cap));  // ends it
+    } else {
+      const std::size_t off = watch_pool_.size();
+      SATPG_CHECK(off + cap <= 0xffffffffu);
+      watch_pool_.resize(off + cap);
+      std::copy_n(watch_pool_.begin() + ws.off, ws.len,
+                  watch_pool_.begin() + static_cast<std::ptrdiff_t>(off));
+      ws.off = static_cast<std::uint32_t>(off);
+    }
+    ws.cap = cap;
+  }
+  watch_pool_[ws.off + ws.len++] = entry;
+}
+
+void CdclSolver::compact_watches(std::size_t extra) {
+  std::size_t live = extra;
+  for (const WatchSlice& ws : watches_) live += ws.cap;
+  std::vector<int> pool;
+  pool.reserve(2 * live);
+  for (WatchSlice& ws : watches_) {
+    const std::size_t off = pool.size();
+    pool.insert(pool.end(), watch_pool_.begin() + ws.off,
+                watch_pool_.begin() + ws.off + ws.len);
+    pool.resize(off + ws.cap);
+    ws.off = static_cast<std::uint32_t>(off);
+  }
+  watch_pool_.swap(pool);
+}
+
 void CdclSolver::attach(int cr) {
   const CnfLit* c = clause_lits(cr);
   SATPG_DCHECK(clause_size(cr) >= 2);
-  watches_[static_cast<std::size_t>(c[0])].push_back(cr);
-  watches_[static_cast<std::size_t>(c[1])].push_back(cr);
+  if (clause_size(cr) == 2) {
+    push_watch(c[0], ~c[1]);
+    push_watch(c[1], ~c[0]);
+  } else {
+    push_watch(c[0], cr);
+    push_watch(c[1], cr);
+  }
 }
 
 int CdclSolver::push_clause(const CnfLit* lits, std::size_t n, bool learned,
@@ -114,9 +157,9 @@ void CdclSolver::add_clause(const CnfLit* lits, std::size_t n) {
     if (kept != 0 && scratch_[kept - 1] == l) continue;
     if (kept != 0 && scratch_[kept - 1] == lit_not(l)) return;  // tautology
     const LBool v = value_of(l);
-    if (v == 1 && level_[static_cast<std::size_t>(lit_var(l))] == 0)
+    if (v == kTrue && level_[static_cast<std::size_t>(lit_var(l))] == 0)
       return;  // satisfied at level 0
-    if (v == 0 && level_[static_cast<std::size_t>(lit_var(l))] == 0)
+    if (v == kFalse && level_[static_cast<std::size_t>(lit_var(l))] == 0)
       continue;  // falsified at level 0
     scratch_[kept++] = l;
   }
@@ -125,11 +168,11 @@ void CdclSolver::add_clause(const CnfLit* lits, std::size_t n) {
     return;
   }
   if (kept == 1) {
-    if (value_of(scratch_[0]) == 0) {
+    if (value_of(scratch_[0]) == kFalse) {
       ok_ = false;
       return;
     }
-    if (value_of(scratch_[0]) == -1) enqueue(scratch_[0], kNoReason);
+    if (value_of(scratch_[0]) == kUndef) enqueue(scratch_[0], kNoReason);
     return;
   }
   push_clause(scratch_.data(), kept, /*learned=*/false, 0);
@@ -137,9 +180,9 @@ void CdclSolver::add_clause(const CnfLit* lits, std::size_t n) {
 
 void CdclSolver::enqueue(CnfLit l, int reason) {
   const int v = lit_var(l);
-  SATPG_DCHECK(value_of(l) < 0);
-  val_[static_cast<std::size_t>(l)] = 1;
-  val_[static_cast<std::size_t>(lit_not(l))] = 0;
+  SATPG_DCHECK(value_of(l) == kUndef);
+  val_[static_cast<std::size_t>(l)] = kTrue;
+  val_[static_cast<std::size_t>(lit_not(l))] = kFalse;
   level_[static_cast<std::size_t>(v)] = decision_level();
   reason_[static_cast<std::size_t>(v)] = reason;
   trail_.push_back(l);
@@ -152,47 +195,71 @@ void CdclSolver::enqueue(CnfLit l, int reason) {
 int CdclSolver::propagate() {
   PhaseSpan prof_span(ProfPhase::kCdclPropagate);
   // Neither the arena nor the value array grows during propagation, so
-  // their base pointers are loaded once.
+  // their base pointers are loaded once. A migration can grow or compact
+  // the watch pool, so the scanned list is re-based after each one.
   CnfLit* const arena = arena_.data();
   const LBool* const val = val_.data();
   while (qhead_ < trail_.size()) {
     const CnfLit p = trail_[qhead_++];  // p is now true
     const CnfLit false_lit = lit_not(p);
-    std::vector<int>& ws = watches_[static_cast<std::size_t>(false_lit)];
-    int* const begin = ws.data();
-    int* const end = begin + ws.size();
-    int* keep = begin;
-    for (int* w = begin; w != end; ++w) {
-      const int cr = *w;
-      CnfLit* const c = arena + cr + kHeaderWords;
-      // Put the false watch at c[1].
-      if (c[0] == false_lit) std::swap(c[0], c[1]);
-      SATPG_DCHECK(c[1] == false_lit);
-      if (val[c[0]] == 1) {
-        *keep++ = cr;  // satisfied; keep watching
+    WatchSlice& ws = watches_[static_cast<std::size_t>(false_lit)];
+    int* list = watch_pool_.data() + ws.off;
+    const std::uint32_t n = ws.len;
+    std::uint32_t keep = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const int w = list[i];
+      if (w < 0) {
+        // Binary clause (other ∨ false_lit): it never migrates.
+        const CnfLit other = ~w;
+        list[keep++] = w;
+        const LBool v = val[other];
+        if (v == kTrue) continue;
+        if (v == kUndef) {
+          enqueue(other, binary_reason(false_lit));
+          continue;
+        }
+        binary_conflict_[0] = other;
+        binary_conflict_[1] = false_lit;
+        keep = static_cast<std::uint32_t>(
+            std::copy(list + i + 1, list + n, list + keep) - list);
+        ws.len = keep;
+        qhead_ = trail_.size();
+        return kBinaryConflict;
+      }
+      // Long clause: put the false watch at c[1], the other one at c[0].
+      CnfLit* const c = arena + w + kHeaderWords;
+      SATPG_DCHECK(c[0] == false_lit || c[1] == false_lit);
+      const CnfLit other = c[0] ^ c[1] ^ false_lit;
+      c[0] = other;
+      c[1] = false_lit;
+      if (val[other] == kTrue) {
+        list[keep++] = w;  // satisfied; keep watching
         continue;
       }
       // Migrate the watch to the first non-false literal, if any. The new
       // watch list is never this one (its literal is not false).
-      CnfLit* const stop = c + arena[cr];
+      CnfLit* const stop = c + arena[w];
       CnfLit* k = c + 2;
-      while (k != stop && val[*k] == 0) ++k;
+      while (k != stop && val[*k] == kFalse) ++k;
       if (k != stop) {
-        std::swap(c[1], *k);
-        watches_[static_cast<std::size_t>(c[1])].push_back(cr);
+        c[1] = *k;
+        *k = false_lit;
+        push_watch(c[1], w);
+        list = watch_pool_.data() + ws.off;
         continue;
       }
-      *keep++ = cr;  // unit or conflicting: watch stays
-      if (val[c[0]] == 0) {
+      list[keep++] = w;  // unit or conflicting: watch stays
+      if (val[other] == kFalse) {
         // Conflict: restore the remaining watchers and report.
-        keep = std::copy(w + 1, end, keep);
-        ws.resize(static_cast<std::size_t>(keep - begin));
+        keep = static_cast<std::uint32_t>(
+            std::copy(list + i + 1, list + n, list + keep) - list);
+        ws.len = keep;
         qhead_ = trail_.size();
-        return cr;
+        return w;
       }
-      enqueue(c[0], cr);
+      enqueue(other, w);
     }
-    ws.resize(static_cast<std::size_t>(keep - begin));
+    ws.len = keep;
   }
   return kNoReason;
 }
@@ -220,9 +287,18 @@ void CdclSolver::analyze(int confl, std::vector<CnfLit>* learnt,
   CnfLit p = -1;
   std::size_t idx = trail_.size();
   int cr = confl;
+  CnfLit pair[2] = {0, 0};  // a binary reason as a clause: {implied, other}
   do {
-    const CnfLit* const c = clause_lits(cr);
-    const std::size_t size = clause_size(cr);
+    const CnfLit* c = binary_conflict_;
+    std::size_t size = 2;
+    if (cr >= 0) {
+      c = clause_lits(cr);
+      size = clause_size(cr);
+    } else if (cr != kBinaryConflict) {
+      pair[0] = lit_not(p);
+      pair[1] = binary_reason_lit(cr);
+      c = pair;
+    }
     for (std::size_t k = 0; k < size; ++k) {
       const CnfLit q = c[k];
       // Skip the implied literal of a reason clause (p is its negation —
@@ -271,8 +347,8 @@ void CdclSolver::cancel_until(int lvl) {
     const CnfLit l = trail_[i];
     const int v = lit_var(l);
     phase_[static_cast<std::size_t>(v)] = lit_sign(l) ? 0 : 1;
-    val_[static_cast<std::size_t>(l)] = -1;
-    val_[static_cast<std::size_t>(lit_not(l))] = -1;
+    val_[static_cast<std::size_t>(l)] = kUndef;
+    val_[static_cast<std::size_t>(lit_not(l))] = kUndef;
     reason_[static_cast<std::size_t>(v)] = kNoReason;
   }
   trail_.resize(bound);
@@ -283,11 +359,11 @@ void CdclSolver::cancel_until(int lvl) {
 bool CdclSolver::locked(int cr) const {
   const CnfLit l0 = clause_lits(cr)[0];
   return reason_[static_cast<std::size_t>(lit_var(l0))] == cr &&
-         value_of(l0) == 1;
+         value_of(l0) == kTrue;
 }
 
 void CdclSolver::rebuild_watches() {
-  for (auto& w : watches_) w.clear();
+  for (WatchSlice& ws : watches_) ws.len = 0;
   for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
        cr = next_clause(cr))
     attach(cr);
@@ -296,7 +372,7 @@ void CdclSolver::rebuild_watches() {
 void CdclSolver::compact_arena() {
   // Slide the surviving clauses down in order, recording each move; reason
   // clauses are locked, so they all survive, and offset order stays
-  // creation order.
+  // creation order. Binary reasons name a literal, not an offset.
   std::vector<std::pair<int, int>> moves;  // (old, new), old ascending
   std::size_t to = 0;
   for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();) {
@@ -315,7 +391,7 @@ void CdclSolver::compact_arena() {
   arena_.resize(to);
   for (const CnfLit l : trail_) {
     int& r = reason_[static_cast<std::size_t>(lit_var(l))];
-    if (r == kNoReason) continue;
+    if (r < 0) continue;
     const auto it = std::lower_bound(
         moves.begin(), moves.end(), std::make_pair(r, 0));
     SATPG_DCHECK(it != moves.end() && it->first == r);
@@ -386,19 +462,31 @@ int CdclSolver::pick_branch_var() const {
   // A linear scan keeps the order trivially deterministic, and it beats a
   // heap here: these solvers propagate about a hundred literals per
   // decision, and a heap pays for every one of them (DESIGN.md §9).
-  // Activities are never negative, so -1 stands for "no candidate yet".
+  // Activities are never negative, and non-negative doubles order like
+  // their bit patterns, so an unassigned variable's key is its activity's
+  // bits + 1 and an assigned one's is 0. Pass 1 takes the maximum key with
+  // no data-dependent branch; pass 2 returns the first variable holding it.
   const LBool* const val = val_.data();
   const double* const act = activity_.data();
-  int best = -1;
-  double best_act = -1.0;
-  for (int v = 0; v < num_vars(); ++v) {
-    if (val[static_cast<std::size_t>(mk_lit(v))] >= 0) continue;
-    if (act[static_cast<std::size_t>(v)] > best_act) {
-      best = v;
-      best_act = act[static_cast<std::size_t>(v)];
-    }
+  const auto key = [&](std::size_t v) -> std::uint64_t {
+    const std::uint64_t unassigned = val[2 * v] == kUndef ? ~0ULL : 0ULL;
+    return (std::bit_cast<std::uint64_t>(act[v]) + 1) & unassigned;
+  };
+  const std::size_t n = activity_.size();
+  std::uint64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
+  std::size_t v = 0;
+  for (; v + 4 <= n; v += 4) {
+    m0 = std::max(m0, key(v));
+    m1 = std::max(m1, key(v + 1));
+    m2 = std::max(m2, key(v + 2));
+    m3 = std::max(m3, key(v + 3));
   }
-  return best;
+  for (; v < n; ++v) m0 = std::max(m0, key(v));
+  const std::uint64_t best = std::max(std::max(m0, m1), std::max(m2, m3));
+  if (best == 0) return -1;
+  v = 0;
+  while (key(v) != best) ++v;
+  return static_cast<int>(v);
 }
 
 void CdclSolver::publish_progress() {
@@ -482,7 +570,8 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
             push_clause(learnt.data(), learnt.size(), /*learned=*/true, lbd);
         ++live_learned_;
         ++stats_.learned;
-        enqueue(learnt[0], cr);
+        enqueue(learnt[0],
+                learnt.size() == 2 ? binary_reason(learnt[1]) : cr);
       }
       decay_var_inc();
       if (live_learned_ >= reduce_limit_) reduce_db();
@@ -508,16 +597,17 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
     // backjump below them.
     if (static_cast<std::size_t>(decision_level()) < assumptions.size()) {
       const CnfLit a = assumptions[static_cast<std::size_t>(decision_level())];
-      if (value_of(a) == 0) return finish(SolveStatus::kUnsat);
+      if (value_of(a) == kFalse) return finish(SolveStatus::kUnsat);
       trail_lim_.push_back(trail_.size());
-      if (value_of(a) == -1) enqueue(a, kNoReason);
+      if (value_of(a) == kUndef) enqueue(a, kNoReason);
       continue;
     }
 
     const int v = pick_branch_var();
     if (v < 0) {
       for (int u = 0; u < num_vars(); ++u)
-        model_[static_cast<std::size_t>(u)] = value_of(mk_lit(u)) > 0 ? 1 : 0;
+        model_[static_cast<std::size_t>(u)] =
+            value_of(mk_lit(u)) == kTrue ? 1 : 0;
       return finish(SolveStatus::kSat);
     }
     ++stats_.decisions;
@@ -538,24 +628,56 @@ SolveStatus CdclSolver::solve_under(const std::vector<CnfLit>& assumptions) {
 }
 
 bool CdclSolver::check_watch_invariants() const {
-  // Clause headers in arena order, and watch entries per clause.
+  // Long-clause headers in arena order, and binary clauses as the sorted
+  // (literal, other) pairs their two watch entries must reproduce.
   std::vector<int> heads;
+  std::vector<std::pair<CnfLit, CnfLit>> binaries;
   for (int cr = 0; static_cast<std::size_t>(cr) < arena_.size();
        cr = next_clause(cr)) {
     if (clause_size(cr) < 2 || clause_deleted(cr)) return false;
-    heads.push_back(cr);
+    const CnfLit* c = clause_lits(cr);
+    if (clause_size(cr) == 2) {
+      binaries.push_back({c[0], c[1]});
+      binaries.push_back({c[1], c[0]});
+    } else {
+      heads.push_back(cr);
+    }
   }
+  std::sort(binaries.begin(), binaries.end());
   const auto index_of = [&](int cr) -> std::ptrdiff_t {
     const auto it = std::lower_bound(heads.begin(), heads.end(), cr);
     if (it == heads.end() || *it != cr) return -1;
     return it - heads.begin();
   };
+  const auto has_binary = [&](CnfLit a, CnfLit b) {
+    return std::binary_search(binaries.begin(), binaries.end(),
+                              std::make_pair(a, b));
+  };
+  // Slices lie inside the pool and do not overlap.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> slices;  // off, cap
+  for (const WatchSlice& ws : watches_) {
+    if (ws.len > ws.cap ||
+        static_cast<std::size_t>(ws.off) + ws.cap > watch_pool_.size())
+      return false;
+    if (ws.cap != 0) slices.push_back({ws.off, ws.cap});
+  }
+  std::sort(slices.begin(), slices.end());
+  for (std::size_t i = 1; i < slices.size(); ++i)
+    if (slices[i - 1].first + slices[i - 1].second > slices[i].first)
+      return false;
   std::vector<int> entries(heads.size(), 0);
+  std::vector<std::pair<CnfLit, CnfLit>> binary_entries;
   for (std::size_t l = 0; l < watches_.size(); ++l) {
-    for (const int cr : watches_[l]) {
-      const std::ptrdiff_t at = index_of(cr);
+    const WatchSlice& ws = watches_[l];
+    for (std::uint32_t i = 0; i < ws.len; ++i) {
+      const int w = watch_pool_[ws.off + i];
+      if (w < 0) {
+        binary_entries.push_back({static_cast<CnfLit>(l), ~w});
+        continue;
+      }
+      const std::ptrdiff_t at = index_of(w);
       if (at < 0) return false;
-      const CnfLit* c = clause_lits(cr);
+      const CnfLit* c = clause_lits(w);
       if (c[0] != static_cast<CnfLit>(l) && c[1] != static_cast<CnfLit>(l))
         return false;  // watched on a non-watch literal
       ++entries[static_cast<std::size_t>(at)];
@@ -563,10 +685,19 @@ bool CdclSolver::check_watch_invariants() const {
   }
   for (const int n : entries)
     if (n != 2) return false;
+  std::sort(binary_entries.begin(), binary_entries.end());
+  if (binary_entries != binaries) return false;
   for (const CnfLit l : trail_) {
     const int r = reason_[static_cast<std::size_t>(lit_var(l))];
-    if (r != kNoReason && (index_of(r) < 0 || clause_lits(r)[0] != l))
-      return false;
+    if (r == kNoReason) continue;
+    if (r >= 0) {
+      if (index_of(r) < 0 || clause_lits(r)[0] != l) return false;
+    } else {
+      const CnfLit other = binary_reason_lit(r);
+      if (other < 0 || static_cast<std::size_t>(other) >= val_.size() ||
+          !has_binary(l, other) || value_of(other) != kFalse)
+        return false;
+    }
   }
   return true;
 }

@@ -12,13 +12,17 @@
 // and capture/replay (atpg/capture.h) require.
 //
 // Layout: every clause lives in one flat arena — a two-word header (size,
-// then LBD and flags) followed by its literals inline — and watch lists and
-// reasons hold arena offsets. Clauses are appended in creation order and
-// reduction compacts the arena in place without reordering, so offset order
-// is creation order. Values are kept per literal, so a literal's value is
-// one load. Clause intake sorts and simplifies in a reused scratch buffer.
-// A solver is copyable: a copy taken before set_budget() solves exactly as
-// a fresh solver fed the same clause stream would (DESIGN.md §9).
+// then LBD and flags) followed by its literals inline. Clauses are appended
+// in creation order and reduction compacts the arena in place without
+// reordering, so offset order is creation order. Watch lists are slices of
+// one flat pool: a long clause's entry holds its arena offset, a binary
+// clause's entry holds the complement (~) of its other literal, so a binary
+// visit reads one value and never the arena, and a literal implied by a
+// binary clause keeps that other literal as its reason. Values are kept per
+// literal, so a literal's value is one load. Clause intake sorts and
+// simplifies in a reused scratch buffer. A solver is copyable: a copy taken
+// before set_budget() solves exactly as a fresh solver fed the same clause
+// stream would (DESIGN.md §9).
 //
 // Budget integration: when a PodemBudget is attached the solver charges
 // its work through PodemBudget::charge_cdcl — THE one conversion from
@@ -134,21 +138,34 @@ class CdclSolver {
     return last_learned_;
   }
 
-  /// Watch-list invariant: every clause in the arena is watched on exactly
-  /// its first two literals, each watch entry names a clause header that
-  /// really watches that literal, and every assigned variable's reason is a
-  /// clause header whose first literal is the variable's true literal.
+  /// Watch-list invariant: every long clause in the arena is watched on
+  /// exactly its first two literals, and each long entry names a clause
+  /// header that really watches that literal; every binary clause {a, b}
+  /// has exactly one entry in each of its two lists, naming the other
+  /// literal; every assigned variable's reason is either a long clause
+  /// whose first literal is the variable's true literal or a binary clause
+  /// whose other literal is false; and the watch lists are disjoint slices
+  /// of the pool.
   bool check_watch_invariants() const;
 
  private:
-  using LBool = std::int8_t;  // -1 undef, 0 false, 1 true
+  // A distinct type, not a character type, so stores to val_ cannot alias
+  // the other arrays and the compiler keeps their loads in registers.
+  enum LBool : std::int8_t { kUndef = -1, kFalse = 0, kTrue = 1 };
   LBool value_of(CnfLit l) const { return val_[static_cast<std::size_t>(l)]; }
 
   // Clause arena. A clause reference is the offset of its header in
   // arena_: word 0 holds the literal count, word 1 (lbd << 2 | deleted << 1
   // | learned), and the literals follow inline.
   static constexpr std::size_t kHeaderWords = 2;
+  // Reasons: an arena offset (long clause), kNoReason, or binary_reason()
+  // of the other literal of a binary clause (<= -2).
   static constexpr int kNoReason = -1;
+  static int binary_reason(CnfLit other) { return -2 - other; }
+  static CnfLit binary_reason_lit(int reason) { return -2 - reason; }
+  /// propagate()'s answer for a falsified binary clause; the clause itself
+  /// is in binary_conflict_, other literal first.
+  static constexpr int kBinaryConflict = -0x7fffffff - 1;
   std::size_t clause_size(int cr) const {
     return static_cast<std::size_t>(arena_[static_cast<std::size_t>(cr)]);
   }
@@ -175,8 +192,14 @@ class CdclSolver {
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
   void enqueue(CnfLit l, int reason);
-  int propagate();  ///< returns the conflicting clause, or kNoReason
+  /// Returns the conflicting clause, kBinaryConflict, or kNoReason.
+  int propagate();
   void attach(int cr);
+  void push_watch(CnfLit l, int entry);
+  /// Repacks the watch slices, each with its capacity and in literal order,
+  /// at the front of a fresh pool with room for twice their capacities plus
+  /// `extra`.
+  void compact_watches(std::size_t extra);
   void analyze(int confl, std::vector<CnfLit>* learnt, int* bt_level);
   void cancel_until(int level);
   void bump_var(int v);
@@ -205,10 +228,23 @@ class CdclSolver {
 
   bool ok_ = true;
   std::vector<CnfLit> arena_;
-  std::vector<std::vector<int>> watches_;  ///< per literal: clause refs
-  std::vector<LBool> val_;                 ///< per literal
-  std::vector<int> level_;                 ///< per var
-  std::vector<int> reason_;                ///< per var: clause or kNoReason
+  // Watch lists: literal l's entries are watch_pool_[off, off + len) of its
+  // slice {off, len, cap}. A full slice moves to the pool's end at twice
+  // the capacity (in place when it already ends the pool), abandoning its
+  // old slots; when the pool itself is full, compact_watches() drops the
+  // abandoned slots instead of reallocating with them.
+  struct WatchSlice {
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
+  };
+  static constexpr std::uint32_t kMinWatchCap = 4;
+  std::vector<int> watch_pool_;
+  std::vector<WatchSlice> watches_;  ///< per literal
+  CnfLit binary_conflict_[2] = {0, 0};
+  std::vector<LBool> val_;   ///< per literal
+  std::vector<int> level_;   ///< per var
+  std::vector<int> reason_;  ///< per var (see kNoReason)
   std::vector<CnfLit> trail_;
   std::vector<std::size_t> trail_lim_;
   std::size_t qhead_ = 0;

@@ -15,14 +15,19 @@
 //     --no-shared-learning (the headline benefit of the shared cache);
 //   * the --mem gate passes a fresh run against its golden at the default
 //     ratio and flags the same pair once the ratio is squeezed below 1;
-//   * both cdcl runs flush exactly their goldens' "tfm.evals" total;
+//   * every cdcl run flushes exactly its golden's "tfm.evals" total;
 //   * every fresh report equals its golden field for field, apart from
 //     the provenance (build_info, circuit.name), so a stale golden row
-//     fails even where no threshold reads it.
+//     fails even where no threshold reads it. Besides the dk16 pair this
+//     covers one long cdcl search (s510.jc.sd: about 70 k conflicts and
+//     hundreds of restarts), so a solver change that shifts any decision
+//     shows up here.
 //
 // Paths are injected by CMake: SATPG_CLI_PATH / BENCH_GATE_PATH are the
 // built tools, SATPG_GOLDEN_DIR the committed reports, SATPG_SMOKE_CIRCUIT
-// the cached netlist.
+// the cached netlist and SATPG_LONG_CDCL_CIRCUIT the long cdcl search's.
+// Every file a test writes is prefixed with the test's name, so tests run
+// in parallel (ctest -j) never share a file.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -135,13 +140,16 @@ std::string first_difference(const JsonValue& a, const JsonValue& b,
 class BenchGateTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = ::testing::TempDir() +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_";
     golden_parent_ = std::string(SATPG_GOLDEN_DIR) + "/dk16_parent.v6.json";
     golden_twin_ = std::string(SATPG_GOLDEN_DIR) + "/dk16_retimed.v6.json";
     golden_parent_cdcl_ =
         std::string(SATPG_GOLDEN_DIR) + "/dk16_parent_cdcl.v6.json";
     golden_twin_cdcl_ =
         std::string(SATPG_GOLDEN_DIR) + "/dk16_retimed_cdcl.v6.json";
+    golden_long_cdcl_ = std::string(SATPG_GOLDEN_DIR) + "/s510_cdcl.v6.json";
   }
 
   // Regenerate the twin netlist and a fresh report for `bench`.
@@ -166,7 +174,7 @@ class BenchGateTest : public ::testing::Test {
   }
 
   std::string dir_, golden_parent_, golden_twin_;
-  std::string golden_parent_cdcl_, golden_twin_cdcl_;
+  std::string golden_parent_cdcl_, golden_twin_cdcl_, golden_long_cdcl_;
 };
 
 TEST_F(BenchGateTest, FreshParentReportGatesCleanlyAgainstGolden) {
@@ -209,6 +217,10 @@ TEST_F(BenchGateTest, CdclRegistryEvalsMatchGoldens) {
       fresh_report(make_twin(), "twin_tfm", "--engine=cdcl");
   EXPECT_EQ(json_counter(read_file(twin), "tfm.evals"),
             json_counter(read_file(golden_twin_cdcl_), "tfm.evals"));
+  const std::string long_search =
+      fresh_report(SATPG_LONG_CDCL_CIRCUIT, "long_tfm", "--engine=cdcl");
+  EXPECT_EQ(json_counter(read_file(long_search), "tfm.evals"),
+            json_counter(read_file(golden_long_cdcl_), "tfm.evals"));
 }
 
 // bench_gate compares thresholds, so a golden row that no threshold reads
@@ -223,6 +235,8 @@ TEST_F(BenchGateTest, FreshReportsEqualGoldensOutsideProvenance) {
       {SATPG_SMOKE_CIRCUIT, "eq_parent_cdcl", "--engine=cdcl",
        golden_parent_cdcl_},
       {twin_bench, "eq_twin_cdcl", "--engine=cdcl", golden_twin_cdcl_},
+      {SATPG_LONG_CDCL_CIRCUIT, "eq_long_cdcl", "--engine=cdcl",
+       golden_long_cdcl_},
   };
   for (const auto& c : cases) {
     JsonValue fresh, golden;

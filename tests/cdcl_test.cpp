@@ -10,7 +10,8 @@
 // really exported cubes), and the budget-abort capture/replay regression:
 // a CDCL attempt cut by the eval budget must replay bit-for-bit. The arena
 // solver is checked against a vector-clause reference on seeded random
-// CNFs, and a copied solver + encoder pair against a fresh encode.
+// CNFs (3-CNF and half-binary mixes) and on the Tseitin CNF of a cached
+// circuit, and a copied solver + encoder pair against a fresh encode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "base/memstats.h"
 #include "base/rng.h"
 #include "fsm/mcnc_suite.h"
+#include "netlist/bench_io.h"
 #include "netlist/netlist.h"
 #include "retime/retime.h"
 #include "sim/simulator.h"
@@ -527,61 +529,220 @@ void expect_same_stats(const SolverStats& a, const SolverStats& b,
   EXPECT_EQ(a.deleted, b.deleted) << where;
 }
 
-// Seeded random 3-CNFs near the satisfiability threshold, fed identically to
-// both solvers: an initial formula, then rounds of solves with and without
-// assumptions, with fresh clauses added between solves. The instances are
+// The two solvers after the same solve: same answer (stored in *st), same
+// search, same model; the arena solver's watch invariants hold.
+void expect_same_solve(CdclSolver& s, RefSolver& r,
+                       const std::vector<CnfLit>& assume,
+                       const std::string& where, SolveStatus* st) {
+  *st = s.solve_under(assume);
+  ASSERT_EQ(*st, r.solve_under(assume)) << where;
+  expect_same_stats(s.stats(), r.stats(), where);
+  EXPECT_EQ(s.last_learned_clause(), r.last_learned_clause()) << where;
+  if (*st == SolveStatus::kSat) {
+    for (int v = 0; v < s.num_vars(); ++v)
+      ASSERT_EQ(s.model_value(v), r.model_value(v)) << where << " var " << v;
+  }
+  ASSERT_TRUE(s.check_watch_invariants()) << where;
+}
+
+struct DifferentialTotals {
+  std::uint64_t deleted = 0;
+  int rescales = 0;
+};
+
+// One seeded random instance fed identically to both solvers: an initial
+// formula of `initial` clauses (3-literal, or 2 or 3 literals with equal
+// odds when `half_binary`), then rounds of solves with and without
+// assumptions, with fresh clauses of 2-4 literals added between solves.
+void run_random_differential(std::uint64_t seed, int initial,
+                             bool half_binary, DifferentialTotals* totals) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+  const int n = 200;
+  CdclSolver s;
+  RefSolver r;
+  for (int v = 0; v < n; ++v) {
+    ASSERT_EQ(s.new_var(), v);
+    ASSERT_EQ(r.new_var(), v);
+  }
+  const auto random_clause = [&](std::size_t width) {
+    std::vector<CnfLit> c;
+    for (std::size_t k = 0; k < width; ++k)
+      c.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
+                         rng.next_below(2) != 0));
+    return c;
+  };
+  const auto add = [&](const std::vector<CnfLit>& c) {
+    s.add_clause(c.data(), c.size());
+    r.add_clause(c);
+  };
+  for (int i = 0; i < initial; ++i)
+    add(random_clause(half_binary ? 2 + rng.next_below(2) : 3));
+  for (int round = 0; round < 6; ++round) {
+    std::vector<CnfLit> assume;
+    if (round % 2 == 1) {
+      for (std::size_t k = 0; k < 3; ++k)
+        assume.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
+                                rng.next_below(2) != 0));
+    }
+    SolveStatus st = SolveStatus::kAborted;
+    expect_same_solve(
+        s, r, assume,
+        "seed " + std::to_string(seed) + " round " + std::to_string(round),
+        &st);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (int i = 0; i < 4; ++i) add(random_clause(2 + rng.next_below(3)));
+  }
+  totals->deleted += s.stats().deleted;
+  totals->rescales += r.rescales;
+}
+
+// Seeded random CNFs near the satisfiability threshold. The 3-CNFs are
 // large enough that the learned DB passes kReduceBase (so the arena is
 // compacted with reasons live) and the activity increment passes 1e100
-// (so the rescale runs).
+// (so the rescale runs). The half-binary mixes drive the implicit binary
+// clauses: binary implications and conflicts, learned binary clauses, and
+// watch lists that outgrow their pool slice while propagating.
 TEST(CdclSolverTest, ArenaSolverMatchesVectorClauseReference) {
-  std::uint64_t total_deleted = 0;
-  int total_rescales = 0;
+  DifferentialTotals totals;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL);
-    const int n = 200;
-    CdclSolver s;
-    RefSolver r;
-    for (int v = 0; v < n; ++v) {
-      ASSERT_EQ(s.new_var(), v);
-      ASSERT_EQ(r.new_var(), v);
-    }
-    const auto random_clause = [&](std::size_t width) {
-      std::vector<CnfLit> c;
-      for (std::size_t k = 0; k < width; ++k)
-        c.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
-                           rng.next_below(2) != 0));
-      return c;
-    };
-    const auto add = [&](const std::vector<CnfLit>& c) {
-      s.add_clause(c.data(), c.size());
-      r.add_clause(c);
-    };
-    for (int i = 0; i < 852; ++i) add(random_clause(3));
-    for (int round = 0; round < 6; ++round) {
-      std::vector<CnfLit> assume;
-      if (round % 2 == 1) {
-        for (std::size_t k = 0; k < 3; ++k)
-          assume.push_back(mk_lit(static_cast<int>(rng.next_below(n)),
-                                  rng.next_below(2) != 0));
-      }
-      const std::string where =
-          "seed " + std::to_string(seed) + " round " + std::to_string(round);
-      const SolveStatus st = s.solve_under(assume);
-      ASSERT_EQ(st, r.solve_under(assume)) << where;
-      expect_same_stats(s.stats(), r.stats(), where);
-      EXPECT_EQ(s.last_learned_clause(), r.last_learned_clause()) << where;
-      if (st == SolveStatus::kSat) {
-        for (int v = 0; v < n; ++v)
-          ASSERT_EQ(s.model_value(v), r.model_value(v)) << where;
-      }
-      ASSERT_TRUE(s.check_watch_invariants()) << where;
-      for (int i = 0; i < 4; ++i) add(random_clause(2 + rng.next_below(3)));
-    }
-    total_deleted += s.stats().deleted;
-    total_rescales += r.rescales;
+    run_random_differential(seed, 852, /*half_binary=*/false, &totals);
+    if (HasFatalFailure()) return;
   }
-  EXPECT_GT(total_deleted, 0u) << "no instance reached reduce_db";
-  EXPECT_GT(total_rescales, 0) << "no instance rescaled its activities";
+  for (std::uint64_t seed = 5; seed <= 8; ++seed) {
+    run_random_differential(seed, 480, /*half_binary=*/true, &totals);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(totals.deleted, 0u) << "no instance reached reduce_db";
+  EXPECT_GT(totals.rescales, 0) << "no instance rescaled its activities";
+}
+
+// The Tseitin CNF of a cached circuit (the retimed s510 twin behind most of
+// cdcl_pairs), unrolled over twelve frames with free frame-0 state, fed to
+// both solvers as one clause stream: mostly binary gate clauses, as in the
+// engine's encodings. Each round asks for a random last-frame state and a
+// random mid-window output value, as justification does, and blocks the
+// first two frames' inputs of every trace found, so long clauses arrive
+// between solves.
+TEST(CdclSolverTest, CircuitCnfMatchesVectorClauseReference) {
+  const Netlist nl = read_bench_file(std::string(SATPG_CACHE_DIR) +
+                                     "/s510.jc.sd.re_s3_x30.bench");
+  constexpr int kFrames = 12;
+  CdclSolver s;
+  RefSolver r;
+  const auto new_var = [&] {
+    const int v = s.new_var();
+    EXPECT_EQ(r.new_var(), v);
+    return v;
+  };
+  const auto add = [&](std::vector<CnfLit> c) {
+    s.add_clause(c.data(), c.size());
+    r.add_clause(std::move(c));
+  };
+  const auto equiv = [&](CnfLit y, CnfLit x) {
+    add({lit_not(y), x});
+    add({y, lit_not(x)});
+  };
+  const std::size_t nodes = nl.num_nodes();
+  std::vector<int> var(kFrames * nodes);
+  for (int& v : var) v = new_var();
+  const auto at = [&](int frame, NodeId id) {
+    return mk_lit(var[static_cast<std::size_t>(frame) * nodes +
+                      static_cast<std::size_t>(id)]);
+  };
+  for (int f = 0; f < kFrames; ++f) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const auto id = static_cast<NodeId>(i);
+      const Node& node = nl.node(id);
+      const CnfLit y = at(f, id);
+      std::vector<CnfLit> ins;
+      for (const NodeId in : node.fanins) ins.push_back(at(f, in));
+      switch (node.type) {
+        case GateType::kInput:
+          break;
+        case GateType::kDff:
+          if (f > 0) equiv(y, at(f - 1, node.fanins[0]));
+          break;
+        case GateType::kConst0:
+          add({lit_not(y)});
+          break;
+        case GateType::kConst1:
+          add({y});
+          break;
+        case GateType::kBuf:
+        case GateType::kOutput:
+          equiv(y, ins[0]);
+          break;
+        case GateType::kNot:
+          equiv(y, lit_not(ins[0]));
+          break;
+        case GateType::kAnd:
+        case GateType::kNand:
+        case GateType::kOr:
+        case GateType::kNor: {
+          // AND form: out -> every in, all ins -> out (OR by De Morgan).
+          const bool is_or = node.type == GateType::kOr ||
+                             node.type == GateType::kNor;
+          const bool inv = node.type == GateType::kNand ||
+                           node.type == GateType::kNor;
+          const CnfLit out = (inv != is_or) ? lit_not(y) : y;
+          std::vector<CnfLit> big{out};
+          for (CnfLit x : ins) {
+            if (is_or) x = lit_not(x);
+            add({lit_not(out), x});
+            big.push_back(lit_not(x));
+          }
+          add(big);
+          break;
+        }
+        case GateType::kXor:
+        case GateType::kXnor: {
+          CnfLit acc = ins[0];
+          for (std::size_t k = 1; k < ins.size(); ++k) {
+            const CnfLit d = mk_lit(new_var());
+            const CnfLit a = acc, b = ins[k];
+            add({lit_not(d), a, b});
+            add({lit_not(d), lit_not(a), lit_not(b)});
+            add({d, lit_not(a), b});
+            add({d, a, lit_not(b)});
+            acc = d;
+          }
+          equiv(y, node.type == GateType::kXnor ? lit_not(acc) : acc);
+          break;
+        }
+      }
+    }
+  }
+
+  Rng rng(0xc1c);
+  int sat = 0, unsat = 0;
+  for (int round = 0; round < 64; ++round) {
+    std::vector<CnfLit> assume;
+    for (const NodeId ff : nl.dffs())
+      assume.push_back(at(kFrames - 1, ff) ^
+                       static_cast<CnfLit>(rng.next_below(2)));
+    for (const NodeId o : nl.outputs())
+      assume.push_back(at(kFrames / 2, o) ^
+                       static_cast<CnfLit>(rng.next_below(2)));
+    SolveStatus st = SolveStatus::kAborted;
+    expect_same_solve(s, r, assume, "round " + std::to_string(round), &st);
+    if (HasFatalFailure()) return;
+    if (st != SolveStatus::kSat) {
+      ++unsat;
+      continue;
+    }
+    // Block the frame-0 state of the trace found.
+    ++sat;
+    std::vector<CnfLit> blk;
+    for (int f = 0; f < 2; ++f)
+      for (const NodeId pi : nl.inputs())
+        blk.push_back(at(f, pi) ^
+                      (s.model_value(lit_var(at(f, pi))) ? 1 : 0));
+    add(blk);
+  }
+  EXPECT_GT(s.stats().conflicts, 500u);
+  EXPECT_GT(s.stats().restarts, 0u);
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
 }
 
 // --- copy of an encoded solver == fresh encode --------------------------------

@@ -2,7 +2,9 @@
 # Regenerates the checked-in golden atpg_run.v6 reports in bench/golden/
 # that the tier-2 bench_gate_test gates against: the default (hitec)
 # engine and the cdcl engine, each on one cached MCNC circuit and its
-# retimed twin.
+# retimed twin, plus one long cdcl search (s510.jc.sd: tens of thousands
+# of conflicts and hundreds of restarts, where dk16 runs a few hundred
+# conflicts and none).
 #
 #   tools/gen_golden.sh [build-dir]
 #
@@ -22,6 +24,7 @@ set -eu
 BUILD="${1:-build}"
 SATPG="$(cd "$BUILD/tools" && pwd)/satpg"
 CIRCUIT="circuits_cache/dk16.ji.sd_s3_x30.bench"
+LONG_CDCL="circuits_cache/s510.jc.sd_s3_x30.bench"
 FLAGS="--budget=0.2 --seed=7 --threads=2"
 OUT="$(pwd)/bench/golden"
 
@@ -42,5 +45,8 @@ TWIN="dk16_retimed.bench"
 (cd "$WORK" &&
   "$SATPG" atpg "$TWIN" $FLAGS --engine=cdcl \
       --metrics-json="$OUT/dk16_retimed_cdcl.v6.json")
+
+"$SATPG" atpg "$LONG_CDCL" $FLAGS --engine=cdcl \
+    --metrics-json="$OUT/s510_cdcl.v6.json"
 
 echo "golden reports written to $OUT/"
