@@ -63,7 +63,6 @@ enum class ProfPhase : std::uint8_t {
   kFsimBatch,             ///< 64-slot faulty-batch simulation
   kFsimGood,              ///< 64-slot good-machine pass
   kFsimRun,               ///< one run_fault_simulation call
-  kFsimWideGood,          ///< wide engine group good-machine pass
   kFsimWideKernelAvx2,    ///< wide kernel, avx2 tier
   kFsimWideKernelAvx512,  ///< wide kernel, avx512 tier
   kFsimWideKernelScalar,  ///< wide kernel, scalar tier
@@ -74,7 +73,7 @@ enum class ProfPhase : std::uint8_t {
   kRetime,                ///< retiming to a flip-flop target
   kSynth,                 ///< FSM synthesis to a gate netlist
 };
-inline constexpr std::size_t kNumProfPhases = 23;
+inline constexpr std::size_t kNumProfPhases = 22;
 
 /// One row of the phase table.
 struct ProfPhaseInfo {
@@ -99,7 +98,6 @@ inline constexpr ProfPhaseInfo kProfPhases[kNumProfPhases] = {
     {"fsim.batch", "fsim", false},
     {"fsim.good", "fsim", false},
     {"fsim.run", "fsim", true},
-    {"fsim.wide.good", "fsim", false},
     {"fsim.wide.kernel.avx2", "fsim", false},
     {"fsim.wide.kernel.avx512", "fsim", false},
     {"fsim.wide.kernel.scalar", "fsim", false},

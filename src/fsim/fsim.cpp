@@ -400,7 +400,6 @@ FsimResult run_fault_simulation(const Netlist& nl,
   // Build the netlist's lazy caches before workers share it: the const
   // accessors populate mutable caches on first use and must not race.
   nl.compiled();
-  if (!faults.empty()) nl.fanout_cones();
 
   const unsigned max_workers = opts.num_threads == 0
                                    ? ThreadPool::hardware_threads()
@@ -415,6 +414,8 @@ FsimResult run_fault_simulation(const Netlist& nl,
       (opts.engine == FsimEngine::kAuto && sequences.size() >= 2);
   if (use_wide)
     return fsim_wide::run_wide(nl, faults, sequences, opts, max_workers);
+  // Only the 64-slot engine restricts batches to fanout cones.
+  if (!faults.empty()) nl.fanout_cones();
 
   // One arena's footprint for the duration of the call (never x workers).
   const MemRegistryScope arena_mem(

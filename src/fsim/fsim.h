@@ -14,22 +14,23 @@
 //   * a 64-slot bit-parallel engine (slot 0 carries the good machine,
 //     slots 1..63 carry faulty machines), one sequence at a time;
 //   * a wide pattern-parallel (PPSFP) engine that packs a lane group of
-//     PVW::kSubWords sequences into one simulation — one packed
-//     good-machine pass per group, and every fault batch simulated across
-//     all lanes at once on SIMD kernels selected by a one-time CPUID
-//     dispatch (scalar / SSE2 / AVX2 / AVX-512, see DESIGN.md §8). It is
-//     the default for multi-sequence grading and the Table 8 replay.
+//     PVW::kSubWords sequences into one simulation and simulates every
+//     fault batch across all lanes at once, over the whole netlist, on
+//     SIMD kernels selected by a one-time CPUID dispatch (scalar / SSE2 /
+//     AVX2 / AVX-512, see DESIGN.md §8). Slot 0 of each lane is that
+//     lane's good machine, so it needs no separate good pass. It is the
+//     default for multi-sequence grading and the Table 8 replay.
 //
-// The bit-parallel engines are cone-restricted and parallel: the good
-// machine is simulated exactly once per sequence (resp. lane group), each
-// 63-fault batch evaluates only nodes inside the union of its fault
-// sites' sequential fanout cones (everything outside is known to equal
-// the good value), and batches run concurrently on a thread pool.
-// Per-worker scratch arenas keep the per-frame hot path allocation-free.
-// Results are bit-identical for every thread count, engine, lane width
-// and dispatch tier — batches are formed before any batch runs, each
-// batch writes only its own faults' flags, lane order equals sequence
-// order, and first-detection ties resolve to the lowest lane index.
+// Both bit-parallel engines run their 63-fault batches concurrently on a
+// thread pool. The 64-slot engine simulates the good machine exactly once
+// per sequence and restricts each batch to the union of its fault sites'
+// sequential fanout cones (everything outside is known to equal the good
+// value). Per-worker scratch arenas keep the per-frame hot path
+// allocation-free. Results are bit-identical for every thread count,
+// engine, lane width and dispatch tier — batches are formed before any
+// batch runs, each batch writes only its own faults' flags, lane order
+// equals sequence order, and first-detection ties resolve to the lowest
+// lane index.
 //
 // The good machine's state trajectory is recorded so experiments can count
 // the distinct states a test set traverses (Tables 6 and 8).

@@ -1,13 +1,16 @@
 // Wide pattern-parallel (PPSFP) fault-simulation driver.
 //
-// Packs a lane group of PVW::kSubWords sequences into one simulation: one
-// packed good-machine pass per group produces per-frame per-node 8-lane
-// good masks, then every 63-fault batch is simulated across all lanes at
-// once by a SIMD kernel (wide_scalar/sse2/avx2/avx512.cpp) chosen by a
-// one-time CPUID dispatch. The driver owns everything that is not
-// ISA-sensitive: opcode translation, cone construction, injection tables,
-// the thread-pool fan-out, and the merge that maps per-lane detection
-// masks back to per-sequence results.
+// Packs a lane group of PVW::kSubWords sequences into one simulation:
+// every 63-fault batch is simulated across all lanes at once, over the
+// whole netlist, by a SIMD kernel (wide_scalar/sse2/avx2/avx512.cpp)
+// chosen by a one-time CPUID dispatch. Slot 0 of every lane is that
+// lane's good machine (PROOFS), so there is no separate good-machine
+// pass: the kernel takes good PO values from slot 0, and the group's
+// first batch records the good-state census from slot 0 of the clocked
+// flip-flops (one fault-free run does when no fault remains). This file
+// owns everything that is not ISA-sensitive: opcode translation, the PI
+// lane masks, injection tables, the thread-pool fan-out, and the merge
+// that maps per-lane detection masks back to per-sequence results.
 //
 // Determinism contract (DESIGN.md §8): lane g of group gi is sequence
 // index gi*kLanes + g, fixed before any batch runs. detected_at is the
@@ -24,7 +27,6 @@
 // engine-internal hot-path counters live under fsim.wide.* because the
 // wide engine's evaluation schedule is legitimately different.
 #include <algorithm>
-#include <cstring>
 
 #include "base/cpu.h"
 #include "base/memstats.h"
@@ -33,7 +35,6 @@
 #include "base/threadpool.h"
 #include "fsim/wide_driver.h"
 #include "fsim/wide_internal.h"
-#include "sim/simulator.h"
 
 namespace satpg {
 
@@ -126,85 +127,78 @@ std::uint8_t wop_of(GateType t) {
   }
 }
 
-/// Packed good-machine trace of one lane group: one PV pass (slot g =
-/// lane g) over the full netlist per frame, flattened to the per-node
-/// 8-lane 0/1 masks the kernels consume.
-struct GroupGood {
-  std::vector<std::uint8_t> zm, om;  ///< [frame * num_nodes + node]
-  std::vector<std::uint8_t> live;    ///< per frame: lane still in-sequence
-  std::size_t frames = 0;
-  std::vector<PV> val;    // scratch
-  std::vector<PV> state;  // scratch
+/// The netlist as the kernel reads it, built once per run_wide call and
+/// shared read-only by every worker: the compiled evaluation list's
+/// opcodes and each flip-flop's D fan-in.
+struct WideNetlist {
+  std::vector<std::uint8_t> eval_ops;
+  std::vector<std::int32_t> dff_dnode;
+
+  explicit WideNetlist(const Netlist& nl) {
+    const CompiledNetlist& c = nl.compiled();
+    eval_ops.reserve(c.eval.size());
+    for (NodeId id : c.eval)
+      eval_ops.push_back(wop_of(c.type[static_cast<std::size_t>(id)]));
+    for (NodeId d : nl.dffs()) dff_dnode.push_back(c.fanins(d)[0]);
+  }
 };
 
-void simulate_group_good(const Netlist& nl,
-                         const std::vector<TestSequence>& seqs,
-                         std::size_t base, unsigned lanes, GroupGood& gg,
-                         StateSet* good_states) {
-  const CompiledNetlist& c = nl.compiled();
-  const auto& inputs = nl.inputs();
-  const auto& dffs = nl.dffs();
-  const std::size_t n = nl.num_nodes();
+/// One lane group's inputs and census: per-frame PI lane masks and live
+/// mask, filled by run_wide before the group's batches run, and the
+/// good-state census that one kernel run per group records.
+struct GroupInputs {
+  std::vector<std::uint8_t> pi_zm, pi_om;  ///< [frame * num_inputs + pi]
+  std::vector<std::uint8_t> live;          ///< per frame
+  std::vector<std::uint8_t> census_zm, census_om;  ///< [frame * dffs + ff]
+  std::size_t frames = 0;
 
-  gg.frames = 0;
-  for (unsigned g = 0; g < lanes; ++g)
-    gg.frames = std::max(gg.frames, seqs[base + g].size());
-  gg.zm.assign(gg.frames * n, 0);
-  gg.om.assign(gg.frames * n, 0);
-  gg.live.assign(gg.frames, 0);
-  gg.val.assign(n, PV{});
-  gg.state.assign(dffs.size(), PV{});
-
-  for (std::size_t t = 0; t < gg.frames; ++t) {
-    std::uint8_t live = 0;
+  void fill(const Netlist& nl, const std::vector<TestSequence>& seqs,
+            std::size_t base, unsigned lanes) {
+    const std::size_t npi = nl.num_inputs();
+    frames = 0;
     for (unsigned g = 0; g < lanes; ++g)
-      if (t < seqs[base + g].size()) {
-        SATPG_CHECK(seqs[base + g][t].size() == nl.num_inputs());
-        live |= static_cast<std::uint8_t>(1u << g);
-      }
-    gg.live[t] = live;
-
+      frames = std::max(frames, seqs[base + g].size());
+    pi_zm.assign(frames * npi, 0);
+    pi_om.assign(frames * npi, 0);
+    live.assign(frames, 0);
+    census_zm.assign(frames * nl.num_dffs(), 0);
+    census_om.assign(frames * nl.num_dffs(), 0);
     // Dead lanes keep all-X inputs: their machines idle along harmlessly
     // and the live mask gates everything observable.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      PV w{};
-      for (unsigned g = 0; g < lanes; ++g)
-        if ((live >> g) & 1) w.set_slot(g, seqs[base + g][t][i]);
-      gg.val[static_cast<std::size_t>(inputs[i])] = w;
-    }
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      gg.val[static_cast<std::size_t>(dffs[i])] = gg.state[i];
-    for (NodeId id : c.eval) {
-      const auto u = static_cast<std::size_t>(id);
-      gg.val[u] = eval_gate_pv(c.type[u], c.fanins(id), gg.val);
-    }
-    std::uint8_t* zrow = gg.zm.data() + t * n;
-    std::uint8_t* orow = gg.om.data() + t * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      zrow[i] = static_cast<std::uint8_t>(gg.val[i].zero & 0xff);
-      orow[i] = static_cast<std::uint8_t>(gg.val[i].one & 0xff);
-    }
-    // Clock, then record each live lane's entered state (matches the
-    // per-sequence engine; StateSet equality is content-based, so the
-    // lane-major insertion order is irrelevant).
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      gg.state[i] = gg.val[static_cast<std::size_t>(
-          nl.node(dffs[i]).fanins[0])];
-    if (good_states) {
-      for (unsigned g = 0; g < lanes; ++g) {
-        if (!((live >> g) & 1)) continue;
-        StateKey key(dffs.size());
-        bool known = false;
-        for (std::size_t i = 0; i < dffs.size(); ++i) {
-          const V3 v = gg.state[i].slot(g);
-          key.set(i, v);
-          known |= v != V3::kX;
+    for (unsigned g = 0; g < lanes; ++g) {
+      const TestSequence& seq = seqs[base + g];
+      const auto bit = static_cast<std::uint8_t>(1u << g);
+      for (std::size_t t = 0; t < seq.size(); ++t) {
+        SATPG_CHECK(seq[t].size() == npi);
+        live[t] |= bit;
+        for (std::size_t i = 0; i < npi; ++i) {
+          if (seq[t][i] == V3::kZero) pi_zm[t * npi + i] |= bit;
+          if (seq[t][i] == V3::kOne) pi_om[t * npi + i] |= bit;
         }
-        if (known) good_states->insert(key);
       }
     }
   }
-}
+
+  /// Insert each live lane's entered states (StateSet equality is
+  /// content-based, so the frame-major insertion order is irrelevant).
+  void record_census(std::size_t num_dffs, StateSet& good_states) const {
+    for (std::size_t t = 0; t < frames; ++t)
+      for (unsigned g = 0; g < kLanes; ++g) {
+        if (!((live[t] >> g) & 1)) continue;
+        StateKey key(num_dffs);
+        bool known = false;
+        for (std::size_t i = 0; i < num_dffs; ++i) {
+          const std::size_t k = t * num_dffs + i;
+          const V3 v = (census_zm[k] >> g) & 1   ? V3::kZero
+                       : (census_om[k] >> g) & 1 ? V3::kOne
+                                                 : V3::kX;
+          key.set(i, v);
+          known |= v != V3::kX;
+        }
+        if (known) good_states.insert(key);
+      }
+  }
+};
 
 /// Per-worker scratch, PVW-sized twin of fsim.cpp's FsimArena.
 struct WideArena {
@@ -212,14 +206,8 @@ struct WideArena {
   std::vector<PVW> state;  ///< per DFF
   std::vector<PVW> gather;
   std::vector<const PVW*> gather_ptrs;
-  std::vector<std::uint8_t> active;
-  std::vector<std::uint8_t> in_cone;
   std::vector<std::int32_t> inj_head;
   std::vector<WInject> inj;
-  std::vector<std::int32_t> eval_ids;
-  std::vector<std::uint8_t> eval_ops;
-  std::vector<std::int32_t> pi_ids, dff_ids, dff_dnode, dff_index, po_ids;
-  BitVec cone;
   std::uint64_t det_acc[kLanes];
   std::uint64_t pot_acc[kLanes];
   bool prepared = false;
@@ -230,58 +218,47 @@ struct WideArena {
     state.assign(nl.num_dffs(), PVW{});
     gather.resize(max_fanins);
     gather_ptrs.resize(max_fanins);
-    active.assign(nl.num_nodes(), 0);
-    in_cone.assign(nl.num_nodes(), 0);
     inj_head.assign(nl.num_nodes(), -1);
     inj.reserve(63);
-    cone.resize(nl.num_nodes());
     prepared = true;
   }
 };
 
-/// Logical footprint of one prepared WideArena plus the group-good image
-/// at its largest (frames = longest sequence) — a pure function of
-/// (netlist, sequences), charged once per run_wide call regardless of
-/// worker count so the accounted bytes are thread-count invariant. The
-/// per-batch id lists are rebuilt in place from prepare()-sized storage
-/// and are covered by the node-indexed terms.
+/// Logical footprint of the call's WideNetlist, one prepared WideArena and
+/// one GroupInputs at its largest (frames = longest sequence) — a pure
+/// function of (netlist, sequences), charged once per run_wide call
+/// regardless of worker count so the accounted bytes are thread-count
+/// invariant.
 std::uint64_t wide_logical_bytes(const Netlist& nl, std::size_t max_frames) {
   const std::uint64_t n = nl.num_nodes();
+  const std::uint64_t lists = nl.compiled().eval.size() +
+                              nl.num_dffs() * sizeof(std::int32_t);
   const std::uint64_t arena =
-      n * (sizeof(PVW) + 2 * sizeof(std::uint8_t) + sizeof(std::int32_t)) +
+      n * (sizeof(PVW) + sizeof(std::int32_t)) +
       nl.num_dffs() * sizeof(PVW) +
       nl.compiled().max_fanins * (sizeof(PVW) + sizeof(const PVW*)) +
-      63 * sizeof(WInject) + (n + 7) / 8;
-  const std::uint64_t group = max_frames * (2 * n + 1) +
-                              (n + nl.num_dffs()) * sizeof(PV);
-  return arena + group;
+      63 * sizeof(WInject);
+  const std::uint64_t group =
+      max_frames * (2 * nl.num_inputs() + 1 + 2 * nl.num_dffs());
+  return lists + arena + group;
 }
 
-/// One (group, batch): build the cone-restricted flattened view, run the
-/// kernel over all frames, then unpack the per-fault 8-bit lane masks.
-/// Each batch owns disjoint fault indices, so concurrent batches never
-/// write the same det_lanes/pot_lanes byte.
-void simulate_group_batch(const Netlist& nl,
+/// One (group, batch): chain the batch's injections, run the kernel over
+/// all frames, then unpack the per-fault 8-bit lane masks. Each batch owns
+/// disjoint fault indices, so concurrent batches never write the same
+/// det_lanes/pot_lanes byte. An empty batch is the fault-free run that
+/// records the census when no fault remains; `census` asks the kernel to
+/// record it into `in`, which only one run per group does.
+void simulate_group_batch(const Netlist& nl, const WideNetlist& wn,
                           const std::vector<Fault>& faults,
                           const std::size_t* batch, std::size_t batch_size,
-                          const GroupGood& gg, KernelFn kernel,
+                          GroupInputs& in, bool census, KernelFn kernel,
                           ProfPhase kernel_phase, WideArena& a,
                           std::uint8_t* det_lanes,
                           std::uint8_t* pot_lanes) {
-  SATPG_DCHECK(batch_size >= 1 && batch_size <= 63);
+  SATPG_DCHECK(batch_size <= 63);
   const CompiledNetlist& c = nl.compiled();
   a.prepare(nl, c.max_fanins);
-  const auto& cones = nl.fanout_cones();
-  const auto& inputs = nl.inputs();
-  const auto& dffs = nl.dffs();
-
-  a.cone.clear_all();
-  for (std::size_t k = 0; k < batch_size; ++k)
-    a.cone |= cones[static_cast<std::size_t>(faults[batch[k]].node)];
-  std::memset(a.in_cone.data(), 0, a.in_cone.size());
-  for (std::size_t i = a.cone.find_first(); i < a.cone.size();
-       i = a.cone.find_next(i))
-    a.in_cone[i] = 1;
 
   for (const auto& e : a.inj)
     a.inj_head[static_cast<std::size_t>(e.node)] = -1;
@@ -295,66 +272,35 @@ void simulate_group_batch(const Netlist& nl,
     a.inj_head[ni] = static_cast<std::int32_t>(a.inj.size()) - 1;
   }
 
-  a.pi_ids.clear();
-  a.dff_ids.clear();
-  a.dff_dnode.clear();
-  a.dff_index.clear();
-  a.eval_ids.clear();
-  a.eval_ops.clear();
-  a.po_ids.clear();
-  for (NodeId id : inputs)
-    if (a.in_cone[static_cast<std::size_t>(id)]) a.pi_ids.push_back(id);
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    if (a.in_cone[static_cast<std::size_t>(dffs[i])]) {
-      a.dff_ids.push_back(dffs[i]);
-      a.dff_dnode.push_back(c.fanins(dffs[i])[0]);
-      a.dff_index.push_back(static_cast<std::int32_t>(i));
-    }
-  for (NodeId id : c.eval)
-    if (a.in_cone[static_cast<std::size_t>(id)]) {
-      a.eval_ids.push_back(id);
-      a.eval_ops.push_back(wop_of(c.type[static_cast<std::size_t>(id)]));
-    }
-  for (NodeId po : nl.outputs())
-    if (a.in_cone[static_cast<std::size_t>(po)]) a.po_ids.push_back(po);
-
-  const bool count_metrics = metrics_enabled();
-  std::uint64_t gate_evals = 0;
-  std::uint64_t activity_skips = 0;
-
   WideView w;
   w.fanin_nodes = c.fanin.data();
   w.fanin_begin = c.fanin_off.data();
-  w.num_nodes = nl.num_nodes();
-  w.in_cone = a.in_cone.data();
-  w.eval_ids = a.eval_ids.data();
-  w.eval_ops = a.eval_ops.data();
-  w.eval_count = a.eval_ids.size();
-  w.pi_ids = a.pi_ids.data();
-  w.pi_count = a.pi_ids.size();
-  w.dff_ids = a.dff_ids.data();
-  w.dff_dnode = a.dff_dnode.data();
-  w.dff_index = a.dff_index.data();
-  w.dff_count = a.dff_ids.size();
-  w.po_ids = a.po_ids.data();
-  w.po_count = a.po_ids.size();
+  w.eval_ids = c.eval.data();
+  w.eval_ops = wn.eval_ops.data();
+  w.eval_count = c.eval.size();
+  w.pi_ids = nl.inputs().data();
+  w.pi_count = nl.num_inputs();
+  w.dff_ids = nl.dffs().data();
+  w.dff_dnode = wn.dff_dnode.data();
+  w.dff_count = nl.num_dffs();
+  w.po_ids = nl.outputs().data();
+  w.po_count = nl.outputs().size();
   w.inj_head = a.inj_head.data();
   w.inj = a.inj.data();
-  w.zm = gg.zm.data();
-  w.om = gg.om.data();
-  w.live = gg.live.data();
-  w.frames = gg.frames;
+  w.pi_zm = in.pi_zm.data();
+  w.pi_om = in.pi_om.data();
+  w.live = in.live.data();
+  w.frames = in.frames;
   w.val = a.val.data();
   w.state = a.state.data();
-  w.active = a.active.data();
   w.gather = a.gather.data();
   w.gather_ptrs = a.gather_ptrs.data();
-  w.batch_size = batch_size;
+  if (census) {
+    w.census_zm = in.census_zm.data();
+    w.census_om = in.census_om.data();
+  }
   w.det_acc = a.det_acc;
   w.pot_acc = a.pot_acc;
-  w.count_metrics = count_metrics;
-  w.gate_evals = &gate_evals;
-  w.activity_skips = &activity_skips;
 
   {
     // Attributed to the dispatched tier's phase, so a profile splits the
@@ -374,13 +320,11 @@ void simulate_group_batch(const Netlist& nl,
     pot_lanes[batch[k]] = pm;
   }
 
-  if (count_metrics) {
+  // Every kernel run evaluates the whole evaluation list in every frame.
+  if (metrics_enabled()) {
     static MetricsRegistry::Counter& ge =
         MetricsRegistry::global().counter("fsim.wide.gate_evals");
-    static MetricsRegistry::Counter& as =
-        MetricsRegistry::global().counter("fsim.wide.activity_skips");
-    ge.add(gate_evals);
-    as.add(activity_skips);
+    ge.add(w.eval_count * w.frames);
   }
 }
 
@@ -402,7 +346,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
   SATPG_CHECK(kernel != nullptr);
   const ProfPhase kernel_phase = prof_phase_for_wide_kernel(tier);
 
-  // One arena + one group image for the duration of the call (never
+  // One arena + one group's inputs for the duration of the call (never
   // x workers, never x groups).
   std::uint64_t wide_bytes = 0;
   if (memstats_enabled()) {
@@ -420,13 +364,14 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
     groups.add(num_groups);
   }
 
+  const WideNetlist wn(nl);
   std::vector<std::uint8_t> detected(faults.size(), 0);
   std::vector<std::uint8_t> det_lanes(faults.size(), 0);
   std::vector<std::uint8_t> pot_lanes(faults.size(), 0);
   std::vector<std::size_t> remaining;
   remaining.reserve(faults.size());
-  GroupGood gg;
-  std::vector<WideArena> arenas;
+  GroupInputs in;
+  std::vector<WideArena> arenas(1);
   // The 64-slot engine counts one fsim.batches unit per (sequence,
   // 63-fault chunk of the then-remaining faults). Detection results are
   // drop-schedule invariant, so that count can be reproduced exactly from
@@ -437,31 +382,28 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
   for (std::size_t base = 0; base < sequences.size(); base += kLanes) {
     const unsigned lanes = static_cast<unsigned>(
         std::min<std::size_t>(kLanes, sequences.size() - base));
-    {
-      PhaseSpan good_span(ProfPhase::kFsimWideGood);
-      simulate_group_good(nl, sequences, base, lanes, gg,
-                          &res.good_states);
-    }
+    in.fill(nl, sequences, base, lanes);
 
     remaining.clear();
     for (std::size_t i = 0; i < faults.size(); ++i)
       if (!detected[i]) remaining.push_back(i);
-    if (remaining.empty()) continue;
 
-    const std::size_t num_batches = (remaining.size() + 62) / 63;
+    // The group's first batch records the census; with no fault left, one
+    // fault-free run does.
+    const std::size_t num_batches = std::max<std::size_t>(
+        1, (remaining.size() + 62) / 63);
     auto run_batch = [&](std::size_t b, WideArena& arena) {
       const std::size_t lo = b * 63;
       const std::size_t nb =
           std::min<std::size_t>(63, remaining.size() - lo);
-      simulate_group_batch(nl, faults, remaining.data() + lo, nb, gg,
-                           kernel, kernel_phase, arena, det_lanes.data(),
-                           pot_lanes.data());
+      simulate_group_batch(nl, wn, faults, remaining.data() + lo, nb, in,
+                           b == 0, kernel, kernel_phase, arena,
+                           det_lanes.data(), pot_lanes.data());
     };
     const auto workers = static_cast<unsigned>(
         std::min<std::size_t>(max_workers, num_batches));
     if (arenas.size() < workers) arenas.resize(workers);
     if (workers <= 1) {
-      if (arenas.empty()) arenas.resize(1);
       for (std::size_t b = 0; b < num_batches; ++b) run_batch(b, arenas[0]);
     } else {
       ThreadPool::shared().run_on_workers(
@@ -470,6 +412,7 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
               run_batch(b, arenas[w]);
           });
     }
+    in.record_census(nl.num_dffs(), res.good_states);
 
     // Merge: lowest detecting lane wins (lane index == sequence index);
     // potential detections count only up to and including that lane — the

@@ -1,7 +1,7 @@
-// AVX2 PPSFP kernel: each 512-bit logical plane is two PV256 (256-bit)
-// vectors. Compiled with -mavx2 when the compiler supports it (see
-// CMakeLists.txt); the exported entries are only called after the runtime
-// CPUID check in src/base/cpu.cpp.
+// AVX2 PPSFP kernel: each 512-bit logical plane is two __m256i vectors
+// (lanes 0-3 and 4-7). Compiled with -mavx2 when the compiler supports it
+// (see CMakeLists.txt); the exported entries are only called after the
+// runtime CPUID check in src/base/cpu.cpp.
 #include "fsim/wide_kernel.h"
 
 #if defined(__AVX2__)
@@ -12,98 +12,68 @@ namespace satpg {
 namespace fsim_wide {
 namespace {
 
-/// 256-bit view of four adjacent sub-words of a PVW plane.
-struct PV256 {
-  __m256i v;
-  static PV256 load(const std::uint64_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  void store(std::uint64_t* p) const {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-};
+inline __m256i load256(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
-/// Lane-mask bits half*4 .. half*4+3 broadcast to 64-bit all-ones lanes.
-inline __m256i mask_to_lanes(std::uint8_t m, int half) {
-  const __m256i bits = _mm256_set1_epi64x(m);
-  const __m256i sel = half == 0 ? _mm256_setr_epi64x(1, 2, 4, 8)
-                                : _mm256_setr_epi64x(16, 32, 64, 128);
-  return _mm256_cmpeq_epi64(_mm256_and_si256(bits, sel), sel);
+inline void store256(std::uint64_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+/// Lane-mask bits `sel` broadcast to 64-bit all-ones lanes.
+inline __m256i mask_to_lanes(std::uint8_t m, __m256i sel) {
+  return _mm256_cmpeq_epi64(_mm256_and_si256(_mm256_set1_epi64x(m), sel),
+                            sel);
 }
 
 struct Avx2Ops {
-  static void fill_x(PVW& d) {
-    const __m256i z = _mm256_setzero_si256();
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      PV256{z}.store(d.zero + i);
-      PV256{z}.store(d.one + i);
-    }
+  /// lo: sub-words 0-3, hi: sub-words 4-7.
+  struct W {
+    __m256i zlo, zhi, olo, ohi;
+  };
+  static W load(const PVW& p) {
+    return {load256(p.zero), load256(p.zero + 4), load256(p.one),
+            load256(p.one + 4)};
   }
-  static void copy(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      PV256::load(s.zero + i).store(d.zero + i);
-      PV256::load(s.one + i).store(d.one + i);
-    }
+  static void store(PVW& p, const W& a) {
+    store256(p.zero, a.zlo);
+    store256(p.zero + 4, a.zhi);
+    store256(p.one, a.olo);
+    store256(p.one + 4, a.ohi);
   }
-  static void expand(PVW& d, std::uint8_t zm, std::uint8_t om) {
-    for (int half = 0; half < 2; ++half) {
-      const unsigned i = static_cast<unsigned>(half) * 4;
-      PV256{mask_to_lanes(zm, half)}.store(d.zero + i);
-      PV256{mask_to_lanes(om, half)}.store(d.one + i);
-    }
+  static W expand(std::uint8_t zm, std::uint8_t om) {
+    const __m256i lo = _mm256_setr_epi64x(1, 2, 4, 8);
+    const __m256i hi = _mm256_setr_epi64x(16, 32, 64, 128);
+    return {mask_to_lanes(zm, lo), mask_to_lanes(zm, hi),
+            mask_to_lanes(om, lo), mask_to_lanes(om, hi)};
   }
-  static void not_ip(PVW& d) {
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      const PV256 z = PV256::load(d.zero + i);
-      PV256::load(d.one + i).store(d.zero + i);
-      z.store(d.one + i);
-    }
+  static W force(const W& a, std::uint64_t m, bool stuck1) {
+    const __m256i mm = _mm256_set1_epi64x(static_cast<long long>(m));
+    const __m256i zs = stuck1 ? _mm256_setzero_si256() : mm;
+    const __m256i os = stuck1 ? mm : _mm256_setzero_si256();
+    return {_mm256_or_si256(_mm256_andnot_si256(mm, a.zlo), zs),
+            _mm256_or_si256(_mm256_andnot_si256(mm, a.zhi), zs),
+            _mm256_or_si256(_mm256_andnot_si256(mm, a.olo), os),
+            _mm256_or_si256(_mm256_andnot_si256(mm, a.ohi), os)};
   }
-  static void and_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      PV256{_mm256_or_si256(PV256::load(d.zero + i).v,
-                            PV256::load(s.zero + i).v)}
-          .store(d.zero + i);
-      PV256{_mm256_and_si256(PV256::load(d.one + i).v,
-                             PV256::load(s.one + i).v)}
-          .store(d.one + i);
-    }
+  static W not_(const W& a) { return {a.olo, a.ohi, a.zlo, a.zhi}; }
+  static W and_(const W& a, const W& b) {
+    return {_mm256_or_si256(a.zlo, b.zlo), _mm256_or_si256(a.zhi, b.zhi),
+            _mm256_and_si256(a.olo, b.olo), _mm256_and_si256(a.ohi, b.ohi)};
   }
-  static void or_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      PV256{_mm256_and_si256(PV256::load(d.zero + i).v,
-                             PV256::load(s.zero + i).v)}
-          .store(d.zero + i);
-      PV256{_mm256_or_si256(PV256::load(d.one + i).v,
-                            PV256::load(s.one + i).v)}
-          .store(d.one + i);
-    }
+  static W or_(const W& a, const W& b) {
+    return {_mm256_and_si256(a.zlo, b.zlo), _mm256_and_si256(a.zhi, b.zhi),
+            _mm256_or_si256(a.olo, b.olo), _mm256_or_si256(a.ohi, b.ohi)};
   }
-  static void xor_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 4) {
-      const __m256i dz = PV256::load(d.zero + i).v;
-      const __m256i d1 = PV256::load(d.one + i).v;
-      const __m256i sz = PV256::load(s.zero + i).v;
-      const __m256i s1 = PV256::load(s.one + i).v;
-      const __m256i known = _mm256_and_si256(_mm256_or_si256(dz, d1),
-                                             _mm256_or_si256(sz, s1));
-      const __m256i x = _mm256_and_si256(_mm256_xor_si256(d1, s1), known);
-      PV256{_mm256_andnot_si256(x, known)}.store(d.zero + i);
-      PV256{x}.store(d.one + i);
-    }
-  }
-  static bool eq_expand(const PVW& d, std::uint8_t zm, std::uint8_t om) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int half = 0; half < 2; ++half) {
-      const unsigned i = static_cast<unsigned>(half) * 4;
-      acc = _mm256_or_si256(
-          acc, _mm256_xor_si256(PV256::load(d.zero + i).v,
-                                mask_to_lanes(zm, half)));
-      acc = _mm256_or_si256(
-          acc, _mm256_xor_si256(PV256::load(d.one + i).v,
-                                mask_to_lanes(om, half)));
-    }
-    return _mm256_testz_si256(acc, acc) != 0;
+  static W xor_(const W& a, const W& b) {
+    const __m256i klo = _mm256_and_si256(_mm256_or_si256(a.zlo, a.olo),
+                                         _mm256_or_si256(b.zlo, b.olo));
+    const __m256i khi = _mm256_and_si256(_mm256_or_si256(a.zhi, a.ohi),
+                                         _mm256_or_si256(b.zhi, b.ohi));
+    const __m256i xlo = _mm256_and_si256(_mm256_xor_si256(a.olo, b.olo), klo);
+    const __m256i xhi = _mm256_and_si256(_mm256_xor_si256(a.ohi, b.ohi), khi);
+    return {_mm256_andnot_si256(xlo, klo), _mm256_andnot_si256(xhi, khi), xlo,
+            xhi};
   }
 };
 

@@ -1,6 +1,6 @@
-// AVX-512 PPSFP kernel: each 512-bit logical plane is one PV512 register,
-// and the per-lane good masks map directly onto __mmask8. Compiled with
-// -mavx512f when the compiler supports it (see CMakeLists.txt); the
+// AVX-512 PPSFP kernel: each 512-bit logical plane is one __m512i
+// register, and the per-lane masks map directly onto __mmask8. Compiled
+// with -mavx512f when the compiler supports it (see CMakeLists.txt); the
 // exported entries are only called after the runtime CPUID + XGETBV check
 // in src/base/cpu.cpp.
 #include "fsim/wide_kernel.h"
@@ -13,67 +13,46 @@ namespace satpg {
 namespace fsim_wide {
 namespace {
 
-/// 512-bit view of a whole PVW plane (all eight sub-words).
-struct PV512 {
-  __m512i v;
-  static PV512 load(const std::uint64_t* p) {
-    return {_mm512_loadu_si512(p)};
-  }
-  void store(std::uint64_t* p) const { _mm512_storeu_si512(p, v); }
-};
-
 inline __m512i mask_to_lanes(std::uint8_t m) {
   return _mm512_maskz_set1_epi64(static_cast<__mmask8>(m), -1LL);
 }
 
 struct Avx512Ops {
-  static void fill_x(PVW& d) {
-    const __m512i z = _mm512_setzero_si512();
-    PV512{z}.store(d.zero);
-    PV512{z}.store(d.one);
+  struct W {
+    __m512i z, o;
+  };
+  static W load(const PVW& p) {
+    return {_mm512_loadu_si512(p.zero), _mm512_loadu_si512(p.one)};
   }
-  static void copy(PVW& d, const PVW& s) {
-    PV512::load(s.zero).store(d.zero);
-    PV512::load(s.one).store(d.one);
+  static void store(PVW& p, const W& a) {
+    _mm512_storeu_si512(p.zero, a.z);
+    _mm512_storeu_si512(p.one, a.o);
   }
-  static void expand(PVW& d, std::uint8_t zm, std::uint8_t om) {
-    PV512{mask_to_lanes(zm)}.store(d.zero);
-    PV512{mask_to_lanes(om)}.store(d.one);
+  static W expand(std::uint8_t zm, std::uint8_t om) {
+    return {mask_to_lanes(zm), mask_to_lanes(om)};
   }
-  static void not_ip(PVW& d) {
-    const PV512 z = PV512::load(d.zero);
-    PV512::load(d.one).store(d.zero);
-    z.store(d.one);
+  static W force(const W& a, std::uint64_t m, bool stuck1) {
+    // and with ~m rather than andnot: GCC 12's _mm512_andnot_si512 trips
+    // -Wuninitialized on its deliberately-undefined pass-through operand.
+    const __m512i mm = _mm512_set1_epi64(static_cast<long long>(m));
+    const __m512i keep = _mm512_set1_epi64(static_cast<long long>(~m));
+    const __m512i z = _mm512_and_si512(a.z, keep);
+    const __m512i o = _mm512_and_si512(a.o, keep);
+    return stuck1 ? W{z, _mm512_or_si512(o, mm)}
+                  : W{_mm512_or_si512(z, mm), o};
   }
-  static void and_acc(PVW& d, const PVW& s) {
-    PV512{_mm512_or_si512(PV512::load(d.zero).v, PV512::load(s.zero).v)}
-        .store(d.zero);
-    PV512{_mm512_and_si512(PV512::load(d.one).v, PV512::load(s.one).v)}
-        .store(d.one);
+  static W not_(const W& a) { return {a.o, a.z}; }
+  static W and_(const W& a, const W& b) {
+    return {_mm512_or_si512(a.z, b.z), _mm512_and_si512(a.o, b.o)};
   }
-  static void or_acc(PVW& d, const PVW& s) {
-    PV512{_mm512_and_si512(PV512::load(d.zero).v, PV512::load(s.zero).v)}
-        .store(d.zero);
-    PV512{_mm512_or_si512(PV512::load(d.one).v, PV512::load(s.one).v)}
-        .store(d.one);
+  static W or_(const W& a, const W& b) {
+    return {_mm512_and_si512(a.z, b.z), _mm512_or_si512(a.o, b.o)};
   }
-  static void xor_acc(PVW& d, const PVW& s) {
-    const __m512i dz = PV512::load(d.zero).v;
-    const __m512i d1 = PV512::load(d.one).v;
-    const __m512i sz = PV512::load(s.zero).v;
-    const __m512i s1 = PV512::load(s.one).v;
-    const __m512i known = _mm512_and_si512(_mm512_or_si512(dz, d1),
-                                           _mm512_or_si512(sz, s1));
-    const __m512i x = _mm512_and_si512(_mm512_xor_si512(d1, s1), known);
-    PV512{_mm512_andnot_si512(x, known)}.store(d.zero);
-    PV512{x}.store(d.one);
-  }
-  static bool eq_expand(const PVW& d, std::uint8_t zm, std::uint8_t om) {
-    const __mmask8 nz = _mm512_cmpneq_epi64_mask(PV512::load(d.zero).v,
-                                                 mask_to_lanes(zm));
-    const __mmask8 no = _mm512_cmpneq_epi64_mask(PV512::load(d.one).v,
-                                                 mask_to_lanes(om));
-    return static_cast<unsigned>(nz | no) == 0;
+  static W xor_(const W& a, const W& b) {
+    const __m512i known = _mm512_and_si512(_mm512_or_si512(a.z, a.o),
+                                           _mm512_or_si512(b.z, b.o));
+    const __m512i x = _mm512_and_si512(_mm512_xor_si512(a.o, b.o), known);
+    return {_mm512_xor_si512(known, x), x};  // x is a subset of known
   }
 };
 

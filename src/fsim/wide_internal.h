@@ -4,16 +4,17 @@
 //
 // Everything that crosses this boundary is plain data: the driver hands
 // over the netlist's compiled CSR fan-ins (Netlist::compiled()) as raw
-// pointers, flattens the batch (cone membership bytes, injection table,
-// eval/source/PO lists with gate types translated to opcodes) and the group
-// good-machine trace (per-frame per-node 8-lane 0/1 masks) into raw
-// arrays, and the kernel runs the whole frame loop against them. Fault
-// injection is bit-parallel: each fault forces its slot, on the node's
-// value (stem) or on a per-pin fan-in copy (pin), and every gate costs one
-// plane evaluation per batch. The kernel TUs are compiled with wider -m
-// flags than the rest of the build, so they must not instantiate any
-// inline code shared with other TUs — POD views keep the ISA boundary
-// airtight (see wide_kernel.h).
+// pointers, the whole-netlist source/eval/PO lists (built once per call,
+// gate types translated to opcodes), the batch's injection table and the
+// group's PI lane masks, and the kernel runs the whole frame loop against
+// them. Slot 0 of every sub-word is that lane's good machine, so there is
+// no separate good trace: the kernel reads good PO values and the state
+// census from slot 0. Fault injection is bit-parallel: each fault forces
+// its slot, on the node's value (stem) or on a per-pin fan-in copy (pin),
+// and every gate costs one plane evaluation per batch. The kernel TUs are
+// compiled with wider -m flags than the rest of the build, so they must
+// not instantiate any inline code shared with other TUs — POD views keep
+// the ISA boundary airtight (see wide_kernel.h).
 #pragma once
 
 #include <cstddef>
@@ -61,60 +62,51 @@ struct WideView {
   // Netlist topology: the compiled form's CSR fan-ins, shared read-only.
   const std::int32_t* fanin_nodes = nullptr;   ///< CSR fanin ids
   const std::uint32_t* fanin_begin = nullptr;  ///< per node, size N+1
-  std::size_t num_nodes = 0;
 
-  // Batch cone: byte per node, 1 = inside the union fanout cone.
-  const std::uint8_t* in_cone = nullptr;
-
-  // Cone gate/PO evaluation list in topological order.
+  // Whole-netlist gate/PO evaluation list in topological order.
   const std::int32_t* eval_ids = nullptr;
   const std::uint8_t* eval_ops = nullptr;  ///< WOp per eval entry
   std::size_t eval_count = 0;
 
-  // Cone sources.
-  const std::int32_t* pi_ids = nullptr;  ///< PI node ids
+  // Sources and PO markers, in nl.inputs() / nl.dffs() / nl.outputs()
+  // order.
+  const std::int32_t* pi_ids = nullptr;
   std::size_t pi_count = 0;
-  const std::int32_t* dff_ids = nullptr;    ///< DFF node ids
+  const std::int32_t* dff_ids = nullptr;
   const std::int32_t* dff_dnode = nullptr;  ///< D-fanin node id
-  const std::int32_t* dff_index = nullptr;  ///< nl.dffs() position
   std::size_t dff_count = 0;
-
-  // Cone PO markers (subset of eval list, nl.outputs() order).
   const std::int32_t* po_ids = nullptr;
   std::size_t po_count = 0;
 
-  // Injection table.
+  // Injection table (empty for a fault-free run).
   const std::int32_t* inj_head = nullptr;  ///< per node -> inj index, -1
   const WInject* inj = nullptr;
 
-  // Group good trace: bit g of zm/om[t*num_nodes+n] says lane g's good
-  // value at node n in frame t is 0/1 (neither bit: X). live[t] masks
-  // lanes whose sequence still has a vector at frame t.
-  const std::uint8_t* zm = nullptr;
-  const std::uint8_t* om = nullptr;
+  // Group inputs: bit g of pi_zm/pi_om[t*pi_count+i] says lane g's PI i is
+  // 0/1 in frame t (neither bit: X). live[t] masks lanes whose sequence
+  // still has a vector at frame t.
+  const std::uint8_t* pi_zm = nullptr;
+  const std::uint8_t* pi_om = nullptr;
   const std::uint8_t* live = nullptr;
   std::size_t frames = 0;
 
   // Scratch (per-worker arena, reused across batches).
-  PVW* val = nullptr;            ///< per node
-  PVW* state = nullptr;          ///< per nl.dffs() index
-  std::uint8_t* active = nullptr;  ///< per node: differs from good?
-  /// max_fanins staging: out-of-cone fan-ins expanded from the good
-  /// trace, and per-pin copies of in-cone fan-ins that carry a pin fault.
+  PVW* val = nullptr;    ///< per node
+  PVW* state = nullptr;  ///< per nl.dffs() index
+  /// max_fanins staging: per-pin copies of fan-ins that carry a pin fault.
   PVW* gather = nullptr;
   const PVW** gather_ptrs = nullptr;  ///< per pin: into val or gather
 
-  std::size_t batch_size = 0;  ///< faults in this batch (1..63)
+  // Good-state census (null: not recorded by this run): bit g of
+  // census_zm/om[t*dff_count+i] says slot 0 of lane g's flip-flop i is 0/1
+  // after frame t's clock.
+  std::uint8_t* census_zm = nullptr;
+  std::uint8_t* census_om = nullptr;
 
   // Outputs: per-lane accumulated detection / potential-detection slot
   // masks (bit s of det_acc[g] = slot s differed on some PO in lane g).
   std::uint64_t* det_acc = nullptr;  ///< [kLanes], kernel zeroes them
   std::uint64_t* pot_acc = nullptr;
-
-  // Metrics: locals accumulated by the kernel, bulk-added by the driver.
-  bool count_metrics = false;
-  std::uint64_t* gate_evals = nullptr;
-  std::uint64_t* activity_skips = nullptr;
 };
 
 using KernelFn = void (*)(const WideView&);
@@ -127,7 +119,7 @@ KernelFn kernel_sse2();
 KernelFn kernel_avx2();
 KernelFn kernel_avx512();
 
-// Per-tier backend-op selftests: verify the SIMD plane ops lane-by-lane
+// Per-tier backend-op selftests: verify the SIMD value ops lane-by-lane
 // against V3 truth tables on pseudo-random well-formed words. Return
 // false when the tier is not compiled in.
 bool selftest_scalar();

@@ -1,6 +1,6 @@
-// SSE2 PPSFP kernel: each 512-bit logical plane is four PV128 (128-bit)
-// vectors. SSE2 is baseline on x86-64, so no extra compile flags are
-// needed; on other architectures this TU compiles to stubs.
+// SSE2 PPSFP kernel: each 512-bit logical plane is four __m128i vectors
+// (two sub-words each). SSE2 is baseline on x86-64, so no extra compile
+// flags are needed; on other architectures this TU compiles to stubs.
 #include "fsim/wide_kernel.h"
 
 #if defined(__SSE2__)
@@ -11,86 +11,84 @@ namespace satpg {
 namespace fsim_wide {
 namespace {
 
-/// 128-bit view of two adjacent sub-words of a PVW plane.
-struct PV128 {
-  __m128i v;
-  static PV128 load(const std::uint64_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  void store(std::uint64_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-};
+constexpr unsigned kVecs = kLanes / 2;
 
 struct Sse2Ops {
-  static void fill_x(PVW& d) {
-    const __m128i z = _mm_setzero_si128();
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      PV128{z}.store(d.zero + i);
-      PV128{z}.store(d.one + i);
+  struct W {
+    __m128i z[kVecs], o[kVecs];
+  };
+  static W load(const PVW& p) {
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p.zero) + i);
+      r.o[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p.one) + i);
     }
+    return r;
   }
-  static void copy(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      PV128::load(s.zero + i).store(d.zero + i);
-      PV128::load(s.one + i).store(d.one + i);
+  static void store(PVW& p, const W& a) {
+    for (unsigned i = 0; i < kVecs; ++i) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(p.zero) + i, a.z[i]);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(p.one) + i, a.o[i]);
     }
   }
   // SSE2 has no 64-bit compare, so mask expansion stays scalar; the bulk
   // plane ops below are where the vectors pay off.
-  static void expand(PVW& d, std::uint8_t zm, std::uint8_t om) {
-    for (unsigned g = 0; g < kLanes; ++g) {
-      d.zero[g] = 0ULL - static_cast<std::uint64_t>((zm >> g) & 1);
-      d.one[g] = 0ULL - static_cast<std::uint64_t>((om >> g) & 1);
+  static W expand(std::uint8_t zm, std::uint8_t om) {
+    auto lane = [](std::uint8_t m, unsigned g) {
+      return static_cast<long long>(0ULL -
+                                    static_cast<std::uint64_t>((m >> g) & 1));
+    };
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = _mm_set_epi64x(lane(zm, 2 * i + 1), lane(zm, 2 * i));
+      r.o[i] = _mm_set_epi64x(lane(om, 2 * i + 1), lane(om, 2 * i));
     }
+    return r;
   }
-  static void not_ip(PVW& d) {
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      const PV128 z = PV128::load(d.zero + i);
-      PV128::load(d.one + i).store(d.zero + i);
-      z.store(d.one + i);
+  static W force(const W& a, std::uint64_t m, bool stuck1) {
+    const __m128i mm = _mm_set1_epi64x(static_cast<long long>(m));
+    const __m128i zs = stuck1 ? _mm_setzero_si128() : mm;
+    const __m128i os = stuck1 ? mm : _mm_setzero_si128();
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = _mm_or_si128(_mm_andnot_si128(mm, a.z[i]), zs);
+      r.o[i] = _mm_or_si128(_mm_andnot_si128(mm, a.o[i]), os);
     }
+    return r;
   }
-  static void and_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      PV128{_mm_or_si128(PV128::load(d.zero + i).v,
-                         PV128::load(s.zero + i).v)}
-          .store(d.zero + i);
-      PV128{_mm_and_si128(PV128::load(d.one + i).v,
-                          PV128::load(s.one + i).v)}
-          .store(d.one + i);
+  static W not_(const W& a) {
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = a.o[i];
+      r.o[i] = a.z[i];
     }
+    return r;
   }
-  static void or_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      PV128{_mm_and_si128(PV128::load(d.zero + i).v,
-                          PV128::load(s.zero + i).v)}
-          .store(d.zero + i);
-      PV128{_mm_or_si128(PV128::load(d.one + i).v,
-                         PV128::load(s.one + i).v)}
-          .store(d.one + i);
+  static W and_(const W& a, const W& b) {
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = _mm_or_si128(a.z[i], b.z[i]);
+      r.o[i] = _mm_and_si128(a.o[i], b.o[i]);
     }
+    return r;
   }
-  static void xor_acc(PVW& d, const PVW& s) {
-    for (unsigned i = 0; i < kLanes; i += 2) {
-      const __m128i dz = PV128::load(d.zero + i).v;
-      const __m128i d1 = PV128::load(d.one + i).v;
-      const __m128i sz = PV128::load(s.zero + i).v;
-      const __m128i s1 = PV128::load(s.one + i).v;
-      const __m128i known = _mm_and_si128(_mm_or_si128(dz, d1),
-                                          _mm_or_si128(sz, s1));
-      const __m128i x = _mm_and_si128(_mm_xor_si128(d1, s1), known);
-      PV128{_mm_andnot_si128(x, known)}.store(d.zero + i);
-      PV128{x}.store(d.one + i);
+  static W or_(const W& a, const W& b) {
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      r.z[i] = _mm_and_si128(a.z[i], b.z[i]);
+      r.o[i] = _mm_or_si128(a.o[i], b.o[i]);
     }
+    return r;
   }
-  static bool eq_expand(const PVW& d, std::uint8_t zm, std::uint8_t om) {
-    std::uint64_t acc = 0;
-    for (unsigned g = 0; g < kLanes; ++g) {
-      acc |= d.zero[g] ^ (0ULL - static_cast<std::uint64_t>((zm >> g) & 1));
-      acc |= d.one[g] ^ (0ULL - static_cast<std::uint64_t>((om >> g) & 1));
+  static W xor_(const W& a, const W& b) {
+    W r;
+    for (unsigned i = 0; i < kVecs; ++i) {
+      const __m128i known = _mm_and_si128(_mm_or_si128(a.z[i], a.o[i]),
+                                          _mm_or_si128(b.z[i], b.o[i]));
+      r.o[i] = _mm_and_si128(_mm_xor_si128(a.o[i], b.o[i]), known);
+      r.z[i] = _mm_andnot_si128(r.o[i], known);
     }
-    return acc == 0;
+    return r;
   }
 };
 

@@ -41,45 +41,6 @@ V3 eval_gate_v3(GateType t, std::span<const NodeId> fanins,
   return V3::kX;
 }
 
-PV eval_gate_pv(GateType t, std::span<const NodeId> fanins,
-                const std::vector<PV>& values) {
-  auto in = [&](std::size_t i) {
-    return values[static_cast<std::size_t>(fanins[i])];
-  };
-  switch (t) {
-    case GateType::kConst0:
-      return PV::all(V3::kZero);
-    case GateType::kConst1:
-      return PV::all(V3::kOne);
-    case GateType::kBuf:
-    case GateType::kOutput:
-      return in(0);
-    case GateType::kNot:
-      return pv_not(in(0));
-    case GateType::kAnd:
-    case GateType::kNand: {
-      PV v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = pv_and(v, in(i));
-      return t == GateType::kAnd ? v : pv_not(v);
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      PV v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = pv_or(v, in(i));
-      return t == GateType::kOr ? v : pv_not(v);
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      PV v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = pv_xor(v, in(i));
-      return t == GateType::kXor ? v : pv_not(v);
-    }
-    default:
-      SATPG_CHECK_MSG(false, "eval_gate_pv: not a combinational gate");
-  }
-  return PV{};
-}
-
 V3 eval_gate_v3_packed(GateType t, const V3* vals, std::size_t n) {
   switch (t) {
     case GateType::kConst0:

@@ -22,10 +22,6 @@ namespace satpg {
 V3 eval_gate_v3(GateType t, std::span<const NodeId> fanins,
                 const std::vector<V3>& values);
 
-/// Evaluate one combinational gate or PO marker over PV fanin values.
-PV eval_gate_pv(GateType t, std::span<const NodeId> fanins,
-                const std::vector<PV>& values);
-
 /// Evaluate over already-gathered fanin values (`vals[0..n)` in pin
 /// order). Lets callers that stage fanins in a scratch buffer — the fault
 /// simulator's cone-restricted batches and forced-pin re-evaluation —

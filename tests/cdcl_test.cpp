@@ -100,8 +100,9 @@ TEST(TseitinTest, DetectionObjectiveMatchesExcitability) {
   {
     CdclSolver s;
     TimeFrameCnf cnf(nl, Fault{g, -1, false}, 1, &s);
-    if (cnf.add_detect_objective(/*include_boundary=*/true))
+    if (cnf.add_detect_objective(/*include_boundary=*/true)) {
       EXPECT_EQ(s.solve(), SolveStatus::kUnsat);
+    }
   }
   {
     CdclSolver s;

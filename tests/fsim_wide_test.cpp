@@ -227,6 +227,55 @@ TEST(WideFsimTest, RaggedSequenceLengths) {
                        simd_tier_name(tier));
 }
 
+// The good-state census comes from slot 0 of the group's first batch, or
+// from one fault-free run when no fault remains. Three ragged groups, run
+// with no faults at all and with faults that group 0 detects in full (so
+// groups 1 and 2 have none left), must record the 64-slot engine's states.
+TEST(WideFsimTest, CensusWithoutRemainingFaultsMatchesBaseline) {
+  FsmGenSpec spec;
+  for (const auto& s : mcnc_specs())
+    if (s.name == "dk16") spec = s;
+  const SynthResult res =
+      synthesize(generate_control_fsm(scaled_spec(spec, 0.4)), {});
+  const Netlist& nl = res.netlist;
+  std::vector<Fault> all;
+  for (const auto& cf : collapse_faults(nl)) all.push_back(cf.representative);
+
+  // 20 sequences, three groups. Group 0's are short (2..4 vectors), the
+  // later groups' are longer (6..20), and lengths vary inside each group.
+  const auto lanes = static_cast<int>(PVW::kSubWords);
+  std::vector<TestSequence> seqs;
+  for (int k = 0; k < 20; ++k) {
+    const auto len = static_cast<std::size_t>(
+        k < lanes ? 2 + k % 3 : 6 + (k * 7) % 15);
+    const auto seed = static_cast<std::uint64_t>(k) + 40;
+    seqs.push_back(make_random_sequences(nl, 1, len, seed)[0]);
+  }
+  // The later groups enter states group 0 does not, so their census counts.
+  const std::vector<TestSequence> first(seqs.begin(), seqs.begin() + lanes);
+  ASSERT_GT(run_baseline(nl, {}, seqs).good_states.size(),
+            run_baseline(nl, {}, first).good_states.size());
+
+  const auto graded = run_baseline(nl, all, seqs);
+  std::vector<Fault> group0;
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if (graded.detected_at[i] >= 0 && graded.detected_at[i] < lanes)
+      group0.push_back(all[i]);
+  ASSERT_FALSE(group0.empty());
+
+  for (const auto& [label, faults] :
+       {std::pair<std::string, std::vector<Fault>>{"no faults", {}},
+        std::pair<std::string, std::vector<Fault>>{"group 0", group0}}) {
+    const auto base = run_baseline(nl, faults, seqs);
+    ASSERT_EQ(base.num_detected, faults.size()) << label;
+    for (const SimdTier tier : usable_tiers())
+      for (const unsigned threads : {1u, 2u})
+        expect_same_result(run_wide(nl, faults, seqs, tier, threads), base,
+                           label + " " + simd_tier_name(tier) + " x" +
+                               std::to_string(threads));
+  }
+}
+
 // Lowest sequence index the serial reference detects `f` on, or -1.
 int serial_detected_at(const Netlist& nl, const Fault& f,
                        const std::vector<TestSequence>& seqs) {

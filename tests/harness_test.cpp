@@ -62,7 +62,9 @@ TEST(SuiteTest, CacheRoundTripsIdentically) {
   // Library annotation survives the round trip.
   for (std::size_t i = 0; i < b.num_nodes(); ++i) {
     const auto& n = b.node(static_cast<NodeId>(i));
-    if (is_combinational(n.type)) EXPECT_GT(n.delay, 0.0);
+    if (is_combinational(n.type)) {
+      EXPECT_GT(n.delay, 0.0);
+    }
   }
 }
 

@@ -31,7 +31,7 @@ namespace {
 // Spin long enough for CLOCK_THREAD_CPUTIME_ID to observe the span.
 void burn_cpu() {
   volatile std::uint64_t acc = 0;
-  for (std::uint64_t i = 0; i < 400000; ++i) acc += i * i;
+  for (std::uint64_t i = 0; i < 400000; ++i) acc = acc + i * i;
 }
 
 // Every test arms and disarms the process-wide profiler; pin the backend

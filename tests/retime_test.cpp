@@ -486,14 +486,17 @@ TEST(AtomicMoveTest, ForwardMovePreservesInitialState) {
   move_backward(nl, nl.find("G3"));
   // Backward from Q1 (init 0) through OR: preimage of 0 is unique (0,0).
   for (NodeId ff : nl.dffs()) {
-    if (nl.node(ff).name.rfind("bw_", 0) == 0)
+    if (nl.node(ff).name.rfind("bw_", 0) == 0) {
       EXPECT_EQ(nl.node(ff).init, FfInit::kZero);
+    }
   }
   move_forward(nl, nl.find("G3"));
   // Forward recomputes OR(0,0) = 0.
-  for (NodeId ff : nl.dffs())
-    if (nl.node(ff).name.rfind("fw_", 0) == 0)
+  for (NodeId ff : nl.dffs()) {
+    if (nl.node(ff).name.rfind("fw_", 0) == 0) {
       EXPECT_EQ(nl.node(ff).init, FfInit::kZero);
+    }
+  }
 }
 
 TEST(AtomicMoveTest, GuardsRejectIllegalMoves) {

@@ -116,7 +116,9 @@ TEST(MinimizeProperty, PreservesBehaviourInLockStep) {
     for (int o = 0; o < fsm.num_outputs(); ++o) {
       const auto av = a.outputs[static_cast<std::size_t>(o)];
       const auto bv = b.outputs[static_cast<std::size_t>(o)];
-      if (av != V3::kX && bv != V3::kX) EXPECT_EQ(av, bv) << "cycle " << t;
+      if (av != V3::kX && bv != V3::kX) {
+        EXPECT_EQ(av, bv) << "cycle " << t;
+      }
     }
     s_full = a.next_state;
     s_min = b.next_state;

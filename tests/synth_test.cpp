@@ -79,11 +79,13 @@ TEST_P(EspressoProperty, MinimizedCoverIsEquivalent) {
     // Equivalence: every ON minterm covered; no OFF minterm covered.
     for (std::size_t m = 0; m < klass.size(); ++m) {
       const BitVec bits = BitVec::from_value(nv, m);
-      if (klass[m] == 1)
+      if (klass[m] == 1) {
         EXPECT_TRUE(cover_matches(result, bits)) << "ON minterm lost: " << m;
-      if (klass[m] == 0)
+      }
+      if (klass[m] == 0) {
         EXPECT_FALSE(cover_matches(result, bits))
             << "OFF minterm covered: " << m;
+      }
     }
     // And it didn't grow.
     EXPECT_LE(result.size(), on.size());
@@ -186,8 +188,9 @@ TEST(TechMapTest, DecomposesWideGates) {
     EXPECT_EQ(c.validate(), std::nullopt);
     for (std::size_t i = 0; i < c.num_nodes(); ++i) {
       const auto& n = c.node(static_cast<NodeId>(i));
-      if (is_combinational(n.type))
+      if (is_combinational(n.type)) {
         EXPECT_LE(n.fanins.size(), static_cast<std::size_t>(kMaxLibFanin));
+      }
     }
   }
 }

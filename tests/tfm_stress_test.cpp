@@ -7,7 +7,10 @@
 // Windows run up to 8 frames, HITEC's widest, on synthesized machines, on a
 // committed retimed circuit and on a hand-built one whose gates read one
 // node on two pins. A copy of a template model must behave and count
-// exactly like a fresh one.
+// exactly like a fresh one. Every (frame, node) value of those models is
+// also checked against a from-scratch reference that shares no code with
+// the model: the good and the structurally faulted netlist stepped frame
+// by frame on src/sim's SeqSimulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +22,7 @@
 #include "base/rng.h"
 #include "fault/fault.h"
 #include "fsm/mcnc_suite.h"
+#include "sim/simulator.h"
 #include "synth/synthesize.h"
 
 namespace satpg {
@@ -53,9 +57,52 @@ void expect_models_equal(const TimeFrameModel& a, const TimeFrameModel& b,
     }
 }
 
+// Structural fault injection: a copy of `nl` whose behaviour is exactly the
+// faulty machine's. A stem fault reroutes every reader of the node to a
+// constant, a pin fault one fan-in slot (a FF's D pin included).
+Netlist inject_fault(const Netlist& nl, const Fault& f) {
+  Netlist faulty = nl;
+  const NodeId c = faulty.add_const(f.stuck1, "fault_const");
+  if (f.pin < 0)
+    faulty.replace_uses(f.node, c);
+  else
+    faulty.set_fanin(f.node, static_cast<std::size_t>(f.pin), c);
+  return faulty;
+}
+
+// The model's every (frame, node) value against the good and the faulty
+// netlist stepped on SeqSimulator from the model's own decisions: frame t
+// applies the PI decisions of frame t, frame 0 starts from the FF
+// decisions (X where unassigned), and each later frame from the clocked
+// state. The faulty rail of a stem-faulted node is its stuck value; every
+// other faulty value is the faulted netlist's.
+void expect_model_matches_simulation(const TimeFrameModel& m,
+                                     const Netlist& nl,
+                                     const std::optional<Fault>& fault) {
+  const Netlist faulty = fault ? inject_fault(nl, *fault) : nl;
+  SeqSimulator good_sim(nl), faulty_sim(faulty);
+  std::vector<V3> state;
+  for (NodeId ff : nl.dffs()) state.push_back(m.decision_value(0, ff));
+  good_sim.set_state(state);
+  faulty_sim.set_state(state);
+  const V3 stuck = fault && fault->stuck1 ? V3::kOne : V3::kZero;
+  for (int t = 0; t < m.num_frames(); ++t) {
+    std::vector<V3> pi;
+    for (NodeId id : nl.inputs()) pi.push_back(m.decision_value(t, id));
+    good_sim.step(pi);
+    faulty_sim.step(pi);
+    for (NodeId id : nl.compiled().topo) {
+      const bool stem = fault && fault->pin < 0 && fault->node == id;
+      const V5 want{good_sim.value(id), stem ? stuck : faulty_sim.value(id)};
+      ASSERT_EQ(m.value(t, id), want)
+          << "frame " << t << " node " << nl.node(id).name;
+    }
+  }
+}
+
 // A random assign/undo schedule on `fault`'s model, then the model against
-// a fresh one given the surviving assignments, and its D-set against a
-// full rescan.
+// a fresh one given the surviving assignments and against the simulation
+// reference, and its D-set against a full rescan.
 void expect_incremental_matches_scratch(const Netlist& nl,
                                         const std::optional<Fault>& fault,
                                         int frames, std::uint64_t seed) {
@@ -90,6 +137,7 @@ void expect_incremental_matches_scratch(const Netlist& nl,
   TimeFrameModel oracle(nl, fault, frames);
   for (const auto& [v, val] : current) oracle.assign(v.first, v.second, val);
   expect_models_equal(inc, oracle, nl, frames);
+  expect_model_matches_simulation(inc, nl, fault);
 
   // D-set agrees with a full rescan.
   std::set<std::pair<int, NodeId>> rescan;
@@ -278,6 +326,38 @@ TEST(TfmWideWindow, NodeReadOnTwoPinsIsQueuedOnce) {
   EXPECT_GT(checked_assigns, 300u);
 }
 
+// Queue bookkeeping that goes wrong shows in the values, where only the
+// simulation reference sees it (both models run the same kernel). `a` is
+// read by g1 on two pins and g1 is alone at level 1, so a g1 queued twice
+// spills into level 2's first bucket slot, which holds g2: g2 (id below
+// g1's, so queued first) would then never be evaluated. A FF sink never
+// queued into the next frame would leave q stale.
+TEST(TfmSimReference, QueueBookkeepingShowsInValues) {
+  Netlist nl("spill");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId g2 = nl.add_gate(GateType::kAnd, "g2", {a, b});
+  const NodeId g1 = nl.add_gate(GateType::kOr, "g1", {a, a});
+  nl.set_fanin(g2, 1, g1);
+  const NodeId q = nl.add_dff("q", b, FfInit::kUnknown);
+  const NodeId g3 = nl.add_gate(GateType::kXor, "g3", {g2, q});
+  nl.set_fanin(q, 0, g3);
+  nl.add_output("o1", g3);
+  nl.add_output("o2", g1);
+  ASSERT_EQ(nl.compiled().level[static_cast<std::size_t>(g1)], 1u);
+  ASSERT_EQ(nl.compiled().level[static_cast<std::size_t>(g2)], 2u);
+
+  std::vector<std::optional<Fault>> faults = {std::nullopt};
+  for (const Fault& f : enumerate_faults(nl)) faults.push_back(f);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    SCOPED_TRACE("fault #" + std::to_string(fi));
+    expect_incremental_matches_scratch(nl, faults[fi],
+                                       1 + static_cast<int>(fi % 8),
+                                       fi * 11 + 3);
+    if (HasFailure()) return;
+  }
+}
+
 // A copy of a template and a fresh model, driven by the same random
 // assign/undo schedule, agree after every step on values, evals(), the
 // D-set and the byte footprint.
@@ -317,6 +397,7 @@ TEST(TfmTemplateCopy, CopyMatchesFreshUnderRandomSchedules) {
           marks.push_back(mark);
         }
         expect_models_equal(copy, fresh, nl, frames);
+        expect_model_matches_simulation(copy, nl, faults[fi]);
         ASSERT_EQ(copy.evals(), fresh.evals()) << "step " << step;
         ASSERT_EQ(copy.d_set(), fresh.d_set()) << "step " << step;
         ASSERT_EQ(copy.footprint_bytes(), fresh.footprint_bytes());
