@@ -77,80 +77,104 @@ std::vector<BddRef> build_node_functions(const Netlist& nl, BddMgr& mgr,
   return fn;
 }
 
-BddRef build_transition_relation(const Netlist& nl, BddMgr& mgr,
+std::vector<StateBit> state_bits(const Netlist& nl, BddMgr& mgr,
                                  const BddVarMap& vm,
-                                 const std::vector<BddRef>& fn) {
-  BddRef tr = mgr.one();
+                                 const std::vector<BddRef>& fn,
+                                 const std::optional<Fault>& fault) {
+  std::vector<StateBit> bits;
   for (unsigned i = 0; i < vm.num_ffs; ++i) {
-    const NodeId d =
-        nl.node(nl.dffs()[static_cast<std::size_t>(i)]).fanins[0];
-    const BddRef bit = mgr.bdd_not(
-        mgr.bdd_xor(mgr.var(vm.ns(i)), fn[static_cast<std::size_t>(d)]));
-    tr = mgr.bdd_and(tr, bit);
+    const NodeId ff = nl.dffs()[i];
+    BddRef next = fn[static_cast<std::size_t>(nl.node(ff).fanins[0])];
+    if (fault && fault->pin == 0 && fault->node == ff)
+      next = fault->stuck1 ? mgr.one() : mgr.zero();
+    bits.push_back({vm.ps(i), vm.ns(i), next});
   }
-  return tr;
+  return bits;
 }
 
-BddRef compute_reached_set(const Netlist& nl, BddMgr& mgr,
-                           const BddVarMap& vm, const std::vector<BddRef>& fn,
-                           const std::string& reset_input, int* iterations) {
-  const BddRef tr = build_transition_relation(nl, mgr, vm, fn);
-
-  std::vector<unsigned> ps_and_inputs;
-  std::vector<unsigned> rename_map(vm.total());
-  for (unsigned v = 0; v < vm.total(); ++v) rename_map[v] = v;
+BddRef init_cube(const Netlist& nl, BddMgr& mgr, const BddVarMap& vm) {
+  BddRef init = mgr.one();
   for (unsigned i = 0; i < vm.num_ffs; ++i) {
-    ps_and_inputs.push_back(vm.ps(i));
-    rename_map[vm.ns(i)] = vm.ps(i);  // monotone: 2i+1 -> 2i
+    const auto ff_init = nl.node(nl.dffs()[i]).init;
+    if (ff_init == FfInit::kZero)
+      init = mgr.bdd_and(init, mgr.nvar(vm.ps(i)));
+    else if (ff_init == FfInit::kOne)
+      init = mgr.bdd_and(init, mgr.var(vm.ps(i)));
   }
+  return init;
+}
+
+std::optional<unsigned> reset_var(const Netlist& nl, const BddVarMap& vm,
+                                  const std::string& name) {
+  const NodeId id = name.empty() ? kNoNode : nl.find(name);
   for (unsigned j = 0; j < vm.num_pis; ++j)
-    ps_and_inputs.push_back(vm.in(j));
+    if (nl.inputs()[j] == id) return vm.in(j);
+  return std::nullopt;
+}
+
+BddRef compute_reached_set(BddMgr& mgr, const std::vector<StateBit>& bits,
+                           const std::vector<unsigned>& inputs,
+                           std::optional<unsigned> reset, BddRef init,
+                           int* iterations) {
+  // Quantification schedule: each present-state or input variable leaves
+  // after the last conjunct whose support holds it, or before the first
+  // conjunct when no support holds it.
+  std::vector<BddRef> conj;
+  std::vector<int> last(mgr.num_vars(), -1);
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    conj.push_back(
+        mgr.bdd_not(mgr.bdd_xor(mgr.var(bits[k].ns), bits[k].next)));
+    for (unsigned v : mgr.support(bits[k].next))
+      last[v] = static_cast<int>(k);
+  }
+  std::vector<unsigned> unused;
+  std::vector<std::vector<unsigned>> quantify(bits.size());
+  std::vector<unsigned> rename_map(mgr.num_vars());
+  for (unsigned v = 0; v < mgr.num_vars(); ++v) rename_map[v] = v;
+  auto schedule = [&](unsigned v) {
+    if (last[v] < 0)
+      unused.push_back(v);
+    else
+      quantify[static_cast<std::size_t>(last[v])].push_back(v);
+  };
+  for (const StateBit& b : bits) {
+    schedule(b.ps);
+    rename_map[b.ns] = b.ps;
+  }
+  for (unsigned v : inputs) schedule(v);
+
+  auto image = [&](BddRef set) {
+    BddRef r = mgr.exists(set, unused);
+    for (std::size_t k = 0; k < conj.size(); ++k)
+      r = mgr.and_exists(r, conj[k], quantify[k]);
+    return mgr.rename(r, rename_map);
+  };
 
   int local_iters = 0;
   int& iters = iterations ? *iterations : local_iters;
-  auto image = [&](BddRef set, BddRef rel) {
-    const BddRef img_ns = mgr.and_exists(set, rel, ps_and_inputs);
-    return mgr.rename(img_ns, rename_map);
-  };
-
-  // Initial set.
-  BddRef init;
-  const NodeId rst =
-      reset_input.empty() ? kNoNode : nl.find(reset_input);
-  if (rst != kNoNode && nl.node(rst).type == GateType::kInput) {
-    int rst_index = -1;
-    for (std::size_t j = 0; j < nl.inputs().size(); ++j)
-      if (nl.inputs()[j] == rst) rst_index = static_cast<int>(j);
-    SATPG_CHECK(rst_index >= 0);
-    const BddRef rst_on = mgr.var(vm.in(static_cast<unsigned>(rst_index)));
-    const BddRef tr_rst = mgr.bdd_and(tr, rst_on);
-    BddRef s = mgr.one();
-    for (;;) {
-      const BddRef next = image(s, tr_rst);
-      ++iters;
-      if (next == s) break;
-      s = next;
-      SATPG_CHECK_MSG(iters < 100000, "reset fixpoint did not converge");
-    }
-    init = s;
-  } else {
+  if (reset) {
+    const BddRef rst_on = mgr.var(*reset);
     init = mgr.one();
-    for (unsigned i = 0; i < vm.num_ffs; ++i) {
-      const auto ff_init =
-          nl.node(nl.dffs()[static_cast<std::size_t>(i)]).init;
-      if (ff_init == FfInit::kZero)
-        init = mgr.bdd_and(init, mgr.nvar(vm.ps(i)));
-      else if (ff_init == FfInit::kOne)
-        init = mgr.bdd_and(init, mgr.var(vm.ps(i)));
+    for (;;) {
+      const BddRef next = image(mgr.bdd_and(init, rst_on));
+      ++iters;
+      if (next == init) break;
+      init = next;
+      SATPG_CHECK_MSG(iters < 100000, "reset fixpoint did not converge");
     }
   }
 
+  // Frontier BFS: layer k+1 is the image of layer k minus what is reached,
+  // so each step equals one whole-set image step of the classic loop.
   BddRef reached = init;
+  BddRef frontier = init;
   for (;;) {
-    const BddRef next = mgr.bdd_or(reached, image(reached, tr));
+    const BddRef fresh =
+        mgr.bdd_and(image(frontier), mgr.bdd_not(reached));
     ++iters;
-    if (next == reached) break;
-    reached = next;
+    if (fresh == mgr.zero()) break;
+    reached = mgr.bdd_or(reached, fresh);
+    frontier = fresh;
     SATPG_CHECK_MSG(iters < 1000000,
                     "reachability fixpoint did not converge");
   }

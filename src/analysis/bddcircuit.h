@@ -1,12 +1,14 @@
 // Shared BDD encoding of a sequential netlist over (present-state, input)
-// variables — the substrate for reachability (reach.h), the SRF classifier
-// (srf.h), and the sequential equivalence checker (seqec.h).
+// variables, and the one reachability fixpoint — the substrate for
+// reachability (reach.h), the SRF classifier (srf.h), and the sequential
+// equivalence checker (seqec.h).
 //
-// Variable order: present-state bit i at 2i, next-state bit i at 2i+1
-// (interleaving keeps transition relations small), primary inputs after.
+// Variable order: present-state bit i at 2i, next-state bit i at 2i+1,
+// primary inputs after.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -24,7 +26,7 @@ struct BddVarMap {
   // base 2 with stride 4.
   unsigned ps_base = 0;
   unsigned stride = 2;
-  unsigned in_base = 0;  ///< set by make()/callers
+  unsigned in_base = 0;  ///< set by single() or the caller
   unsigned num_vars = 0;
 
   static BddVarMap single(unsigned ffs, unsigned pis) {
@@ -39,6 +41,11 @@ struct BddVarMap {
   unsigned ps(unsigned i) const { return ps_base + i * stride; }
   unsigned ns(unsigned i) const { return ps(i) + 1; }
   unsigned in(unsigned j) const { return in_base + j; }
+  std::vector<unsigned> inputs() const {
+    std::vector<unsigned> v;
+    for (unsigned j = 0; j < num_pis; ++j) v.push_back(in(j));
+    return v;
+  }
   unsigned total() const { return num_vars; }
 };
 
@@ -50,19 +57,45 @@ std::vector<BddRef> build_node_functions(
     const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
     const std::optional<Fault>& fault = std::nullopt);
 
-/// Transition relation ∧_i ns_i ↔ D_i(ps, in) from node functions.
-BddRef build_transition_relation(const Netlist& nl, BddMgr& mgr,
-                                 const BddVarMap& vm,
-                                 const std::vector<BddRef>& fn);
+/// One flip-flop as a conjunct of the transition relation: ns ≡ next.
+struct StateBit {
+  unsigned ps;   ///< present-state variable
+  unsigned ns;   ///< next-state variable (renamed onto ps after an image)
+  BddRef next;   ///< next-state function over (ps, in) variables
+};
 
-/// Reachable-state fixpoint over present-state variables. Initialization
-/// follows the study's convention: when `reset_input` names a PI, the
+/// The machine's flip-flops in nl.dffs() order, next states read from the
+/// node functions `fn`. A D-pin fault (pin 0 of a DFF) pins that
+/// flip-flop's next state, which build_node_functions cannot express.
+std::vector<StateBit> state_bits(const Netlist& nl, BddMgr& mgr,
+                                 const BddVarMap& vm,
+                                 const std::vector<BddRef>& fn,
+                                 const std::optional<Fault>& fault =
+                                     std::nullopt);
+
+/// Conjunction of the DFF init-value literals (kUnknown bits free).
+BddRef init_cube(const Netlist& nl, BddMgr& mgr, const BddVarMap& vm);
+
+/// Variable of the primary input named `name`, or none when `name` is
+/// empty or names no primary input.
+std::optional<unsigned> reset_var(const Netlist& nl, const BddVarMap& vm,
+                                  const std::string& name);
+
+/// Reachable-state fixpoint of the machine whose transition relation is
+/// the conjunction of `bits` over the input variables `inputs`.
+/// Initialization follows the study's convention: with a `reset` variable, the
 /// initial set is the rst=1 image fixpoint from the universal set;
-/// otherwise the DFF init-value cube. `iterations`, when non-null,
-/// accumulates fixpoint steps.
-BddRef compute_reached_set(const Netlist& nl, BddMgr& mgr,
-                           const BddVarMap& vm, const std::vector<BddRef>& fn,
-                           const std::string& reset_input,
+/// otherwise `init`. `iterations`, when non-null, accumulates one step per
+/// image taken.
+///
+/// The relation is never built whole. An image conjoins the set with the
+/// bits in the order given, and quantifies each present-state or input
+/// variable right after the last conjunct whose support holds it
+/// (variables in no support go first); the reached fixpoint images only
+/// the newly reached frontier.
+BddRef compute_reached_set(BddMgr& mgr, const std::vector<StateBit>& bits,
+                           const std::vector<unsigned>& inputs,
+                           std::optional<unsigned> reset, BddRef init,
                            int* iterations = nullptr);
 
 }  // namespace satpg

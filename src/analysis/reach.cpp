@@ -25,9 +25,11 @@ ReachResult compute_reachable(const Netlist& nl, const ReachOptions& opts) {
   BddMgr mgr(vm.total(), opts.bdd_node_limit);
 
   const auto fn = build_node_functions(nl, mgr, vm);
-  const BddRef reached = compute_reached_set(nl, mgr, vm, fn,
-                                             opts.reset_input,
-                                             &res.fixpoint_iterations);
+  const auto bits = state_bits(nl, mgr, vm, fn);
+  const BddRef init = init_cube(nl, mgr, vm);
+  const BddRef reached = compute_reached_set(
+      mgr, bits, vm.inputs(), reset_var(nl, vm, opts.reset_input), init,
+      &res.fixpoint_iterations);
 
   res.num_valid = mgr.sat_count(reached, vm.num_ffs);
   res.density = res.num_valid / res.total_states;

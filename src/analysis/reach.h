@@ -11,8 +11,9 @@
 // leave the moved flip-flops in). Valid states are then the least fixpoint
 // of the unconstrained image from that reset set.
 //
-// Variable order: present-state bit i at 2i, next-state bit i at 2i+1
-// (interleaved, keeps the transition relation small), primary inputs after.
+// Variable order: present-state bit i at 2i, next-state bit i at 2i+1,
+// primary inputs after; the fixpoint is compute_reached_set
+// (bddcircuit.h).
 #pragma once
 
 #include <cstdint>

@@ -13,117 +13,43 @@ SeqecResult check_sequential_equivalence(const Netlist& a, const Netlist& b,
     res.note = "interface mismatch";
     return res;
   }
-  // Inputs must correspond by name (order may differ).
-  std::vector<int> b_input_of_a(a.num_inputs(), -1);
+  // Both machines read one input vector, so b must name its inputs as a
+  // does and in the same order.
+  for (NodeId in : a.inputs()) {
+    const NodeId match = b.find(a.node(in).name);
+    if (match == kNoNode || b.node(match).type != GateType::kInput) {
+      res.note = "input name mismatch: " + a.node(in).name;
+      return res;
+    }
+  }
   for (std::size_t i = 0; i < a.inputs().size(); ++i) {
-    const std::string& name = a.node(a.inputs()[i]).name;
-    for (std::size_t j = 0; j < b.inputs().size(); ++j)
-      if (b.node(b.inputs()[j]).name == name)
-        b_input_of_a[i] = static_cast<int>(j);
-    if (b_input_of_a[i] < 0) {
-      res.note = "input name mismatch: " + name;
+    if (a.node(a.inputs()[i]).name != b.node(b.inputs()[i]).name) {
+      res.note = "input order differs; align inputs before checking";
       return res;
     }
   }
 
   const unsigned na = static_cast<unsigned>(a.num_dffs());
   const unsigned nb = static_cast<unsigned>(b.num_dffs());
-  const unsigned pis = static_cast<unsigned>(a.num_inputs());
-  const unsigned total = 2 * na + 2 * nb + pis;
-
-  BddVarMap vma, vmb;
+  BddVarMap vma;
   vma.num_ffs = na;
-  vma.num_pis = pis;
-  vma.ps_base = 0;
-  vma.stride = 2;
+  vma.num_pis = static_cast<unsigned>(a.num_inputs());
   vma.in_base = 2 * na + 2 * nb;
-  vma.num_vars = total;
-  vmb = vma;
+  vma.num_vars = vma.in_base + vma.num_pis;
+  BddVarMap vmb = vma;
   vmb.num_ffs = nb;
   vmb.ps_base = 2 * na;
 
-  BddMgr mgr(total, opts.bdd_node_limit);
+  BddMgr mgr(vma.total(), opts.bdd_node_limit);
   const auto fa = build_node_functions(a, mgr, vma);
-  // b's inputs must read the same variables as a's (by name).
-  // build_node_functions assigns b's input j to vmb.in(j) == vma.in(j), so
-  // remap afterwards is wrong — instead we permute b's functions by
-  // building with a shim: easiest is to build b's functions manually with
-  // the permuted input variables. Reuse the builder by constructing a
-  // varmap whose in() follows the permutation is not possible (in() is
-  // affine), so substitute: since inputs are terminal variables, we build
-  // b with its natural in(j) vars and require the permutation to be the
-  // identity after matching — enforce that by checking names positionally.
-  for (std::size_t i = 0; i < a.inputs().size(); ++i) {
-    if (b_input_of_a[i] != static_cast<int>(i)) {
-      res.note = "input order differs; align inputs before checking";
-      return res;
-    }
-  }
   const auto fb = build_node_functions(b, mgr, vmb);
-
-  const BddRef tra = build_transition_relation(a, mgr, vma, fa);
-  const BddRef trb = build_transition_relation(b, mgr, vmb, fb);
-  const BddRef tr = mgr.bdd_and(tra, trb);
-
-  std::vector<unsigned> current;
-  std::vector<unsigned> rename_map(total);
-  for (unsigned v = 0; v < total; ++v) rename_map[v] = v;
-  for (unsigned i = 0; i < na; ++i) {
-    current.push_back(vma.ps(i));
-    rename_map[vma.ns(i)] = vma.ps(i);
-  }
-  for (unsigned i = 0; i < nb; ++i) {
-    current.push_back(vmb.ps(i));
-    rename_map[vmb.ns(i)] = vmb.ps(i);
-  }
-  for (unsigned j = 0; j < pis; ++j) current.push_back(vma.in(j));
-
-  auto image = [&](BddRef set, BddRef rel) {
-    return mgr.rename(mgr.and_exists(set, rel, current), rename_map);
-  };
-
-  // Synchronized initialization via the reset line.
-  BddRef init = mgr.one();
-  const NodeId rst_a =
-      opts.reset_input.empty() ? kNoNode : a.find(opts.reset_input);
-  if (rst_a != kNoNode && a.node(rst_a).type == GateType::kInput) {
-    int idx = -1;
-    for (std::size_t j = 0; j < a.inputs().size(); ++j)
-      if (a.inputs()[j] == rst_a) idx = static_cast<int>(j);
-    SATPG_CHECK(idx >= 0);
-    const BddRef rst_on = mgr.var(vma.in(static_cast<unsigned>(idx)));
-    const BddRef tr_rst = mgr.bdd_and(tr, rst_on);
-    BddRef s = mgr.one();
-    for (int guard = 0;; ++guard) {
-      const BddRef next = image(s, tr_rst);
-      if (next == s) break;
-      s = next;
-      SATPG_CHECK_MSG(guard < 100000, "seqec reset fixpoint diverged");
-    }
-    init = s;
-  } else {
-    // Init-value cubes from both machines.
-    auto add_cube = [&](const Netlist& nl, const BddVarMap& vm) {
-      for (unsigned i = 0; i < vm.num_ffs; ++i) {
-        const auto ff_init =
-            nl.node(nl.dffs()[static_cast<std::size_t>(i)]).init;
-        if (ff_init == FfInit::kZero)
-          init = mgr.bdd_and(init, mgr.nvar(vm.ps(i)));
-        else if (ff_init == FfInit::kOne)
-          init = mgr.bdd_and(init, mgr.var(vm.ps(i)));
-      }
-    };
-    add_cube(a, vma);
-    add_cube(b, vmb);
-  }
-
-  BddRef reached = init;
-  for (int guard = 0;; ++guard) {
-    const BddRef next = mgr.bdd_or(reached, image(reached, tr));
-    if (next == reached) break;
-    reached = next;
-    SATPG_CHECK_MSG(guard < 1000000, "seqec fixpoint diverged");
-  }
+  auto bits = state_bits(a, mgr, vma, fa);
+  for (const StateBit& bit : state_bits(b, mgr, vmb, fb)) bits.push_back(bit);
+  const BddRef init =
+      mgr.bdd_and(init_cube(a, mgr, vma), init_cube(b, mgr, vmb));
+  const BddRef reached =
+      compute_reached_set(mgr, bits, vma.inputs(),
+                          reset_var(a, vma, opts.reset_input), init);
 
   for (std::size_t o = 0; o < a.outputs().size(); ++o) {
     const BddRef diff = mgr.bdd_xor(

@@ -32,8 +32,9 @@ struct SeqecResult {
   std::string note;
 };
 
-/// Exact equivalence on the synchronized reachable product space. Inputs
-/// are matched by name; POs by position. Throws BddOverflow on blowup.
+/// Exact equivalence on the synchronized reachable product space. Both
+/// netlists must declare the same input names in the same order; POs match
+/// by position. Throws BddOverflow on blowup.
 SeqecResult check_sequential_equivalence(const Netlist& a, const Netlist& b,
                                          const SeqecOptions& opts = {});
 

@@ -17,160 +17,66 @@ const char* srf_class_name(SrfClass c) {
   return "?";
 }
 
-namespace {
-
-// Product machine analyzer: good machine at variable base 0, faulty
-// machine at base 2 (stride 4 each), inputs after.
-struct ProductAnalyzer {
-  const Netlist& nl;
-  BddVarMap vm_g;
-  BddVarMap vm_f;
-  BddMgr mgr;
-  std::vector<BddRef> good;
-  std::vector<unsigned> input_vars;
-  std::vector<unsigned> all_current;  // ps_g + ps_f + inputs (image quant)
-  std::vector<unsigned> rename_map;   // ns -> ps, both machines
-  int rst_index = -1;
-
-  explicit ProductAnalyzer(const Netlist& netlist, const SrfOptions& opts)
-      : nl(netlist),
-        vm_g(),
-        vm_f(),
-        mgr(4 * static_cast<unsigned>(netlist.num_dffs()) +
-                static_cast<unsigned>(netlist.num_inputs()),
-            opts.bdd_node_limit),
-        good() {
-    const unsigned ffs = static_cast<unsigned>(nl.num_dffs());
-    const unsigned pis = static_cast<unsigned>(nl.num_inputs());
-    vm_g.num_ffs = vm_f.num_ffs = ffs;
-    vm_g.num_pis = vm_f.num_pis = pis;
-    vm_g.ps_base = 0;
-    vm_f.ps_base = 2;
-    vm_g.stride = vm_f.stride = 4;
-    vm_g.in_base = vm_f.in_base = 4 * ffs;
-    vm_g.num_vars = vm_f.num_vars = 4 * ffs + pis;
-
-    good = build_node_functions(nl, mgr, vm_g);
-
-    for (unsigned j = 0; j < pis; ++j) input_vars.push_back(vm_g.in(j));
-    for (unsigned i = 0; i < ffs; ++i) {
-      all_current.push_back(vm_g.ps(i));
-      all_current.push_back(vm_f.ps(i));
-    }
-    for (unsigned v : input_vars) all_current.push_back(v);
-    rename_map.resize(vm_g.total());
-    for (unsigned v = 0; v < vm_g.total(); ++v) rename_map[v] = v;
-    for (unsigned i = 0; i < ffs; ++i) {
-      rename_map[vm_g.ns(i)] = vm_g.ps(i);  // 4i+1 -> 4i
-      rename_map[vm_f.ns(i)] = vm_f.ps(i);  // 4i+3 -> 4i+2
-    }
-    if (!opts.reset_input.empty()) {
-      const NodeId rst = nl.find(opts.reset_input);
-      if (rst != kNoNode && nl.node(rst).type == GateType::kInput)
-        for (std::size_t j = 0; j < nl.inputs().size(); ++j)
-          if (nl.inputs()[j] == rst) rst_index = static_cast<int>(j);
-    }
-  }
-
-  BddRef image(BddRef set, BddRef rel) {
-    return mgr.rename(mgr.and_exists(set, rel, all_current), rename_map);
-  }
-
-  SrfClass classify(const Fault& fault) {
-    const auto faulty = build_node_functions(nl, mgr, vm_f, fault);
-
-    // Product transition relation.
-    const BddRef tr_g = build_transition_relation(nl, mgr, vm_g, good);
-    BddRef tr_f = mgr.one();
-    for (unsigned i = 0; i < vm_f.num_ffs; ++i) {
-      const NodeId d =
-          nl.node(nl.dffs()[static_cast<std::size_t>(i)]).fanins[0];
-      BddRef fd = faulty[static_cast<std::size_t>(d)];
-      if (fault.pin == 0 &&
-          fault.node == nl.dffs()[static_cast<std::size_t>(i)])
-        fd = fault.stuck1 ? mgr.one() : mgr.zero();  // D-pin fault
-      tr_f = mgr.bdd_and(
-          tr_f, mgr.bdd_not(mgr.bdd_xor(mgr.var(vm_f.ns(i)), fd)));
-    }
-    const BddRef tr = mgr.bdd_and(tr_g, tr_f);
-
-    // Synchronized initialization: rst=1 image fixpoint from the universal
-    // product set; or the FF init cubes without a reset line.
-    BddRef init;
-    if (rst_index >= 0) {
-      const BddRef rst_on =
-          mgr.var(vm_g.in(static_cast<unsigned>(rst_index)));
-      const BddRef tr_rst = mgr.bdd_and(tr, rst_on);
-      BddRef s = mgr.one();
-      for (int guard = 0;; ++guard) {
-        const BddRef next = image(s, tr_rst);
-        if (next == s) break;
-        s = next;
-        SATPG_CHECK_MSG(guard < 100000, "product reset fixpoint diverged");
-      }
-      init = s;
-    } else {
-      init = mgr.one();
-      for (unsigned i = 0; i < vm_g.num_ffs; ++i) {
-        const auto ff_init =
-            nl.node(nl.dffs()[static_cast<std::size_t>(i)]).init;
-        if (ff_init == FfInit::kUnknown) continue;
-        const bool one = ff_init == FfInit::kOne;
-        init = mgr.bdd_and(init, one ? mgr.var(vm_g.ps(i))
-                                     : mgr.nvar(vm_g.ps(i)));
-        init = mgr.bdd_and(init, one ? mgr.var(vm_f.ps(i))
-                                     : mgr.nvar(vm_f.ps(i)));
-      }
-    }
-
-    BddRef reached = init;
-    for (int guard = 0;; ++guard) {
-      const BddRef next = mgr.bdd_or(reached, image(reached, tr));
-      if (next == reached) break;
-      reached = next;
-      SATPG_CHECK_MSG(guard < 1000000, "product fixpoint diverged");
-    }
-
-    // Excitation in the faulty machine: the faulted line would compute the
-    // non-stuck value (as a function of the faulty machine's state).
-    const NodeId line =
-        fault.pin >= 0
-            ? nl.node(fault.node).fanins[static_cast<std::size_t>(fault.pin)]
-            : fault.node;
-    // The line's *driver function* in the faulty machine's state space,
-    // without the fault forcing (what the line would carry).
-    const auto faulty_nofault = build_node_functions(nl, mgr, vm_f);
-    const BddRef would = faulty_nofault[static_cast<std::size_t>(line)];
-    const BddRef excite = fault.stuck1 ? mgr.bdd_not(would) : would;
-    if (mgr.bdd_and(reached, excite) == mgr.zero())
-      return SrfClass::kInvalidSrf;
-
-    // Observability: a PO pair differs on some reachable product state.
-    BddRef diff = mgr.zero();
-    for (NodeId po : nl.outputs())
-      diff = mgr.bdd_or(diff,
-                        mgr.bdd_xor(good[static_cast<std::size_t>(po)],
-                                    faulty[static_cast<std::size_t>(po)]));
-    if (mgr.bdd_and(reached, diff) == mgr.zero())
-      return SrfClass::kUnobservableSrf;
-    return SrfClass::kDetectable;
-  }
-};
-
-}  // namespace
-
 SrfClass classify_srf(const Netlist& nl, const Fault& fault,
                       const SrfOptions& opts) {
-  ProductAnalyzer analyzer(nl, opts);
-  return analyzer.classify(fault);
+  // Product machine: good machine at variable base 0, faulty machine at
+  // base 2 (stride 4 each), shared inputs after.
+  const unsigned ffs = static_cast<unsigned>(nl.num_dffs());
+  BddVarMap vm_g;
+  vm_g.num_ffs = ffs;
+  vm_g.num_pis = static_cast<unsigned>(nl.num_inputs());
+  vm_g.stride = 4;
+  vm_g.in_base = 4 * ffs;
+  vm_g.num_vars = vm_g.in_base + vm_g.num_pis;
+  BddVarMap vm_f = vm_g;
+  vm_f.ps_base = 2;
+
+  BddMgr mgr(vm_g.total(), opts.bdd_node_limit);
+  const auto good = build_node_functions(nl, mgr, vm_g);
+  const auto faulty = build_node_functions(nl, mgr, vm_f, fault);
+  // Good bits, then faulty bits: interleaving them per flip-flop yields the
+  // same sets about twice as slowly.
+  auto bits = state_bits(nl, mgr, vm_g, good);
+  for (const StateBit& b : state_bits(nl, mgr, vm_f, faulty, fault))
+    bits.push_back(b);
+  // Synchronized initialization: rst=1 image fixpoint from the universal
+  // product set; or the FF init cubes without a reset line.
+  const BddRef init =
+      mgr.bdd_and(init_cube(nl, mgr, vm_g), init_cube(nl, mgr, vm_f));
+  const BddRef reached =
+      compute_reached_set(mgr, bits, vm_g.inputs(),
+                          reset_var(nl, vm_g, opts.reset_input), init);
+
+  // Excitation in the faulty machine: the faulted line would compute the
+  // non-stuck value (as a function of the faulty machine's state).
+  const NodeId line =
+      fault.pin >= 0
+          ? nl.node(fault.node).fanins[static_cast<std::size_t>(fault.pin)]
+          : fault.node;
+  // The line's *driver function* in the faulty machine's state space,
+  // without the fault forcing (what the line would carry).
+  const auto faulty_nofault = build_node_functions(nl, mgr, vm_f);
+  const BddRef would = faulty_nofault[static_cast<std::size_t>(line)];
+  const BddRef excite = fault.stuck1 ? mgr.bdd_not(would) : would;
+  if (mgr.bdd_and(reached, excite) == mgr.zero())
+    return SrfClass::kInvalidSrf;
+
+  // Observability: a PO pair differs on some reachable product state.
+  BddRef diff = mgr.zero();
+  for (NodeId po : nl.outputs())
+    diff = mgr.bdd_or(diff,
+                      mgr.bdd_xor(good[static_cast<std::size_t>(po)],
+                                  faulty[static_cast<std::size_t>(po)]));
+  if (mgr.bdd_and(reached, diff) == mgr.zero())
+    return SrfClass::kUnobservableSrf;
+  return SrfClass::kDetectable;
 }
 
 SrfCensus classify_faults(const Netlist& nl, const std::vector<Fault>& faults,
                           const SrfOptions& opts) {
-  ProductAnalyzer analyzer(nl, opts);
   SrfCensus census;
   for (const auto& f : faults) {
-    switch (analyzer.classify(f)) {
+    switch (classify_srf(nl, f, opts)) {
       case SrfClass::kInvalidSrf:
         ++census.invalid;
         break;

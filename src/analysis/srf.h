@@ -56,8 +56,8 @@ struct SrfCensus {
   std::size_t detectable = 0;
 };
 
-/// Classify a whole fault list (typically an engine's aborted faults),
-/// sharing one product-machine build.
+/// Classify a whole fault list (typically an engine's aborted faults), one
+/// classify_srf call, and so one BDD manager, per fault.
 SrfCensus classify_faults(const Netlist& nl, const std::vector<Fault>& faults,
                           const SrfOptions& opts = {});
 

@@ -12,7 +12,8 @@
 //     (BddOverflow is thrown, callers fall back or fail loudly).
 //   * Variable indices are "levels": smaller index = closer to the root.
 //     Callers choose the order (reachability interleaves present/next state
-//     variables, which keeps the transition relation compact).
+//     variables, so renaming an image's next-state variables onto the
+//     present-state ones is monotone).
 #pragma once
 
 #include <cstdint>

@@ -29,8 +29,9 @@ Table run_srf_census(const ExperimentOptions& opts) {
 
   for (const Netlist* nl : {&res.netlist, &rt.netlist}) {
     // Every product-machine classification costs a reachability fixpoint;
-    // a deterministic sample keeps the census to seconds. (The test suite
-    // audits the oracle exhaustively on smaller machines.)
+    // a deterministic sample of about 60 faults per circuit keeps the
+    // census to about two minutes. (The test suite audits the oracle
+    // exhaustively on smaller machines.)
     std::vector<Fault> faults;
     const auto collapsed = collapse_faults(*nl);
     const std::size_t stride = std::max<std::size_t>(1, collapsed.size() / 60);

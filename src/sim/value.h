@@ -136,13 +136,6 @@ struct alignas(64) PVW {
     return w;
   }
 
-  PV sub(unsigned g) const { return {zero[g], one[g]}; }
-
-  void set_sub(unsigned g, PV p) {
-    zero[g] = p.zero;
-    one[g] = p.one;
-  }
-
   V3 slot(unsigned g, unsigned i) const {
     const std::uint64_t m = 1ULL << i;
     if (zero[g] & m) return V3::kZero;

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <set>
 
 #include "analysis/reach.h"
 #include "analysis/structure.h"
 #include "fsm/mcnc_suite.h"
+#include "netlist/bench_io.h"
 #include "netlist/netlist.h"
 #include "retime/retime.h"
+#include "sim/simulator.h"
 #include "synth/synthesize.h"
 
 namespace satpg {
@@ -144,6 +148,17 @@ TEST(ReachTest, UnknownInitMakesAllStatesValid) {
   EXPECT_DOUBLE_EQ(r.num_valid, 4.0);
 }
 
+TEST(ReachTest, ResetChainStartsFromUniversalSetNotInitValues) {
+  // q holds its value and ignores rst, so the rst=1 chain from all states
+  // keeps both codes; q's init value (0) must not narrow the reset set.
+  Netlist nl("hold");
+  const NodeId rst = nl.add_input("rst");
+  const NodeId q = nl.add_dff("q", rst, FfInit::kZero);
+  nl.set_fanin(q, 0, q);
+  nl.add_output("o", q);
+  EXPECT_DOUBLE_EQ(compute_reachable(nl).num_valid, 2.0);
+}
+
 TEST(ReachTest, SynthesizedCircuitValidStatesMatchFsm) {
   FsmGenSpec spec;
   for (const auto& s : mcnc_specs())
@@ -178,6 +193,125 @@ TEST(ReachTest, RetimedCircuitDensityDrops) {
   EXPECT_LT(re.density, orig.density);
   // Valid states grow slower than total states (paper §5).
   EXPECT_GE(re.num_valid, orig.num_valid);
+}
+
+// Explicit-state reference for compute_reachable: every transition is
+// taken from SeqSimulator, then the study's two fixpoints run as plain set
+// iteration. Reset chain: the rst=1 image of all 2^n states, iterated until
+// it repeats. Reached set: a layered BFS under all 2^m input vectors. Each
+// image step counts one iteration, as in ReachResult::fixpoint_iterations.
+struct ExplicitReach {
+  std::set<std::uint64_t> states;
+  int iterations = 0;
+};
+
+ExplicitReach explicit_reach(const Netlist& nl, const std::string& rst) {
+  const std::size_t n = nl.num_dffs();
+  const std::size_t m = nl.num_inputs();
+  auto bits = [](std::uint64_t v, std::size_t width) {
+    std::vector<V3> out(width);
+    for (std::size_t i = 0; i < width; ++i)
+      out[i] = (v >> i) & 1 ? V3::kOne : V3::kZero;
+    return out;
+  };
+  SeqSimulator sim(nl);
+  std::vector<std::uint64_t> next(std::size_t{1} << (n + m));
+  for (std::uint64_t s = 0; s < (1ULL << n); ++s) {
+    for (std::uint64_t in = 0; in < (1ULL << m); ++in) {
+      sim.set_state(bits(s, n));
+      sim.step(bits(in, m));
+      std::uint64_t ns = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NE(sim.state()[i], V3::kX);
+        if (sim.state()[i] == V3::kOne) ns |= 1ULL << i;
+      }
+      next[(s << m) | in] = ns;
+    }
+  }
+  int rst_bit = -1;
+  for (std::size_t j = 0; j < m; ++j)
+    if (nl.node(nl.inputs()[j]).name == rst) rst_bit = static_cast<int>(j);
+  auto image = [&](const std::set<std::uint64_t>& set, bool reset_held) {
+    std::set<std::uint64_t> out;
+    for (std::uint64_t s : set)
+      for (std::uint64_t in = 0; in < (1ULL << m); ++in)
+        if (!reset_held || ((in >> rst_bit) & 1))
+          out.insert(next[(s << m) | in]);
+    return out;
+  };
+
+  ExplicitReach r;
+  std::set<std::uint64_t> init;
+  for (std::uint64_t s = 0; s < (1ULL << n); ++s) init.insert(s);
+  if (rst_bit >= 0) {
+    for (;;) {
+      std::set<std::uint64_t> img = image(init, true);
+      ++r.iterations;
+      if (img == init) break;
+      init = std::move(img);
+    }
+  } else {
+    std::erase_if(init, [&](std::uint64_t s) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const FfInit v = nl.node(nl.dffs()[i]).init;
+        if (v != FfInit::kUnknown && ((s >> i) & 1) != (v == FfInit::kOne))
+          return true;
+      }
+      return false;
+    });
+  }
+  r.states = init;
+  std::set<std::uint64_t> frontier = init;
+  for (;;) {
+    std::set<std::uint64_t> fresh;
+    for (std::uint64_t s : image(frontier, false))
+      if (!r.states.count(s)) fresh.insert(s);
+    ++r.iterations;
+    if (fresh.empty()) break;
+    r.states.insert(fresh.begin(), fresh.end());
+    frontier = std::move(fresh);
+  }
+  return r;
+}
+
+TEST(ReachTest, MatchesExplicitStateBfsOnCachedCircuits) {
+  int circuits = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SATPG_CACHE_DIR)) {
+    const std::string file = entry.path().filename().string();
+    if (!file.ends_with("_s3_x30.bench")) continue;
+    SCOPED_TRACE(file);
+    const Netlist nl = read_bench_file(entry.path().string());
+    ASSERT_LE(nl.num_dffs() + nl.num_inputs(), 20u);
+    const ReachResult r = compute_reachable(nl);
+    const ExplicitReach want = explicit_reach(nl, ReachOptions{}.reset_input);
+    ASSERT_TRUE(r.enumerated);
+    std::set<std::uint64_t> got;
+    for (const BitVec& s : r.states) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < nl.num_dffs(); ++i)
+        if (s.get(i)) v |= 1ULL << i;
+      got.insert(v);
+    }
+    EXPECT_EQ(got, want.states);
+    EXPECT_DOUBLE_EQ(r.num_valid, static_cast<double>(want.states.size()));
+    EXPECT_EQ(r.fixpoint_iterations, want.iterations);
+    ++circuits;
+  }
+  EXPECT_EQ(circuits, 32);
+}
+
+TEST(ReachTest, PaperScaleRetimedCircuitFitsSmallNodeCap) {
+  // 29 flip-flops. A monolithic transition relation overflows this cap;
+  // the partitioned image stays well inside it.
+  const Netlist nl =
+      read_bench_file(SATPG_CACHE_DIR "/s510.jo.sr.re_s1_x100.bench");
+  ReachOptions opts;
+  opts.bdd_node_limit = 2'000'000;
+  const ReachResult r = compute_reachable(nl, opts);
+  EXPECT_EQ(r.num_dffs, 29);
+  EXPECT_DOUBLE_EQ(r.num_valid, 1984.0);
+  EXPECT_EQ(r.fixpoint_iterations, 10);
 }
 
 // ---- Theorems 2-4 over the synthesized suite ----

@@ -145,6 +145,31 @@ TEST(SeqecTest, InterfaceMismatchReported) {
   EXPECT_EQ(r.note, "interface mismatch");
 }
 
+// q' = first & second ; out = q, with the inputs declared in the given order.
+Netlist and_register(const char* first, const char* second) {
+  Netlist nl("andreg");
+  const NodeId x = nl.add_input(first);
+  const NodeId y = nl.add_input(second);
+  const NodeId d = nl.add_gate(GateType::kAnd, "d", {x, y});
+  nl.add_output("o", nl.add_dff("q", d, FfInit::kZero));
+  return nl;
+}
+
+TEST(SeqecTest, InputNameMismatchReported) {
+  const auto r = check_sequential_equivalence(and_register("x", "y"),
+                                              and_register("x", "z"));
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_EQ(r.note, "input name mismatch: y");
+}
+
+TEST(SeqecTest, InputOrderMismatchReported) {
+  // The same machine with its inputs declared the other way round.
+  const auto r = check_sequential_equivalence(and_register("x", "y"),
+                                              and_register("y", "x"));
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_EQ(r.note, "input order differs; align inputs before checking");
+}
+
 TEST(SeqecTest, ProvesRetimingEquivalence) {
   // Formal version of the randomized retiming tests: the scatter-retimed
   // circuit is sequentially equivalent to its original.
