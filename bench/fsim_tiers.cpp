@@ -69,7 +69,9 @@ bool write_fsim_bench_json() {
     double seconds = 0.0;
     std::size_t detected = 0;
     bool repeatable = true;  ///< every timed run matched the warm count
-    std::uint64_t peak_bytes = 0;  ///< accounted arena/lane peak (memstats)
+    /// Accounted lane peak (memstats); the baseline64 reference charges
+    /// no bytes, so its row reads 0.
+    std::uint64_t peak_bytes = 0;
     /// Profiled pass, root fold (fsim.run on the calling thread plus
     /// pool.task on the workers): task-clock, and cycles under perf.
     std::uint64_t span_task_ns = 0;

@@ -1,6 +1,57 @@
 #include "analysis/bddcircuit.h"
 
+#include <algorithm>
+
 namespace satpg {
+
+namespace {
+
+// A gate or PO marker's function over its fan-in functions in(0..n-1).
+template <class In>
+BddRef gate_function(BddMgr& mgr, const Node& n, In in) {
+  BddRef v = mgr.zero();
+  switch (n.type) {
+    case GateType::kConst0:
+      v = mgr.zero();
+      break;
+    case GateType::kConst1:
+      v = mgr.one();
+      break;
+    case GateType::kBuf:
+    case GateType::kOutput:
+      v = in(0);
+      break;
+    case GateType::kNot:
+      v = mgr.bdd_not(in(0));
+      break;
+    case GateType::kAnd:
+    case GateType::kNand:
+      v = in(0);
+      for (std::size_t k = 1; k < n.fanins.size(); ++k)
+        v = mgr.bdd_and(v, in(k));
+      if (n.type == GateType::kNand) v = mgr.bdd_not(v);
+      break;
+    case GateType::kOr:
+    case GateType::kNor:
+      v = in(0);
+      for (std::size_t k = 1; k < n.fanins.size(); ++k)
+        v = mgr.bdd_or(v, in(k));
+      if (n.type == GateType::kNor) v = mgr.bdd_not(v);
+      break;
+    case GateType::kXor:
+    case GateType::kXnor:
+      v = in(0);
+      for (std::size_t k = 1; k < n.fanins.size(); ++k)
+        v = mgr.bdd_xor(v, in(k));
+      if (n.type == GateType::kXnor) v = mgr.bdd_not(v);
+      break;
+    default:
+      SATPG_CHECK(false);
+  }
+  return v;
+}
+
+}  // namespace
 
 std::vector<BddRef> build_node_functions(const Netlist& nl, BddMgr& mgr,
                                          const BddVarMap& vm,
@@ -26,55 +77,30 @@ std::vector<BddRef> build_node_functions(const Netlist& nl, BddMgr& mgr,
     if (!is_combinational(n.type) && n.type != GateType::kOutput) continue;
     const bool pin_fault_here =
         fault && fault->node == id && fault->pin >= 0;
-    auto in = [&](std::size_t k) -> BddRef {
+    BddRef v = gate_function(mgr, n, [&](std::size_t k) -> BddRef {
       if (pin_fault_here && static_cast<int>(k) == fault->pin)
         return fault->stuck1 ? mgr.one() : mgr.zero();
       return fn[static_cast<std::size_t>(n.fanins[k])];
-    };
-    BddRef v = mgr.zero();
-    switch (n.type) {
-      case GateType::kConst0:
-        v = mgr.zero();
-        break;
-      case GateType::kConst1:
-        v = mgr.one();
-        break;
-      case GateType::kBuf:
-      case GateType::kOutput:
-        v = in(0);
-        break;
-      case GateType::kNot:
-        v = mgr.bdd_not(in(0));
-        break;
-      case GateType::kAnd:
-      case GateType::kNand:
-        v = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k)
-          v = mgr.bdd_and(v, in(k));
-        if (n.type == GateType::kNand) v = mgr.bdd_not(v);
-        break;
-      case GateType::kOr:
-      case GateType::kNor:
-        v = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k)
-          v = mgr.bdd_or(v, in(k));
-        if (n.type == GateType::kNor) v = mgr.bdd_not(v);
-        break;
-      case GateType::kXor:
-      case GateType::kXnor:
-        v = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k)
-          v = mgr.bdd_xor(v, in(k));
-        if (n.type == GateType::kXnor) v = mgr.bdd_not(v);
-        break;
-      default:
-        SATPG_CHECK(false);
-    }
+    });
     if (fault && fault->pin < 0 && fault->node == id)
       v = fault->stuck1 ? mgr.one() : mgr.zero();  // comb stem fault
     fn[static_cast<std::size_t>(id)] = v;
   }
   return fn;
+}
+
+BddRef node_function(const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
+                     const std::vector<BddRef>& fn, NodeId id) {
+  const auto& n = nl.node(id);
+  auto index_in = [id](const std::vector<NodeId>& ids) {
+    return static_cast<unsigned>(
+        std::find(ids.begin(), ids.end(), id) - ids.begin());
+  };
+  if (n.type == GateType::kInput) return mgr.var(vm.in(index_in(nl.inputs())));
+  if (n.type == GateType::kDff) return mgr.var(vm.ps(index_in(nl.dffs())));
+  return gate_function(mgr, n, [&](std::size_t k) {
+    return fn[static_cast<std::size_t>(n.fanins[k])];
+  });
 }
 
 std::vector<StateBit> state_bits(const Netlist& nl, BddMgr& mgr,

@@ -57,6 +57,12 @@ std::vector<BddRef> build_node_functions(
     const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
     const std::optional<Fault>& fault = std::nullopt);
 
+/// Node `id`'s own function with no fault forcing it: its input or
+/// present-state variable in `vm`, or its gate over the fan-in functions
+/// `fn` (as build_node_functions returns them).
+BddRef node_function(const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
+                     const std::vector<BddRef>& fn, NodeId id);
+
 /// One flip-flop as a conjunct of the transition relation: ns ≡ next.
 struct StateBit {
   unsigned ps;   ///< present-state variable

@@ -54,9 +54,13 @@ SrfClass classify_srf(const Netlist& nl, const Fault& fault,
           ? nl.node(fault.node).fanins[static_cast<std::size_t>(fault.pin)]
           : fault.node;
   // The line's *driver function* in the faulty machine's state space,
-  // without the fault forcing (what the line would carry).
-  const auto faulty_nofault = build_node_functions(nl, mgr, vm_f);
-  const BddRef would = faulty_nofault[static_cast<std::size_t>(line)];
+  // without the fault forcing (what the line would carry). A pin fault
+  // forces only its gate's copy of the line, so faulty[line] is unforced;
+  // a stem fault forces the line itself, whose fan-ins lie upstream of it
+  // and are unforced.
+  const BddRef would =
+      fault.pin >= 0 ? faulty[static_cast<std::size_t>(line)]
+                     : node_function(nl, mgr, vm_f, faulty, line);
   const BddRef excite = fault.stuck1 ? mgr.bdd_not(would) : would;
   if (mgr.bdd_and(reached, excite) == mgr.zero())
     return SrfClass::kInvalidSrf;

@@ -370,7 +370,9 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
   AtpgRunResult& run = res.run;
 
   // Build the netlist's lazy caches before workers share it: the const
-  // accessors populate mutable caches on first use and must not race.
+  // accessors populate mutable caches on first use and must not race. The
+  // fault simulator reads only the compiled form; CDCL encoding reads the
+  // fanout cones inside the workers.
   nl.compiled();
   nl.fanout_cones();
 
@@ -860,11 +862,11 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
     run.states_traversed = std::move(fr.good_states);
   }
   set_phase(RunPhase::kDone);
-  // Fold the process-global registry plane (fsim arenas, wide lanes, BDD
-  // oracle, shared cubes) into the per-attempt plane folded at the merge
-  // barriers. The two planes touch disjoint subsystems, so adding the
-  // snapshot never double-counts a byte. Taken after the final replay so
-  // its arena charge is included.
+  // Fold the process-global registry plane (fsim wide lanes, BDD oracle,
+  // shared cubes) into the per-attempt plane folded at the merge barriers.
+  // The two planes touch disjoint subsystems, so adding the snapshot never
+  // double-counts a byte. Taken after the final replay so its lane charge
+  // is included.
   if (memstats_enabled()) res.mem.add(MemStatsRegistry::global().snapshot());
   // Stop (join + final heartbeat) before returning so the stream is
   // complete before the caller writes any report.

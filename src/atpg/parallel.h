@@ -256,7 +256,7 @@ struct ParallelAtpgResult {
   std::size_t deferred_requeued = 0;
   /// Folded byte accounting (base/memstats): attempt tallies added at the
   /// merge barrier in unit/fault order, plus the global registry snapshot
-  /// (fsim arenas, wide lanes, BDD oracle, shared cubes) taken at run end.
+  /// (fsim wide lanes, BDD oracle, shared cubes) taken at run end.
   /// Byte-identical at any thread count; all-zero when never armed.
   MemTally mem;
   /// The memory budget this run enforced (bytes; 0 = none).

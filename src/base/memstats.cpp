@@ -18,8 +18,8 @@ namespace {
 
 // Enumerator order == sorted-name order; MemTally::write_json leans on it.
 constexpr const char* kSubsystemNames[kNumMemSubsystems] = {
-    "bdd_oracle",     "cdcl_clause_db",  "cnf_encoder", "decision_ring",
-    "fsim_arena",     "fsim_wide_lanes", "shared_cubes", "tfm_frames",
+    "bdd_oracle",      "cdcl_clause_db", "cnf_encoder", "decision_ring",
+    "fsim_wide_lanes", "shared_cubes",   "tfm_frames",
 };
 
 }  // namespace

@@ -11,7 +11,7 @@
 //     --threads value. The disabled mode is a null pointer: no tally
 //     attached, no accounting, no branches beyond one pointer test.
 //   * MemStatsRegistry — a process-wide registry for subsystems whose
-//     ownership is not attempt-scoped (fsim arenas, the BDD reachability
+//     ownership is not attempt-scoped (fsim lanes, the BDD reachability
 //     oracle, the shared learning cache). Charge sites are cold (per
 //     simulation call, per publish, once per oracle build) so plain
 //     atomics suffice; determinism is kept by construction: every charge
@@ -59,7 +59,6 @@ enum class MemSubsystem : unsigned {
   kCdclClauseDb,    ///< CDCL clauses + watch lists (atpg/cdcl/solver)
   kCnfEncoder,      ///< time-frame Tseitin encoder maps (atpg/cdcl/cnf)
   kDecisionRing,    ///< capture ring buffers (atpg/capture)
-  kFsimArena,       ///< 64-slot fault-simulation arenas (fsim/fsim)
   kFsimWideLanes,   ///< wide-engine lane buffers + group images (fsim_wide)
   kSharedCubes,     ///< cross-worker learned-cube cache (atpg/parallel)
   kTfmFrames,       ///< structural time-frame models (atpg/tfm)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "base/memstats.h"
 #include "base/metrics.h"
 #include "base/profiler.h"
 #include "base/threadpool.h"
@@ -180,18 +179,6 @@ struct FsimArena {
   }
 };
 
-// Logical footprint of ONE prepared arena — a pure function of the
-// netlist, mirroring FsimArena::prepare element for element. The registry
-// is charged this once per simulation call regardless of worker count, so
-// the accounted bytes are thread-count invariant.
-std::uint64_t arena_logical_bytes(const Netlist& nl) {
-  const std::size_t max_fanins = nl.compiled().max_fanins;
-  return nl.num_nodes() *
-             (sizeof(PV) + sizeof(std::uint8_t) + sizeof(std::int32_t)) +
-         nl.num_dffs() * sizeof(PV) + 63 * sizeof(FsimArena::Inject) +
-         max_fanins * sizeof(PV) + (nl.num_nodes() + 7) / 8;
-}
-
 // One 63-fault batch simulated against one sequence, restricted to the
 // union of the batch's fault-site fanout cones. Nodes outside the cone are
 // provably identical to the good machine, whose per-frame values arrive in
@@ -254,13 +241,6 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
     return j.stuck1 ? V3::kOne : V3::kZero;
   };
 
-  // Telemetry stays off the per-gate path: counts accumulate in locals and
-  // are bulk-added once per (batch, sequence). Batch composition is fixed
-  // before any worker runs, so these totals are thread-count invariant.
-  const bool count_metrics = metrics_enabled();
-  std::uint64_t gate_evals = 0;
-  std::uint64_t activity_skips = 0;
-
   for (std::size_t t = 0; t < seq.size(); ++t) {
     const auto& pi = seq[t];
     const std::vector<V3>& gval = good.val[t];
@@ -301,12 +281,10 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
           }
         }
       if (!act) {
-        if (count_metrics) ++activity_skips;
         a.val[ni] = PV::all(g);
         a.active[ni] = 0;
         continue;
       }
-      if (count_metrics) ++gate_evals;
       const std::size_t nfi = fanins.size();
       for (std::size_t k = 0; k < nfi; ++k) {
         const auto fi = static_cast<std::size_t>(fanins[k]);
@@ -365,15 +343,6 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
       a.state[i] = v;
     }
   }
-
-  if (count_metrics) {
-    static MetricsRegistry::Counter& ge =
-        MetricsRegistry::global().counter("fsim.gate_evals");
-    static MetricsRegistry::Counter& as =
-        MetricsRegistry::global().counter("fsim.activity_skips");
-    ge.add(gate_evals);
-    as.add(activity_skips);
-  }
 }
 
 }  // namespace
@@ -405,22 +374,11 @@ FsimResult run_fault_simulation(const Netlist& nl,
                                    ? ThreadPool::hardware_threads()
                                    : opts.num_threads;
 
-  // Engine dispatch: the wide (pattern-parallel) engine pays off whenever
-  // there is more than one sequence to pack into a lane group; single-
-  // sequence calls (ATPG inner loops) stay on the 64-slot engine where no
-  // lane would be live beyond lane 0. Results are identical either way.
-  const bool use_wide =
-      opts.engine == FsimEngine::kWide ||
-      (opts.engine == FsimEngine::kAuto && sequences.size() >= 2);
-  if (use_wide)
+  if (opts.engine == FsimEngine::kWide)
     return fsim_wide::run_wide(nl, faults, sequences, opts, max_workers);
-  // Only the 64-slot engine restricts batches to fanout cones.
-  if (!faults.empty()) nl.fanout_cones();
 
-  // One arena's footprint for the duration of the call (never x workers).
-  const MemRegistryScope arena_mem(
-      MemSubsystem::kFsimArena,
-      memstats_enabled() ? arena_logical_bytes(nl) : 0);
+  // The 64-slot reference: only it restricts batches to fanout cones.
+  if (!faults.empty()) nl.fanout_cones();
 
   std::vector<std::uint8_t> detected(faults.size(), 0);
   std::vector<std::uint8_t> newly(faults.size(), 0);
@@ -448,11 +406,6 @@ FsimResult run_fault_simulation(const Netlist& nl,
       if (!detected[i]) remaining.push_back(i);
     if (remaining.empty()) continue;
     const std::size_t num_batches = (remaining.size() + 62) / 63;
-    if (metrics_enabled()) {
-      static MetricsRegistry::Counter& c =
-          MetricsRegistry::global().counter("fsim.batches");
-      c.add(num_batches);
-    }
     std::fill(newly.begin(), newly.end(), 0);
     std::fill(newly_pot.begin(), newly_pot.end(), 0);
 

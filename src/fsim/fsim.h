@@ -8,25 +8,28 @@
 //     handling — possible-detects do not count);
 //   * faults are permanent: active in every cycle including initialization.
 //
-// Three engines share the semantics:
+// One production engine and two references share the semantics:
+//   * the wide pattern-parallel (PPSFP) engine, which every
+//     run_fault_simulation call runs by default (ATPG verify-and-drop,
+//     the random phase, grading and the Table 8 replay): it packs a lane
+//     group of PVW::kSubWords sequences into one simulation and simulates
+//     every 63-fault batch across all lanes at once, over the whole
+//     netlist, on SIMD kernels selected by a one-time CPUID dispatch
+//     (scalar / SSE2 / AVX2 / AVX-512, see DESIGN.md §8). Slot 0 of each
+//     lane is that lane's good machine, so it needs no separate good pass;
+//   * a 64-slot bit-parallel reference (slot 0 carries the good machine,
+//     slots 1..63 carry faulty machines), one sequence at a time. It
+//     simulates the good machine exactly once per sequence and restricts
+//     each batch to the union of its fault sites' sequential fanout cones
+//     with per-gate activity skips, so it shares no evaluation schedule
+//     with the wide engine. Tests, CI and the benchmark regrade check the
+//     wide engine against it;
 //   * a serial three-valued reference (one fault at a time), used for
-//     cross-checking and small runs;
-//   * a 64-slot bit-parallel engine (slot 0 carries the good machine,
-//     slots 1..63 carry faulty machines), one sequence at a time;
-//   * a wide pattern-parallel (PPSFP) engine that packs a lane group of
-//     PVW::kSubWords sequences into one simulation and simulates every
-//     fault batch across all lanes at once, over the whole netlist, on
-//     SIMD kernels selected by a one-time CPUID dispatch (scalar / SSE2 /
-//     AVX2 / AVX-512, see DESIGN.md §8). Slot 0 of each lane is that
-//     lane's good machine, so it needs no separate good pass. It is the
-//     default for multi-sequence grading and the Table 8 replay.
+//     cross-checking and small runs.
 //
 // Both bit-parallel engines run their 63-fault batches concurrently on a
-// thread pool. The 64-slot engine simulates the good machine exactly once
-// per sequence and restricts each batch to the union of its fault sites'
-// sequential fanout cones (everything outside is known to equal the good
-// value). Per-worker scratch arenas keep the per-frame hot path
-// allocation-free. Results are bit-identical for every thread count,
+// thread pool, with per-worker scratch arenas that keep the per-frame hot
+// path allocation-free. Results are bit-identical for every thread count,
 // engine, lane width and dispatch tier — batches are formed before any
 // batch runs, each batch writes only its own faults' flags, lane order
 // equals sequence order, and first-detection ties resolve to the lowest
@@ -54,12 +57,8 @@ int simulate_fault_serial(const Netlist& nl, const Fault& fault,
                           const TestSequence& seq);
 
 enum class FsimEngine : std::uint8_t {
-  /// Wide engine for multi-sequence runs, 64-slot engine for a single
-  /// sequence (where lane padding would waste work, e.g. ATPG inner
-  /// loops). Results are identical either way.
-  kAuto = 0,
-  kBaseline64,  ///< always the one-sequence-at-a-time 64-slot engine
-  kWide,        ///< always the pattern-parallel PVW engine
+  kWide = 0,    ///< the pattern-parallel PVW engine (production)
+  kBaseline64,  ///< the one-sequence-at-a-time 64-slot reference
 };
 
 struct FsimOptions {
@@ -67,7 +66,10 @@ struct FsimOptions {
   /// execution (the reference path), 0 = one worker per hardware thread.
   /// Results are bit-identical for every value.
   unsigned num_threads = 0;
-  FsimEngine engine = FsimEngine::kAuto;
+  /// kWide for every production call, any sequence count; kBaseline64
+  /// selects the reference that tests and the benchmark regrade compare
+  /// against. Results are identical either way.
+  FsimEngine engine = FsimEngine::kWide;
   /// Physical kernel width for the wide engine. kAuto picks the widest
   /// tier that is compiled in and CPU-supported; an explicit tier that is
   /// unavailable is a fatal error (callers can pre-validate with

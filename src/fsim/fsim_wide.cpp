@@ -1,4 +1,5 @@
-// Wide pattern-parallel (PPSFP) fault-simulation driver.
+// Wide pattern-parallel (PPSFP) fault-simulation driver: the engine every
+// production run_fault_simulation call runs.
 //
 // Packs a lane group of PVW::kSubWords sequences into one simulation:
 // every 63-fault batch is simulated across all lanes at once, over the
@@ -20,12 +21,9 @@
 // Batch partitions are fixed per group and each batch writes only its own
 // faults' lane masks, so results are identical for every thread count;
 // every kernel tier computes the same fixed-width logical word, so they
-// are identical across tiers too. The semantic counters fsim.batches /
-// calls / sequences / vectors match the 64-slot engine exactly
-// (fsim.batches is derived from the detection results, reproducing the
-// per-sequence drop schedule the 64-slot engine would have executed);
-// engine-internal hot-path counters live under fsim.wide.* because the
-// wide engine's evaluation schedule is legitimately different.
+// are identical across tiers too. The semantic counters fsim.calls /
+// sequences / vectors are counted by run_fault_simulation for either
+// engine; engine-internal counters live under fsim.wide.*.
 #include <algorithm>
 
 #include "base/cpu.h"
@@ -372,12 +370,6 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
   remaining.reserve(faults.size());
   GroupInputs in;
   std::vector<WideArena> arenas(1);
-  // The 64-slot engine counts one fsim.batches unit per (sequence,
-  // 63-fault chunk of the then-remaining faults). Detection results are
-  // drop-schedule invariant, so that count can be reproduced exactly from
-  // detected_at — keeping the semantic metrics engine-independent even
-  // though the wide engine batches per group.
-  std::uint64_t logical_batches = 0;
 
   for (std::size_t base = 0; base < sequences.size(); base += kLanes) {
     const unsigned lanes = static_cast<unsigned>(
@@ -418,7 +410,6 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
     // potential detections count only up to and including that lane — the
     // per-sequence engine drops a fault right after its detecting
     // sequence and would never observe later ones.
-    std::size_t det_in_lane[kLanes] = {};
     for (std::size_t idx : remaining) {
       const std::uint8_t dm = det_lanes[idx];
       std::uint8_t pm = pot_lanes[idx];
@@ -426,25 +417,14 @@ FsimResult run_wide(const Netlist& nl, const std::vector<Fault>& faults,
         const unsigned lane = static_cast<unsigned>(__builtin_ctz(dm));
         detected[idx] = 1;
         res.detected_at[idx] = static_cast<int>(base + lane);
-        ++det_in_lane[lane];
         pm &= static_cast<std::uint8_t>((2u << lane) - 1);
       }
       if (pm && res.potential_at[idx] < 0)
         res.potential_at[idx] =
             static_cast<int>(base + static_cast<unsigned>(__builtin_ctz(pm)));
     }
-    std::size_t rem = remaining.size();
-    for (unsigned g = 0; g < lanes; ++g) {
-      if (rem > 0) logical_batches += (rem + 62) / 63;
-      rem -= det_in_lane[g];
-    }
   }
 
-  if (metrics_enabled() && logical_batches > 0) {
-    static MetricsRegistry::Counter& batches =
-        MetricsRegistry::global().counter("fsim.batches");
-    batches.add(logical_batches);
-  }
   res.num_detected = static_cast<std::size_t>(
       std::count(detected.begin(), detected.end(), 1));
   return res;

@@ -324,6 +324,19 @@ TEST(CliSmokeTest, FsimEngineFlagsAreDeterministic) {
   const auto wide = fsim_run("wide", "--engine=wide");
   EXPECT_EQ(base.second, def.second);
   EXPECT_EQ(wide.second, def.second);
+
+  // One sequence, as ATPG's verify-and-drop simulates it, runs wide too.
+  const std::string one = dir + "cli_fsim_one.out";
+  ASSERT_EQ(run_satpg(std::string("fsim \"") + SATPG_SMOKE_CIRCUIT +
+                          "\" --sequences=1",
+                      one),
+            0);
+  const std::string text = slurp(one);
+  const std::string engine_line = text.substr(0, text.find('\n'));
+  bool named_tier = false;
+  for (const char* tier : {"scalar", "sse2", "avx2", "avx512"})
+    named_tier |= engine_line == std::string("engine           : wide/") + tier;
+  EXPECT_TRUE(named_tier) << engine_line;
 }
 
 // Bad engine/width values are usage errors (exit 2, README "Exit codes").
@@ -331,6 +344,11 @@ TEST(CliSmokeTest, FsimEngineFlagErrors) {
   const std::string args_prefix =
       std::string("fsim \"") + SATPG_SMOKE_CIRCUIT + "\" ";
   EXPECT_EQ(run_satpg(args_prefix + "--engine=bogus"), 2);
+  // The production engine is the wide one; there is no `auto` any more.
+  const std::string auto_err = ::testing::TempDir() + "cli_fsim_auto.err";
+  EXPECT_EQ(run_satpg(args_prefix + "--engine=auto", "", auto_err), 2);
+  EXPECT_NE(slurp(auto_err).find("error: unknown --engine=auto"),
+            std::string::npos);
   for (const char* bad : {"--width=7", "--width=64junk", "--width=-64"}) {
     const std::string err = ::testing::TempDir() + "cli_fsim_badwidth.err";
     EXPECT_EQ(run_satpg(args_prefix + bad, "", err), 2) << bad;

@@ -2,9 +2,9 @@
 // per-tier kernel selftests, wide == baseline == serial cross-checks on
 // hand, MCNC and cached circuits (plus retimed twins), pin faults against
 // the serial reference, potential-detect semantics, first-detection
-// tie-breaks, ragged sequence lengths, PVW invariants, and metrics parity
-// between engines. Every check runs for
-// each SIMD tier the build + CPU can execute, always including the
+// tie-breaks, ragged sequence lengths, single-sequence calls on default
+// options, PVW invariants, and metrics parity between engines. Every check
+// runs for each SIMD tier the build + CPU can execute, always including the
 // portable scalar kernel — the results contract is byte-identity across
 // tiers, thread counts, and engines.
 #include <gtest/gtest.h>
@@ -324,14 +324,39 @@ std::vector<int> expect_serial_detections(const Netlist& nl,
 
 TEST(WideFsimTest, PinFaultsMatchSerialReference) {
   // (a) A cached benchmark circuit, every collapsed fault.
-  {
-    const Netlist nl = read_bench_file(std::string(SATPG_CACHE_DIR) +
+  const Netlist s510 = read_bench_file(std::string(SATPG_CACHE_DIR) +
                                        "/s510.jc.sd_s3_x30.bench");
-    std::vector<Fault> faults;
-    for (const auto& cf : collapse_faults(nl))
-      faults.push_back(cf.representative);
-    expect_serial_detections(nl, faults, make_random_sequences(nl, 16, 20, 3));
+  std::vector<Fault> s510_faults;
+  for (const auto& cf : collapse_faults(s510))
+    s510_faults.push_back(cf.representative);
+  expect_serial_detections(s510, s510_faults,
+                           make_random_sequences(s510, 16, 20, 3));
+
+  // (a') The same faults under one sequence, the shape of ATPG's
+  // verify-and-drop call. Default options run it on the wide engine as
+  // one lane group.
+  {
+    const auto one = make_random_sequences(s510, 1, 64, 3);
+    auto& reg = MetricsRegistry::global();
+    const bool was_enabled = metrics_enabled();
+    set_metrics_enabled(true);
+    const std::uint64_t groups = reg.counter("fsim.wide.groups").total();
+    const FsimResult def = run_fault_simulation(s510, s510_faults, one);
+    EXPECT_EQ(reg.counter("fsim.wide.groups").total(), groups + 1)
+        << "a single-sequence call must run the wide engine";
+    set_metrics_enabled(was_enabled);
+    expect_same_result(def, run_baseline(s510, s510_faults, one),
+                       "one sequence, default options");
+    const auto want = expect_serial_detections(s510, s510_faults, one);
+    std::size_t pin_detected = 0, potential = 0;
+    for (std::size_t i = 0; i < s510_faults.size(); ++i) {
+      if (s510_faults[i].pin >= 0 && want[i] >= 0) ++pin_detected;
+      if (def.potential_at[i] >= 0) ++potential;
+    }
+    EXPECT_GT(pin_detected, 0u);
+    EXPECT_GT(potential, 0u);
   }
+
   // (b) Every uncollapsed fault of a hand-built circuit in one batch:
   // 3-input NAND/NOR/XOR/XNOR, a gate that reads one node on two pins,
   // a flip-flop D pin and the PO markers' pin faults.
@@ -358,9 +383,9 @@ TEST(WideFsimTest, PinFaultsMatchSerialReference) {
   EXPECT_GE(pin_detected, 20u);
 }
 
-// Semantic metrics (fsim.calls/sequences/vectors/batches) are identical
-// between engines; the full registry dump is byte-identical across wide
-// tiers (engine internals included).
+// Semantic metrics (fsim.calls/sequences/vectors) are identical between
+// engines; the full registry dump is byte-identical across wide tiers
+// (engine internals included).
 TEST(WideFsimTest, MetricsParityAcrossEnginesAndTiers) {
   FsmGenSpec spec;
   for (const auto& s : mcnc_specs())
@@ -379,15 +404,12 @@ TEST(WideFsimTest, MetricsParityAcrossEnginesAndTiers) {
 
   reg.reset();
   run_baseline(nl, faults, seqs);
-  const std::uint64_t base_batches = reg.counter("fsim.batches").total();
   const std::uint64_t base_vectors = reg.counter("fsim.vectors").total();
 
   std::string first_wide_json;
   for (const SimdTier tier : usable_tiers()) {
     reg.reset();
     run_wide(nl, faults, seqs, tier);
-    EXPECT_EQ(reg.counter("fsim.batches").total(), base_batches)
-        << simd_tier_name(tier);
     EXPECT_EQ(reg.counter("fsim.vectors").total(), base_vectors)
         << simd_tier_name(tier);
     const std::string json = reg.to_json();

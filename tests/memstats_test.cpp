@@ -84,10 +84,11 @@ TEST(MemTallyTest, JsonEmitsEverySubsystemSortedAndNoWall) {
 }
 
 TEST(MemScopeTest, NullTallyIsANoOpAndResizeRestates) {
-  MemScope noop(nullptr, MemSubsystem::kFsimArena, 1000);  // must not crash
+  // Must not crash.
+  MemScope noop(nullptr, MemSubsystem::kFsimWideLanes, 1000);
   MemTally t;
   {
-    MemScope s(&t, MemSubsystem::kFsimArena, 100);
+    MemScope s(&t, MemSubsystem::kFsimWideLanes, 100);
     EXPECT_EQ(t.live, 100u);
     s.resize(250);
     EXPECT_EQ(t.live, 250u);
@@ -112,13 +113,14 @@ TEST(MemRegistryTest, PeakIsMaxOfHintsAndLive) {
   MemStatsRegistry& reg = MemStatsRegistry::global();
   reg.reset();
   set_memstats_enabled(true);
-  reg.charge(MemSubsystem::kFsimArena, 100, 700);
-  reg.release(MemSubsystem::kFsimArena, 100);
-  reg.charge(MemSubsystem::kFsimArena, 300, 300);
+  reg.charge(MemSubsystem::kFsimWideLanes, 100, 700);
+  reg.release(MemSubsystem::kFsimWideLanes, 100);
+  reg.charge(MemSubsystem::kFsimWideLanes, 300, 300);
   const MemTally snap = reg.snapshot();
   set_memstats_enabled(false);
   reg.reset();
-  const auto& a = snap.acct[static_cast<std::size_t>(MemSubsystem::kFsimArena)];
+  const auto& a =
+      snap.acct[static_cast<std::size_t>(MemSubsystem::kFsimWideLanes)];
   EXPECT_EQ(a.live(), 300u);
   EXPECT_EQ(a.peak, 700u) << "explicit hint dominates live-at-snapshot";
   EXPECT_EQ(a.allocated, 400u);

@@ -2,6 +2,7 @@
 // SRF taxonomy (srf.h) and sequential equivalence checking (seqec.h).
 #include <gtest/gtest.h>
 
+#include "analysis/bddcircuit.h"
 #include "analysis/seqec.h"
 #include "analysis/srf.h"
 #include "atpg/engine.h"
@@ -82,6 +83,41 @@ TEST(SrfTest, InvalidStateExcitationIsInvalidSrf) {
   opts.reset_input = "";  // init comes from the FF init values
   EXPECT_EQ(classify_srf(nl, {flag, -1, false}, opts),
             SrfClass::kInvalidSrf);
+}
+
+// classify_srf reads a stem-faulted line's unforced function through
+// node_function. On every node of a synthesized machine it must equal the
+// function an unfaulted build_node_functions gives the node, and a faulted
+// build must leave the fan-ins of the stem it forces unchanged.
+TEST(SrfTest, NodeFunctionMatchesUnfaultedBuild) {
+  FsmGenSpec spec;
+  for (const auto& s : mcnc_specs())
+    if (s.name == "dk16") spec = s;
+  const SynthResult res =
+      synthesize(generate_control_fsm(scaled_spec(spec, 0.35)), {});
+  const Netlist& nl = res.netlist;
+  const BddVarMap vm = BddVarMap::single(
+      static_cast<unsigned>(nl.num_dffs()),
+      static_cast<unsigned>(nl.num_inputs()));
+  BddMgr mgr(vm.total());
+  const auto fn = build_node_functions(nl, mgr, vm);
+  std::vector<NodeId> nodes = nl.inputs();
+  nodes.insert(nodes.end(), nl.dffs().begin(), nl.dffs().end());
+  for (NodeId id : nl.topo_order())
+    if (is_combinational(nl.node(id).type) ||
+        nl.node(id).type == GateType::kOutput)
+      nodes.push_back(id);
+  ASSERT_GT(nl.num_dffs(), 0u);
+  ASSERT_GT(nodes.size(), 20u);
+  for (NodeId id : nodes) {
+    EXPECT_EQ(node_function(nl, mgr, vm, fn, id),
+              fn[static_cast<std::size_t>(id)])
+        << nl.node(id).name;
+    const auto faulty = build_node_functions(nl, mgr, vm, Fault{id, -1, true});
+    EXPECT_EQ(node_function(nl, mgr, vm, faulty, id),
+              fn[static_cast<std::size_t>(id)])
+        << nl.node(id).name << " s-a-1";
+  }
 }
 
 TEST(SrfTest, OracleAuditsEngineOnSmallMachine) {

@@ -25,7 +25,7 @@
 //               --capture-json=FILE / --capture-fault=ID
 //               --profile-json=FILE (cycle-level profile sidecar; wall-clock)
 // fsim options: --sequences=N --length=N --seed=N --threads=N
-//               --engine=auto|baseline|wide
+//               --engine=wide|baseline (baseline: the 64-slot reference)
 //               --width=64|128|256|512 (pin the wide kernel's SIMD tier;
 //               64 is the portable scalar kernel, as SATPG_FORCE_SCALAR=1)
 // Numeric flag values are strict: a malformed, negative or out-of-range
@@ -117,7 +117,7 @@ void print_usage(std::FILE* f) {
       "                [--capture-json=FILE] [--capture-fault=NAME|INDEX]\n"
       "  satpg fsim    c.bench [--sequences=N] [--length=N] [--seed=N]"
       " [--threads=N]\n"
-      "                [--engine=auto|baseline|wide]"
+      "                [--engine=wide|baseline]"
       " [--width=64|128|256|512]\n"
       "                [--metrics-json=FILE] [--trace-json=FILE]"
       " [--profile-json=FILE]\n"
@@ -512,9 +512,7 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
       if (!parse_count(v4, &fopts.num_threads))
         return bad_value("--threads=", v4);
     } else if (const char* v5 = flag_value(argv[i], "--engine=")) {
-      if (std::strcmp(v5, "auto") == 0) {
-        fopts.engine = FsimEngine::kAuto;
-      } else if (std::strcmp(v5, "baseline") == 0) {
+      if (std::strcmp(v5, "baseline") == 0) {
         fopts.engine = FsimEngine::kBaseline64;
       } else if (std::strcmp(v5, "wide") == 0) {
         fopts.engine = FsimEngine::kWide;
@@ -578,14 +576,12 @@ int cmd_fsim(const Netlist& nl, int argc, char** argv) {
 
   const auto [detected_weight, total_weight] =
       graded_coverage(collapsed, r.detected_at);
-  const bool used_wide =
-      fopts.engine == FsimEngine::kWide ||
-      (fopts.engine == FsimEngine::kAuto && seqs.size() >= 2);
   std::printf("engine           : %s\n",
-              used_wide ? (std::string("wide/") +
-                           simd_tier_name(fsim_wide_resolve_tier(fopts.simd)))
-                              .c_str()
-                        : "baseline64");
+              fopts.engine == FsimEngine::kWide
+                  ? (std::string("wide/") +
+                     simd_tier_name(fsim_wide_resolve_tier(fopts.simd)))
+                        .c_str()
+                  : "baseline64");
   std::printf("sequences        : %d x %d cycles (seed %llu)\n", sequences,
               length, static_cast<unsigned long long>(seed));
   std::printf("faults           : %zu collapsed classes (%zu weighted)\n",
