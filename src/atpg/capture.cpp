@@ -313,7 +313,7 @@ ReplayResult replay_capture(const Netlist& nl, const SearchCapture& cap) {
   // (detected/redundant/budget) must reproduce the same stream with no
   // forcing at all.
   nl.compiled();
-  nl.fanout_cones();
+  if (cap.options.kind == EngineKind::kCdcl) nl.fanout_cones();
   DecisionRing ring(cap.ring_capacity);
   AtpgEngine engine(nl, cap.options);
   engine.set_decision_ring(&ring);

@@ -1,7 +1,6 @@
 #include "atpg/cdcl/cdcl.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "atpg/capture.h"
@@ -66,12 +65,6 @@ LiftedModel lift_model(const Netlist& nl, const CdclSolver& solver,
 
 }  // namespace
 
-void CdclAtpg::publish_phase(SearchPhase p) {
-  if (e_.progress_ != nullptr)
-    e_.progress_->phase.store(static_cast<std::uint32_t>(p),
-                              std::memory_order_relaxed);
-}
-
 // Second leg of the unreachability proof. A predecessor-free cube is
 // disjoint from the image of every state, so it can only intersect the
 // reachable set through the INITIAL states (reachable = initial ∪ image
@@ -103,137 +96,37 @@ void CdclAtpg::harvest(const CdclSolver& solver) {
   e_.stats_.learned_clauses += s.learned;
 }
 
+void CdclAtpg::catch_up(TimeFrameCnf& cnf, std::size_t* blocked,
+                        const PodemBudget& budget) {
+  // Block every cube proven since the last solve (imports at attempt start,
+  // then anything deeper recursions exported meanwhile). Each successful
+  // block is a provenance hit against the cube's exporter.
+  for (; *blocked < blocking_.size(); ++*blocked) {
+    const Block& blk = blocking_[*blocked];
+    if (!cnf.block_state_cube(blk.key)) continue;
+    ++e_.stats_.cube_blocks;
+    e_.count_cube_source(blk.exporter, blk.epoch);
+    if (e_.record_events_) {
+      SearchEvent e;
+      e.kind = SearchEventKind::kCubeImport;
+      e.a = static_cast<std::int32_t>(blk.epoch);
+      e.at = budget.evals;
+      e.cube = blk.key.to_string();
+      e.src = blk.exporter;
+      e_.events_buf_.push_back(std::move(e));
+    }
+  }
+}
+
 CdclAtpg::JustifyOutcome CdclAtpg::justify(
     const std::vector<std::pair<NodeId, V3>>& cube, int depth,
     StateSet& on_path, PodemBudget& budget) {
+  using Status = JustifyOutcome::Status;
+  constexpr AtpgEngine::JustifyMode kMode{true, Status::kProvenInvalid};
+  AtpgEngine::JustifyLevel lvl;
   JustifyOutcome out;
-  if (cube.empty()) {
-    out.status = JustifyOutcome::Status::kJustified;
+  if (e_.begin_justify(&lvl, cube, depth, on_path, budget, kMode, &out))
     return out;
-  }
-  publish_phase(SearchPhase::kJustify);
-  ++e_.stats_.justify_calls;
-  e_.stats_.max_justify_depth =
-      std::max<std::uint64_t>(e_.stats_.max_justify_depth,
-                              static_cast<std::uint64_t>(depth) + 1);
-  const StateKey key = e_.cube_key(cube);
-  e_.cubes_visited_.insert(key);
-  if (e_.record_events_) {
-    SearchEvent e;
-    e.kind = SearchEventKind::kJustifyEnter;
-    e.a = depth;
-    e.at = budget.evals;
-    e.cube = key.to_string();
-    e_.events_buf_.push_back(std::move(e));
-  }
-  // Leave outcome: 0 failed, 1 justified, 2 proven-invalid — mirrors
-  // JustifyOutcome::Status so timelines show the proof verdicts too.
-  const auto leave = [&](int outcome) {
-    if (e_.record_events_) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kJustifyLeave;
-      e.a = depth;
-      e.b = outcome;
-      e.at = budget.evals;
-      e_.events_buf_.push_back(std::move(e));
-    }
-  };
-  const std::size_t bucket =
-      static_cast<std::size_t>(e_.classify_cube(key));
-  const bool attributed = e_.validity_ != nullptr;
-  EffortAttribution& attr = e_.stats_.attribution;
-  if (attributed) ++attr.justify_calls[bucket];
-  const auto fail_bucket = [&] {
-    if (attributed) ++attr.justify_failures[bucket];
-  };
-  if (depth > e_.opts_.max_backward_frames) {
-    ++e_.stats_.justify_failures;
-    fail_bucket();
-    leave(0);
-    return out;
-  }
-  if (on_path.count(key)) {
-    ++e_.stats_.justify_failures;
-    fail_bucket();
-    leave(0);
-    return out;  // state-requirement loop
-  }
-
-  // Cache consumption enters the decision stream exactly as in the
-  // structural kLearning engine (same replay semantics).
-  const auto ring_learn_hit = [&](bool ok) {
-    if (e_.ring_ != nullptr)
-      e_.ring_->push({DecisionEventKind::kLearnHit,
-                      static_cast<std::uint8_t>(ok ? 1 : 0), depth, -1,
-                      static_cast<std::uint64_t>(StateKeyHash{}(key))});
-  };
-  const auto event_learn_hit = [&](bool ok, const std::string& src) {
-    if (e_.record_events_) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kLearnHit;
-      e.a = depth;
-      e.b = ok ? 1 : 0;
-      e.at = budget.evals;
-      e.cube = key.to_string();
-      e.src = src;
-      e_.events_buf_.push_back(std::move(e));
-    }
-  };
-  if (auto it = e_.learned_ok_.find(key); it != e_.learned_ok_.end()) {
-    ++e_.stats_.learn_hits;
-    ring_learn_hit(true);
-    event_learn_hit(true, {});
-    out.status = JustifyOutcome::Status::kJustified;
-    out.prefix = it->second;
-    leave(1);
-    return out;
-  }
-  if (e_.learned_fail_.count(key)) {
-    ++e_.stats_.learn_hits;
-    ++e_.stats_.justify_failures;
-    fail_bucket();
-    ring_learn_hit(false);
-    const auto origin = e_.cube_origins_.find(key);
-    if (origin != e_.cube_origins_.end())
-      e_.count_cube_source(origin->second.exporter, origin->second.epoch);
-    event_learn_hit(false, origin != e_.cube_origins_.end()
-                               ? origin->second.exporter
-                               : std::string());
-    out.status = JustifyOutcome::Status::kProvenInvalid;
-    leave(2);
-    return out;
-  }
-  if (e_.opts_.share_learning && e_.shared_ != nullptr) {
-    std::vector<std::vector<V3>> prefix;
-    if (e_.shared_->lookup_ok(key, &prefix)) {
-      ++e_.stats_.learn_hits;
-      ring_learn_hit(true);
-      event_learn_hit(true, {});
-      e_.learned_ok_[key] = prefix;
-      out.status = JustifyOutcome::Status::kJustified;
-      out.prefix = std::move(prefix);
-      leave(1);
-      return out;
-    }
-    std::string exporter;
-    std::uint32_t epoch = 0;
-    if (e_.shared_->lookup_fail_info(key, &exporter, &epoch)) {
-      ++e_.stats_.learn_hits;
-      ++e_.stats_.justify_failures;
-      fail_bucket();
-      ring_learn_hit(false);
-      e_.count_cube_source(exporter, epoch);
-      event_learn_hit(false, exporter);
-      e_.learned_fail_.insert(key);
-      e_.cube_origins_[key] = {exporter, epoch};
-      out.status = JustifyOutcome::Status::kProvenInvalid;
-      leave(2);
-      return out;
-    }
-  }
-  ++e_.stats_.learn_misses;
-
-  on_path.insert(key);
 
   // One-frame fault-free predecessor query: free previous state and
   // inputs, the D lines of the cube's flip-flops pinned to its values.
@@ -254,54 +147,19 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
   std::size_t blocked = 0;
   if (e_.ring_ != nullptr)
     e_.ring_->push({DecisionEventKind::kObjective, kObjJustify, depth, -1,
-                    static_cast<std::uint64_t>(StateKeyHash{}(key))});
+                    static_cast<std::uint64_t>(StateKeyHash{}(lvl.key))});
 
   // Taint: any incomplete step (budget abort, depth/loop/budget failure of
   // a sub-cube we then blocked) makes a final UNSAT inconclusive — the
   // cube merely FAILED, it was not proven unreachable.
   bool tainted = false;
-  std::uint64_t evals0 = budget.evals;
-  std::uint64_t backtracks0 = budget.backtracks;
-  const auto commit_spend = [&] {
-    if (attributed) {
-      attr.justify_evals[bucket] += budget.evals - evals0;
-      attr.justify_backtracks[bucket] += budget.backtracks - backtracks0;
-      if (e_.progress_ != nullptr)
-        e_.progress_->invalid_evals.store(
-            attr.justify_evals[static_cast<std::size_t>(
-                StateValidity::kInvalid)],
-            std::memory_order_relaxed);
-    }
-  };
+  lvl.mark(budget);
   for (;;) {
-    // Catch up on cubes proven since the last solve (imports at entry,
-    // then anything deeper recursions exported mid-loop). Every successful
-    // block is a provenance hit against the cube's exporter.
-    while (blocked < blocking_.size()) {
-      const Block& blk = blocking_[blocked];
-      if (cnf.block_state_cube(blk.key)) {
-        ++e_.stats_.cube_blocks;
-        e_.count_cube_source(blk.exporter, blk.epoch);
-        if (e_.record_events_) {
-          SearchEvent e;
-          e.kind = SearchEventKind::kCubeImport;
-          e.a = static_cast<std::int32_t>(blk.epoch);
-          e.at = budget.evals;
-          e.cube = blk.key.to_string();
-          e.src = blk.exporter;
-          e_.events_buf_.push_back(std::move(e));
-        }
-      }
-      ++blocked;
-    }
+    catch_up(cnf, &blocked, budget);
     const SolveStatus st = solver.solve();
-    if (st == SolveStatus::kAborted) {
-      commit_spend();
-      tainted = true;
-      break;
-    }
-    if (st == SolveStatus::kUnsat) {
-      commit_spend();
+    if (st != SolveStatus::kSat) {
+      e_.commit_spend(lvl, budget);
+      tainted = tainted || st == SolveStatus::kAborted;
       break;
     }
     // Lift the model to a 3-valued (previous-state, input) pair: keep the
@@ -319,19 +177,18 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
         if (tfm.value(0, e_.nl_.node(ff).fanins[0]).g != v) return false;
       return true;
     });
-    commit_spend();
+    e_.commit_spend(lvl, budget);
 
     auto sub = justify(prev_cube, depth + 1, on_path, budget);
-    publish_phase(SearchPhase::kJustify);
-    evals0 = budget.evals;
-    backtracks0 = budget.backtracks;
-    if (sub.status == JustifyOutcome::Status::kJustified) {
-      out.status = JustifyOutcome::Status::kJustified;
+    e_.publish_phase(SearchPhase::kJustify);
+    lvl.mark(budget);
+    if (sub.justified()) {
+      out.status = Status::kJustified;
       out.prefix = std::move(sub.prefix);
       out.prefix.push_back(std::move(inputs[0]));
       break;
     }
-    if (sub.status == JustifyOutcome::Status::kFailed) {
+    if (sub.status == Status::kFailed) {
       // Not proven unreachable — excluding it below makes any later UNSAT
       // inconclusive for THIS cube, but enumeration must move on.
       tainted = true;
@@ -345,49 +202,26 @@ CdclAtpg::JustifyOutcome CdclAtpg::justify(
       break;
     }
   }
-  on_path.erase(key);
   harvest(solver);
 
-  if (out.status == JustifyOutcome::Status::kJustified) {
-    e_.learned_ok_[key] = out.prefix;
-    ++e_.stats_.learn_inserts;
-    leave(1);
-    return out;
+  // Complete UNSAT with only proven-unreachable cubes excluded AND the
+  // initial set ruled out: no reachable predecessor produces this cube and
+  // no initial state lies in it, so (reachable = initial ∪ image closure,
+  // analysis/reach's fixpoint) the cube intersects no reachable state.
+  // Export the proof, attributed to the current fault.
+  const bool proven =
+      !out.justified() && !tainted && cube_excludes_initial(lvl.key);
+  if (proven) {
+    out.status = Status::kProvenInvalid;
+    blocking_.push_back({lvl.key, e_.fault_name_, 0});
   }
-  ++e_.stats_.justify_failures;
-  fail_bucket();
-  if (!tainted && cube_excludes_initial(key)) {
-    // Complete UNSAT with only proven-unreachable cubes excluded AND the
-    // initial set ruled out: no reachable predecessor produces this cube
-    // and no initial state lies in it, so (reachable = initial ∪ image
-    // closure, analysis/reach's fixpoint) the cube intersects no reachable
-    // state. Export the proof, attributed to the current fault.
-    out.status = JustifyOutcome::Status::kProvenInvalid;
-    e_.learned_fail_.insert(key);
-    ++e_.stats_.learn_inserts;
-    ++e_.stats_.cube_exports;
-    e_.cube_origins_[key] = {e_.fault_name_, 0};
-    blocking_.push_back({key, e_.fault_name_, 0});
-    if (e_.record_events_) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kCubeExport;
-      e.at = budget.evals;
-      e.cube = key.to_string();
-      e_.events_buf_.push_back(std::move(e));
-    }
-  }
-  leave(out.status == JustifyOutcome::Status::kProvenInvalid ? 2 : 0);
+  e_.end_justify(lvl, out, on_path, kMode, proven, budget);
   return out;
 }
 
 FaultAttempt CdclAtpg::generate(const Fault& fault) {
-  const auto t0 = std::chrono::steady_clock::now();
   FaultAttempt attempt;
-  e_.current_fault_ = fault;
-  e_.stats_ = FaultSearchStats{};
-  e_.events_buf_.clear();
-  e_.attempt_sources_.clear();
-  e_.fault_name_ = fault_name(e_.nl_, fault);
+  PodemBudget budget = e_.begin_attempt(fault);
   if (!e_.opts_.share_learning) {
     // Pure per-attempt mode: every generate() is a function of (netlist,
     // fault, options) alone — the `satpg replay` contract.
@@ -395,36 +229,13 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
     e_.learned_fail_.clear();
   }
 
-  PodemBudget budget;
-  budget.max_backtracks = e_.opts_.backtrack_limit;
-  budget.max_evals = e_.soft_eval_cap_ != 0
-                         ? std::min(e_.opts_.eval_limit, e_.soft_eval_cap_)
-                         : e_.opts_.eval_limit;
-  budget.abort = e_.abort_;
-  budget.abort_at_check = e_.abort_at_check_;
-  budget.progress = e_.progress_;
-  if (e_.ring_ != nullptr) e_.ring_->reset();
-  budget.ring = e_.ring_;
-  // Byte accounting, identical in shape to the structural path: a fresh
-  // per-attempt tally, the ring's fixed buffer charged up front and
-  // released before the tally is snapshotted into the attempt.
-  e_.attempt_mem_ = MemTally{};
-  budget.mem = e_.mem_armed_ ? &e_.attempt_mem_ : nullptr;
-  budget.mem_limit = e_.mem_limit_;
-  const std::uint64_t ring_bytes =
-      budget.mem != nullptr && e_.ring_ != nullptr
-          ? e_.ring_->capacity() * sizeof(DecisionEvent)
-          : 0;
-  if (ring_bytes != 0)
-    budget.mem->charge(MemSubsystem::kDecisionRing, ring_bytes);
-
   // Visible proven-unreachable cubes, imported once per attempt in a
   // deterministic order: the shared view's snapshot (frozen for the round)
   // merged with the local failure cache, sorted by packed-key text. Each
   // entry keeps its provenance tag; when the same key exists both shared
   // and locally, the published (epoch-tagged) entry wins attribution.
   blocking_.clear();
-  if (e_.opts_.share_learning && e_.shared_ != nullptr)
+  if (e_.shared_ != nullptr)
     for (const LearningShare::FailCubeInfo& info :
          e_.shared_->fail_cube_infos())
       blocking_.push_back({info.key, info.exporter, info.epoch});
@@ -459,21 +270,9 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
   }
 
   bool any_aborted = false;
-  int rejects_this_fault = 0;
-
   for (int frames = 1;
        frames <= e_.opts_.max_forward_frames && !any_aborted; ++frames) {
-    if (frames > 1) {
-      ++e_.stats_.window_growths;
-      if (e_.record_events_) {
-        SearchEvent e;
-        e.kind = SearchEventKind::kWindowGrow;
-        e.a = frames;
-        e.at = budget.evals;
-        e_.events_buf_.push_back(std::move(e));
-      }
-    }
-    publish_phase(SearchPhase::kWindow);
+    e_.enter_window(frames, budget);
     CdclSolver solver;
     TimeFrameCnf cnf(e_.nl_, fault, frames, &solver);
     const MemScope cnf_mem(budget.mem, MemSubsystem::kCnfEncoder,
@@ -489,23 +288,7 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
     std::size_t blocked = 0;
     std::optional<TimeFrameModel> lift_template;  // built on the first model
     for (;;) {
-      while (blocked < blocking_.size()) {
-        const Block& blk = blocking_[blocked];
-        if (cnf.block_state_cube(blk.key)) {
-          ++e_.stats_.cube_blocks;
-          e_.count_cube_source(blk.exporter, blk.epoch);
-          if (e_.record_events_) {
-            SearchEvent e;
-            e.kind = SearchEventKind::kCubeImport;
-            e.a = static_cast<std::int32_t>(blk.epoch);
-            e.at = budget.evals;
-            e.cube = blk.key.to_string();
-            e.src = blk.exporter;
-            e_.events_buf_.push_back(std::move(e));
-          }
-        }
-        ++blocked;
-      }
+      catch_up(cnf, &blocked, budget);
       const SolveStatus st = solver.solve();
       if (st == SolveStatus::kAborted) {
         any_aborted = true;
@@ -528,20 +311,12 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
 
       StateSet on_path;
       auto just = justify(cube, 0, on_path, budget);
-      publish_phase(SearchPhase::kWindow);
-      if (just.status == JustifyOutcome::Status::kJustified) {
-        TestSequence candidate = just.prefix;
-        for (const auto& v : window) candidate.push_back(v);
-        for (auto& vec : candidate)
-          for (auto& x : vec)
-            if (x == V3::kX) x = V3::kZero;
-        if (simulate_fault_serial(e_.nl_, fault, candidate) >= 0) {
-          attempt.status = FaultStatus::kDetected;
-          attempt.sequence = std::move(candidate);
-          break;
-        }
-        ++e_.verify_rejects_;
-        if (++rejects_this_fault >= e_.opts_.verify_reject_limit) {
+      e_.publish_phase(SearchPhase::kWindow);
+      if (just.justified()) {
+        const AtpgEngine::Verdict v = e_.verify_candidate(
+            fault, std::move(just.prefix), window, &attempt);
+        if (v == AtpgEngine::Verdict::kDetected) break;
+        if (v == AtpgEngine::Verdict::kGiveUp) {
           any_aborted = true;
           break;
         }
@@ -579,14 +354,7 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
     // Sound redundancy proof, same shape as the structural engines'
     // kDetectOrStore search: one frame, free state and inputs, NO blocking
     // clauses — the UNSAT must be unconditional. Runs on the same budget.
-    publish_phase(SearchPhase::kRedundancy);
-    if (e_.record_events_) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kRedundancyStart;
-      e.a = 1;
-      e.at = budget.evals;
-      e_.events_buf_.push_back(std::move(e));
-    }
+    e_.begin_redundancy(budget);
     CdclSolver solver;
     TimeFrameCnf cnf(e_.nl_, fault, 1, &solver);
     const MemScope cnf_mem(budget.mem, MemSubsystem::kCnfEncoder,
@@ -597,70 +365,16 @@ FaultAttempt CdclAtpg::generate(const Fault& fault) {
     if (e_.ring_ != nullptr)
       e_.ring_->push({DecisionEventKind::kObjective, kObjDetectOrStore, 1,
                       -1, 0});
-    if (!cnf.add_detect_objective(/*include_boundary=*/true)) {
-      // No observation point can ever carry a difference: the fault's
-      // effect is structurally invisible from every state.
-      attempt.status = FaultStatus::kRedundant;
-    } else {
-      const SolveStatus st = solver.solve();
-      if (st == SolveStatus::kUnsat)
-        attempt.status = FaultStatus::kRedundant;
-      else if (st == SolveStatus::kAborted)
-        any_aborted = true;
-      // kSat: storable but not detected within the window — aborted.
-    }
+    // No objective: no observation point can ever carry a difference, so
+    // the fault's effect is structurally invisible from every state. kSat:
+    // storable but not detected within the window — aborted.
+    const bool redundant =
+        !cnf.add_detect_objective(/*include_boundary=*/true) ||
+        solver.solve() == SolveStatus::kUnsat;
     harvest(solver);
-    if (e_.record_events_) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kRedundancyVerdict;
-      e.b = attempt.status == FaultStatus::kRedundant ? 1 : 0;
-      e.at = budget.evals;
-      e_.events_buf_.push_back(std::move(e));
-    }
+    e_.end_redundancy(redundant, budget, &attempt);
   }
-
-  e_.total_evals_ += budget.evals;
-  e_.total_backtracks_ += budget.backtracks;
-  e_.stats_.evals = budget.evals;
-  e_.stats_.backtracks = budget.backtracks;
-  e_.stats_.implications = budget.decisions;
-  e_.stats_.verify_rejects =
-      static_cast<std::uint64_t>(rejects_this_fault);
-  e_.stats_.budget_exhausted =
-      budget.exhausted_backtracks() || budget.exhausted_evals();
-  attempt.soft_capped = e_.soft_eval_cap_ != 0 &&
-                        e_.soft_eval_cap_ < e_.opts_.eval_limit &&
-                        attempt.status == FaultStatus::kAborted &&
-                        budget.exhausted_evals();
-  attempt.mem_capped = attempt.status == FaultStatus::kAborted &&
-                       budget.mem_exceeded();
-  attempt.first_abort_check = budget.first_abort_check;
-  if (ring_bytes != 0)
-    budget.mem->release(MemSubsystem::kDecisionRing, ring_bytes);
-  e_.stats_.peak_bytes = e_.attempt_mem_.peak;
-  attempt.mem = e_.attempt_mem_;
-  if (e_.record_events_) {
-    if (e_.stats_.budget_exhausted || attempt.mem_capped) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kBudgetAbort;
-      e.a = budget.exhausted_evals() ? 1 : 0;
-      e.b = budget.exhausted_backtracks() ? 1 : 0;
-      e.at = budget.evals;
-      if (budget.mem_exceeded()) e.bytes = e_.attempt_mem_.peak;
-      e_.events_buf_.push_back(std::move(e));
-    }
-    if (budget.first_abort_check != 0) {
-      SearchEvent e;
-      e.kind = SearchEventKind::kExternalAbort;
-      e.at = budget.evals;
-      e_.events_buf_.push_back(std::move(e));
-    }
-  }
-  e_.stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  attempt.stats = e_.stats_;
-  e_.flush_attempt_observability(&attempt);
+  e_.end_attempt(budget, &attempt);
   return attempt;
 }
 

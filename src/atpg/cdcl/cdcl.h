@@ -21,10 +21,12 @@
 // (DESIGN.md §9 has the unreachability induction; the property suite
 // checks every exported cube against the exact-BDD oracle).
 //
-// CdclAtpg is a per-attempt driver over AtpgEngine's state (a friend —
-// caches, stats, hooks and budget plumbing are shared with the structural
-// paths so the parallel driver, capture/replay, watchdog and attribution
-// observability work unchanged).
+// CdclAtpg keeps only the solver steps of an attempt: encode, solve, lift
+// and block. It is a friend of AtpgEngine and runs on that engine's attempt
+// skeleton (budget, justify entry and exit with both cache tiers, candidate
+// verify, redundancy and abort events), caches, stats and hooks, so the
+// parallel driver, capture/replay, watchdog and attribution observability
+// treat every engine alike.
 #pragma once
 
 #include <optional>
@@ -43,15 +45,13 @@ class CdclAtpg {
   FaultAttempt generate(const Fault& fault);
 
  private:
-  struct JustifyOutcome {
-    enum class Status { kJustified, kProvenInvalid, kFailed };
-    Status status = Status::kFailed;
-    std::vector<std::vector<V3>> prefix;  ///< oldest vector first
-  };
+  using JustifyOutcome = AtpgEngine::JustifyOutcome;
 
   JustifyOutcome justify(const std::vector<std::pair<NodeId, V3>>& cube,
                          int depth, StateSet& on_path, PodemBudget& budget);
-  void publish_phase(SearchPhase p);
+  /// Block in `cnf` every entry of blocking_ from `*blocked` on.
+  void catch_up(TimeFrameCnf& cnf, std::size_t* blocked,
+                const PodemBudget& budget);
   void harvest(const CdclSolver& solver);
   bool cube_excludes_initial(const StateKey& key) const;
 

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -189,12 +190,6 @@ class LearningShare {
   /// Known success: fills `prefix` (oldest vector first) and returns true.
   virtual bool lookup_ok(const StateKey& key,
                          std::vector<std::vector<V3>>* prefix) const = 0;
-  /// Known complete-search failure for this cube.
-  virtual bool lookup_fail(const StateKey& key) const = 0;
-  /// Every visible failure cube, sorted by StateKey::to_string(). The
-  /// kCdcl engine imports these as blocking clauses at attempt start; the
-  /// default (no sharing backend) is empty.
-  virtual std::vector<StateKey> fail_cubes() const { return {}; }
 
   /// A failure cube with its provenance tag: the fault that proved it and
   /// the epoch it became visible in (SharedLearningCache rounds).
@@ -203,16 +198,14 @@ class LearningShare {
     std::string exporter;
     std::uint32_t epoch = 0;
   };
-  /// lookup_fail plus provenance (exporter/epoch untouched on miss or when
-  /// the backend carries no tags).
+  /// Known complete-search failure for this cube, with its provenance
+  /// (exporter/epoch untouched on miss).
   virtual bool lookup_fail_info(const StateKey& key, std::string* exporter,
-                                std::uint32_t* epoch) const {
-    (void)exporter;
-    (void)epoch;
-    return lookup_fail(key);
-  }
-  /// fail_cubes() plus provenance, same order.
-  virtual std::vector<FailCubeInfo> fail_cube_infos() const { return {}; }
+                                std::uint32_t* epoch) const = 0;
+  /// Every visible failure cube with its provenance, sorted by
+  /// StateKey::to_string(). The kCdcl engine imports these as blocking
+  /// clauses at attempt start.
+  virtual std::vector<FailCubeInfo> fail_cube_infos() const = 0;
 };
 
 class CdclAtpg;  // atpg/cdcl/cdcl.h
@@ -228,9 +221,15 @@ class AtpgEngine {
   std::uint64_t total_evals() const { return total_evals_; }
   std::uint64_t total_backtracks() const { return total_backtracks_; }
 
-  /// Consult `share` (may be nullptr) when the local learning caches miss.
-  /// kLearning only; ignored by the other engine kinds.
-  void set_shared_learning(const LearningShare* share) { shared_ = share; }
+  /// Consult `share` (may be nullptr) when the local learning caches miss:
+  /// kLearning reads its justification outcomes, kCdcl also imports its
+  /// failure cubes as blocking clauses. Ignored by kHitec and kForward,
+  /// and by a kCdcl engine whose share_learning is off.
+  void set_shared_learning(const LearningShare* share) {
+    shared_ = opts_.kind == EngineKind::kCdcl && !opts_.share_learning
+                  ? nullptr
+                  : share;
+  }
 
   /// Cooperative cancellation: when `*abort` becomes true every in-flight
   /// search returns kAborted at its next decision-loop check. The flag must
@@ -322,16 +321,91 @@ class AtpgEngine {
   std::size_t verify_rejects() const { return verify_rejects_; }
 
  private:
-  // The SAT-based engine is a per-attempt driver over this engine's
-  // caches, stats and hooks; generate() delegates to it for kCdcl.
+  // The SAT-based engine keeps only its solver steps (solve, lift, block);
+  // the attempt skeleton below, the caches, stats and hooks are shared, and
+  // generate() delegates to it for kCdcl.
   friend class CdclAtpg;
 
+  /// One justification level's answer. kProvenInvalid (the cube provably
+  /// intersects no reachable state) comes only from kCdcl. The status
+  /// values are the kJustifyLeave event's outcome codes.
   struct JustifyOutcome {
-    bool ok = false;
+    enum class Status { kFailed, kJustified, kProvenInvalid };
+    Status status = Status::kFailed;
     std::vector<std::vector<V3>> prefix;  ///< oldest vector first
+    bool justified() const { return status == Status::kJustified; }
   };
+  /// Where the engines' justification levels differ (reports pin both;
+  /// the third difference, the podem.justify span, stays in justify()).
+  struct JustifyMode {
+    bool caches;  ///< consult and fill the learning caches, count misses
+    JustifyOutcome::Status cached_fail;  ///< answer of a cached failure
+  };
+  /// One open justification level: the cube's key and attribution bucket,
+  /// and the budget snapshot its search spend is measured from.
+  struct JustifyLevel {
+    StateKey key;
+    int depth = 0;
+    std::size_t bucket = 0;
+    std::uint64_t evals0 = 0;
+    std::uint64_t backtracks0 = 0;
+    void mark(const PodemBudget& budget) {
+      evals0 = budget.evals;
+      backtracks0 = budget.backtracks;
+    }
+  };
+
   JustifyOutcome justify(const std::vector<std::pair<NodeId, V3>>& cube,
                          int depth, StateSet& on_path, PodemBudget& budget);
+
+  // ---- one fault attempt, shared by every engine ----
+  /// Reset the per-attempt state and return the fault's one budget, with
+  /// the capture ring charged into the tally (outside the memory limit).
+  PodemBudget begin_attempt(const Fault& fault);
+  /// Count and record window growth past the first frame, then publish
+  /// the window phase.
+  void enter_window(int frames, const PodemBudget& budget);
+  enum class Verdict { kDetected, kRejected, kGiveUp };
+  /// Verify `prefix` ++ `window`, every X filled with 0, on the faulty
+  /// machine from power-up. kDetected stores the sequence in `attempt`;
+  /// kGiveUp means the rejection reached verify_reject_limit.
+  Verdict verify_candidate(const Fault& fault,
+                           std::vector<std::vector<V3>> prefix,
+                           const std::vector<std::vector<V3>>& window,
+                           FaultAttempt* attempt);
+  void begin_redundancy(const PodemBudget& budget);
+  void end_redundancy(bool redundant, const PodemBudget& budget,
+                      FaultAttempt* attempt);
+  /// Totals, stats, cap flags, the abort events and the flush.
+  void end_attempt(const PodemBudget& budget, FaultAttempt* attempt);
+
+  // ---- one justification level, shared by every engine ----
+  /// Open a level for `cube` (an empty cube is justified at once, with no
+  /// level): stats, enter event, attribution, the depth and loop checks,
+  /// then (mode.caches) the local and shared cache lookups. Returns true
+  /// when that settled the level: `*out` holds the answer and the leave
+  /// event is out. Otherwise the key is on `on_path` and the caller marks
+  /// the level, searches, then calls end_justify.
+  bool begin_justify(JustifyLevel* lvl,
+                     const std::vector<std::pair<NodeId, V3>>& cube,
+                     int depth, StateSet& on_path, const PodemBudget& budget,
+                     const JustifyMode& mode, JustifyOutcome* out);
+  /// Attribute the spend since lvl.mark() to the level's bucket.
+  void commit_spend(const JustifyLevel& lvl, const PodemBudget& budget);
+  /// Close a searched level: take it off `on_path`, cache a justified
+  /// prefix (mode.caches), count a failure, and when `learn_fail` record
+  /// the cube as a known failure with its kCubeExport event.
+  void end_justify(const JustifyLevel& lvl, const JustifyOutcome& out,
+                   StateSet& on_path, const JustifyMode& mode,
+                   bool learn_fail, const PodemBudget& budget);
+  void justify_leave(const JustifyLevel& lvl, JustifyOutcome::Status st,
+                     const PodemBudget& budget);
+
+  void publish_phase(SearchPhase p) {
+    if (progress_ != nullptr)
+      progress_->phase.store(static_cast<std::uint32_t>(p),
+                             std::memory_order_relaxed);
+  }
   /// The current fault's settled one-frame model, which justification and
   /// the redundancy check copy per use: built on first use in a generate()
   /// and dropped at the start of the next. A copy counts its evals exactly
@@ -344,19 +418,11 @@ class AtpgEngine {
   /// memo only affects speed, never answers). Returns kUnknown with no
   /// bucket accounting use when no oracle is attached.
   StateValidity classify_cube(const StateKey& key);
-  /// Flight-recorder emission: append when recording is armed. The single
-  /// bool test is the entire disabled-mode cost (metrics discipline).
-  void emit_event(SearchEvent e) {
-    if (record_events_) events_buf_.push_back(std::move(e));
-  }
   /// Count one provenance hit against (exporter, epoch) for the current
   /// attempt (epoch 0 = unit-local cube).
   void count_cube_source(const std::string& exporter, std::uint32_t epoch) {
     ++attempt_sources_[{exporter, epoch}];
   }
-  /// Move the attempt-scoped event buffer and provenance map into the
-  /// finished attempt (shared by the structural paths and CdclAtpg).
-  void flush_attempt_observability(FaultAttempt* attempt);
 
   const Netlist& nl_;
   EngineOptions opts_;
@@ -372,6 +438,8 @@ class AtpgEngine {
   bool mem_armed_ = false;
   std::uint64_t mem_limit_ = 0;
   MemTally attempt_mem_;  ///< in-flight tally of the current generate()
+  std::chrono::steady_clock::time_point attempt_t0_;
+  int attempt_rejects_ = 0;  ///< verify rejections of the current attempt
   SearchProgress* progress_ = nullptr;
   DecisionRing* ring_ = nullptr;
   const StateValidityOracle* validity_ = nullptr;

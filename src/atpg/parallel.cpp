@@ -32,15 +32,6 @@ bool SharedLearningCache::View::lookup_ok(
   return true;
 }
 
-bool SharedLearningCache::View::lookup_fail(const StateKey& key) const {
-  const Shard& sh = cache_->shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) return false;
-  const Entry& e = it->second;
-  return !e.ok && e.epoch <= read_epoch_;
-}
-
 bool SharedLearningCache::View::lookup_fail_info(const StateKey& key,
                                                  std::string* exporter,
                                                  std::uint32_t* epoch) const {
@@ -57,8 +48,10 @@ bool SharedLearningCache::View::lookup_fail_info(const StateKey& key,
 
 std::vector<LearningShare::FailCubeInfo>
 SharedLearningCache::View::fail_cube_infos() const {
-  // Same frozen-for-the-round snapshot as fail_cubes(), with each entry's
-  // provenance tag along for the ride.
+  // Shard scan, then a canonical sort: the visible set is frozen for the
+  // round (same-round publishes carry epoch read_epoch_+1), so the result
+  // depends only on the committed cache content, never on shard layout or
+  // scheduling.
   std::vector<FailCubeInfo> cubes;
   for (const Shard& sh : cache_->shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -69,24 +62,6 @@ SharedLearningCache::View::fail_cube_infos() const {
   std::sort(cubes.begin(), cubes.end(),
             [](const FailCubeInfo& a, const FailCubeInfo& b) {
               return a.key.to_string() < b.key.to_string();
-            });
-  return cubes;
-}
-
-std::vector<StateKey> SharedLearningCache::View::fail_cubes() const {
-  // Shard scan, then a canonical sort: the visible set is frozen for the
-  // round (same-round publishes carry epoch read_epoch_+1), so the result
-  // depends only on the committed cache content, never on shard layout or
-  // scheduling.
-  std::vector<StateKey> cubes;
-  for (const Shard& sh : cache_->shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    for (const auto& [key, e] : sh.map)
-      if (!e.ok && e.epoch <= read_epoch_) cubes.push_back(key);
-  }
-  std::sort(cubes.begin(), cubes.end(),
-            [](const StateKey& a, const StateKey& b) {
-              return a.to_string() < b.to_string();
             });
   return cubes;
 }
@@ -339,14 +314,6 @@ class AtpgMonitorSource final : public MonitorSource {
   const std::uint64_t stuck_evals_;
 };
 
-/// Replace every X in `seq` with 0 — deterministic, and keeps the reset
-/// line quiet.
-void fill_x_with_zero(TestSequence& seq) {
-  for (auto& vec : seq)
-    for (auto& v : vec)
-      if (v == V3::kX) v = V3::kZero;
-}
-
 }  // namespace
 
 std::ptrdiff_t resolve_capture_fault(
@@ -371,10 +338,10 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
 
   // Build the netlist's lazy caches before workers share it: the const
   // accessors populate mutable caches on first use and must not race. The
-  // fault simulator reads only the compiled form; CDCL encoding reads the
-  // fanout cones inside the workers.
+  // fault simulator reads only the compiled form; only CDCL encoding reads
+  // the fanout cones inside the workers.
   nl.compiled();
-  nl.fanout_cones();
+  if (opts.run.engine.kind == EngineKind::kCdcl) nl.fanout_cones();
 
   const auto collapsed = collapse_faults(nl);
   std::vector<Fault> faults;
@@ -739,7 +706,6 @@ ParallelAtpgResult run_parallel_atpg(const Netlist& nl,
             status[i] = S::kAborted;
             break;
           case FaultStatus::kDetected: {
-            fill_x_with_zero(attempt.sequence);
             // Verify and drop everything else this sequence catches.
             std::vector<Fault> remaining;
             std::vector<std::size_t> remap;

@@ -53,7 +53,7 @@
 
 namespace satpg {
 
-/// Cross-worker justification-outcome cache (kLearning).
+/// Cross-worker justification-outcome cache (kLearning and kCdcl).
 ///
 /// Publish rule: a unit completing during round R publishes its engine's
 /// local caches with epoch R+1 and its unit index as tie-break; an
@@ -75,15 +75,12 @@ class SharedLearningCache {
         : cache_(cache), read_epoch_(read_epoch) {}
     bool lookup_ok(const StateKey& key,
                    std::vector<std::vector<V3>>* prefix) const override;
-    bool lookup_fail(const StateKey& key) const override;
-    /// Visible failure cubes, sorted by packed-key text (the kCdcl
-    /// engine's blocking-clause import).
-    std::vector<StateKey> fail_cubes() const override;
-    /// lookup_fail plus the entry's provenance tag (exporter fault name +
-    /// publish epoch).
+    /// Visible failure entry plus its provenance tag (exporter fault
+    /// name + publish epoch).
     bool lookup_fail_info(const StateKey& key, std::string* exporter,
                           std::uint32_t* epoch) const override;
-    /// fail_cubes() plus provenance, same packed-key order.
+    /// Visible failure cubes with provenance, sorted by packed-key text
+    /// (the kCdcl engine's blocking-clause import).
     std::vector<FailCubeInfo> fail_cube_infos() const override;
 
    private:

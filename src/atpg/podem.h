@@ -125,6 +125,10 @@ struct PodemBudget {
   /// decision-loop/conflict checkpoints the eval budget uses, so a
   /// budgeted run degrades identically at any thread count.
   std::uint64_t mem_limit = 0;
+  /// Bytes charged first and held for the whole attempt (the capture
+  /// ring). They count in the tally's peak but not against mem_limit, so
+  /// arming a capture never changes a budgeted search.
+  std::uint64_t mem_held = 0;
 
   /// THE conversion from CDCL work to the budget's common currency — every
   /// engine kind draws on the same eval_limit/backtrack_limit pair, so the
@@ -145,13 +149,14 @@ struct PodemBudget {
   bool exhausted_backtracks() const { return backtracks >= max_backtracks; }
   bool exhausted_evals() const { return evals >= max_evals; }
   bool mem_exceeded() const {
-    return mem_limit != 0 && mem != nullptr && mem->peak >= mem_limit;
+    return mem_limit != 0 && mem != nullptr &&
+           mem->peak - mem_held >= mem_limit;
   }
   /// Early-warning threshold (3/4 of the limit): the CDCL engine responds
   /// by tightening its clause-DB reduction schedule before the hard trip.
   bool mem_pressure() const {
     return mem_limit != 0 && mem != nullptr &&
-           mem->peak >= mem_limit - mem_limit / 4;
+           mem->peak - mem_held >= mem_limit - mem_limit / 4;
   }
   bool aborted_externally() {
     ++abort_checks;

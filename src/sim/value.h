@@ -117,54 +117,12 @@ inline PV pv_xor(PV a, PV b) {
 /// Wide parallel three-valued word: PVW::kSubWords independent 64-slot PV
 /// sub-words, one per sequence lane of a PPSFP lane group. 64-byte
 /// alignment lets the AVX-512 kernel treat a whole plane as one register.
-///
-/// These accessors exist for drivers and tests; the hot kernels operate on
-/// the raw planes through per-translation-unit backend ops (see
-/// src/fsim/wide_kernel.h) and never call member functions.
+/// The kernels operate on the raw planes through per-translation-unit
+/// backend ops (see src/fsim/wide_kernel.h).
 struct alignas(64) PVW {
   static constexpr unsigned kSubWords = 8;  ///< sequence lanes per group
   std::uint64_t zero[kSubWords];
   std::uint64_t one[kSubWords];
-
-  static PVW all(V3 v) {
-    PVW w;
-    const PV p = PV::all(v);
-    for (unsigned g = 0; g < kSubWords; ++g) {
-      w.zero[g] = p.zero;
-      w.one[g] = p.one;
-    }
-    return w;
-  }
-
-  V3 slot(unsigned g, unsigned i) const {
-    const std::uint64_t m = 1ULL << i;
-    if (zero[g] & m) return V3::kZero;
-    if (one[g] & m) return V3::kOne;
-    return V3::kX;
-  }
-
-  void set_slot(unsigned g, unsigned i, V3 v) {
-    const std::uint64_t m = 1ULL << i;
-    zero[g] &= ~m;
-    one[g] &= ~m;
-    if (v == V3::kZero)
-      zero[g] |= m;
-    else if (v == V3::kOne)
-      one[g] |= m;
-  }
-
-  /// No slot of any sub-word claims to be 0 and 1 at once.
-  bool well_formed() const {
-    for (unsigned g = 0; g < kSubWords; ++g)
-      if ((zero[g] & one[g]) != 0) return false;
-    return true;
-  }
-
-  bool operator==(const PVW& o) const {
-    for (unsigned g = 0; g < kSubWords; ++g)
-      if (zero[g] != o.zero[g] || one[g] != o.one[g]) return false;
-    return true;
-  }
 };
 
 }  // namespace satpg

@@ -250,8 +250,13 @@ TEST(SharedLearningCacheTest, EpochVisibilityAndFirstWriterWins) {
 
   if (!engine.learned_fail().empty()) {
     const StateKey fail_key = *engine.learned_fail().begin();
-    EXPECT_FALSE(cache.view_for_round(0).lookup_fail(fail_key));
-    EXPECT_TRUE(cache.view_for_round(1).lookup_fail(fail_key));
+    std::string exporter;
+    std::uint32_t epoch = 0;
+    EXPECT_FALSE(
+        cache.view_for_round(0).lookup_fail_info(fail_key, &exporter, &epoch));
+    EXPECT_TRUE(
+        cache.view_for_round(1).lookup_fail_info(fail_key, &exporter, &epoch));
+    EXPECT_EQ(epoch, 1u);
   }
 }
 

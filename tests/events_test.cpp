@@ -118,15 +118,15 @@ TEST(EventJsonTest, EveryKindHasAStableName) {
 // --- thread invariance -------------------------------------------------------
 
 // The acceptance bar: the whole serialized event log — header, per-fault
-// lines, every event — is byte-identical at 1/2/8 threads, for both a
-// structural learning engine and the CDCL engine, on a parent circuit and
-// its retimed twin.
+// lines, every event — is byte-identical at 1/2/8 threads, for every
+// engine kind, on a parent circuit and its retimed twin.
 TEST(EventsThreadInvarianceTest, SerializedLogIsByteIdenticalAcrossThreads) {
   const Netlist parent = mcnc_circuit("dk16", 0.35);
   const RetimeResult rt = retime_to_dff_target(
       parent, 2 * parent.num_dffs(), parent.name() + ".re");
   for (const Netlist* nl : {&parent, &rt.netlist}) {
-    for (const EngineKind kind : {EngineKind::kLearning, EngineKind::kCdcl}) {
+    for (const EngineKind kind : {EngineKind::kHitec, EngineKind::kForward,
+                                  EngineKind::kLearning, EngineKind::kCdcl}) {
       const auto opts1 = engine_options(kind, 1, true);
       const auto opts2 = engine_options(kind, 2, true);
       const auto opts8 = engine_options(kind, 8, true);

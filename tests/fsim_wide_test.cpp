@@ -94,24 +94,6 @@ TEST(WideKernelTest, TierResolutionRespectsLadder) {
   EXPECT_TRUE(fsim_wide_tier_usable(fsim_wide_resolve_tier(SimdTier::kAuto)));
 }
 
-TEST(PvwTest, SlotRoundTripAndWellFormed) {
-  PVW w = PVW::all(V3::kX);
-  EXPECT_TRUE(w.well_formed());
-  for (unsigned g = 0; g < PVW::kSubWords; ++g)
-    for (unsigned i = 0; i < 64; i += 13) EXPECT_EQ(w.slot(g, i), V3::kX);
-  w.set_slot(2, 5, V3::kOne);
-  w.set_slot(7, 63, V3::kZero);
-  w.set_slot(0, 0, V3::kOne);
-  EXPECT_EQ(w.slot(2, 5), V3::kOne);
-  EXPECT_EQ(w.slot(7, 63), V3::kZero);
-  EXPECT_EQ(w.slot(0, 0), V3::kOne);
-  EXPECT_EQ(w.slot(2, 6), V3::kX);
-  EXPECT_TRUE(w.well_formed());
-  // A slot claiming both 0 and 1 violates the plane invariant.
-  w.zero[2] |= (1ULL << 5);
-  EXPECT_FALSE(w.well_formed());
-}
-
 TEST(WideFsimTest, MatchesSerialOnToggler) {
   const Netlist nl = toggler();
   const auto faults = enumerate_faults(nl);

@@ -291,6 +291,34 @@ TEST(CaptureReplayTest, RequestedCaptureReplaysExactly) {
   EXPECT_TRUE(rep.ok) << rep.message;
 }
 
+// Arming a capture never changes search results, memory-budgeted runs
+// included: the ring is charged into each attempt's tally for the whole
+// attempt, so it shows in peak_bytes but must not count against the limit.
+// Each engine's budget trips some of its attempts without the ring.
+TEST(CaptureReplayTest, ArmingCaptureLeavesMemoryBudgetedRunUnchanged) {
+  const Netlist orig = mcnc_circuit("dk16", 0.35);
+  const Netlist twin =
+      retime_to_dff_target(orig, orig.num_dffs() * 2, orig.name() + ".re")
+          .netlist;
+  for (const EngineKind kind : {EngineKind::kHitec, EngineKind::kCdcl}) {
+    const std::string what = engine_kind_name(kind);
+    ParallelAtpgOptions opts = small_options(kind, 2);
+    opts.mem_budget_bytes = kind == EngineKind::kCdcl ? 40'000 : 4'000;
+    const ParallelAtpgResult base = run_parallel_atpg(twin, opts);
+    opts.capture.armed = true;
+    opts.capture.fault = "0";
+    const ParallelAtpgResult armed = run_parallel_atpg(twin, opts);
+    EXPECT_GT(base.mem_tripped, 0u) << what << ": the budget never tripped";
+    expect_identical(base, armed, what + " capture armed");
+    EXPECT_EQ(base.mem_tripped, armed.mem_tripped) << what;
+    EXPECT_EQ(base.mem_requeued, armed.mem_requeued) << what;
+    ASSERT_EQ(base.fault_stats.size(), armed.fault_stats.size()) << what;
+    for (std::size_t i = 0; i < base.fault_stats.size(); ++i)
+      EXPECT_EQ(base.fault_stats[i].evals, armed.fault_stats[i].evals)
+          << what << " fault " << i;
+  }
+}
+
 // A capture cut short by the wall-clock deadline replays deterministically:
 // the armed ring stops the replay at the same absolute event index. The
 // deadline is nondeterministic, so retry over growing deadlines until one

@@ -407,10 +407,10 @@ void check_exported_cubes_unreachable(const Netlist& nl) {
         << nl.name() << " local cube " << cube.to_string();
     ++checked;
   }
-  for (const StateKey& cube :
-       SharedLearningCache::View(&cache, /*read_epoch=*/1).fail_cubes()) {
-    EXPECT_EQ(oracle.classify(cube), StateValidity::kInvalid)
-        << nl.name() << " shared cube " << cube.to_string();
+  for (const LearningShare::FailCubeInfo& info :
+       SharedLearningCache::View(&cache, /*read_epoch=*/1).fail_cube_infos()) {
+    EXPECT_EQ(oracle.classify(info.key), StateValidity::kInvalid)
+        << nl.name() << " shared cube " << info.key.to_string();
     ++checked;
   }
   // Silence is not soundness: record how much this circuit exercised.
