@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "base/metrics.h"
 
@@ -59,6 +60,10 @@ constexpr RailTable kRailTable = [] {
   return table;
 }();
 
+// The fold below reads a row with four unconditional loads.
+constexpr std::size_t kRowFanins = CompiledNetlist::kRowFanins;
+static_assert(kRowFanins == 4);
+
 }  // namespace
 
 TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
@@ -70,6 +75,8 @@ TimeFrameModel::TimeFrameModel(const Netlist& nl, std::optional<Fault> fault,
       num_frames_(num_frames) {
   SATPG_CHECK(num_frames >= 1);
   const std::size_t total = static_cast<std::size_t>(num_frames) * n_;
+  SATPG_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
+                  "frames x nodes exceeds the trail's 32-bit index");
   values_.assign(total, V5{});
   decisions_.assign(total, V3::kX);
   if (fault_) {
@@ -131,6 +138,7 @@ void TimeFrameModel::propagate() {
   const std::uint32_t* const level_start = c_.level_start.data();
   const std::uint32_t* const fanin_off = c_.fanin_off.data();
   const NodeId* const fanin = c_.fanin.data();
+  const NodeId* const fanin_row = c_.fanin_row.data();
   const std::uint32_t* const fanout_off = c_.fanout_off.data();
   const NodeId* const fanout = c_.fanout.data();
   const NodeId fault_node = fault_node_;
@@ -166,56 +174,74 @@ void TimeFrameModel::propagate() {
 
         // Both rails of `id` from its fan-ins' current values.
         V5 nv;
-        switch (type[u]) {
-          case GateType::kInput:
-            nv.g = nv.f = dec[u];
-            break;
-          case GateType::kDff:
-            if (t == 0) {
+        const NodeId* const in = fanin_row + kRowFanins * u;
+        if (l == 0) {  // PIs, FFs and constants
+          switch (type[u]) {
+            case GateType::kInput:
               nv.g = nv.f = dec[u];
-            } else {
-              nv = prev_row[fanin[fanin_off[u]]];
-              if (id == fault_node && fault_pin == 0) nv.f = stuck;  // D pin
-            }
-            break;
-          case GateType::kConst0:
-            nv.g = nv.f = V3::kZero;
-            break;
-          case GateType::kConst1:
-            nv.g = nv.f = V3::kOne;
-            break;
-          default: {
-            // Fold both rails at once: bit (1 << value) records which of
-            // 0/1/X occur on a rail, and the low value bit accumulates XOR
-            // parity. The faulty rail reads the stuck value on a faulted
-            // input pin.
-            const std::uint32_t begin = fanin_off[u];
-            const std::uint32_t end = fanin_off[u + 1];
-            const std::uint32_t pin =
-                id == fault_node && fault_pin >= 0
-                    ? begin + static_cast<std::uint32_t>(fault_pin)
-                    : end;
-            unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
-            for (std::uint32_t k = begin; k < end; ++k) {
-              const V5 in = row[fanin[k]];
-              const auto g = static_cast<unsigned>(in.g);
-              const auto f = static_cast<unsigned>(k == pin ? stuck : in.f);
-              seen_g |= 1u << g;
-              seen_f |= 1u << f;
-              par_g ^= g;
-              par_f ^= f;
-            }
-            const auto& rail = kRailTable[static_cast<std::size_t>(type[u])];
-            nv.g = rail[seen_g | (par_g & 1u) << 3];
-            nv.f = rail[seen_f | (par_f & 1u) << 3];
-            break;
+              break;
+            case GateType::kDff:
+              if (t == 0) {
+                nv.g = nv.f = dec[u];
+              } else {
+                nv = prev_row[fanin[fanin_off[u]]];
+                if (id == fault_node && fault_pin == 0) nv.f = stuck;  // D
+              }
+              break;
+            case GateType::kConst0:
+              nv.g = nv.f = V3::kZero;
+              break;
+            default:  // kConst1
+              nv.g = nv.f = V3::kOne;
+              break;
           }
+        } else if (in[0] != kNoNode && id != fault_node) {
+          // The fixed row: four loads, no fan-in loop and no pin test.
+          // Bit (1 << value) records which of 0/1/X occur on a rail, and a
+          // repeated fan-in sets no new bit.
+          const V5 a = row[in[0]], b = row[in[1]], c = row[in[2]],
+                   d = row[in[3]];
+          const unsigned seen_g = 1u << static_cast<unsigned>(a.g) |
+                                  1u << static_cast<unsigned>(b.g) |
+                                  1u << static_cast<unsigned>(c.g) |
+                                  1u << static_cast<unsigned>(d.g);
+          const unsigned seen_f = 1u << static_cast<unsigned>(a.f) |
+                                  1u << static_cast<unsigned>(b.f) |
+                                  1u << static_cast<unsigned>(c.f) |
+                                  1u << static_cast<unsigned>(d.f);
+          const auto& rail = kRailTable[static_cast<std::size_t>(type[u])];
+          nv.g = rail[seen_g];
+          nv.f = rail[seen_f];
+        } else {
+          // The fault's host, XOR/XNOR and gates wider than a row: one
+          // pass over the CSR fan-ins that also accumulates XOR parity in
+          // the low value bit. The faulty rail reads the stuck value on a
+          // faulted input pin.
+          const std::uint32_t begin = fanin_off[u];
+          const std::uint32_t end = fanin_off[u + 1];
+          const std::uint32_t pin =
+              id == fault_node && fault_pin >= 0
+                  ? begin + static_cast<std::uint32_t>(fault_pin)
+                  : end;
+          unsigned seen_g = 0, seen_f = 0, par_g = 0, par_f = 0;
+          for (std::uint32_t k = begin; k < end; ++k) {
+            const V5 v = row[fanin[k]];
+            const auto g = static_cast<unsigned>(v.g);
+            const auto f = static_cast<unsigned>(k == pin ? stuck : v.f);
+            seen_g |= 1u << g;
+            seen_f |= 1u << f;
+            par_g ^= g;
+            par_f ^= f;
+          }
+          const auto& rail = kRailTable[static_cast<std::size_t>(type[u])];
+          nv.g = rail[seen_g | (par_g & 1u) << 3];
+          nv.f = rail[seen_f | (par_f & 1u) << 3];
         }
         if (id == fault_node && fault_pin < 0) nv.f = stuck;  // stem fault
 
         const V5 old = row[u];
         if (nv == old) continue;
-        trail_.push_back({ut * n + u, old, false});
+        trail_.push_back({static_cast<std::uint32_t>(ut * n + u), old, false});
         row[u] = nv;
         if (old.is_d() != nv.is_d()) {
           if (nv.is_d())
@@ -253,7 +279,7 @@ std::size_t TimeFrameModel::assign(int frame, NodeId node, V3 v) {
   const std::size_t mark = trail_.size();
   const std::size_t idx = flat(frame, node);
   SATPG_CHECK_MSG(decisions_[idx] == V3::kX, "reassigning a decision var");
-  trail_.push_back({idx, values_[idx], true});
+  trail_.push_back({static_cast<std::uint32_t>(idx), values_[idx], true});
   decisions_[idx] = v;
   mark_dirty(frame, node);
   propagate();

@@ -13,19 +13,24 @@
 // backtracking.
 //
 // Implication is forward event propagation over the netlist's compiled form
-// (Netlist::compiled(): CSR fan-in/fan-out arrays, gate types and levels),
-// which every model of one netlist shares and no copy duplicates. Each
-// node has a combinational level: PIs, FFs and constants are 0, a gate is
-// one more than its deepest fan-in. Every frame keeps its dirty nodes in
-// per-level buckets, and propagate() sweeps the frames in order and each
-// frame's levels upward, folding both rails of a node in one pass over its
-// fan-ins. The sweep is one loop over locals: evaluation, the trail write
-// and the queueing are written out in it, and a changed node's fan-outs
-// resolve in one pass — a gate sink is queued at its level in the same
-// frame, a FF sink directly into the next frame at level 0. A changed node
-// thus dirties only higher levels of its own frame and the FFs it feeds in
-// the next frame, so every node is evaluated after its fan-ins have
-// settled and at most once per propagate.
+// (Netlist::compiled(): CSR fan-in/fan-out arrays, fixed-width fan-in rows,
+// gate types and levels), which every model of one netlist shares and no
+// copy duplicates. Each node has a combinational level: PIs, FFs and
+// constants are 0, a gate is one more than its deepest fan-in. Every frame
+// keeps its dirty nodes in per-level buckets, and propagate() sweeps the
+// frames in order and each frame's levels upward. Only level 0 switches on
+// the node type. A gate above it folds both rails from the set of values
+// on its fan-ins: an AND/OR-family gate, BUF/NOT or PO marker with at most
+// four fan-ins reads its fixed four-slot row (spare slots repeat fan-in 0)
+// with four unconditional loads, and the fault's host, XOR/XNOR and wider
+// gates take a pass over the CSR fan-ins that also tracks parity and the
+// faulted pin. The sweep is one loop over locals: evaluation, the trail
+// write and the queueing are written out in it, and a changed node's
+// fan-outs resolve in one pass — a gate sink is queued at its level in the
+// same frame, a FF sink directly into the next frame at level 0. A changed
+// node thus dirties only higher levels of its own frame and the FFs it
+// feeds in the next frame, so every node is evaluated after its fan-ins
+// have settled and at most once per propagate.
 //
 // Eval-count contract (the study's deterministic work metric, and the
 // currency of every eval budget): an assign() evaluates exactly the
@@ -176,10 +181,11 @@ class TimeFrameModel {
   std::vector<Queued> in_queue_;  ///< per flat index
 
   struct TrailEntry {
-    std::size_t idx;
+    std::uint32_t idx;  ///< flat index; the constructor checks it fits
     V5 old_value;
     bool decision;
   };
+  static_assert(sizeof(TrailEntry) == 8);
   std::vector<TrailEntry> trail_;
 
   std::set<std::pair<int, NodeId>> d_set_;

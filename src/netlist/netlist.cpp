@@ -196,6 +196,23 @@ bool is_source(GateType t) {
          t == GateType::kConst0 || t == GateType::kConst1;
 }
 
+// A node whose value folds from the set of its fan-in values (AND/OR
+// family, BUF/NOT, PO markers) and fits one fan-in row.
+bool has_fanin_row(GateType t, std::uint32_t arity) {
+  switch (t) {
+    case GateType::kOutput:
+    case GateType::kBuf:
+    case GateType::kNot:
+    case GateType::kAnd:
+    case GateType::kNand:
+    case GateType::kOr:
+    case GateType::kNor:
+      return arity >= 1 && arity <= CompiledNetlist::kRowFanins;
+    default:
+      return false;
+  }
+}
+
 // Flattens `nodes` into `c`, reusing its storage. Returns false when a
 // combinational cycle leaves live nodes unordered.
 bool compile_nodes(const std::vector<Node>& nodes, CompiledNetlist& c) {
@@ -218,16 +235,25 @@ bool compile_nodes(const std::vector<Node>& nodes, CompiledNetlist& c) {
   for (std::size_t i = 0; i < n; ++i) c.fanout_off[i + 1] += c.fanout_off[i];
   c.fanin.resize(c.fanin_off[n]);
   c.fanout.resize(c.fanout_off[n]);
+  c.fanin_row.assign(n * CompiledNetlist::kRowFanins, kNoNode);
   // Sinks are visited in ascending id, so every fan-out list comes out
   // sorted; `cursor` is each list's fill point.
   std::vector<std::uint32_t> cursor(c.fanout_off.begin(),
                                     c.fanout_off.end() - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::uint32_t k = c.fanin_off[i]; k < c.fanin_off[i + 1]; ++k) {
-      const NodeId f = nodes[i].fanins[k - c.fanin_off[i]];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t begin = c.fanin_off[i];
+    const std::uint32_t arity = c.fanin_off[i + 1] - begin;
+    for (std::uint32_t k = begin; k < begin + arity; ++k) {
+      const NodeId f = nodes[i].fanins[k - begin];
       c.fanin[k] = f;
       c.fanout[cursor[static_cast<std::size_t>(f)]++] = static_cast<NodeId>(i);
     }
+    if (has_fanin_row(c.type[i], arity)) {
+      NodeId* const row = c.fanin_row.data() + i * CompiledNetlist::kRowFanins;
+      for (std::size_t k = 0; k < CompiledNetlist::kRowFanins; ++k)
+        row[k] = c.fanin[begin + (k < arity ? k : 0)];
+    }
+  }
 
   // Kahn over combinational edges, with PIs, constants and DFFs as sources
   // (they come out first) and OUTPUT markers held back to the end. A node

@@ -76,6 +76,10 @@ struct Node {
 /// simulators, the time-frame model and PODEM. Per-node arrays are indexed
 /// by NodeId and cover dead nodes too (no fan-ins, no fan-outs, level 0).
 struct CompiledNetlist {
+  /// Slots per fanin_row entry (below): the library's fan-in cap, which
+  /// synth/library.h static_asserts kMaxLibFanin against.
+  static constexpr std::size_t kRowFanins = 4;
+
   /// Live nodes in Netlist::topo_order() order.
   std::vector<NodeId> topo;
   /// Per node: index into `topo`; -1 for dead nodes.
@@ -90,6 +94,15 @@ struct CompiledNetlist {
   /// CSR fan-ins in pin order: node i reads fanin[fanin_off[i]..[i+1]).
   std::vector<std::uint32_t> fanin_off;
   std::vector<NodeId> fanin;
+  /// Fixed-width fan-ins, kRowFanins slots per node: node i owns
+  /// fanin_row[kRowFanins * i ..). An AND/NAND/OR/NOR/BUF/NOT gate or PO
+  /// marker with 1..kRowFanins fan-ins holds them in pin order and repeats
+  /// fan-in 0 in the spare slots; its three-valued fold reads only the set
+  /// of values present, which a repeat leaves unchanged. Every other node
+  /// (sources, XOR/XNOR, whose parity a repeat would change, wider gates
+  /// and dead nodes) holds kNoNode in every slot and is evaluated from
+  /// the CSR fan-ins above.
+  std::vector<NodeId> fanin_row;
   /// CSR fan-outs in ascending sink id; a sink reading a node on k pins is
   /// listed k times.
   std::vector<std::uint32_t> fanout_off;

@@ -11,6 +11,9 @@
 namespace satpg {
 
 constexpr int kMaxLibFanin = 4;
+// The time-frame model folds every mapped gate from one fixed-width fan-in
+// row (CompiledNetlist::fanin_row), so the row is exactly the cap wide.
+static_assert(kMaxLibFanin == CompiledNetlist::kRowFanins);
 
 struct LibCell {
   double delay;

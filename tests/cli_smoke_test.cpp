@@ -451,6 +451,38 @@ TEST(CliSmokeTest, MalformedNumericFlagsExitUsage) {
   EXPECT_EQ(run_satpg(inspect + "--top=3"), 0);
 }
 
+// --no-shared-learning drops CDCL's cross-worker cube cache. No other
+// engine can run without its caches, so the flag there is a usage error
+// (exit 2), not a report that claims an ablation that never ran. The check
+// runs after every flag is parsed, so flag order does not matter; with
+// --engine=cdcl either order runs the same ablation.
+TEST(CliSmokeTest, NoSharedLearningRequiresCdcl) {
+  const std::string dir = ::testing::TempDir();
+  const std::string atpg =
+      std::string("atpg \"") + SATPG_SMOKE_CIRCUIT + "\" --budget=0.05 ";
+  for (const char* flags :
+       {"--engine=learning --no-shared-learning",
+        "--no-shared-learning --engine=learning", "--no-shared-learning",
+        "--engine=forward --no-shared-learning"}) {
+    const std::string err = dir + "cli_noshare.err";
+    EXPECT_EQ(run_satpg(atpg + flags, "", err), 2) << flags;
+    EXPECT_NE(slurp(err).find("--no-shared-learning requires --engine=cdcl"),
+              std::string::npos)
+        << flags;
+  }
+  const std::string first = dir + "cli_noshare_first.json";
+  const std::string last = dir + "cli_noshare_last.json";
+  EXPECT_EQ(run_satpg(atpg + "--no-shared-learning --engine=cdcl "
+                             "--metrics-json=" + first),
+            0);
+  EXPECT_EQ(run_satpg(atpg + "--engine=cdcl --no-shared-learning "
+                             "--metrics-json=" + last),
+            0);
+  const std::string report = slurp(first);
+  EXPECT_NE(report.find("\"share_learning\": false"), std::string::npos);
+  EXPECT_EQ(report, slurp(last));
+}
+
 // --capture-fault that names no collapsed fault is a usage error: a typo
 // must not look like a capture that never fired. The index is parsed as a
 // whole u64, so an overflowing one is unmatched too, not wrapped.

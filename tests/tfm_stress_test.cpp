@@ -5,8 +5,10 @@
 // D-set against a full rescan, and pins the eval count (the budget
 // currency) to the set of evaluations the model is defined to perform.
 // Windows run up to 8 frames, HITEC's widest, on synthesized machines, on a
-// committed retimed circuit and on a hand-built one whose gates read one
-// node on two pins. A copy of a template model must behave and count
+// committed retimed circuit, on a hand-built one whose gates read one node
+// on two pins, and on one that covers every fold path (fixed fan-in rows
+// of one to four fan-ins, the loop for XOR/XNOR, a 5-input gate and the
+// fault's host). A copy of a template model must behave and count
 // exactly like a fresh one. Every (frame, node) value of those models is
 // also checked against a from-scratch reference that shares no code with
 // the model: the good and the structurally faulted netlist stepped frame
@@ -356,6 +358,89 @@ TEST(TfmSimReference, QueueBookkeepingShowsInValues) {
                                        fi * 11 + 3);
     if (HasFailure()) return;
   }
+}
+
+// The fold's edge cases. Every library cell (BUF/NOT, AND/NAND/OR/NOR at
+// two to four fan-ins, XOR/XNOR at two) and the PO markers fold from a
+// fixed four-slot fan-in row whose spare slots repeat fan-in 0; a 5-input
+// AND and 3-input XOR/XNOR take the CSR loop, and a NAND reads one node on
+// all four pins. The fault's host always takes the pin-aware loop. Every
+// (frame, node) value is checked against src/sim for the fault-free
+// machine and every stem and pin fault, in windows of 1..8 frames.
+TEST(TfmSimReference, FixedRowFoldMatchesSimulation) {
+  Netlist nl("fold");
+  std::vector<NodeId> src;
+  for (const char* name : {"a", "b", "c", "d", "e"})
+    src.push_back(nl.add_input(name));
+  const NodeId q1 = nl.add_dff("q1", src[0], FfInit::kUnknown);
+  const NodeId q2 = nl.add_dff("q2", src[1], FfInit::kUnknown);
+  src.insert(src.begin() + 2, q1);
+  src.push_back(q2);  // a b q1 c d e q2
+
+  std::vector<NodeId> gates;
+  int rot = 0;  // each gate starts one source further along
+  const auto add = [&](GateType t, std::size_t arity) {
+    std::vector<NodeId> in;
+    for (std::size_t k = 0; k < arity; ++k)
+      in.push_back(src[(static_cast<std::size_t>(rot) + k) % src.size()]);
+    ++rot;
+    gates.push_back(nl.add_gate(
+        t, gate_type_name(t) + std::to_string(arity) + "_" +
+               std::to_string(rot),
+        in));
+  };
+  add(GateType::kBuf, 1);
+  add(GateType::kNot, 1);
+  for (const GateType t :
+       {GateType::kAnd, GateType::kNand, GateType::kOr, GateType::kNor})
+    for (std::size_t arity = 2; arity <= 4; ++arity) add(t, arity);
+  add(GateType::kXor, 2);
+  add(GateType::kXnor, 2);
+  add(GateType::kAnd, 5);
+  add(GateType::kXor, 3);
+  add(GateType::kXnor, 3);
+  const NodeId x = gates[4];  // AND4
+  const NodeId same = nl.add_gate(GateType::kNand, "same4", {x, x, x, x});
+  // A second level reads gates through fixed rows and loops alike.
+  const NodeId mix = nl.add_gate(GateType::kOr, "mix",
+                                 {gates[0], gates[7], gates[14], same});
+  const NodeId par = nl.add_gate(GateType::kXor, "par",
+                                 {gates[1], gates[18], gates[16]});
+  nl.set_fanin(q1, 0, mix);
+  nl.set_fanin(q2, 0, par);
+  for (const NodeId g : gates)
+    nl.add_output("o_" + nl.node(g).name, g);
+  nl.add_output("o_same", same);
+  nl.add_output("o_mix", mix);
+  nl.add_output("o_par", par);
+
+  const CompiledNetlist& c = nl.compiled();
+  const auto row = [&](NodeId id) {
+    return c.fanin_row.data() +
+           CompiledNetlist::kRowFanins * static_cast<std::size_t>(id);
+  };
+  EXPECT_EQ(row(gates[2])[1], src[3]);  // AND2: its own two pins, then
+  EXPECT_EQ(row(gates[2])[2], src[2]);  // fan-in 0 repeated
+  EXPECT_EQ(row(gates[2])[3], src[2]);
+  EXPECT_EQ(row(gates[14])[0], kNoNode);  // XOR2
+  EXPECT_EQ(row(gates[16])[0], kNoNode);  // AND5
+  EXPECT_EQ(row(same)[3], x);
+
+  std::vector<std::optional<Fault>> faults = {std::nullopt};
+  std::size_t pin_faults = 0;
+  for (const Fault& f : enumerate_faults(nl)) {
+    faults.push_back(f);
+    pin_faults += f.pin >= 0 ? 1 : 0;
+  }
+  ASSERT_GT(pin_faults, 100u);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi)
+    for (int frames = 1; frames <= 8; ++frames) {
+      SCOPED_TRACE("fault #" + std::to_string(fi) + " frames " +
+                   std::to_string(frames));
+      expect_incremental_matches_scratch(nl, faults[fi], frames,
+                                         fi * 8 + frames);
+      if (HasFailure()) return;
+    }
 }
 
 // A copy of a template and a fresh model, driven by the same random

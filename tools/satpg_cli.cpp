@@ -13,7 +13,7 @@
 //   satpg replay   <capture.json>               re-run a captured search
 //
 // ATPG options: --engine=hitec|forward|learning|cdcl  --budget=F  --seed=N
-//               --no-shared-learning (cdcl: per-fault caches only)
+//               --no-shared-learning (cdcl only: per-fault caches only)
 //               --strict (no potential-detection credit)
 //               --tests=FILE (write the test sequences)
 //               --metrics-json=FILE (deterministic structured run report)
@@ -103,8 +103,8 @@ void print_usage(std::FILE* f) {
       "  satpg faults  c.bench\n"
       "  satpg atpg    c.bench [--engine=hitec|forward|learning|cdcl]"
       " [--budget=F] [--seed=N]\n"
-      "                [--no-shared-learning] [--strict] [--tests=FILE]"
-      " [--compact]\n"
+      "                [--no-shared-learning (cdcl only)] [--strict]"
+      " [--tests=FILE] [--compact]\n"
       "                [--threads=N] [--deadline-ms=N]"
       " [--metrics-json=FILE] [--events-json=FILE]\n"
       "                [--trace-json=FILE] [--profile-json=FILE]\n"
@@ -281,6 +281,12 @@ int cmd_atpg(const Netlist& nl, const std::string& circuit_path, int argc,
   }
   if (popts.watchdog.defer && !popts.watchdog.enabled()) {
     std::fprintf(stderr, "--defer-stuck requires --stuck-evals=N\n");
+    return 2;
+  }
+  // Only CDCL can run without the cross-worker cube cache; on any other
+  // engine the flag would be reported but change nothing.
+  if (!opts.engine.share_learning && opts.engine.kind != EngineKind::kCdcl) {
+    std::fprintf(stderr, "--no-shared-learning requires --engine=cdcl\n");
     return 2;
   }
   std::ptrdiff_t capture_idx = -1;
