@@ -2,54 +2,22 @@
 
 #include <algorithm>
 
+#include "sim/simulator.h"
+
 namespace satpg {
 
 namespace {
 
-// A gate or PO marker's function over its fan-in functions in(0..n-1).
-template <class In>
-BddRef gate_function(BddMgr& mgr, const Node& n, In in) {
-  BddRef v = mgr.zero();
-  switch (n.type) {
-    case GateType::kConst0:
-      v = mgr.zero();
-      break;
-    case GateType::kConst1:
-      v = mgr.one();
-      break;
-    case GateType::kBuf:
-    case GateType::kOutput:
-      v = in(0);
-      break;
-    case GateType::kNot:
-      v = mgr.bdd_not(in(0));
-      break;
-    case GateType::kAnd:
-    case GateType::kNand:
-      v = in(0);
-      for (std::size_t k = 1; k < n.fanins.size(); ++k)
-        v = mgr.bdd_and(v, in(k));
-      if (n.type == GateType::kNand) v = mgr.bdd_not(v);
-      break;
-    case GateType::kOr:
-    case GateType::kNor:
-      v = in(0);
-      for (std::size_t k = 1; k < n.fanins.size(); ++k)
-        v = mgr.bdd_or(v, in(k));
-      if (n.type == GateType::kNor) v = mgr.bdd_not(v);
-      break;
-    case GateType::kXor:
-    case GateType::kXnor:
-      v = in(0);
-      for (std::size_t k = 1; k < n.fanins.size(); ++k)
-        v = mgr.bdd_xor(v, in(k));
-      if (n.type == GateType::kXnor) v = mgr.bdd_not(v);
-      break;
-    default:
-      SATPG_CHECK(false);
-  }
-  return v;
-}
+// BDDs as a fold_gate value algebra.
+struct BddAlgebra {
+  using Value = BddRef;
+  BddMgr& mgr;
+  BddRef constant(bool one) const { return one ? mgr.one() : mgr.zero(); }
+  BddRef not_(BddRef a) const { return mgr.bdd_not(a); }
+  BddRef and_(BddRef a, BddRef b) const { return mgr.bdd_and(a, b); }
+  BddRef or_(BddRef a, BddRef b) const { return mgr.bdd_or(a, b); }
+  BddRef xor_(BddRef a, BddRef b) const { return mgr.bdd_xor(a, b); }
+};
 
 }  // namespace
 
@@ -63,29 +31,7 @@ std::vector<BddRef> build_node_functions(const Netlist& nl, BddMgr& mgr,
   for (std::size_t i = 0; i < nl.dffs().size(); ++i)
     fn[static_cast<std::size_t>(nl.dffs()[i])] =
         mgr.var(vm.ps(static_cast<unsigned>(i)));
-
-  // Stem faults on PIs / FFs pin the source itself.
-  if (fault && fault->pin < 0) {
-    const auto& n = nl.node(fault->node);
-    if (n.type == GateType::kInput || n.type == GateType::kDff)
-      fn[static_cast<std::size_t>(fault->node)] =
-          fault->stuck1 ? mgr.one() : mgr.zero();
-  }
-
-  for (NodeId id : nl.topo_order()) {
-    const auto& n = nl.node(id);
-    if (!is_combinational(n.type) && n.type != GateType::kOutput) continue;
-    const bool pin_fault_here =
-        fault && fault->node == id && fault->pin >= 0;
-    BddRef v = gate_function(mgr, n, [&](std::size_t k) -> BddRef {
-      if (pin_fault_here && static_cast<int>(k) == fault->pin)
-        return fault->stuck1 ? mgr.one() : mgr.zero();
-      return fn[static_cast<std::size_t>(n.fanins[k])];
-    });
-    if (fault && fault->pin < 0 && fault->node == id)
-      v = fault->stuck1 ? mgr.one() : mgr.zero();  // comb stem fault
-    fn[static_cast<std::size_t>(id)] = v;
-  }
+  sweep(BddAlgebra{mgr}, nl.compiled(), fault, fn);
   return fn;
 }
 
@@ -98,9 +44,10 @@ BddRef node_function(const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
   };
   if (n.type == GateType::kInput) return mgr.var(vm.in(index_in(nl.inputs())));
   if (n.type == GateType::kDff) return mgr.var(vm.ps(index_in(nl.dffs())));
-  return gate_function(mgr, n, [&](std::size_t k) {
-    return fn[static_cast<std::size_t>(n.fanins[k])];
-  });
+  return fold_gate(BddAlgebra{mgr}, n.type, n.fanins.size(),
+                   [&](std::size_t k) {
+                     return fn[static_cast<std::size_t>(n.fanins[k])];
+                   });
 }
 
 std::vector<StateBit> state_bits(const Netlist& nl, BddMgr& mgr,

@@ -5,6 +5,11 @@
 //
 // Variable order: present-state bit i at 2i, next-state bit i at 2i+1,
 // primary inputs after.
+//
+// Node functions are built by src/sim's gate fold and stuck-at overlay
+// (fold_gate, sweep) over a BDD value algebra, the same code the serial
+// fault simulator runs over three-valued values; state_bits forces a D-pin
+// fault as the simulator's clock does.
 #pragma once
 
 #include <optional>
@@ -51,8 +56,9 @@ struct BddVarMap {
 
 /// Build every node's function over (ps, in) variables. When `fault` is
 /// given, the returned functions are those of the *faulty* machine (the
-/// stuck line is injected; present-state variables still represent the
-/// faulty machine's register contents).
+/// stuck line is overlaid as src/sim's sweep overlays it, a D-pin fault
+/// excepted, which state_bits pins; present-state variables still
+/// represent the faulty machine's register contents).
 std::vector<BddRef> build_node_functions(
     const Netlist& nl, BddMgr& mgr, const BddVarMap& vm,
     const std::optional<Fault>& fault = std::nullopt);

@@ -51,18 +51,6 @@ double density_of_encoding(const Netlist& nl) {
 
 // ---- state-validity oracle --------------------------------------------------
 
-const char* state_validity_name(StateValidity v) {
-  switch (v) {
-    case StateValidity::kValid:
-      return "valid";
-    case StateValidity::kInvalid:
-      return "invalid";
-    case StateValidity::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 const char* oracle_mode_name(ValidityOracleInfo::Mode m) {
   switch (m) {
     case ValidityOracleInfo::Mode::kDisabled:

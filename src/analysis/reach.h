@@ -63,8 +63,6 @@ double density_of_encoding(const Netlist& nl);
 /// kValid = 0, kInvalid = 1, kUnknown = 2.
 enum class StateValidity { kValid = 0, kInvalid = 1, kUnknown = 2 };
 
-const char* state_validity_name(StateValidity v);
-
 /// How a StateValidityOracle answers queries, for reports.
 struct ValidityOracleInfo {
   enum class Mode {

@@ -5,18 +5,6 @@
 
 namespace satpg {
 
-const char* srf_class_name(SrfClass c) {
-  switch (c) {
-    case SrfClass::kInvalidSrf:
-      return "invalid-SRF";
-    case SrfClass::kUnobservableSrf:
-      return "unobservable-SRF";
-    case SrfClass::kDetectable:
-      return "detectable";
-  }
-  return "?";
-}
-
 SrfClass classify_srf(const Netlist& nl, const Fault& fault,
                       const SrfOptions& opts) {
   // Product machine: good machine at variable base 0, faulty machine at

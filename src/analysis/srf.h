@@ -39,8 +39,6 @@ enum class SrfClass {
   kDetectable,       ///< a distinguishing reachable (state, input) exists
 };
 
-const char* srf_class_name(SrfClass c);
-
 struct SrfOptions {
   std::string reset_input = "rst";
   std::size_t bdd_node_limit = 32u << 20;

@@ -25,7 +25,6 @@
 // expected, and tooling warns (DESIGN.md §7).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -67,26 +66,13 @@ class DecisionRing {
     buf_.resize(capacity_);
   }
 
-  /// Clear recorded events and the absolute counter. The arm configuration
-  /// (stop_after / flag) survives a reset.
+  /// Clear recorded events and the absolute counter.
   void reset() { total_ = 0; }
 
-  /// Record `e` unless the armed stop point has been reached (recording
-  /// stops exactly at `stop_after` events so the replay window covers the
-  /// same absolute index range as the capture).
+  /// Record `e`, overwriting the oldest event once the ring is full.
   void push(const DecisionEvent& e) {
-    if (stop_after_ != 0 && total_ >= stop_after_) return;
     buf_[static_cast<std::size_t>(total_ % capacity_)] = e;
     ++total_;
-    if (stop_after_ != 0 && total_ >= stop_after_ && stop_flag_ != nullptr)
-      stop_flag_->store(true, std::memory_order_relaxed);
-  }
-
-  /// Raise `*flag` (and stop recording) once `stop_after` events have been
-  /// pushed. Pass stop_after = 0 to disarm.
-  void arm_stop(std::uint64_t stop_after, std::atomic<bool>* flag) {
-    stop_after_ = stop_after;
-    stop_flag_ = flag;
   }
 
   std::size_t capacity() const { return capacity_; }
@@ -99,8 +85,6 @@ class DecisionRing {
   std::size_t capacity_;
   std::vector<DecisionEvent> buf_;
   std::uint64_t total_ = 0;
-  std::uint64_t stop_after_ = 0;  ///< 0 = disarmed
-  std::atomic<bool>* stop_flag_ = nullptr;
 };
 
 /// Everything needed to re-run one fault attempt and compare decision

@@ -104,14 +104,6 @@ bool simd_tier_supported(SimdTier t) {
   return false;
 }
 
-SimdTier best_supported_tier() {
-  const CpuFeatures& f = cpu_features();
-  if (f.avx512) return SimdTier::kAvx512;
-  if (f.avx2) return SimdTier::kAvx2;
-  if (f.sse2) return SimdTier::kSse2;
-  return SimdTier::kScalar;
-}
-
 namespace {
 
 std::string probe_cpu_model() {

@@ -46,10 +46,6 @@ const CpuFeatures& cpu_features();
 /// kScalar and kAuto are always runnable.
 bool simd_tier_supported(SimdTier t);
 
-/// Widest hardware-supported tier (ignores SATPG_FORCE_SCALAR and what
-/// kernels were compiled in).
-SimdTier best_supported_tier();
-
 /// Cached one-time read of SATPG_FORCE_SCALAR: set and not "0" => true.
 bool simd_force_scalar_env();
 

@@ -13,128 +13,55 @@ namespace satpg {
 
 int simulate_fault_serial(const Netlist& nl, const Fault& fault,
                           const TestSequence& seq) {
-  // Good and faulty machines in lockstep, all-X initial states.
-  std::vector<V3> gstate(nl.num_dffs(), V3::kX);
-  std::vector<V3> fstate(nl.num_dffs(), V3::kX);
-  std::vector<V3> gval(nl.num_nodes(), V3::kX);
-  std::vector<V3> fval(nl.num_nodes(), V3::kX);
-  std::vector<V3> pin_scratch;  // forced-pin fanin staging, reused
-
+  // Good and faulty machines in lockstep from the all-X power-up state.
+  SeqSimulator good(nl), faulty(nl, fault);
+  const std::vector<V3> all_x(nl.num_dffs(), V3::kX);
+  good.set_state(all_x);
+  faulty.set_state(all_x);
   for (std::size_t t = 0; t < seq.size(); ++t) {
-    const auto& pi = seq[t];
-    SATPG_CHECK(pi.size() == nl.num_inputs());
-    auto eval_machine = [&](std::vector<V3>& val,
-                            const std::vector<V3>& state, bool faulty) {
-      const auto& inputs = nl.inputs();
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        val[static_cast<std::size_t>(inputs[i])] = pi[i];
-      const auto& dffs = nl.dffs();
-      for (std::size_t i = 0; i < dffs.size(); ++i)
-        val[static_cast<std::size_t>(dffs[i])] = state[i];
-      if (faulty && fault.pin < 0) {
-        // Output fault on a PI or DFF overrides the source value.
-        const auto& fn = nl.node(fault.node);
-        if (fn.type == GateType::kInput || fn.type == GateType::kDff)
-          val[static_cast<std::size_t>(fault.node)] =
-              fault.stuck1 ? V3::kOne : V3::kZero;
-      }
-      for (NodeId id : nl.topo_order()) {
-        const auto& n = nl.node(id);
-        V3 v;
-        if (is_combinational(n.type)) {
-          if (faulty && fault.pin >= 0 && id == fault.node) {
-            pin_scratch.resize(n.fanins.size());
-            for (std::size_t k = 0; k < n.fanins.size(); ++k)
-              pin_scratch[k] = val[static_cast<std::size_t>(n.fanins[k])];
-            pin_scratch[static_cast<std::size_t>(fault.pin)] =
-                fault.stuck1 ? V3::kOne : V3::kZero;
-            v = eval_gate_v3_packed(n.type, pin_scratch.data(),
-                                    n.fanins.size());
-          } else {
-            v = eval_gate_v3(n.type, n.fanins, val);
-          }
-          if (faulty && fault.pin < 0 && id == fault.node)
-            v = fault.stuck1 ? V3::kOne : V3::kZero;
-          val[static_cast<std::size_t>(id)] = v;
-        } else if (n.type == GateType::kOutput) {
-          if (faulty && fault.pin >= 0 && id == fault.node)
-            val[static_cast<std::size_t>(id)] =
-                fault.stuck1 ? V3::kOne : V3::kZero;
-          else
-            val[static_cast<std::size_t>(id)] =
-                val[static_cast<std::size_t>(n.fanins[0])];
-        }
-      }
-    };
-    eval_machine(gval, gstate, false);
-    eval_machine(fval, fstate, true);
-
-    for (NodeId po : nl.outputs()) {
-      const V3 g = gval[static_cast<std::size_t>(po)];
-      const V3 f = fval[static_cast<std::size_t>(po)];
-      if (g != V3::kX && f != V3::kX && g != f)
+    const auto g = good.step(seq[t]);
+    const auto f = faulty.step(seq[t]);
+    for (std::size_t o = 0; o < g.size(); ++o)
+      if (g[o] != V3::kX && f[o] != V3::kX && g[o] != f[o])
         return static_cast<int>(t);
-    }
-
-    auto next_state = [&](const std::vector<V3>& val,
-                          std::vector<V3>& state, bool faulty) {
-      const auto& dffs = nl.dffs();
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        const auto& n = nl.node(dffs[i]);
-        V3 v = val[static_cast<std::size_t>(n.fanins[0])];
-        if (faulty && fault.node == dffs[i] && fault.pin == 0)
-          v = fault.stuck1 ? V3::kOne : V3::kZero;  // D-pin fault
-        state[i] = v;
-      }
-    };
-    next_state(gval, gstate, false);
-    next_state(fval, fstate, true);
   }
   return -1;
 }
 
 namespace {
 
-// Good-machine values for every node of every frame of one sequence, plus
-// the state trajectory. Simulated exactly once per sequence; every batch
-// reads good values from here instead of re-deriving them in slot 0 of a
-// full-netlist parallel sweep. Buffers are reused across sequences.
-struct GoodTrace {
-  std::vector<std::vector<V3>> val;  ///< [frame][node], pre-clock values
-  std::vector<V3> state;             ///< scratch: state while simulating
+// 64-slot words as a fold_gate value algebra.
+struct PVAlgebra {
+  using Value = PV;
+  PV constant(bool one) const { return PV::all(one ? V3::kOne : V3::kZero); }
+  PV not_(PV a) const { return pv_not(a); }
+  PV and_(PV a, PV b) const { return pv_and(a, b); }
+  PV or_(PV a, PV b) const { return pv_or(a, b); }
+  PV xor_(PV a, PV b) const { return pv_xor(a, b); }
 };
 
-void simulate_good(const Netlist& nl, const TestSequence& seq,
-                   GoodTrace& trace, StateSet* good_states) {
-  const CompiledNetlist& c = nl.compiled();
-  const auto& inputs = nl.inputs();
-  const auto& dffs = nl.dffs();
-  trace.state.assign(dffs.size(), V3::kX);
-  if (trace.val.size() < seq.size()) trace.val.resize(seq.size());
+// Good-machine values for every node of every frame of one sequence,
+// [frame][node] pre-clock. Simulated exactly once per sequence; every batch
+// reads good values from here instead of re-deriving them in slot 0 of a
+// full-netlist parallel sweep. Buffers are reused across sequences.
+using GoodTrace = std::vector<std::vector<V3>>;
 
+// Steps `sim` through `seq` from all-X and records its trace and the state
+// trajectory.
+void simulate_good(SeqSimulator& sim, const TestSequence& seq,
+                   GoodTrace& trace, StateSet* good_states) {
+  sim.set_state(std::vector<V3>(sim.netlist().num_dffs(), V3::kX));
+  if (trace.size() < seq.size()) trace.resize(seq.size());
   for (std::size_t t = 0; t < seq.size(); ++t) {
-    const auto& pi = seq[t];
-    SATPG_CHECK(pi.size() == nl.num_inputs());
-    auto& val = trace.val[t];
-    val.assign(nl.num_nodes(), V3::kX);
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      val[static_cast<std::size_t>(inputs[i])] = pi[i];
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      val[static_cast<std::size_t>(dffs[i])] = trace.state[i];
-    for (NodeId id : c.eval) {
-      const auto u = static_cast<std::size_t>(id);
-      val[u] = eval_gate_v3(c.type[u], c.fanins(id), val);
-    }
-    // Clock.
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      trace.state[i] =
-          val[static_cast<std::size_t>(nl.node(dffs[i]).fanins[0])];
+    sim.step(seq[t]);
+    trace[t] = sim.values();
     if (good_states) {
-      StateKey key(trace.state.size());
+      const auto& state = sim.state();
+      StateKey key(state.size());
       bool known = false;
-      for (std::size_t i = 0; i < trace.state.size(); ++i) {
-        key.set(i, trace.state[i]);
-        known |= trace.state[i] != V3::kX;
+      for (std::size_t i = 0; i < state.size(); ++i) {
+        key.set(i, state[i]);
+        known |= state[i] != V3::kX;
       }
       if (known) good_states->insert(key);
     }
@@ -243,7 +170,7 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
 
   for (std::size_t t = 0; t < seq.size(); ++t) {
     const auto& pi = seq[t];
-    const std::vector<V3>& gval = good.val[t];
+    const std::vector<V3>& gval = good[t];
 
     // Cone sources: PIs and DFF outputs, with stem injections.
     for (std::uint32_t idx : a.cone_pis) {
@@ -302,7 +229,8 @@ void simulate_batch(const Netlist& nl, const std::vector<Fault>& faults,
             a.pv_gather[static_cast<std::size_t>(j.pin)].set_slot(j.slot,
                                                                   forced(j));
         }
-      PV v = eval_gate_pv_packed(type, a.pv_gather.data(), nfi);
+      PV v = fold_gate(PVAlgebra{}, type, nfi,
+                       [&](std::size_t k) { return a.pv_gather[k]; });
       for (std::int32_t e = a.inj_head[ni]; e >= 0; e = a.inj[e].next) {
         const auto& j = a.inj[e];
         if (po_marker ? j.pin == 0 : j.pin < 0) v.set_slot(j.slot, forced(j));
@@ -385,6 +313,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
   std::vector<std::uint8_t> newly_pot(faults.size(), 0);
   std::vector<std::size_t> remaining;
   remaining.reserve(faults.size());
+  SeqSimulator good(nl);
   GoodTrace trace;
   std::vector<FsimArena> arenas;
 
@@ -394,7 +323,7 @@ FsimResult run_fault_simulation(const Netlist& nl,
     // without ever simulating an empty batch.
     {
       PhaseSpan good_span(ProfPhase::kFsimGood);
-      simulate_good(nl, sequences[si], trace, &res.good_states);
+      simulate_good(good, sequences[si], trace, &res.good_states);
     }
 
     // Remaining (undetected) faults, batched 63 at a time. The batch

@@ -24,8 +24,17 @@
 //     with per-gate activity skips, so it shares no evaluation schedule
 //     with the wide engine. Tests, CI and the benchmark regrade check the
 //     wide engine against it;
-//   * a serial three-valued reference (one fault at a time), used for
-//     cross-checking and small runs.
+//   * the serial reference simulate_fault_serial (one fault at a time):
+//     two src/sim SeqSimulators, the good machine and one given the fault,
+//     stepped in lockstep from all-X. It is what each ATPG engine's verify
+//     re-simulates a candidate on.
+//
+// Neither reference has a gate truth table of its own: both evaluate
+// through src/sim's fold_gate (the 64-slot batches over the PV algebra),
+// and the 64-slot good pass steps a SeqSimulator. The serial reference's
+// faulty machine is src/sim's one stuck-at overlay; the 64-slot batches
+// keep their own slot-mask injection table, which puts 63 faults on one
+// sweep.
 //
 // Both bit-parallel engines run their 63-fault batches concurrently on a
 // thread pool, with per-worker scratch arenas that keep the per-frame hot
@@ -52,7 +61,7 @@ namespace satpg {
 /// One test sequence: per-cycle primary-input vectors (nl.inputs() order).
 using TestSequence = std::vector<std::vector<V3>>;
 
-/// Serial reference: cycle index of first detection, or -1.
+/// Serial reference: cycle index of first detection from all-X, or -1.
 int simulate_fault_serial(const Netlist& nl, const Fault& fault,
                           const TestSequence& seq);
 

@@ -59,7 +59,6 @@ class Fsm {
   Fsm(std::string name, int num_inputs, int num_outputs);
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
   int num_inputs() const { return num_inputs_; }
   int num_outputs() const { return num_outputs_; }
   int num_states() const { return static_cast<int>(state_names_.size()); }

@@ -130,7 +130,6 @@ class Netlist {
   explicit Netlist(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction -------------------------------------------------------
   NodeId add_input(const std::string& name);

@@ -430,16 +430,13 @@ void move_forward(Netlist& nl, NodeId gate) {
   const std::vector<NodeId> old_ffs = nl.node(gate).fanins;
 
   // New initial value = gate function over old initial values.
-  std::vector<V3> vals(nl.num_nodes(), V3::kX);
-  for (NodeId f : old_ffs) {
-    const auto init = nl.node(f).init;
-    vals[static_cast<std::size_t>(f)] =
-        init == FfInit::kZero ? V3::kZero
-        : init == FfInit::kOne ? V3::kOne
-                               : V3::kX;
-  }
-  const V3 new_init = eval_gate_v3(nl.node(gate).type,
-                                   nl.node(gate).fanins, vals);
+  const V3 new_init = fold_gate(
+      V3Algebra{}, nl.node(gate).type, old_ffs.size(), [&](std::size_t k) {
+        const auto init = nl.node(old_ffs[k]).init;
+        return init == FfInit::kZero ? V3::kZero
+               : init == FfInit::kOne ? V3::kOne
+                                      : V3::kX;
+      });
 
   // Record the gate's current fanouts before rewiring.
   std::vector<NodeId> readers;
@@ -499,11 +496,12 @@ void move_backward(Netlist& nl, NodeId gate) {
     int matches = 0;
     std::vector<bool> match_combo;
     for (unsigned combo = 0; combo < (1u << fanins.size()); ++combo) {
-      std::vector<V3> vals(nl.num_nodes(), V3::kX);
-      for (std::size_t i = 0; i < fanins.size(); ++i)
-        vals[static_cast<std::size_t>(fanins[i])] =
-            (combo >> i) & 1u ? V3::kOne : V3::kZero;
-      if (eval_gate_v3(nl.node(gate).type, fanins, vals) == want) {
+      const V3 out = fold_gate(
+          V3Algebra{}, nl.node(gate).type, fanins.size(),
+          [combo](std::size_t k) {
+            return (combo >> k) & 1u ? V3::kOne : V3::kZero;
+          });
+      if (out == want) {
         ++matches;
         match_combo.assign(fanins.size(), false);
         for (std::size_t i = 0; i < fanins.size(); ++i)

@@ -2,119 +2,9 @@
 
 namespace satpg {
 
-V3 eval_gate_v3(GateType t, std::span<const NodeId> fanins,
-                const std::vector<V3>& values) {
-  auto in = [&](std::size_t i) {
-    return values[static_cast<std::size_t>(fanins[i])];
-  };
-  switch (t) {
-    case GateType::kConst0:
-      return V3::kZero;
-    case GateType::kConst1:
-      return V3::kOne;
-    case GateType::kBuf:
-    case GateType::kOutput:
-      return in(0);  // PO marker pass-through
-    case GateType::kNot:
-      return v3_not(in(0));
-    case GateType::kAnd:
-    case GateType::kNand: {
-      V3 v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = v3_and(v, in(i));
-      return t == GateType::kAnd ? v : v3_not(v);
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      V3 v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = v3_or(v, in(i));
-      return t == GateType::kOr ? v : v3_not(v);
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      V3 v = in(0);
-      for (std::size_t i = 1; i < fanins.size(); ++i) v = v3_xor(v, in(i));
-      return t == GateType::kXor ? v : v3_not(v);
-    }
-    default:
-      SATPG_CHECK_MSG(false, "eval_gate_v3: not a combinational gate");
-  }
-  return V3::kX;
-}
-
-V3 eval_gate_v3_packed(GateType t, const V3* vals, std::size_t n) {
-  switch (t) {
-    case GateType::kConst0:
-      return V3::kZero;
-    case GateType::kConst1:
-      return V3::kOne;
-    case GateType::kBuf:
-    case GateType::kDff:
-    case GateType::kOutput:
-      return vals[0];  // D / PO marker pass-through
-    case GateType::kNot:
-      return v3_not(vals[0]);
-    case GateType::kAnd:
-    case GateType::kNand: {
-      V3 v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = v3_and(v, vals[i]);
-      return t == GateType::kAnd ? v : v3_not(v);
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      V3 v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = v3_or(v, vals[i]);
-      return t == GateType::kOr ? v : v3_not(v);
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      V3 v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = v3_xor(v, vals[i]);
-      return t == GateType::kXor ? v : v3_not(v);
-    }
-    default:
-      SATPG_CHECK_MSG(false, "eval_gate_v3_packed: unexpected gate");
-  }
-  return V3::kX;
-}
-
-PV eval_gate_pv_packed(GateType t, const PV* vals, std::size_t n) {
-  switch (t) {
-    case GateType::kConst0:
-      return PV::all(V3::kZero);
-    case GateType::kConst1:
-      return PV::all(V3::kOne);
-    case GateType::kBuf:
-    case GateType::kDff:
-    case GateType::kOutput:
-      return vals[0];
-    case GateType::kNot:
-      return pv_not(vals[0]);
-    case GateType::kAnd:
-    case GateType::kNand: {
-      PV v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = pv_and(v, vals[i]);
-      return t == GateType::kAnd ? v : pv_not(v);
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      PV v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = pv_or(v, vals[i]);
-      return t == GateType::kOr ? v : pv_not(v);
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      PV v = vals[0];
-      for (std::size_t i = 1; i < n; ++i) v = pv_xor(v, vals[i]);
-      return t == GateType::kXor ? v : pv_not(v);
-    }
-    default:
-      SATPG_CHECK_MSG(false, "eval_gate_pv_packed: unexpected gate");
-  }
-  return PV{};
-}
-
-SeqSimulator::SeqSimulator(const Netlist& nl)
+SeqSimulator::SeqSimulator(const Netlist& nl, std::optional<Fault> fault)
     : nl_(nl),
+      fault_(fault),
       state_(nl.num_dffs(), V3::kX),
       values_(nl.num_nodes(), V3::kX) {
   nl.compiled();  // pre-build the cache so step() never mutates it
@@ -158,11 +48,7 @@ void SeqSimulator::evaluate(const std::vector<V3>& pi) {
   const auto& dffs = nl_.dffs();
   for (std::size_t i = 0; i < dffs.size(); ++i)
     values_[static_cast<std::size_t>(dffs[i])] = state_[i];
-  const CompiledNetlist& c = nl_.compiled();
-  for (NodeId id : c.eval) {
-    const auto u = static_cast<std::size_t>(id);
-    values_[u] = eval_gate_v3(c.type[u], c.fanins(id), values_);
-  }
+  sweep(V3Algebra{}, nl_.compiled(), fault_, values_);
 }
 
 std::vector<V3> SeqSimulator::eval_outputs(const std::vector<V3>& pi) {
@@ -174,17 +60,22 @@ std::vector<V3> SeqSimulator::eval_outputs(const std::vector<V3>& pi) {
   return out;
 }
 
+V3 SeqSimulator::next_state_bit(std::size_t i) const {
+  const NodeId ff = nl_.dffs()[i];
+  if (fault_ && fault_->node == ff && fault_->pin == 0)
+    return fault_->stuck1 ? V3::kOne : V3::kZero;  // D-pin fault
+  return values_[static_cast<std::size_t>(nl_.node(ff).fanins[0])];
+}
+
 std::vector<V3> SeqSimulator::next_state() const {
-  std::vector<V3> ns;
-  ns.reserve(nl_.num_dffs());
-  for (NodeId id : nl_.dffs())
-    ns.push_back(values_[static_cast<std::size_t>(nl_.node(id).fanins[0])]);
+  std::vector<V3> ns(nl_.num_dffs());
+  for (std::size_t i = 0; i < ns.size(); ++i) ns[i] = next_state_bit(i);
   return ns;
 }
 
 std::vector<V3> SeqSimulator::step(const std::vector<V3>& pi) {
   auto out = eval_outputs(pi);
-  state_ = next_state();
+  for (std::size_t i = 0; i < state_.size(); ++i) state_[i] = next_state_bit(i);
   return out;
 }
 

@@ -44,12 +44,6 @@ bool cover_matches(const Cover& cover, const BitVec& minterm) {
   return false;
 }
 
-std::size_t cover_literal_count(const Cover& cover) {
-  std::size_t n = 0;
-  for (const auto& c : cover) n += c.care.count();
-  return n;
-}
-
 namespace {
 
 // EXPAND one cube: drop literals greedily in the given order while the

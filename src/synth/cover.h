@@ -51,7 +51,4 @@ struct EspressoOptions {
 Cover espresso_lite(const Cover& on, const Cover& dc, std::size_t num_vars,
                     const EspressoOptions& opts = {});
 
-/// Literal count of a cover (cost proxy used by tests and scripts).
-std::size_t cover_literal_count(const Cover& cover);
-
 }  // namespace satpg

@@ -5,17 +5,27 @@
 // gate-by-gate against the sequential simulator; redundancy verdicts are
 // cross-checked against BDD sequential equivalence of the fault-injected
 // netlist.
+//
+// The two detection oracles share src/sim's gate fold but not the fault
+// model: the serial fault simulator overlays the fault on SeqSimulator,
+// the other rewrites the netlist (fault_inject.h) and steps it fault-free.
+// The overlay itself, on SeqSimulator and on the BDD node functions, is
+// checked here against the rewrite for every fault of a few machines.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "analysis/bddcircuit.h"
 #include "analysis/seqec.h"
 #include "atpg/parallel.h"
 #include "atpg/tfm.h"
+#include "base/rng.h"
 #include "bdd/bdd.h"
+#include "fault_inject.h"
 #include "fsim/fsim.h"
 #include "fsm/mcnc_suite.h"
+#include "netlist/bench_io.h"
 #include "sim/simulator.h"
 #include "synth/synthesize.h"
 
@@ -28,37 +38,6 @@ Netlist mcnc_circuit(const std::string& name, double scale) {
     if (s.name == name) spec = s;
   const Fsm fsm = generate_control_fsm(scaled_spec(spec, scale));
   return synthesize(fsm, {}).netlist;
-}
-
-// Structural fault injection: a copy of `nl` whose behaviour is exactly the
-// faulty machine. Stem faults reroute every reader of the node to a
-// constant; branch faults reroute one fanin slot. This gives an oracle that
-// shares no code with the fault simulator's fault overlay.
-Netlist inject_fault(const Netlist& nl, const Fault& f) {
-  Netlist faulty = nl;
-  const NodeId c = faulty.add_const(f.stuck1, "fault_const");
-  if (f.pin < 0)
-    faulty.replace_uses(f.node, c);
-  else
-    faulty.set_fanin(f.node, static_cast<std::size_t>(f.pin), c);
-  return faulty;
-}
-
-// Two-machine replay from all-X power-up on the sequential simulator:
-// detected iff some cycle shows a primary output known in both machines
-// with differing values (the strict PROOFS-era convention).
-bool seqsim_detects(const Netlist& good, const Netlist& faulty,
-                    const TestSequence& seq) {
-  SeqSimulator sg(good), sf(faulty);
-  sg.set_state(std::vector<V3>(good.num_dffs(), V3::kX));
-  sf.set_state(std::vector<V3>(faulty.num_dffs(), V3::kX));
-  for (const auto& vec : seq) {
-    const auto pg = sg.step(vec);
-    const auto pf = sf.step(vec);
-    for (std::size_t o = 0; o < pg.size(); ++o)
-      if (pg[o] != V3::kX && pf[o] != V3::kX && pg[o] != pf[o]) return true;
-  }
-  return false;
 }
 
 ParallelAtpgResult strict_run(const Netlist& nl,
@@ -129,6 +108,105 @@ TEST(DifferentialOracleTest, EveryCdclDetectionReplaysUnderTwoIndependentOracles
     ++checked;
   }
   EXPECT_GT(checked, collapsed.size() / 2);
+}
+
+// --- the fault overlay against structural injection -------------------------
+
+// Every fault-site kind on a few gates: XOR/XNOR, a 5-input AND, a
+// constant, PI and FF stems, DFF D pins and PO marker pins.
+Netlist overlay_machine() {
+  Netlist nl("overlay");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId c = nl.add_input("c");
+  const NodeId d = nl.add_input("d");
+  const NodeId e = nl.add_input("e");
+  const NodeId q1 = nl.add_dff("q1", a, FfInit::kUnknown);
+  const NodeId q2 = nl.add_dff("q2", b, FfInit::kZero);
+  const NodeId x1 = nl.add_gate(GateType::kXor, "x1", {a, q1});
+  const NodeId x2 = nl.add_gate(GateType::kXnor, "x2", {b, c, q2});
+  const NodeId a5 = nl.add_gate(GateType::kAnd, "a5", {a, b, c, d, e});
+  const NodeId k1 = nl.add_const(true, "k1");
+  const NodeId n1 = nl.add_gate(GateType::kNand, "n1", {x1, k1});
+  const NodeId o1 = nl.add_gate(GateType::kOr, "o1", {a5, x2, n1});
+  const NodeId nt = nl.add_gate(GateType::kNot, "nt", {o1});
+  const NodeId be = nl.add_gate(GateType::kBuf, "be", {e});
+  const NodeId r2 = nl.add_gate(GateType::kNor, "r2", {x1, be});
+  nl.set_fanin(q1, 0, o1);
+  nl.set_fanin(q2, 0, r2);
+  nl.add_output("o_x2", x2);
+  nl.add_output("o_nt", nt);
+  nl.add_output("o_q2", q2);
+  nl.add_output("o_a5", a5);
+  return nl;
+}
+
+// SeqSimulator with a fault overlaid must step exactly like the
+// structurally injected netlist: from all-X, over seeded random sequences
+// with X inputs, the same PO and next-state values in every frame, for
+// every fault of enumerate_faults on a hand-built machine and on a cached
+// synthesized circuit and its retimed twin.
+TEST(DifferentialOracleTest, SeqSimulatorOverlayMatchesInjectionPerFrame) {
+  const std::string dir = SATPG_CACHE_DIR;
+  const std::vector<Netlist> circuits = {
+      overlay_machine(),
+      read_bench_file(dir + "/dk16.ji.sd_s3_x30.bench"),
+      read_bench_file(dir + "/dk16.ji.sd.re_s3_x30.bench")};
+  for (const Netlist& nl : circuits) {
+    Rng rng(17);
+    std::vector<TestSequence> seqs(3);
+    for (auto& seq : seqs)
+      for (int t = 0; t < 12; ++t) {
+        std::vector<V3> pi(nl.num_inputs());
+        for (auto& v : pi)
+          v = rng.next_below(8) == 0 ? V3::kX
+              : rng.next_bool()      ? V3::kOne
+                                     : V3::kZero;
+        seq.push_back(pi);
+      }
+    const std::vector<V3> all_x(nl.num_dffs(), V3::kX);
+    const auto faults = enumerate_faults(nl);
+    ASSERT_GT(faults.size(), 40u) << nl.name();
+    for (const Fault& f : faults) {
+      const Netlist injected = inject_fault(nl, f);
+      for (const TestSequence& seq : seqs) {
+        SeqSimulator overlay(nl, f), reference(injected);
+        overlay.set_state(all_x);
+        reference.set_state(all_x);
+        for (std::size_t t = 0; t < seq.size(); ++t) {
+          ASSERT_EQ(overlay.step(seq[t]), reference.step(seq[t]))
+              << nl.name() << " " << fault_name(nl, f) << " frame " << t;
+          ASSERT_EQ(overlay.state(), reference.state())
+              << nl.name() << " " << fault_name(nl, f) << " frame " << t;
+        }
+      }
+    }
+  }
+}
+
+// The faulted build_node_functions must give every PO marker the function
+// the injected netlist gives it, and every flip-flop (through state_bits,
+// which forces a D-pin fault) the injected netlist's next-state function.
+TEST(DifferentialOracleTest, BddOverlayMatchesInjectionAtPosAndDffs) {
+  const Netlist nl = overlay_machine();
+  const BddVarMap vm =
+      BddVarMap::single(static_cast<unsigned>(nl.num_dffs()),
+                        static_cast<unsigned>(nl.num_inputs()));
+  BddMgr mgr(vm.total());
+  for (const Fault& f : enumerate_faults(nl)) {
+    const Netlist injected = inject_fault(nl, f);
+    const auto fn = build_node_functions(nl, mgr, vm, f);
+    const auto ref = build_node_functions(injected, mgr, vm);
+    for (NodeId po : nl.outputs())
+      EXPECT_EQ(fn[static_cast<std::size_t>(po)],
+                ref[static_cast<std::size_t>(po)])
+          << fault_name(nl, f) << " at " << nl.node(po).name;
+    const auto bits = state_bits(nl, mgr, vm, fn, f);
+    const auto ref_bits = state_bits(injected, mgr, vm, ref);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      EXPECT_EQ(bits[i].next, ref_bits[i].next)
+          << fault_name(nl, f) << " at " << nl.node(nl.dffs()[i]).name;
+  }
 }
 
 // --- good-machine cross-check ------------------------------------------------

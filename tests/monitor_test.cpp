@@ -87,21 +87,6 @@ TEST(DecisionRingTest, WindowKeepsLastKWithAbsoluteIndices) {
     EXPECT_EQ(w[i].frame, static_cast<std::int32_t>(6 + i));
 }
 
-TEST(DecisionRingTest, ArmStopRaisesFlagAtExactCount) {
-  DecisionRing ring(8);
-  std::atomic<bool> flag{false};
-  ring.arm_stop(3, &flag);
-  const DecisionEvent e{DecisionEventKind::kObjective, 1, 0, 2, 0};
-  ring.push(e);
-  ring.push(e);
-  EXPECT_FALSE(flag.load());
-  ring.push(e);
-  EXPECT_TRUE(flag.load());
-  // Recording stops exactly at the armed count: further pushes are ignored.
-  ring.push(e);
-  EXPECT_EQ(ring.total(), 3u);
-}
-
 // --- RunMonitor with a fake source ------------------------------------------
 
 class FakeSource final : public MonitorSource {
@@ -320,11 +305,12 @@ TEST(CaptureReplayTest, ArmingCaptureLeavesMemoryBudgetedRunUnchanged) {
 }
 
 // A capture cut short by the wall-clock deadline replays deterministically:
-// the armed ring stops the replay at the same absolute event index. The
+// replay cuts the attempt at the capture's recorded abort_check. The
 // deadline is nondeterministic, so retry over growing deadlines until one
-// lands mid-search. The search phase lasts only tens of milliseconds and its
-// start moves with machine load, so the ladder grows by 25% a step: a
-// coarser one can jump from before the search straight past its end.
+// lands mid-search. No eval or backtrack limit ends an attempt and no
+// oracle build delays the first one, so from the first rung on only the
+// deadline stops the search; the ladder still grows by 25% a step in case
+// machine load delays the search's start.
 TEST(CaptureReplayTest, DeadlineCaptureReplaysExactly) {
   const Netlist orig = mcnc_circuit("s820", 0.3);
   const Netlist twin =
@@ -334,7 +320,9 @@ TEST(CaptureReplayTest, DeadlineCaptureReplaysExactly) {
        deadline_ms += std::max<std::uint64_t>(1, deadline_ms / 4)) {
     ParallelAtpgOptions opts = small_options(EngineKind::kHitec, 2);
     opts.run.random_sequences = 0;
-    opts.run.engine.eval_limit = 10'000'000;  // only the deadline can stop it
+    opts.run.attribute_effort = false;
+    opts.run.engine.eval_limit = 10'000'000'000;
+    opts.run.engine.backtrack_limit = 1'000'000'000;
     opts.deadline_ms = deadline_ms;
     opts.capture.armed = true;
     const ParallelAtpgResult res = run_parallel_atpg(twin, opts);
@@ -345,7 +333,7 @@ TEST(CaptureReplayTest, DeadlineCaptureReplaysExactly) {
                         << rep.message;
     return;
   }
-  GTEST_SKIP() << "no deadline landed mid-search on this machine";
+  FAIL() << "no deadline of 1-250 ms landed mid-search";
 }
 
 // Tampered captures are rejected by the config digest.

@@ -13,6 +13,7 @@
 #include "fsm/mcnc_suite.h"
 #include "base/rng.h"
 #include "bdd/bdd.h"
+#include "fault_inject.h"
 #include "fault/fault.h"
 #include "fsim/fsim.h"
 #include "netlist/bench_io.h"
@@ -245,19 +246,6 @@ TEST(CoverLaws, ContainmentIsReflexiveAndAntisymmetricOnCubes) {
 }
 
 // --- ATPG fault-dropping invariance ------------------------------------------
-
-// Structural fault injection (see differential_oracle_test for the full
-// oracle suite around this): reroute readers of the fault site to a
-// constant so src/sim simulates the faulty machine directly.
-Netlist inject_fault(const Netlist& nl, const Fault& f) {
-  Netlist faulty = nl;
-  const NodeId c = faulty.add_const(f.stuck1, "fault_const");
-  if (f.pin < 0)
-    faulty.replace_uses(f.node, c);
-  else
-    faulty.set_fanin(f.node, static_cast<std::size_t>(f.pin), c);
-  return faulty;
-}
 
 class AtpgDropInvariance : public ::testing::TestWithParam<int> {};
 

@@ -22,6 +22,7 @@
 #include "base/metrics.h"
 #include "netlist/bench_io.h"
 #include "base/rng.h"
+#include "fault_inject.h"
 #include "fault/fault.h"
 #include "fsm/mcnc_suite.h"
 #include "sim/simulator.h"
@@ -57,19 +58,6 @@ void expect_models_equal(const TimeFrameModel& a, const TimeFrameModel& b,
       ASSERT_EQ(a.value(t, id), b.value(t, id))
           << "frame " << t << " node " << nl.node(id).name;
     }
-}
-
-// Structural fault injection: a copy of `nl` whose behaviour is exactly the
-// faulty machine's. A stem fault reroutes every reader of the node to a
-// constant, a pin fault one fan-in slot (a FF's D pin included).
-Netlist inject_fault(const Netlist& nl, const Fault& f) {
-  Netlist faulty = nl;
-  const NodeId c = faulty.add_const(f.stuck1, "fault_const");
-  if (f.pin < 0)
-    faulty.replace_uses(f.node, c);
-  else
-    faulty.set_fanin(f.node, static_cast<std::size_t>(f.pin), c);
-  return faulty;
 }
 
 // The model's every (frame, node) value against the good and the faulty

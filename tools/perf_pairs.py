@@ -16,8 +16,13 @@ in how many pairs B beat A (ties count for neither side), and whether the
 medians differ by more than A's interquartile range. `pass_cpu_s` is
 the median per-pass CPU time that run.py echoes on stderr ("pass plain wall
 W cpu C"), printed beside `wall_s`. A run that fails (run.py exit code not 0
-or "correct": false) stops the comparison with exit code 1. Nothing under
-perfbench/ is changed; each checkout builds its own .bench_build/.
+or "correct": false) stops the comparison with exit code 1.
+
+The comparison also gates: when B's median of an end-to-end metric is worse
+than A's by more than that metric's BENCHMARK.json `bound`, read as a
+fraction of A's median, the report names the workload and metric, and the
+script exits 3 after every workload has run. Nothing under perfbench/ is
+changed; each checkout builds its own .bench_build/.
 """
 import argparse
 import json
@@ -56,10 +61,12 @@ def cell(xs):
     return f"{statistics.median(xs):.6g} [{q1:.6g}, {q3:.6g}]"
 
 
-def report(workload, metrics, pairs):
+def report(workload, metrics, bounds, pairs):
+    """Print the comparison table; return the metrics whose bound B crossed."""
     print(f"\n{workload}: {len(pairs)} pairs")
     print(f"  {'metric':<12} {'A median [q1, q3]':>34} "
           f"{'B median [q1, q3]':>34} {'change':>8}  B wins  > A IQR")
+    crossed = []
     for name, better in metrics:
         a = [p[0][name] for p in pairs]
         b = [p[1][name] for p in pairs]
@@ -71,6 +78,11 @@ def report(workload, metrics, pairs):
         beyond = "yes" if abs(mb - ma) > a3 - a1 else "no"
         print(f"  {name:<12} {cell(a):>34} {cell(b):>34} {change:>+7.1f}%"
               f"  {f'{wins}/{len(pairs)}':>6}  {beyond}")
+        worse = mb - ma if better == "lower" else ma - mb
+        if name in bounds and worse > bounds[name] * abs(ma):
+            crossed.append(f"{workload} {name}: {change:+.1f}% against a "
+                           f"bound of {bounds[name] * 100:g}%")
+    return crossed
 
 
 def main():
@@ -94,10 +106,12 @@ def main():
     with open(os.path.join(a, "BENCHMARK.json")) as f:
         spec = json.load(f)
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     wall = [i for i, m in enumerate(metrics) if m[0] == "wall_s"]
     metrics.insert(wall[0] + 1 if wall else 0, ("pass_cpu_s", "lower"))
 
     print(f"A = {a}\nB = {b}{' (A/A control)' if args.aa else ''}")
+    crossed = []
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
@@ -110,7 +124,12 @@ def main():
             print(f"  {workload} seed {seed}: wall_s "
                   f"{pair[0]['wall_s']:.4f} -> {pair[1]['wall_s']:.4f}",
                   flush=True)
-        report(workload, metrics, pairs)
+        crossed += report(workload, metrics, bounds, pairs)
+    if crossed:
+        print("\nworse than A beyond the bound:")
+        for line in crossed:
+            print(f"  {line}")
+        sys.exit(3)
 
 
 if __name__ == "__main__":
